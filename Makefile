@@ -1,6 +1,6 @@
 # Convenience wrapper around dune; `make ci` is what the CI workflow runs.
 
-.PHONY: all build test bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke lint lint-channels perf-compare ci clean
+.PHONY: all build test bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke perf-smoke lint lint-channels perf-compare ci clean
 
 all: build
 
@@ -105,6 +105,16 @@ ni-smoke:
 		--json ni-base-j2.json; test $$? -eq 1'
 	cmp ni-base.json ni-base-j2.json
 
+# The simulator benchmark (perfbench/) at about 5% of its run length,
+# untraced and traced, about two minutes.  Beyond the record schema it
+# fails on the benchmark's own correctness checks, the invariants any
+# simulator-only speed-up must keep: its slice loop equals
+# Tmachine.run_spec counter for counter, a pool cell equals a serial
+# rerun, ni verdicts equal perfbench/ni-fpma-known.txt, and traced and
+# untraced runs produce the same digests.
+perf-smoke:
+	dune build @perfbench/perf-smoke
+
 # Diff the two most recent bench runs in BENCH_history.jsonl; exits
 # nonzero on a cycle or IPC regression past the default 5% thresholds.
 perf-compare:
@@ -166,7 +176,7 @@ lint-channels:
 	done
 	rm -f examples/lint/*-channels.json
 
-ci: build test bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke lint lint-channels
+ci: build test bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke perf-smoke lint lint-channels
 
 clean:
 	dune clean

@@ -402,9 +402,9 @@ let sweep_cmd =
       let commit = Perfdb.git_commit () in
       let run_id = Perfdb.next_run_id (Perfdb.load ~path) ~commit in
       let records = Sweep.to_perfdb_records ~run_id ~commit outcomes in
-      let total_cycles =
+      let total_instrs =
         List.fold_left
-          (fun acc (o : Sweep.outcome) -> acc + o.Sweep.result.Tmachine.cycles)
+          (fun acc (o : Sweep.outcome) -> acc + o.Sweep.result.Tmachine.instrs)
           0 outcomes
       in
       let wall_record =
@@ -426,7 +426,7 @@ let sweep_cmd =
                 Perfdb.wall_s = wall;
                 kips =
                   (if wall <= 0.0 then 0.0
-                   else float_of_int total_cycles /. wall /. 1000.0);
+                   else float_of_int total_instrs /. wall /. 1000.0);
                 phases = [];
               };
         }
@@ -822,7 +822,7 @@ let profile_cmd =
               let wall = Selfprof.wall_seconds sp in
               Printf.printf "self-profile: %s/%s  wall=%.3fs  %.1f kcycles/s\n"
                 bname (Config.variant_name variant) wall
-                (Selfprof.overall_kips sp);
+                (Selfprof.overall_kcps sp);
               Printf.printf "  %-10s %9s %9s %9s\n" "phase" "seconds" "ns/cyc"
                 "B/cyc";
               let sum =
@@ -1266,8 +1266,9 @@ let bisect_cmd =
           ipc = 0.0;
           cpi = [];
           quantiles = [];
-          (* kips here is lockstep scan speed (both machines + recorder),
-             so compare.exe's kips gate bounds flight-recorder overhead
+          (* kips here is lockstep scan speed (both machines + recorder,
+             counted as side A's committed instructions), so
+             compare.exe's kips gate bounds flight-recorder overhead
              regressions; checkpoint memory rides in the phase table. *)
           host =
             Some
@@ -1275,7 +1276,7 @@ let bisect_cmd =
                 Perfdb.wall_s = wall;
                 kips =
                   (if wall <= 0.0 then 0.0
-                   else float_of_int cycles /. wall /. 1000.0);
+                   else float_of_int (Tmachine.committed a) /. wall /. 1000.0);
                 phases =
                   [
                     ( "checkpoint_mem_words",

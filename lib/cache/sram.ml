@@ -24,24 +24,29 @@ let check t set way =
     invalid_arg "Sram: set/way out of range"
 
 let find t ~set ~tag =
-  let rec go w =
-    if w >= t.nways then None
-    else if t.valid.(set).(w) && t.tags.(set).(w) = tag then
-      match t.meta.(set).(w) with
-      | Some m -> Some (w, m)
-      | None -> assert false
-    else go (w + 1)
-  in
   if set < 0 || set >= t.nsets then invalid_arg "Sram.find: set out of range";
-  go 0
+  let valid = t.valid.(set) and tags = t.tags.(set) in
+  let way = ref (-1) and w = ref 0 in
+  while !way < 0 && !w < t.nways do
+    if valid.(!w) && tags.(!w) = tag then way := !w;
+    incr w
+  done;
+  !way
 
-let read t ~set ~way =
+let valid t ~set ~way =
   check t set way;
-  if t.valid.(set).(way) then
-    match t.meta.(set).(way) with
-    | Some m -> Some (t.tags.(set).(way), m)
-    | None -> assert false
-  else None
+  t.valid.(set).(way)
+
+let tag t ~set ~way =
+  check t set way;
+  if not t.valid.(set).(way) then invalid_arg "Sram.tag: way is invalid";
+  t.tags.(set).(way)
+
+let meta t ~set ~way =
+  check t set way;
+  match t.meta.(set).(way) with
+  | Some m when t.valid.(set).(way) -> m
+  | _ -> invalid_arg "Sram.meta: way is invalid"
 
 let fill t ~set ~way ~tag m =
   check t set way;

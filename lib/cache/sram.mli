@@ -9,11 +9,19 @@ val create : sets:int -> ways:int -> 'a t
 val sets : 'a t -> int
 val ways : 'a t -> int
 
-(** [find t ~set ~tag] is [Some (way, meta)] for a valid matching line. *)
-val find : 'a t -> set:int -> tag:int -> (int * 'a) option
+(** [find t ~set ~tag] is the way holding a valid line tagged [tag], or
+    [-1].  Lookups allocate nothing; read the line with {!meta}. *)
+val find : 'a t -> set:int -> tag:int -> int
 
-(** [read t ~set ~way] is [Some (tag, meta)] if the way is valid. *)
-val read : 'a t -> set:int -> way:int -> (int * 'a) option
+(** [valid t ~set ~way] — the way holds a line. *)
+val valid : 'a t -> set:int -> way:int -> bool
+
+(** [tag t ~set ~way] is the tag of a valid way. *)
+val tag : 'a t -> set:int -> way:int -> int
+
+(** [meta t ~set ~way] is the metadata of a valid way; raises
+    [Invalid_argument] if the way is invalid. *)
+val meta : 'a t -> set:int -> way:int -> 'a
 
 (** [fill t ~set ~way ~tag meta] installs a line (overwrites). *)
 val fill : 'a t -> set:int -> way:int -> tag:int -> 'a -> unit

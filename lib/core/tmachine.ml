@@ -51,6 +51,10 @@ type t = {
   telemetry : Telemetry.t;
   rstreams : rstream array;
   mutable clock : int;
+  (* Per-core L1 completion sinks, built once: D-side completions carry
+     the current [clock]. *)
+  complete_d : (int -> unit) array;
+  complete_i : (int -> unit) array;
 }
 
 (* Per-core protection-domain region block: core i owns regions
@@ -105,8 +109,17 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null)
           ~stats
           ~pt_base_line:(pt_base_line ~core:i))
   in
-  { cores; l1ds; l1is; llc; stats; trace; selfprof; occupancy; telemetry;
-    rstreams; clock = 0 }
+  let t =
+    { cores; l1ds; l1is; llc; stats; trace; selfprof; occupancy; telemetry;
+      rstreams; clock = 0; complete_d = Array.make n ignore;
+      complete_i = Array.make n ignore }
+  in
+  Array.iteri
+    (fun i core ->
+      t.complete_d.(i) <- (fun id -> Core.mem_complete core ~now:t.clock ~id);
+      t.complete_i.(i) <- (fun id -> Core.icache_complete core ~id))
+    cores;
+  t
 
 (* Registry over every component's counters and distributions; values are
    read at export time, so build it once and export after the run. *)
@@ -285,15 +298,13 @@ let checkpoint_cycle ck = ck.ck_clock
 let tick t =
   let now = t.clock in
   let sp = t.selfprof in
-  Array.iteri
-    (fun i core ->
-      Core.tick core ~now;
-      let p = Selfprof.switch sp Selfprof.ph_l1 in
-      L1.tick t.l1ds.(i) ~now ~complete:(fun id ->
-          Core.mem_complete core ~now ~id);
-      L1.tick t.l1is.(i) ~now ~complete:(fun id -> Core.icache_complete core ~id);
-      Selfprof.restore sp p)
-    t.cores;
+  for i = 0 to Array.length t.cores - 1 do
+    Core.tick t.cores.(i) ~now;
+    let p = Selfprof.switch sp Selfprof.ph_l1 in
+    L1.tick t.l1ds.(i) ~now ~complete:t.complete_d.(i);
+    L1.tick t.l1is.(i) ~now ~complete:t.complete_i.(i);
+    Selfprof.restore sp p
+  done;
   let p = Selfprof.switch sp Selfprof.ph_llc in
   Llc.tick t.llc ~now;
   Selfprof.restore sp p;

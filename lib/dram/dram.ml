@@ -5,7 +5,8 @@ type inflight = { req : req; done_at : int }
 type t = {
   lat : int;
   max_outstanding : int;
-  stats : Stats.t;
+  reads : Stats.counter;
+  writes : Stats.counter;
   trace : Trace.t;
   q : inflight Fifo.t;
   mutable accepted_at : int; (* cycle of last accept, for 1/cycle limit *)
@@ -16,7 +17,8 @@ let create ?(trace = Trace.null) ~latency ~max_outstanding ~stats () =
   {
     lat = latency;
     max_outstanding;
-    stats;
+    reads = Stats.counter stats "dram.reads";
+    writes = Stats.counter stats "dram.writes";
     trace;
     q = Fifo.create ~capacity:max_outstanding;
     accepted_at = -1;
@@ -31,28 +33,28 @@ let accept t ~now req =
   if not (can_accept t) then failwith "Dram.accept: backpressured";
   if t.accepted_at = now then failwith "Dram.accept: two requests in one cycle";
   t.accepted_at <- now;
-  Stats.incr t.stats (if req.read then "dram.reads" else "dram.writes");
+  Stats.bump (if req.read then t.reads else t.writes);
   if Trace.active t.trace Trace.Dram then
     Trace.emit t.trace ~now
       (Trace.Dram_cmd { bank = 0; read = req.read; row_hit = false; line = req.line });
   Fifo.enq t.q { req; done_at = now + t.lat }
 
+(* Constant latency + in-order acceptance means the head is always the
+   next to complete. *)
+let rec drain_writes t ~now =
+  match Fifo.peek_opt t.q with
+  | Some { req = { read = false; _ }; done_at } when done_at <= now ->
+    ignore (Fifo.deq t.q);
+    drain_writes t ~now
+  | _ -> ()
+
 let tick t ~now ~respond =
-  (* Constant latency + in-order acceptance means the head is always the
-     next to complete. *)
-  let rec drain_writes () =
-    match Fifo.peek_opt t.q with
-    | Some { req = { read = false; _ }; done_at } when done_at <= now ->
-      ignore (Fifo.deq t.q);
-      drain_writes ()
-    | _ -> ()
-  in
-  drain_writes ();
+  drain_writes t ~now;
   match Fifo.peek_opt t.q with
   | Some { req = { read = true; line; tag }; done_at } when done_at <= now ->
     ignore (Fifo.deq t.q);
     respond ~tag ~line;
-    drain_writes ()
+    drain_writes t ~now
   | _ -> ()
 
 (* Checkpoint/restore: queue contents plus the accept-rate limiter. *)

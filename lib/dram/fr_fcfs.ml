@@ -27,7 +27,10 @@ type bank = {
 
 type t = {
   cfg : config;
-  stats : Stats.t;
+  reads : Stats.counter;
+  writes : Stats.counter;
+  row_hits : Stats.counter;
+  row_misses : Stats.counter;
   trace : Trace.t;
   banks : bank array;
   mutable queue : waiting list; (* arrival order, oldest first *)
@@ -39,7 +42,10 @@ type t = {
 let create ?(trace = Trace.null) cfg ~stats =
   {
     cfg;
-    stats;
+    reads = Stats.counter stats "dram.reads";
+    writes = Stats.counter stats "dram.writes";
+    row_hits = Stats.counter stats "dram.row_hits";
+    row_misses = Stats.counter stats "dram.row_misses";
     trace;
     banks =
       Array.init cfg.banks (fun _ ->
@@ -66,60 +72,56 @@ let accept t ~now req =
   if not (can_accept t) then failwith "Fr_fcfs.accept: backpressured";
   if t.accepted_at = now then failwith "Fr_fcfs.accept: two requests in one cycle";
   t.accepted_at <- now;
-  Stats.incr t.stats (if req.read then "dram.reads" else "dram.writes");
+  Stats.bump (if req.read then t.reads else t.writes);
   t.queue <- t.queue @ [ { w_req = req; w_seq = t.seq } ];
   t.seq <- t.seq + 1
 
 (* FR-FCFS scheduling: for each idle bank, prefer the oldest request that
    hits the open row; otherwise the oldest request for that bank. *)
-let schedule t ~now =
-  Array.iteri
-    (fun bi bank ->
-      if bank.current = None && bank.busy_until <= now then begin
-        let for_bank =
-          List.filter (fun w -> bank_of t.cfg ~line:w.w_req.line = bi) t.queue
-        in
-        let pick =
-          let hits =
-            List.filter
-              (fun w -> bank.open_row = Some (row_of t.cfg ~line:w.w_req.line))
-              for_bank
-          in
-          match (hits, for_bank) with
-          | w :: _, _ -> Some (w, true)
-          | [], w :: _ -> Some (w, false)
-          | [], [] -> None
-        in
-        match pick with
-        | None -> ()
-        | Some (w, row_hit) ->
-          t.queue <- List.filter (fun x -> x.w_seq <> w.w_seq) t.queue;
-          let lat =
-            if row_hit then t.cfg.hit_latency else t.cfg.miss_latency
-          in
-          if row_hit then Stats.incr t.stats "dram.row_hits"
-          else Stats.incr t.stats "dram.row_misses";
-          if Trace.active t.trace Trace.Dram then
-            Trace.emit t.trace ~now
-              (Trace.Dram_cmd
-                 { bank = bi; read = w.w_req.read; row_hit; line = w.w_req.line });
-          bank.open_row <- Some (row_of t.cfg ~line:w.w_req.line);
-          bank.current <- Some (w.w_req, now + lat)
-      end)
-    t.banks
+let schedule_bank t ~now bi bank =
+  let for_bank =
+    List.filter (fun w -> bank_of t.cfg ~line:w.w_req.line = bi) t.queue
+  in
+  let pick =
+    let hits =
+      List.filter
+        (fun w -> bank.open_row = Some (row_of t.cfg ~line:w.w_req.line))
+        for_bank
+    in
+    match (hits, for_bank) with
+    | w :: _, _ -> Some (w, true)
+    | [], w :: _ -> Some (w, false)
+    | [], [] -> None
+  in
+  match pick with
+  | None -> ()
+  | Some (w, row_hit) ->
+    t.queue <- List.filter (fun x -> x.w_seq <> w.w_seq) t.queue;
+    let lat = if row_hit then t.cfg.hit_latency else t.cfg.miss_latency in
+    Stats.bump (if row_hit then t.row_hits else t.row_misses);
+    if Trace.active t.trace Trace.Dram then
+      Trace.emit t.trace ~now
+        (Trace.Dram_cmd
+           { bank = bi; read = w.w_req.read; row_hit; line = w.w_req.line });
+    bank.open_row <- Some (row_of t.cfg ~line:w.w_req.line);
+    bank.current <- Some (w.w_req, now + lat)
 
 let tick t ~now ~respond =
-  schedule t ~now;
+  for bi = 0 to Array.length t.banks - 1 do
+    let bank = t.banks.(bi) in
+    if t.queue <> [] && bank.current = None && bank.busy_until <= now then
+      schedule_bank t ~now bi bank
+  done;
   (* Collect finished bank operations. *)
-  Array.iter
-    (fun bank ->
-      match bank.current with
-      | Some (req, done_at) when done_at <= now ->
-        bank.current <- None;
-        bank.busy_until <- now;
-        if req.read then Fifo.enq t.ready (done_at, req)
-      | _ -> ())
-    t.banks;
+  for bi = 0 to Array.length t.banks - 1 do
+    let bank = t.banks.(bi) in
+    match bank.current with
+    | Some (req, done_at) when done_at <= now ->
+      bank.current <- None;
+      bank.busy_until <- now;
+      if req.read then Fifo.enq t.ready (done_at, req)
+    | _ -> ()
+  done;
   (* One response per cycle on the shared data bus. *)
   match Fifo.peek_opt t.ready with
   | Some (_, req) ->

@@ -88,20 +88,63 @@ type pipe_msg =
   | M_cresp of int * Msg.child_resp
   | M_dram of int
 
+(* Counter handles, resolved once per LLC. *)
+type counters = {
+  c_requests : Stats.counter;
+  c_mshr_alloc_stalls : Stats.counter;
+  c_arb_idle_slots : Stats.counter;
+  c_hits : Stats.counter;
+  c_misses : Stats.counter;
+  c_replacements : Stats.counter;
+  c_writebacks : Stats.counter;
+  c_all_ways_locked : Stats.counter;
+  c_downgrades_sent : Stats.counter;
+  c_responses_sent : Stats.counter;
+  c_uq_hol_blocks : Stats.counter;
+  c_dram_backpressure_stalls : Stats.counter;
+  c_dq_retries : Stats.counter;
+  c_dq_double_dequeues : Stats.counter;
+}
+
+let counters stats =
+  let c = Stats.counter stats in
+  {
+    c_requests = c "llc.requests";
+    c_mshr_alloc_stalls = c "llc.mshr_alloc_stalls";
+    c_arb_idle_slots = c "llc.arb_idle_slots";
+    c_hits = c "llc.hits";
+    c_misses = c "llc.misses";
+    c_replacements = c "llc.replacements";
+    c_writebacks = c "llc.writebacks";
+    c_all_ways_locked = c "llc.all_ways_locked";
+    c_downgrades_sent = c "llc.downgrades_sent";
+    c_responses_sent = c "llc.responses_sent";
+    c_uq_hol_blocks = c "llc.uq_hol_blocks";
+    c_dram_backpressure_stalls = c "llc.dram_backpressure_stalls";
+    c_dq_retries = c "llc.dq_retries";
+    c_dq_double_dequeues = c "llc.dq_double_dequeues";
+  }
+
 type t = {
   cfg : config;
   sec : security;
   links : Link.t array;
   dram : Controller.t;
-  stats : Stats.t;
+  ctr : counters;
   array : line_meta Sram.t;
   repl : Replacement.t;
   entries : entry option array;
+  (* Indices derived from [entries], kept in step with every phase change
+     and allocation so arbitration never rescans the MSHR file;
+     [restore] recomputes them. *)
+  arrived : int array; (* per core: entries in P_dram_arrived *)
+  free : int array; (* per (MSHR partition, bank): unallocated entries *)
+  respond : tag:int -> line:int -> unit; (* DRAM response sink *)
   pipe : (int * pipe_msg) Fifo.t; (* exit cycle, message *)
   retryq : int Fifo.t array; (* per core *)
   uqs : int Fifo.t array; (* 1 (shared) or per core *)
   dq : int Fifo.t;
-  mutable dq_pending_read : int option; (* baseline 2-cycle wb+read dequeue *)
+  mutable dq_pending_read : int; (* baseline 2-cycle wb+read dequeue; -1 none *)
   port_used : bool array; (* per-core outgoing port, per cycle *)
   (* Observability *)
   trace : Trace.t;
@@ -110,6 +153,37 @@ type t = {
   mutable live : int; (* allocated MSHR entries (avoids a per-tick scan) *)
   occ_hist : Histogram.t; (* MSHR occupancy, sampled once per tick *)
 }
+
+(* MSHR partitions: one per core when partitioned, else one shared
+   file.  A core allocates only in its partition's index range. *)
+let partition t core = if t.sec.partitioned_mshrs then core else 0
+let per_core_mshrs t = t.cfg.mshrs / t.cfg.cores
+let entry_lo t core = if t.sec.partitioned_mshrs then core * per_core_mshrs t else 0
+
+let entry_hi t core =
+  if t.sec.partitioned_mshrs then (core + 1) * per_core_mshrs t else t.cfg.mshrs
+
+let bank_of_set t set = set land (t.cfg.mshr_banks - 1)
+
+(* [free] slot counting the free entries of [core]'s partition in [bank]. *)
+let free_slot t ~core ~bank = (partition t core * t.cfg.mshr_banks) + bank
+
+(* Recompute the derived indices from the MSHR file. *)
+let recount t =
+  Array.fill t.arrived 0 (Array.length t.arrived) 0;
+  Array.fill t.free 0 (Array.length t.free) 0;
+  Array.iteri
+    (fun i eo ->
+      match eo with
+      | Some e ->
+        if e.e_phase = P_dram_arrived then
+          t.arrived.(e.e_core) <- t.arrived.(e.e_core) + 1
+      | None ->
+        let k =
+          free_slot t ~core:(i / per_core_mshrs t) ~bank:(i mod t.cfg.mshr_banks)
+        in
+        t.free.(k) <- t.free.(k) + 1)
+    t.entries
 
 let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) cfg ~security
     ~links ~dram ~stats =
@@ -120,32 +194,51 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) cfg ~security
   if security.partitioned_mshrs && cfg.mshrs mod cfg.cores <> 0 then
     invalid_arg "Llc.create: mshrs must divide evenly across cores";
   let sets = Index.sets cfg.index in
-  {
-    cfg;
-    sec = security;
-    links;
-    dram;
-    stats;
-    array = Sram.create ~sets ~ways:cfg.ways;
-    repl =
-      Replacement.pseudo_random ~ways:cfg.ways ~sets ~seed:cfg.repl_seed;
-    entries = Array.make cfg.mshrs None;
-    pipe = Fifo.create ~capacity:(cfg.pipeline_latency + 2);
-    retryq = Array.init cfg.cores (fun _ -> Fifo.create ~capacity:cfg.mshrs);
-    uqs =
-      (if security.split_uq then
-         Array.init cfg.cores (fun _ ->
-             Fifo.create ~capacity:(cfg.mshrs / cfg.cores))
-       else [| Fifo.create ~capacity:cfg.mshrs |]);
-    dq = Fifo.create ~capacity:cfg.mshrs;
-    dq_pending_read = None;
-    port_used = Array.make cfg.cores false;
-    trace;
-    selfprof;
-    tnow = 0;
-    live = 0;
-    occ_hist = Histogram.create ();
-  }
+  let entries = Array.make cfg.mshrs None in
+  let arrived = Array.make cfg.cores 0 in
+  let respond ~tag ~line =
+    match entries.(tag) with
+    | Some e ->
+      assert (e.e_line = line);
+      (* No backpressure on the DRAM response: buffered in the MSHR. *)
+      e.e_phase <- P_dram_arrived;
+      arrived.(e.e_core) <- arrived.(e.e_core) + 1
+    | None -> failwith "Llc: dangling MSHR index"
+  in
+  let partitions = if security.partitioned_mshrs then cfg.cores else 1 in
+  let t =
+    {
+      cfg;
+      sec = security;
+      links;
+      dram;
+      ctr = counters stats;
+      array = Sram.create ~sets ~ways:cfg.ways;
+      repl =
+        Replacement.pseudo_random ~ways:cfg.ways ~sets ~seed:cfg.repl_seed;
+      entries;
+      arrived;
+      free = Array.make (partitions * cfg.mshr_banks) 0;
+      respond;
+      pipe = Fifo.create ~capacity:(cfg.pipeline_latency + 2);
+      retryq = Array.init cfg.cores (fun _ -> Fifo.create ~capacity:cfg.mshrs);
+      uqs =
+        (if security.split_uq then
+           Array.init cfg.cores (fun _ ->
+               Fifo.create ~capacity:(cfg.mshrs / cfg.cores))
+         else [| Fifo.create ~capacity:cfg.mshrs |]);
+      dq = Fifo.create ~capacity:cfg.mshrs;
+      dq_pending_read = -1;
+      port_used = Array.make cfg.cores false;
+      trace;
+      selfprof;
+      tnow = 0;
+      live = 0;
+      occ_hist = Histogram.create ();
+    }
+  in
+  recount t;
+  t
 
 let mshr_occupancy t = t.occ_hist
 let live_mshrs t = t.live
@@ -161,22 +254,7 @@ let set_of t line = Index.index t.cfg.index ~line
 (* MSHR allocation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let per_core_mshrs t = t.cfg.mshrs / t.cfg.cores
-
-let entry_range t core =
-  if t.sec.partitioned_mshrs then
-    (core * per_core_mshrs t, (core + 1) * per_core_mshrs t)
-  else (0, t.cfg.mshrs)
-
-let bank_of_set t set = set land (t.cfg.mshr_banks - 1)
-
-let free_in_bank t core bank =
-  let lo, hi = entry_range t core in
-  let n = ref 0 in
-  for i = lo to hi - 1 do
-    if t.entries.(i) = None && i mod t.cfg.mshr_banks = bank then incr n
-  done;
-  !n
+let free_in_bank t core bank = t.free.(free_slot t ~core ~bank)
 
 let free_mshrs_for t ~core ~line =
   let bank = bank_of_set t (set_of t line) in
@@ -190,53 +268,54 @@ let free_mshrs_for t ~core ~line =
   end
   else free_in_bank t core bank
 
+let is_free t i = match t.entries.(i) with None -> true | Some _ -> false
+
+(* Allocates the lowest free entry of the core's partition in the line's
+   bank; -1 when none is available. *)
 let alloc_mshr t ~core ~line ~to_s =
-  if free_mshrs_for t ~core ~line = 0 then None
+  if free_mshrs_for t ~core ~line = 0 then -1
   else begin
     let bank = bank_of_set t (set_of t line) in
-    let lo, hi = entry_range t core in
-    let rec go i =
-      if i >= hi then None
-      else if t.entries.(i) = None && i mod t.cfg.mshr_banks = bank then begin
-        let e =
-          {
-            e_core = core;
-            e_line = line;
-            e_to = to_s;
-            e_phase = P_pipe;
-            e_set = -1;
-            e_way = -1;
-            e_locks_way = false;
-            e_needs_wb = false;
-            e_wb_line = -1;
-            e_retry = false;
-            e_pending = Bitvec.create t.cfg.cores;
-            e_to_send = [];
-            e_blocked = [];
-            e_dq_kind = Dq_read;
-          }
-        in
-        t.entries.(i) <- Some e;
-        t.live <- t.live + 1;
-        if Trace.active t.trace Trace.Llc then
-          Trace.emit t.trace ~now:t.tnow
-            (Trace.Mshr_alloc { core; idx = i; line });
-        Some i
-      end
-      else go (i + 1)
+    let i = ref (entry_lo t core) in
+    while not (is_free t !i && !i mod t.cfg.mshr_banks = bank) do
+      incr i
+    done;
+    let i = !i in
+    let e =
+      {
+        e_core = core;
+        e_line = line;
+        e_to = to_s;
+        e_phase = P_pipe;
+        e_set = -1;
+        e_way = -1;
+        e_locks_way = false;
+        e_needs_wb = false;
+        e_wb_line = -1;
+        e_retry = false;
+        e_pending = Bitvec.create t.cfg.cores;
+        e_to_send = [];
+        e_blocked = [];
+        e_dq_kind = Dq_read;
+      }
     in
-    go lo
+    t.entries.(i) <- Some e;
+    t.live <- t.live + 1;
+    let k = free_slot t ~core ~bank in
+    t.free.(k) <- t.free.(k) - 1;
+    if Trace.active t.trace Trace.Llc then
+      Trace.emit t.trace ~now:t.tnow (Trace.Mshr_alloc { core; idx = i; line });
+    i
   end
 
+(* The (highest-indexed) entry locking [way] of [set], or -1. *)
 let way_locker t set way =
-  let found = ref None in
-  Array.iteri
-    (fun i eo ->
-      match eo with
-      | Some e when e.e_locks_way && e.e_set = set && e.e_way = way ->
-        found := Some i
-      | _ -> ())
-    t.entries;
+  let found = ref (-1) in
+  for i = 0 to Array.length t.entries - 1 do
+    match t.entries.(i) with
+    | Some e when e.e_locks_way && e.e_set = set && e.e_way = way -> found := i
+    | _ -> ()
+  done;
   !found
 
 (* ------------------------------------------------------------------ *)
@@ -268,7 +347,9 @@ let free_entry t idx =
     Trace.emit t.trace ~now:t.tnow
       (Trace.Mshr_free { core = e.e_core; idx });
   t.entries.(idx) <- None;
-  t.live <- t.live - 1
+  t.live <- t.live - 1;
+  let k = free_slot t ~core:e.e_core ~bank:(idx mod t.cfg.mshr_banks) in
+  t.free.(k) <- t.free.(k) + 1
 
 (* ------------------------------------------------------------------ *)
 (* Directory / replacement bookkeeping                                 *)
@@ -295,20 +376,23 @@ let downgrade_targets t meta ~core ~to_s ~line =
     | _ -> [])
   | Msi.I -> []
 
+let owned_by meta core = match meta.owner with Some c -> c = core | None -> false
+
 let apply_cresp_to_directory t core (resp : Msg.child_resp) =
   let set = set_of t resp.Msg.line in
-  match Sram.find t.array ~set ~tag:resp.Msg.line with
-  | None -> ()
-  | Some (_, meta) -> (
+  let way = Sram.find t.array ~set ~tag:resp.Msg.line in
+  if way >= 0 then begin
+    let meta = Sram.meta t.array ~set ~way in
     if resp.Msg.dirty then meta.dirty <- true;
     match resp.Msg.to_s with
     | Msi.I ->
-      if meta.owner = Some core then meta.owner <- None;
+      if owned_by meta core then meta.owner <- None;
       if Bitvec.get meta.sharers core then Bitvec.clear meta.sharers core
     | Msi.S ->
-      if meta.owner = Some core then meta.owner <- None;
+      if owned_by meta core then meta.owner <- None;
       Bitvec.set meta.sharers core
-    | Msi.M -> ())
+    | Msi.M -> ()
+  end
 
 (* Replacement completed: victim gone, line slot reserved for the miss. *)
 let complete_replacement t idx ~victim_dirty =
@@ -316,13 +400,103 @@ let complete_replacement t idx ~victim_dirty =
   Sram.invalidate t.array ~set:e.e_set ~way:e.e_way;
   e.e_needs_wb <- victim_dirty;
   e.e_dq_kind <- (if victim_dirty then Dq_wb else Dq_read);
-  if victim_dirty then Stats.incr t.stats "llc.writebacks";
+  if victim_dirty then Stats.bump t.ctr.c_writebacks;
   e.e_phase <- P_in_dq;
   Fifo.enq t.dq idx
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline-exit processing                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* An active transaction on [line] other than [idx], or -1.  Parked
+   (P_blocked) entries are passive and must not themselves act as
+   blockers, or two same-line entries could park on each other. *)
+let same_line_blocker t idx line =
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < Array.length t.entries do
+    (match t.entries.(!i) with
+    | Some o when !i <> idx && o.e_line = line -> (
+      match o.e_phase with P_blocked -> () | _ -> found := !i)
+    | _ -> ());
+    incr i
+  done;
+  !found
+
+(* Lowest invalid way of [set] that no transaction locks, or -1. *)
+let unlocked_invalid_way t set =
+  let w = ref 0 in
+  while
+    !w < t.cfg.ways
+    && (Sram.valid t.array ~set ~way:!w || way_locker t set !w >= 0)
+  do
+    incr w
+  done;
+  if !w < t.cfg.ways then !w else -1
+
+(* The policy's victim, or the next way after it that no transaction
+   locks; -1 when every way is locked. *)
+let unlocked_victim t set =
+  let pick = Replacement.victim t.repl ~set ~invalid_way:None in
+  let way = ref (-1) and tries = ref 0 in
+  while !way < 0 && !tries < t.cfg.ways do
+    let w = (pick + !tries) mod t.cfg.ways in
+    if way_locker t set w < 0 then way := w;
+    incr tries
+  done;
+  !way
+
+let request_hit t idx e ~set ~way =
+  Stats.bump t.ctr.c_hits;
+  e.e_way <- way;
+  Replacement.touch t.repl ~set ~way;
+  match
+    downgrade_targets t (Sram.meta t.array ~set ~way) ~core:e.e_core ~to_s:e.e_to
+      ~line:e.e_line
+  with
+  | [] -> enqueue_uq t idx
+  | targets ->
+    e.e_locks_way <- true;
+    List.iter (fun (c, _, _) -> Bitvec.set e.e_pending c) targets;
+    e.e_to_send <- targets;
+    e.e_phase <- P_wait_downgrade { victim = false }
+
+let request_miss t idx e ~set =
+  Stats.bump t.ctr.c_misses;
+  (* Find an invalid, unlocked way; otherwise pick a victim among
+     unlocked ways. *)
+  let way = unlocked_invalid_way t set in
+  if way >= 0 then begin
+    e.e_way <- way;
+    e.e_locks_way <- true;
+    e.e_dq_kind <- Dq_read;
+    e.e_phase <- P_in_dq;
+    Fifo.enq t.dq idx
+  end
+  else begin
+    let way = unlocked_victim t set in
+    if way < 0 then begin
+      (* Every way locked by an in-flight transaction: retry. *)
+      Stats.bump t.ctr.c_all_ways_locked;
+      enqueue_retry t idx
+    end
+    else begin
+      let victim_tag = Sram.tag t.array ~set ~way
+      and vmeta = Sram.meta t.array ~set ~way in
+      Stats.bump t.ctr.c_replacements;
+      e.e_way <- way;
+      e.e_locks_way <- true;
+      e.e_wb_line <- victim_tag;
+      match
+        downgrade_targets t vmeta ~core:(-1) ~to_s:Msi.M ~line:victim_tag
+      with
+      | [] -> complete_replacement t idx ~victim_dirty:vmeta.dirty
+      | targets ->
+        e.e_needs_wb <- vmeta.dirty;
+        List.iter (fun (c, _, _) -> Bitvec.set e.e_pending c) targets;
+        e.e_to_send <- targets;
+        e.e_phase <- P_wait_downgrade { victim = true }
+    end
+  end
 
 let process_request t idx =
   let e = entry t idx in
@@ -337,125 +511,56 @@ let process_request t idx =
   else begin
     let set = set_of t e.e_line in
     e.e_set <- set;
-    (* Same-line conflict with another active transaction: park.  Parked
-       (P_blocked) entries are passive and must not themselves act as
-       blockers, or two same-line entries could park on each other. *)
-    let same_line = ref None in
-    Array.iteri
-      (fun i eo ->
-        match eo with
-        | Some o
-          when i <> idx && o.e_line = e.e_line && o.e_phase <> P_blocked
-               && !same_line = None ->
-          same_line := Some i
-        | _ -> ())
-      t.entries;
-    match !same_line with
-    | Some blocker -> park_on t ~blocker ~parked:idx
-    | None -> (
-      match Sram.find t.array ~set ~tag:e.e_line with
-      | Some (way, meta) -> (
-        match way_locker t set way with
-        | Some blocker when blocker <> idx -> park_on t ~blocker ~parked:idx
-        | _ -> (
-          Stats.incr t.stats "llc.hits";
-          e.e_way <- way;
-          Replacement.touch t.repl ~set ~way;
-          match
-            downgrade_targets t meta ~core:e.e_core ~to_s:e.e_to
-              ~line:e.e_line
-          with
-          | [] -> enqueue_uq t idx
-          | targets ->
-            e.e_locks_way <- true;
-            List.iter (fun (c, _, _) -> Bitvec.set e.e_pending c) targets;
-            e.e_to_send <- targets;
-            e.e_phase <- P_wait_downgrade { victim = false }))
-      | None -> (
-        Stats.incr t.stats "llc.misses";
-        (* Find an invalid, unlocked way; otherwise pick a victim among
-           unlocked ways. *)
-        let unlocked w = way_locker t set w = None in
-        let rec find_invalid w =
-          if w >= t.cfg.ways then None
-          else if Sram.read t.array ~set ~way:w = None && unlocked w then
-            Some w
-          else find_invalid (w + 1)
-        in
-        match find_invalid 0 with
-        | Some way ->
-          e.e_way <- way;
-          e.e_locks_way <- true;
-          e.e_dq_kind <- Dq_read;
-          e.e_phase <- P_in_dq;
-          Fifo.enq t.dq idx
-        | None -> (
-          let pick = Replacement.victim t.repl ~set ~invalid_way:None in
-          let rec find_victim tries w =
-            if tries >= t.cfg.ways then None
-            else if unlocked w then Some w
-            else find_victim (tries + 1) ((w + 1) mod t.cfg.ways)
-          in
-          match find_victim 0 pick with
-          | None ->
-            (* Every way locked by an in-flight transaction: retry. *)
-            Stats.incr t.stats "llc.all_ways_locked";
-            enqueue_retry t idx
-          | Some way -> (
-            match Sram.read t.array ~set ~way with
-            | None -> assert false
-            | Some (victim_tag, vmeta) -> (
-              Stats.incr t.stats "llc.replacements";
-              e.e_way <- way;
-              e.e_locks_way <- true;
-              e.e_wb_line <- victim_tag;
-              match
-                downgrade_targets t vmeta ~core:(-1) ~to_s:Msi.M
-                  ~line:victim_tag
-              with
-              | [] -> complete_replacement t idx ~victim_dirty:vmeta.dirty
-              | targets ->
-                e.e_needs_wb <- vmeta.dirty;
-                List.iter
-                  (fun (c, _, _) -> Bitvec.set e.e_pending c)
-                  targets;
-                e.e_to_send <- targets;
-                e.e_phase <- P_wait_downgrade { victim = true })))))
+    (* Same-line conflict with another active transaction: park. *)
+    let blocker = same_line_blocker t idx e.e_line in
+    if blocker >= 0 then park_on t ~blocker ~parked:idx
+    else begin
+      let way = Sram.find t.array ~set ~tag:e.e_line in
+      if way < 0 then request_miss t idx e ~set
+      else begin
+        let blocker = way_locker t set way in
+        if blocker >= 0 && blocker <> idx then park_on t ~blocker ~parked:idx
+        else request_hit t idx e ~set ~way
+      end
+    end
   end
+
+(* The first entry waiting on [core]'s downgrade response for
+   [resp]'s line consumes it; -1 when none does. *)
+let cresp_claimant t core (resp : Msg.child_resp) =
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < Array.length t.entries do
+    (match t.entries.(!i) with
+    | Some ({ e_phase = P_wait_downgrade { victim }; _ } as e) ->
+      let wanted_line = if victim then e.e_wb_line else e.e_line in
+      if wanted_line = resp.Msg.line && Bitvec.get e.e_pending core then
+        found := !i
+    | _ -> ());
+    incr i
+  done;
+  !found
 
 let process_cresp t core (resp : Msg.child_resp) =
   (* A waiting MSHR consumes the response first (so it can account the
      dirty bit into the replacement), then the directory is updated. *)
-  let claimed = ref false in
-  Array.iteri
-    (fun idx eo ->
-      match eo with
-      | Some e when not !claimed -> (
-        match e.e_phase with
-        | P_wait_downgrade { victim } ->
-          let wanted_line = if victim then e.e_wb_line else e.e_line in
-          if wanted_line = resp.Msg.line && Bitvec.get e.e_pending core then begin
-            claimed := true;
-            Bitvec.clear e.e_pending core;
-            apply_cresp_to_directory t core resp;
-            if Bitvec.is_empty e.e_pending then begin
-              if victim then begin
-                let vdirty =
-                  e.e_needs_wb
-                  ||
-                  match Sram.find t.array ~set:e.e_set ~tag:e.e_wb_line with
-                  | Some (_, m) -> m.dirty
-                  | None -> false
-                in
-                complete_replacement t idx ~victim_dirty:vdirty
-              end
-              else enqueue_uq t idx
-            end
-          end
-        | _ -> ())
-      | _ -> ())
-    t.entries;
-  if not !claimed then apply_cresp_to_directory t core resp
+  let idx = cresp_claimant t core resp in
+  if idx < 0 then apply_cresp_to_directory t core resp
+  else begin
+    let e = entry t idx in
+    Bitvec.clear e.e_pending core;
+    apply_cresp_to_directory t core resp;
+    if Bitvec.is_empty e.e_pending then
+      match e.e_phase with
+      | P_wait_downgrade { victim = true } ->
+        let vdirty =
+          e.e_needs_wb
+          ||
+          let way = Sram.find t.array ~set:e.e_set ~tag:e.e_wb_line in
+          way >= 0 && (Sram.meta t.array ~set:e.e_set ~way).dirty
+        in
+        complete_replacement t idx ~victim_dirty:vdirty
+      | _ -> enqueue_uq t idx
+  end
 
 let process_dram t idx =
   let e = entry t idx in
@@ -472,46 +577,21 @@ let process_exit t = function
 (* Pipeline entry arbitration                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Lowest-indexed entry of [core] holding a buffered DRAM response, or
+   -1; the per-core count skips the scan when there is none. *)
 let dram_arrived_for t core =
-  let found = ref None in
-  Array.iteri
-    (fun i eo ->
-      match eo with
-      | Some e when e.e_phase = P_dram_arrived && e.e_core = core && !found = None
-        ->
-        found := Some i
-      | _ -> ())
-    t.entries;
-  !found
-
-(* Highest-priority available message for [core]; dequeues it. *)
-let take_core_candidate t core =
-  match dram_arrived_for t core with
-  | Some idx ->
-    (entry t idx).e_phase <- P_pipe;
-    Some (M_dram idx)
-  | None ->
-    if Fifo.can_deq t.retryq.(core) then begin
-      let idx = Fifo.deq t.retryq.(core) in
-      (entry t idx).e_phase <- P_pipe;
-      Some (M_retry idx)
-    end
-    else if Fifo.can_deq t.links.(core).Link.rs then
-      Some (M_cresp (core, Fifo.deq t.links.(core).Link.rs))
-    else
-      match Fifo.peek_opt t.links.(core).Link.rq with
-      | None -> None
-      | Some req -> (
-        match
-          alloc_mshr t ~core ~line:req.Msg.line ~to_s:req.Msg.to_s
-        with
-        | Some idx ->
-          ignore (Fifo.deq t.links.(core).Link.rq);
-          Stats.incr t.stats "llc.requests";
-          Some (M_creq idx)
-        | None ->
-          Stats.incr t.stats "llc.mshr_alloc_stalls";
-          None)
+  if t.arrived.(core) = 0 then -1
+  else begin
+    let found = ref (-1) and i = ref 0 in
+    while !found < 0 && !i < Array.length t.entries do
+      (match t.entries.(!i) with
+      | Some { e_phase = P_dram_arrived; e_core; _ } when e_core = core ->
+        found := !i
+      | _ -> ());
+      incr i
+    done;
+    !found
+  end
 
 let msg_kind = function
   | M_creq _ -> "req"
@@ -523,74 +603,86 @@ let msg_core t = function
   | M_creq idx | M_retry idx | M_dram idx -> (entry t idx).e_core
   | M_cresp (c, _) -> c
 
+let admit t ~now msg =
+  if Trace.active t.trace Trace.Llc then
+    Trace.emit t.trace ~now
+      (Trace.Arb_grant { core = msg_core t msg; kind = msg_kind msg });
+  Fifo.enq t.pipe (now + t.cfg.pipeline_latency, msg)
+
+(* One admission attempt per message class for [core]: each dequeues and
+   admits its message and returns [true], or returns [false]. *)
+let admit_dram t ~now core =
+  let idx = dram_arrived_for t core in
+  idx >= 0
+  && begin
+    (entry t idx).e_phase <- P_pipe;
+    t.arrived.(core) <- t.arrived.(core) - 1;
+    admit t ~now (M_dram idx);
+    true
+  end
+
+let admit_retry t ~now core =
+  Fifo.can_deq t.retryq.(core)
+  && begin
+    let idx = Fifo.deq t.retryq.(core) in
+    (entry t idx).e_phase <- P_pipe;
+    admit t ~now (M_retry idx);
+    true
+  end
+
+let admit_cresp t ~now core =
+  let rs = t.links.(core).Link.rs in
+  Fifo.can_deq rs
+  && begin
+    admit t ~now (M_cresp (core, Fifo.deq rs));
+    true
+  end
+
+(* Upgrade requests need an MSHR. *)
+let admit_creq t ~now core =
+  match Fifo.peek_opt t.links.(core).Link.rq with
+  | None -> false
+  | Some req ->
+    let idx = alloc_mshr t ~core ~line:req.Msg.line ~to_s:req.Msg.to_s in
+    if idx >= 0 then begin
+      ignore (Fifo.deq t.links.(core).Link.rq);
+      Stats.bump t.ctr.c_requests;
+      admit t ~now (M_creq idx);
+      true
+    end
+    else begin
+      Stats.bump t.ctr.c_mshr_alloc_stalls;
+      false
+    end
+
+(* [admit_class] on cores [c], [c + 1], ... until one admits. *)
+let rec first_core t ~now admit_class c =
+  c < t.cfg.cores && (admit_class t ~now c || first_core t ~now admit_class (c + 1))
+
 let enter_pipeline t ~now =
-  let admit msg =
-    if Trace.active t.trace Trace.Llc then
-      Trace.emit t.trace ~now
-        (Trace.Arb_grant { core = msg_core t msg; kind = msg_kind msg });
-    Fifo.enq t.pipe (now + t.cfg.pipeline_latency, msg)
-  in
   if t.sec.round_robin_arbiter then begin
     (* Cycle T admits only core T mod N; an idle slot is wasted
        (Section 5.4.3). *)
     let core = now mod t.cfg.cores in
-    match take_core_candidate t core with
-    | Some msg -> admit msg
-    | None ->
-      Stats.incr t.stats "llc.arb_idle_slots";
+    if
+      not
+        (admit_dram t ~now core || admit_retry t ~now core
+        || admit_cresp t ~now core || admit_creq t ~now core)
+    then begin
+      Stats.bump t.ctr.c_arb_idle_slots;
       if Trace.active t.trace Trace.Llc then
         Trace.emit t.trace ~now (Trace.Arb_idle { core })
+    end
   end
-  else begin
-    (* Baseline two-level mux: message-type priority, then core index. *)
-    let picked = ref false in
-    let try_class f =
-      if not !picked then begin
-        let rec go c =
-          if c < t.cfg.cores then
-            match f c with
-            | Some msg ->
-              picked := true;
-              admit msg
-            | None -> go (c + 1)
-        in
-        go 0
-      end
-    in
-    (* DRAM responses. *)
-    try_class (fun c ->
-        match dram_arrived_for t c with
-        | Some idx ->
-          (entry t idx).e_phase <- P_pipe;
-          Some (M_dram idx)
-        | None -> None);
-    (* Downgrade responses. *)
-    try_class (fun c ->
-        if Fifo.can_deq t.links.(c).Link.rs then
-          Some (M_cresp (c, Fifo.deq t.links.(c).Link.rs))
-        else None);
-    (* Retries. *)
-    try_class (fun c ->
-        if Fifo.can_deq t.retryq.(c) then begin
-          let idx = Fifo.deq t.retryq.(c) in
-          (entry t idx).e_phase <- P_pipe;
-          Some (M_retry idx)
-        end
-        else None);
-    (* Upgrade requests (need an MSHR). *)
-    try_class (fun c ->
-        match Fifo.peek_opt t.links.(c).Link.rq with
-        | None -> None
-        | Some req -> (
-          match alloc_mshr t ~core:c ~line:req.Msg.line ~to_s:req.Msg.to_s with
-          | Some idx ->
-            ignore (Fifo.deq t.links.(c).Link.rq);
-            Stats.incr t.stats "llc.requests";
-            Some (M_creq idx)
-          | None ->
-            Stats.incr t.stats "llc.mshr_alloc_stalls";
-            None))
-  end
+  else
+    (* Baseline two-level mux: message-type priority (DRAM responses,
+       downgrade responses, retries, upgrade requests), then core
+       index. *)
+    ignore
+      (first_core t ~now admit_dram 0
+      || first_core t ~now admit_cresp 0
+      || first_core t ~now admit_retry 0
+      || first_core t ~now admit_creq 0)
 
 let advance_pipeline t ~now =
   match Fifo.peek_opt t.pipe with
@@ -617,7 +709,7 @@ let downgrade_scan t ~lo ~hi =
           && Fifo.can_enq t.links.(target).Link.p2c
         then begin
           Fifo.enq t.links.(target).Link.p2c (Msg.Downgrade_req { line; to_s });
-          Stats.incr t.stats "llc.downgrades_sent";
+          Stats.bump t.ctr.c_downgrades_sent;
           t.port_used.(target) <- true;
           e.e_to_send <- rest;
           sent := true
@@ -630,8 +722,7 @@ let downgrade_scan t ~lo ~hi =
 let downgrade_logic t =
   if t.sec.per_partition_downgrade then
     for core = 0 to t.cfg.cores - 1 do
-      let lo, hi = entry_range t core in
-      downgrade_scan t ~lo ~hi
+      downgrade_scan t ~lo:(entry_lo t core) ~hi:(entry_hi t core)
     done
   else downgrade_scan t ~lo:0 ~hi:t.cfg.mshrs
 
@@ -641,15 +732,13 @@ let downgrade_logic t =
 
 let grant_directory t idx =
   let e = entry t idx in
-  match Sram.read t.array ~set:e.e_set ~way:e.e_way with
-  | None -> assert false
-  | Some (_, meta) -> (
-    match e.e_to with
-    | Msi.M ->
-      meta.owner <- Some e.e_core;
-      Bitvec.clear meta.sharers e.e_core
-    | Msi.S -> Bitvec.set meta.sharers e.e_core
-    | Msi.I -> ())
+  let meta = Sram.meta t.array ~set:e.e_set ~way:e.e_way in
+  match e.e_to with
+  | Msi.M ->
+    meta.owner <- Some e.e_core;
+    Bitvec.clear meta.sharers e.e_core
+  | Msi.S -> Bitvec.set meta.sharers e.e_core
+  | Msi.I -> ()
 
 let try_send_response t idx =
   let e = entry t idx in
@@ -658,7 +747,7 @@ let try_send_response t idx =
     grant_directory t idx;
     Fifo.enq t.links.(c).Link.p2c
       (Msg.Upgrade_resp { line = e.e_line; to_s = e.e_to });
-    Stats.incr t.stats "llc.responses_sent";
+    Stats.bump t.ctr.c_responses_sent;
     if Trace.active t.trace Trace.Llc then
       Trace.emit t.trace ~now:t.tnow
         (Trace.Uq_send { core = c; line = e.e_line });
@@ -671,17 +760,16 @@ let try_send_response t idx =
 
 let uq_dequeue t =
   if t.sec.split_uq then
-    Array.iter
-      (fun uq ->
-        match Fifo.peek_opt uq with
-        | Some idx -> if try_send_response t idx then ignore (Fifo.deq uq)
-        | None -> ())
-      t.uqs
+    for c = 0 to Array.length t.uqs - 1 do
+      match Fifo.peek_opt t.uqs.(c) with
+      | Some idx -> if try_send_response t idx then ignore (Fifo.deq t.uqs.(c))
+      | None -> ()
+    done
   else
     match Fifo.peek_opt t.uqs.(0) with
     | Some idx ->
       if try_send_response t idx then ignore (Fifo.deq t.uqs.(0))
-      else Stats.incr t.stats "llc.uq_hol_blocks"
+      else Stats.bump t.ctr.c_uq_hol_blocks
     | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -689,19 +777,20 @@ let uq_dequeue t =
 (* ------------------------------------------------------------------ *)
 
 let dq_dequeue t ~now =
-  match t.dq_pending_read with
-  | Some idx ->
+  if t.dq_pending_read >= 0 then begin
     (* Baseline second dequeue cycle: the port is still busy sending the
        DRAM read of a writeback+read pair (the Section 5.4.2 leak). *)
     if Controller.can_accept t.dram then begin
+      let idx = t.dq_pending_read in
       let e = entry t idx in
       Controller.accept t.dram ~now
         { Controller.read = true; line = e.e_line; tag = idx };
       e.e_phase <- P_wait_dram;
-      t.dq_pending_read <- None
+      t.dq_pending_read <- -1
     end
-    else Stats.incr t.stats "llc.dram_backpressure_stalls"
-  | None -> (
+    else Stats.bump t.ctr.c_dram_backpressure_stalls
+  end
+  else begin
     match Fifo.peek_opt t.dq with
     | None -> ()
     | Some idx -> (
@@ -714,7 +803,7 @@ let dq_dequeue t ~now =
             { Controller.read = true; line = e.e_line; tag = idx };
           e.e_phase <- P_wait_dram
         end
-        else Stats.incr t.stats "llc.dram_backpressure_stalls"
+        else Stats.bump t.ctr.c_dram_backpressure_stalls
       | Dq_wb ->
         if Controller.can_accept t.dram then begin
           ignore (Fifo.deq t.dq);
@@ -724,7 +813,7 @@ let dq_dequeue t ~now =
             (* One-cycle dequeue: set the retry bit and re-enter the
                pipeline as a pure miss (Figure 3). *)
             e.e_retry <- true;
-            Stats.incr t.stats "llc.dq_retries";
+            Stats.bump t.ctr.c_dq_retries;
             if Trace.active t.trace Trace.Llc then
               Trace.emit t.trace ~now
                 (Trace.Dq_retry { core = e.e_core; idx });
@@ -732,11 +821,12 @@ let dq_dequeue t ~now =
           end
           else begin
             (* Baseline: block the DQ port next cycle for the read. *)
-            t.dq_pending_read <- Some idx;
-            Stats.incr t.stats "llc.dq_double_dequeues"
+            t.dq_pending_read <- idx;
+            Stats.bump t.ctr.c_dq_double_dequeues
           end
         end
-        else Stats.incr t.stats "llc.dram_backpressure_stalls"))
+        else Stats.bump t.ctr.c_dram_backpressure_stalls)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Tick                                                                *)
@@ -745,18 +835,18 @@ let dq_dequeue t ~now =
 let tick t ~now =
   t.tnow <- now;
   Histogram.add t.occ_hist t.live;
-  Array.fill t.port_used 0 (Array.length t.port_used) false;
-  downgrade_logic t;
-  uq_dequeue t;
+  (* Downgrades, responses and the DQ all belong to allocated MSHRs;
+     with none allocated there is nothing for them to do. *)
+  if t.live > 0 then begin
+    Array.fill t.port_used 0 (Array.length t.port_used) false;
+    downgrade_logic t;
+    uq_dequeue t
+  end;
   advance_pipeline t ~now;
   enter_pipeline t ~now;
-  dq_dequeue t ~now;
+  if t.live > 0 then dq_dequeue t ~now;
   let p = Selfprof.switch t.selfprof Selfprof.ph_dram in
-  Controller.tick t.dram ~now ~respond:(fun ~tag ~line ->
-      let e = entry t tag in
-      assert (e.e_line = line);
-      (* No backpressure on the DRAM response: buffered in the MSHR. *)
-      e.e_phase <- P_dram_arrived);
+  Controller.tick t.dram ~now ~respond:t.respond;
   Selfprof.restore t.selfprof p
 
 let busy t =
@@ -765,8 +855,7 @@ let busy t =
   || Controller.outstanding t.dram > 0
   || Array.exists (fun l -> Fifo.length l.Link.rq > 0 || Fifo.length l.Link.rs > 0) t.links
 
-let probe t ~line =
-  Sram.find t.array ~set:(set_of t line) ~tag:line <> None
+let probe t ~line = Sram.find t.array ~set:(set_of t line) ~tag:line >= 0
 
 let occupancy t = Sram.count_valid t.array
 
@@ -793,8 +882,9 @@ let invalidate_region t ~geometry ~region =
    excludes: the tag array with its mutable directory metadata, the
    replacement state, and the occupancy histogram.  The child links are
    captured here because the LLC owns the links array (the L1s share the
-   same Link.t values).  [port_used] is per-cycle scratch refilled at the
-   top of every tick and needs no capture. *)
+   same Link.t values).  [port_used] is per-cycle scratch refilled in
+   every tick before anything reads it and needs no capture; the
+   derived indices ([arrived], [free]) are recomputed from the entries. *)
 
 let copy_meta m = { m with sharers = Bitvec.copy m.sharers }
 let copy_entry e = { e with e_pending = Bitvec.copy e.e_pending }
@@ -813,7 +903,7 @@ type checkpoint = {
   ck_retryq : int list array;
   ck_uqs : int list array;
   ck_dq : int list;
-  ck_dq_pending_read : int option;
+  ck_dq_pending_read : int;
   ck_links : link_ck array;
   ck_dram : Controller.checkpoint;
   ck_tnow : int;
@@ -864,6 +954,7 @@ let restore t ck =
   Controller.restore t.dram ck.ck_dram;
   t.tnow <- ck.ck_tnow;
   t.live <- ck.ck_live;
+  recount t;
   Histogram.restore ~into:t.occ_hist ck.ck_occ_hist
 
 (* ------------------------------------------------------------------ *)
@@ -873,8 +964,8 @@ let restore t ck =
 (* MSHRs, every queue (pipeline, retry, UQ, DQ), the child links, and
    the DRAM controller.  The cache array, directory metadata, and
    replacement state are excluded: they only change in cycles that also
-   move an MSHR or a queue.  [port_used] is per-cycle scratch recomputed
-   from scratch each tick and is likewise excluded. *)
+   move an MSHR or a queue.  [port_used] is per-cycle scratch refilled
+   each tick before use and is likewise excluded. *)
 
 let phase_code = function
   | P_pipe -> 0
@@ -930,7 +1021,7 @@ let structural_signature t =
     t.uqs;
   i (Fifo.length t.dq);
   Fifo.iter i t.dq;
-  i (match t.dq_pending_read with None -> -1 | Some idx -> idx);
+  i t.dq_pending_read;
   Array.iter
     (fun l ->
       i (Fifo.length l.Link.rq);
@@ -979,7 +1070,7 @@ let dump_state t buf =
   Buffer.add_string buf "] dq[";
   Fifo.iter (fun x -> Printf.bprintf buf "%d;" x) t.dq;
   Printf.bprintf buf "] dqp=%s links["
-    (match t.dq_pending_read with None -> "-" | Some idx -> string_of_int idx);
+    (if t.dq_pending_read < 0 then "-" else string_of_int t.dq_pending_read);
   Array.iter
     (fun l ->
       Buffer.add_string buf "rq=";

@@ -135,9 +135,9 @@ let phase_alloc_bytes t p =
 
 let kips_series t = List.rev t.series
 
-let overall_kips t =
-  if t.wall <= 0.0 then 0.0
-  else float_of_int t.cycles /. t.wall /. 1000.0
+(* Thousands of [n] per host second over all run windows. *)
+let per_wall_k t n = if t.wall <= 0.0 then 0.0 else float_of_int n /. t.wall /. 1000.0
+let overall_kcps t = per_wall_k t t.cycles
 
 (* (name, seconds, ns/cycle, alloc bytes/cycle) per phase, phase order. *)
 let report t =
@@ -155,7 +155,8 @@ let to_json t =
       ("wall_s", Json.Float t.wall);
       ("cycles", Json.Int t.cycles);
       ("instrs", Json.Int t.instrs);
-      ("kips", Json.Float (overall_kips t));
+      ("kips", Json.Float (per_wall_k t t.instrs));
+      ("kcps", Json.Float (overall_kcps t));
       ( "phases",
         Json.Obj
           (List.init n_phases (fun p ->

@@ -79,7 +79,7 @@ val phase_alloc_bytes : t -> int -> float
 val kips_series : t -> (float * int * int) list
 
 (** Simulated kilocycles per host second over all run windows. *)
-val overall_kips : t -> float
+val overall_kcps : t -> float
 
 (** Per-phase [(name, seconds, ns/cycle, alloc bytes/cycle)], phase
     order. *)

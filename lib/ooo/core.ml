@@ -29,12 +29,54 @@ type predictor_ctx = {
   px_btb : Btb.snapshot;
 }
 
+(* An issue queue: ROB indices, oldest first, in [slots.(0 .. n - 1)]. *)
+type iq = { slots : int array; mutable n : int }
+
+(* A deferred continuation, due at cycle [ev_at]; [ev_seq] numbers the
+   events in insertion order. *)
+type event = { ev_at : int; ev_seq : int; ev_k : unit -> unit }
+
+(* Pending events on a timing wheel.  Bucket [c land mask] holds the
+   events that run at cycle [c], in insertion order, for each [c] in
+   (ran, ran + buckets); [ran] is the last cycle whose events have run.
+   An event due at or before [ran] (a zero delay after this cycle's
+   events ran) runs at [ran + 1], as it would have under a scan of every
+   pending event each cycle. *)
+type wheel = {
+  mutable buckets : event array array;
+  mutable counts : int array;
+  mutable mask : int;
+  mutable ran : int;
+  mutable seq : int; (* next insertion number *)
+  mutable pending : int;
+}
+
+(* Counter handles, resolved once per core. *)
+type counters = {
+  c_cycles : Stats.counter;
+  c_fetched : Stats.counter;
+  c_branches : Stats.counter;
+  c_mispredicts : Stats.counter;
+  c_btb_jump_misses : Stats.counter;
+  c_ras_mispredicts : Stats.counter;
+  c_itlb_misses : Stats.counter;
+  c_dtlb_misses : Stats.counter;
+  c_l2tlb_misses : Stats.counter;
+  c_store_forwards : Stats.counter;
+  c_sb_full_stalls : Stats.counter;
+  c_traps : Stats.counter;
+  c_purges : Stats.counter;
+  c_purge_stall_cycles : Stats.counter;
+  c_predictor_restores : Stats.counter;
+  c_cpi : Stats.counter array; (* indexed like [cpi_counters] *)
+}
+
 type t = {
   cfg : Core_config.t;
   l1i : L1.t;
   l1d : L1.t;
   stream : unit -> Uop.t option;
-  stats : Stats.t;
+  ctr : counters;
   (* Front end *)
   btb : Btb.t;
   tournament : Tournament.t;
@@ -44,6 +86,7 @@ type t = {
   l2tlb : Tlb.t;
   tcache : Trans_cache.t;
   ptw : Ptw.t;
+  ptw_issue : line:int -> id:int -> bool; (* walker's D-cache port *)
   fetch_q : rob_ref Fifo.t;
   mutable stream_done : bool;
   mutable fetch_stall_until : int;
@@ -61,10 +104,11 @@ type t = {
   map_table : int array; (* logical -> phys *)
   free_list : int Queue.t;
   ready_at : int array; (* per phys reg *)
-  iq_alu : int list ref array; (* rob indices, oldest first (reversed store) *)
-  iq_mem : int list ref;
-  iq_fp : int list ref;
+  iq_alu : iq array;
+  iq_mem : iq;
+  iq_fp : iq;
   lq : bool array; (* slot busy *)
+  lq_rob : int array; (* per LQ slot: ROB index of its load, -1 when free *)
   sq : sq_entry option array;
   mutable sq_head : int;
   mutable sq_tail : int;
@@ -73,7 +117,7 @@ type t = {
   sb_lines : int array; (* line held by each store-buffer slot *)
   sb_pending : int Queue.t; (* sb slots waiting to drain *)
   mutable dtlb_outstanding : int;
-  events : (int * (unit -> unit)) list ref; (* deferred continuations *)
+  wheel : wheel; (* deferred continuations *)
   mutable purge : purge_phase;
   mutable purge_kind : purge_kind;
   mutable saved_predictors : predictor_ctx option;
@@ -98,6 +142,54 @@ and rob_ref = { pre_uop : Uop.t; pre_mispredict : bool }
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Counter names indexed by Cpistack.categories order:
+   base / mispredict / l1_miss / llc_dram / tlb_walk / purge / other. *)
+let cpi_counters =
+  [|
+    "core.cpi.base";
+    "core.cpi.mispredict";
+    "core.cpi.l1_miss";
+    "core.cpi.llc_dram";
+    "core.cpi.tlb_walk";
+    "core.cpi.purge";
+    "core.cpi.other";
+  |]
+
+let counters stats =
+  let c = Stats.counter stats in
+  {
+    c_cycles = c "core.cycles";
+    c_fetched = c "core.fetched";
+    c_branches = c "core.branches";
+    c_mispredicts = c "core.mispredicts";
+    c_btb_jump_misses = c "core.btb_jump_misses";
+    c_ras_mispredicts = c "core.ras_mispredicts";
+    c_itlb_misses = c "core.itlb_misses";
+    c_dtlb_misses = c "core.dtlb_misses";
+    c_l2tlb_misses = c "core.l2tlb_misses";
+    c_store_forwards = c "core.store_forwards";
+    c_sb_full_stalls = c "core.sb_full_stalls";
+    c_traps = c "core.traps";
+    c_purges = c "core.purges";
+    c_purge_stall_cycles = c "core.purge_stall_cycles";
+    c_predictor_restores = c "core.predictor_restores";
+    c_cpi = Array.map c cpi_counters;
+  }
+
+let no_event = { ev_at = 0; ev_seq = 0; ev_k = ignore }
+
+let wheel_create size =
+  {
+    buckets = Array.make size [||]; (* each grows on its first event *)
+    counts = Array.make size 0;
+    mask = size - 1;
+    ran = -1;
+    seq = 0;
+    pending = 0;
+  }
+
+let iq_create cap = { slots = Array.make cap 0; n = 0 }
+
 let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
     ~l1i ~l1d ~stream ~stats ~pt_base_line =
   let tcache = Trans_cache.create ~entries_per_level:24 ~levels:2 in
@@ -105,12 +197,20 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
   for p = 32 to cfg.Core_config.phys_regs - 1 do
     Queue.add p free_list
   done;
+  let ptw_issue ~line ~id =
+    L1.can_accept l1d
+    && begin
+      L1.request l1d ~line ~store:false ~id;
+      true
+    end
+  in
+  let iq () = iq_create cfg.Core_config.iq_entries in
   {
     cfg;
     l1i;
     l1d;
     stream;
-    stats;
+    ctr = counters stats;
     btb = Btb.create ();
     tournament = Tournament.create ();
     ras = Ras.create ();
@@ -121,6 +221,7 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
     ptw =
       Ptw.create ~trace ~core:id ~max_walks:2 ~tcache ~pt_base_line
         ~table_window_lines:4096 ();
+    ptw_issue;
     fetch_q = Fifo.create ~capacity:16;
     stream_done = false;
     fetch_stall_until = 0;
@@ -137,10 +238,11 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
     map_table = Array.init 32 (fun i -> i);
     free_list;
     ready_at = Array.make cfg.Core_config.phys_regs 0;
-    iq_alu = Array.init cfg.Core_config.alu_pipes (fun _ -> ref []);
-    iq_mem = ref [];
-    iq_fp = ref [];
+    iq_alu = Array.init cfg.Core_config.alu_pipes (fun _ -> iq ());
+    iq_mem = iq ();
+    iq_fp = iq ();
     lq = Array.make cfg.Core_config.lq_entries false;
+    lq_rob = Array.make cfg.Core_config.lq_entries (-1);
     sq = Array.make cfg.Core_config.sq_entries None;
     sq_head = 0;
     sq_tail = 0;
@@ -149,7 +251,7 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
     sb_lines = Array.make cfg.Core_config.sb_entries 0;
     sb_pending = Queue.create ();
     dtlb_outstanding = 0;
-    events = ref [];
+    wheel = wheel_create 32;
     purge = Pp_none;
     purge_kind = Pk_external;
     saved_predictors = None;
@@ -201,13 +303,92 @@ let request_purge t = t.purge_requested <- true
 (* Events                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let after t delay k = t.events := (t.now + delay, k) :: !(t.events)
+(* File [ev] under the cycle it runs at.  The caller guarantees that
+   cycle lies in the window. *)
+let wheel_file w ev =
+  let b = (max ev.ev_at (w.ran + 1)) land w.mask in
+  let n = w.counts.(b) in
+  if n = Array.length w.buckets.(b) then begin
+    let bigger = Array.make (max 4 (2 * n)) no_event in
+    Array.blit w.buckets.(b) 0 bigger 0 n;
+    w.buckets.(b) <- bigger
+  end;
+  w.buckets.(b).(n) <- ev;
+  w.counts.(b) <- n + 1;
+  w.pending <- w.pending + 1
 
+(* Every pending event, newest first: the order the signature folds. *)
+let pending_events w =
+  let acc = ref [] in
+  Array.iteri
+    (fun b n ->
+      for i = 0 to n - 1 do
+        acc := w.buckets.(b).(i) :: !acc
+      done)
+    w.counts;
+  List.sort (fun a b -> compare b.ev_seq a.ev_seq) !acc
+
+(* Refile [evs] (oldest first) as the only pending events, on at least
+   [size] buckets. *)
+let wheel_rebuild w ~size evs =
+  if size > Array.length w.buckets then begin
+    w.buckets <- Array.make size [||];
+    w.counts <- Array.make size 0;
+    w.mask <- size - 1
+  end
+  else begin
+    Array.iter (fun bucket -> Array.fill bucket 0 (Array.length bucket) no_event) w.buckets;
+    Array.fill w.counts 0 (Array.length w.counts) 0
+  end;
+  w.pending <- 0;
+  List.iter (wheel_file w) evs
+
+let after t delay k =
+  let w = t.wheel in
+  let ev = { ev_at = t.now + delay; ev_seq = w.seq; ev_k = k } in
+  w.seq <- w.seq + 1;
+  let span = max ev.ev_at (w.ran + 1) - w.ran in
+  if span >= Array.length w.buckets then begin
+    (* Beyond the window: double the wheel until it fits. *)
+    let size = ref (Array.length w.buckets) in
+    while span >= !size do
+      size := 2 * !size
+    done;
+    wheel_rebuild w ~size:!size (List.rev (pending_events w))
+  end;
+  wheel_file w ev
+
+(* Run every event due by [t.now], oldest first.  Ticking cycle after
+   cycle, the due events are exactly the next cycle's bucket. *)
 let run_events t =
-  let due, rest = List.partition (fun (at, _) -> at <= t.now) !(t.events) in
-  t.events := rest;
-  (* Oldest first for determinism. *)
-  List.iter (fun (_, k) -> k ()) (List.rev due)
+  let w = t.wheel in
+  if t.now = w.ran + 1 then begin
+    w.ran <- t.now;
+    let b = t.now land w.mask in
+    let n = w.counts.(b) in
+    if n > 0 then begin
+      (* Detached first: continuations file new events in later cycles,
+         possibly into a regrown wheel. *)
+      let bucket = w.buckets.(b) in
+      w.counts.(b) <- 0;
+      w.pending <- w.pending - n;
+      for i = 0 to n - 1 do
+        let ev = bucket.(i) in
+        bucket.(i) <- no_event;
+        ev.ev_k ()
+      done
+    end
+  end
+  else begin
+    (* A skipped or repeated cycle: every event due by now runs, in
+       insertion order, and the rest are refiled around the new [ran]. *)
+    let due, rest =
+      List.partition (fun ev -> ev.ev_at <= t.now) (pending_events w)
+    in
+    w.ran <- max w.ran t.now;
+    wheel_rebuild w ~size:(Array.length w.buckets) (List.rev rest);
+    List.iter (fun ev -> ev.ev_k ()) (List.rev due)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Translation (D-side)                                                *)
@@ -224,7 +405,7 @@ let translate_d t ~addr ~k =
   end
   else if t.dtlb_outstanding >= t.cfg.Core_config.dtlb_misses then false
   else begin
-    Stats.incr t.stats "core.dtlb_misses";
+    Stats.bump t.ctr.c_dtlb_misses;
     t.dtlb_outstanding <- t.dtlb_outstanding + 1;
     after t t.cfg.Core_config.l2tlb_latency (fun () ->
         if Tlb.lookup t.l2tlb ~vpage then begin
@@ -233,7 +414,7 @@ let translate_d t ~addr ~k =
           k ()
         end
         else begin
-          Stats.incr t.stats "core.l2tlb_misses";
+          Stats.bump t.ctr.c_l2tlb_misses;
           (* Hardware walk; waits for a walker slot if both are busy. *)
           let rec start_walk () =
             if Ptw.can_start t.ptw then
@@ -261,7 +442,9 @@ let rob_entry t idx =
 let rob_full t = t.rob_count = Array.length t.rob
 let rob_empty t = t.rob_count = 0
 
-let srcs_ready t e = List.for_all (fun p -> t.ready_at.(p) <= t.now) e.src_phys
+let rec srcs_ready t = function
+  | [] -> true
+  | p :: rest -> t.ready_at.(p) <= t.now && srcs_ready t rest
 
 let mark_done t idx =
   let e = rob_entry t idx in
@@ -289,7 +472,7 @@ let fetch_mem_ok t (u : Uop.t) =
   else begin
     (* Page transition first: I-TLB. *)
     if page <> t.last_fetch_page && not (Tlb.lookup t.itlb ~vpage:page) then begin
-      Stats.incr t.stats "core.itlb_misses";
+      Stats.bump t.ctr.c_itlb_misses;
       t.fetch_wait_itlb <- true;
       after t t.cfg.Core_config.l2tlb_latency (fun () ->
           if Tlb.lookup t.l2tlb ~vpage:page then begin
@@ -336,16 +519,18 @@ let fetch_mem_ok t (u : Uop.t) =
    decode-time redirect. *)
 type fetch_outcome = F_ok | F_stall_until_resolve | F_decode_redirect
 
+let predicts target = function Some p -> p = target | None -> false
+
 let predict_control t (u : Uop.t) =
   match u.Uop.kind with
   | Uop.Branch { taken; target } ->
-    Stats.incr t.stats "core.branches";
+    Stats.bump t.ctr.c_branches;
     let pred_dir = Tournament.predict t.tournament ~pc:u.Uop.pc in
     let btb_target = Btb.predict t.btb ~pc:u.Uop.pc in
     Tournament.update t.tournament ~pc:u.Uop.pc ~taken;
     if taken then Btb.update t.btb ~pc:u.Uop.pc ~target;
-    if pred_dir <> taken || (taken && btb_target <> Some target) then begin
-      Stats.incr t.stats "core.mispredicts";
+    if pred_dir <> taken || (taken && not (predicts target btb_target)) then begin
+      Stats.bump t.ctr.c_mispredicts;
       F_stall_until_resolve
     end
     else F_ok
@@ -353,19 +538,19 @@ let predict_control t (u : Uop.t) =
     match kind with
     | `Plain | `Call ->
       if kind = `Call then Ras.push t.ras (u.Uop.pc + 4);
-      let hit = Btb.predict t.btb ~pc:u.Uop.pc = Some target in
+      let hit = predicts target (Btb.predict t.btb ~pc:u.Uop.pc) in
       Btb.update t.btb ~pc:u.Uop.pc ~target;
       if hit then F_ok
       else begin
-        Stats.incr t.stats "core.btb_jump_misses";
+        Stats.bump t.ctr.c_btb_jump_misses;
         F_decode_redirect
       end
     | `Return ->
       let pred = Ras.pop t.ras in
       if pred = target then F_ok
       else begin
-        Stats.incr t.stats "core.ras_mispredicts";
-        Stats.incr t.stats "core.mispredicts";
+        Stats.bump t.ctr.c_ras_mispredicts;
+        Stats.bump t.ctr.c_mispredicts;
         F_stall_until_resolve
       end)
   | _ -> F_ok
@@ -389,7 +574,7 @@ let fetch_stage t =
            still enters the fetch queue but fetch stalls behind it.  We
            model by consuming it and stalling afterwards. *)
         let mem_ok = fetch_mem_ok t u in
-        Stats.incr t.stats "core.fetched";
+        Stats.bump t.ctr.c_fetched;
         let mispredicted = ref false in
         (match u.Uop.kind with
         | Uop.Branch _ | Uop.Jump _ -> (
@@ -422,40 +607,49 @@ let fetch_stage t =
 (* Rename / dispatch                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Lowest free LQ slot, or -1. *)
 let alloc_lq t =
-  let rec go i =
-    if i >= Array.length t.lq then None
-    else if not t.lq.(i) then Some i
-    else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < Array.length t.lq && t.lq.(!i) do
+    incr i
+  done;
+  if !i < Array.length t.lq then !i else -1
+
+let iq_push q idx =
+  q.slots.(q.n) <- idx;
+  q.n <- q.n + 1
+
+let iq_remove_at q j =
+  Array.blit q.slots (j + 1) q.slots j (q.n - j - 1);
+  q.n <- q.n - 1
+
+(* The shorter ALU issue queue (the lowest-numbered among equals). *)
+let shortest_alu_iq t =
+  let best = ref 0 in
+  for i = 1 to Array.length t.iq_alu - 1 do
+    if t.iq_alu.(i).n < t.iq_alu.(!best).n then best := i
+  done;
+  t.iq_alu.(!best)
 
 let dispatch_iq t idx (u : Uop.t) =
   match u.Uop.kind with
-  | Uop.Load _ | Uop.Store _ -> t.iq_mem := idx :: !(t.iq_mem)
-  | Uop.Alu { pipe = Uop.Pipe_fp; _ } -> t.iq_fp := idx :: !(t.iq_fp)
-  | Uop.Alu _ | Uop.Branch _ | Uop.Jump _ ->
-    (* Pick the shorter ALU issue queue. *)
-    let best = ref 0 in
-    Array.iteri
-      (fun i q ->
-        if List.length !q < List.length !(t.iq_alu.(!best)) then best := i
-        else ignore q)
-      t.iq_alu;
-    let q = t.iq_alu.(!best) in
-    q := idx :: !q
+  | Uop.Load _ | Uop.Store _ -> iq_push t.iq_mem idx
+  | Uop.Alu { pipe = Uop.Pipe_fp; _ } -> iq_push t.iq_fp idx
+  | Uop.Alu _ | Uop.Branch _ | Uop.Jump _ -> iq_push (shortest_alu_iq t) idx
   | Uop.Enter_kernel | Uop.Exit_kernel -> ()
-
-let iq_len q = List.length !q
 
 let iq_has_room t (u : Uop.t) =
   let cap = t.cfg.Core_config.iq_entries in
   match u.Uop.kind with
-  | Uop.Load _ | Uop.Store _ -> iq_len t.iq_mem < cap
-  | Uop.Alu { pipe = Uop.Pipe_fp; _ } -> iq_len t.iq_fp < cap
-  | Uop.Alu _ | Uop.Branch _ | Uop.Jump _ ->
-    Array.exists (fun q -> iq_len q < cap) t.iq_alu
+  | Uop.Load _ | Uop.Store _ -> t.iq_mem.n < cap
+  | Uop.Alu { pipe = Uop.Pipe_fp; _ } -> t.iq_fp.n < cap
+  | Uop.Alu _ | Uop.Branch _ | Uop.Jump _ -> (shortest_alu_iq t).n < cap
   | Uop.Enter_kernel | Uop.Exit_kernel -> true
+
+(* The physical registers currently mapped to logical [regs]. *)
+let rec phys_of_regs t = function
+  | [] -> []
+  | r :: rest -> t.map_table.(r) :: phys_of_regs t rest
 
 let rename_stage t =
   let budget = ref t.cfg.Core_config.fetch_width in
@@ -480,7 +674,7 @@ let rename_stage t =
       || (needs_dst && Queue.is_empty t.free_list)
       || (not (iq_has_room t u))
       || (sq_needed && t.sq_count = Array.length t.sq)
-      || (lq_needed && alloc_lq t = None)
+      || (lq_needed && alloc_lq t < 0)
     then stop := true
     else begin
       ignore (Fifo.deq t.fetch_q);
@@ -490,7 +684,7 @@ let rename_stage t =
            may rename this cycle (the purge needs an empty machine). *)
         t.committed <- t.committed + 1;
         t.on_commit u;
-        Stats.incr t.stats "core.traps";
+        Stats.bump t.ctr.c_traps;
         (* Trap delivered: the front end redirects into the handler and
            pays the refill penalty (absorbed by the purge stall on the
            flushing variants). *)
@@ -506,7 +700,7 @@ let rename_stage t =
         end
       end
       else begin
-        let src_phys = List.map (fun r -> t.map_table.(r)) u.Uop.srcs in
+        let src_phys = phys_of_regs t u.Uop.srcs in
         let dst_phys, old_phys =
           match u.Uop.dst with
           | None -> (None, None)
@@ -517,13 +711,13 @@ let rename_stage t =
             t.ready_at.(p) <- never;
             (Some p, Some old)
         in
+        let idx = t.rob_tail in
         let lq_slot =
           if lq_needed then begin
-            match alloc_lq t with
-            | Some s ->
-              t.lq.(s) <- true;
-              Some s
-            | None -> assert false
+            let s = alloc_lq t in
+            t.lq.(s) <- true;
+            t.lq_rob.(s) <- idx;
+            Some s
           end
           else None
         in
@@ -540,7 +734,6 @@ let rename_stage t =
           end
           else None
         in
-        let idx = t.rob_tail in
         t.rob.(idx) <-
           Some
             {
@@ -565,17 +758,15 @@ let rename_stage t =
 (* Issue / execute                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Oldest-first scan: queues store newest-first, so scan the reverse. *)
+(* Position of the oldest issuable entry of [q], or -1. *)
 let pick_ready t q =
-  let rec go = function
-    | [] -> None
-    | idx :: rest ->
-      let e = rob_entry t idx in
-      if e.state = Rs_waiting && srcs_ready t e then Some idx else go rest
-  in
-  go (List.rev !q)
-
-let remove_from q idx = q := List.filter (fun i -> i <> idx) !q
+  let found = ref (-1) and j = ref 0 in
+  while !found < 0 && !j < q.n do
+    let e = rob_entry t q.slots.(!j) in
+    if e.state = Rs_waiting && srcs_ready t e.src_phys then found := !j;
+    incr j
+  done;
+  !found
 
 (* Store-to-load forwarding: an older SQ entry with a ready address on the
    same line forwards, as does a store-buffer entry that has retired but
@@ -584,15 +775,14 @@ let remove_from q idx = q := List.filter (fun i -> i <> idx) !q
    speculatively.) *)
 let forwardable t line =
   let found = ref false in
-  Array.iter
-    (fun slot ->
-      match slot with
-      | Some s when s.sq_addr_ready && s.sq_line = line -> found := true
-      | _ -> ())
-    t.sq;
-  Array.iteri
-    (fun i busy -> if busy && t.sb_lines.(i) = line then found := true)
-    t.sb;
+  for i = 0 to Array.length t.sq - 1 do
+    match t.sq.(i) with
+    | Some s when s.sq_addr_ready && s.sq_line = line -> found := true
+    | _ -> ()
+  done;
+  for i = 0 to Array.length t.sb - 1 do
+    if t.sb.(i) && t.sb_lines.(i) = line then found := true
+  done;
   !found
 
 let issue_alu_like t idx =
@@ -644,7 +834,7 @@ let issue_mem t idx =
     let line = addr lsr 6 in
     let k () =
       if forwardable t line then begin
-        Stats.incr t.stats "core.store_forwards";
+        Stats.bump t.ctr.c_store_forwards;
         after t 1 (fun () -> mark_done t idx)
       end
       else begin
@@ -660,50 +850,47 @@ let issue_mem t idx =
     if not (translate_d t ~addr ~k) then e.state <- Rs_waiting
   | _ -> assert false
 
-let issue_stage t =
-  Array.iter
-    (fun q ->
-      match pick_ready t q with
-      | Some idx ->
-        remove_from q idx;
-        issue_alu_like t idx
-      | None -> ())
-    t.iq_alu;
-  (match pick_ready t t.iq_fp with
-  | Some idx ->
-    remove_from t.iq_fp idx;
+let issue_alu_iq t q =
+  let j = pick_ready t q in
+  if j >= 0 then begin
+    let idx = q.slots.(j) in
+    iq_remove_at q j;
     issue_alu_like t idx
-  | None -> ());
-  match pick_ready t t.iq_mem with
-  | Some idx -> (
+  end
+
+let issue_stage t =
+  for i = 0 to Array.length t.iq_alu - 1 do
+    issue_alu_iq t t.iq_alu.(i)
+  done;
+  issue_alu_iq t t.iq_fp;
+  let q = t.iq_mem in
+  let j = pick_ready t q in
+  if j >= 0 then begin
+    let idx = q.slots.(j) in
     issue_mem t idx;
     (* Leave in the queue on a DTLB-port stall (state reverted). *)
-    let e = rob_entry t idx in
-    match e.state with
+    match (rob_entry t idx).state with
     | Rs_waiting -> ()
-    | _ -> remove_from t.iq_mem idx)
-  | None -> ()
+    | _ -> iq_remove_at q j
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Store buffer                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Lowest free store-buffer slot, or -1. *)
 let alloc_sb t =
-  let rec go i =
-    if i >= Array.length t.sb then None
-    else if not t.sb.(i) then Some i
-    else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < Array.length t.sb && t.sb.(!i) do
+    incr i
+  done;
+  if !i < Array.length t.sb then !i else -1
 
 let sb_stage t =
-  match Queue.peek_opt t.sb_pending with
-  | Some slot ->
-    if L1.can_accept t.l1d then begin
-      ignore (Queue.pop t.sb_pending);
-      L1.request t.l1d ~line:t.sb_lines.(slot) ~store:true ~id:(sb_tag lor slot)
-    end
-  | None -> ()
+  if (not (Queue.is_empty t.sb_pending)) && L1.can_accept t.l1d then begin
+    let slot = Queue.pop t.sb_pending in
+    L1.request t.l1d ~line:t.sb_lines.(slot) ~store:true ~id:(sb_tag lor slot)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Commit                                                              *)
@@ -722,8 +909,8 @@ let commit_stage t =
           match e.u.Uop.kind with
           | Uop.Store _ -> (
             (* Needs a store-buffer slot; the SB drains in background. *)
-            match alloc_sb t with
-            | Some slot ->
+            let slot = alloc_sb t in
+            if slot >= 0 then begin
               t.sb.(slot) <- true;
               (match e.sq_slot with
               | Some s -> (
@@ -733,9 +920,11 @@ let commit_stage t =
               | None -> assert false);
               Queue.add slot t.sb_pending;
               true
-            | None ->
-              Stats.incr t.stats "core.sb_full_stalls";
-              false)
+            end
+            else begin
+              Stats.bump t.ctr.c_sb_full_stalls;
+              false
+            end)
           | _ -> true
         in
         if not can_retire then stop := true
@@ -743,7 +932,11 @@ let commit_stage t =
           (match e.old_phys with
           | Some p -> Queue.add p t.free_list
           | None -> ());
-          (match e.lq_slot with Some s -> t.lq.(s) <- false | None -> ());
+          (match e.lq_slot with
+          | Some s ->
+            t.lq.(s) <- false;
+            t.lq_rob.(s) <- -1
+          | None -> ());
           (match e.sq_slot with
           | Some s ->
             t.sq.(s) <- None;
@@ -772,7 +965,7 @@ let backend_quiescent t =
   && L1.in_flight t.l1i = 0
   && Ptw.active_walks t.ptw = 0
   && t.dtlb_outstanding = 0
-  && !(t.events) = []
+  && t.wheel.pending = 0
 
 let debug_quiescence t =
   Printf.sprintf
@@ -780,14 +973,14 @@ let debug_quiescence t =
     t.rob_count (Queue.length t.sb_pending)
     (Array.exists (fun x -> x) t.sb)
     (L1.in_flight t.l1d) (L1.in_flight t.l1i) (Ptw.active_walks t.ptw)
-    t.dtlb_outstanding (List.length !(t.events)) t.fetch_wait_icache
+    t.dtlb_outstanding t.wheel.pending t.fetch_wait_icache
     t.fetch_wait_itlb
 
 let purge_stage t =
   match t.purge with
   | Pp_none -> ()
   | Pp_quiesce ->
-    Stats.incr t.stats "core.purge_stall_cycles";
+    Stats.bump t.ctr.c_purge_stall_cycles;
     if backend_quiescent t then begin
       L1.begin_flush t.l1i;
       L1.begin_flush t.l1d;
@@ -797,7 +990,7 @@ let purge_stage t =
       t.purge <- Pp_flush t.now
     end
   | Pp_flush started ->
-    Stats.incr t.stats "core.purge_stall_cycles";
+    Stats.bump t.ctr.c_purge_stall_cycles;
     (* One line per cycle per L1; TLB sets and predictor entries flush in
        parallel within the purge floor. *)
     let i_done = if L1.is_flushing t.l1i then L1.flush_step t.l1i else true in
@@ -822,7 +1015,7 @@ let purge_stage t =
         Tournament.restore t.tournament ctx.px_tournament;
         Btb.restore t.btb ctx.px_btb;
         t.saved_predictors <- None;
-        Stats.incr t.stats "core.predictor_restores"
+        Stats.bump t.ctr.c_predictor_restores
       | _ ->
         t.saved_predictors <- None;
         Tournament.flush t.tournament;
@@ -834,7 +1027,7 @@ let purge_stage t =
       Trans_cache.flush t.tcache;
       t.last_fetch_line <- -1;
       t.last_fetch_page <- -1;
-      Stats.incr t.stats "core.purges";
+      Stats.bump t.ctr.c_purges;
       let dur = t.now - t.purge_started in
       Histogram.add t.purge_lat dur;
       if Trace.active t.trace Trace.Purge then
@@ -860,19 +1053,6 @@ let purge_stage t =
    I-TLB refill); otherwise the ROB head names the bottleneck — memory
    stalls split into TLB-walk, L1-miss (served within the LLC round
    trip) and LLC/DRAM (older than the round-trip hint). *)
-(* Counter names indexed by Cpistack.categories order:
-   base / mispredict / l1_miss / llc_dram / tlb_walk / purge / other. *)
-let cpi_counters =
-  [|
-    "core.cpi.base";
-    "core.cpi.mispredict";
-    "core.cpi.l1_miss";
-    "core.cpi.llc_dram";
-    "core.cpi.tlb_walk";
-    "core.cpi.purge";
-    "core.cpi.other";
-  |]
-
 let attribute_cycle t ~committed_before =
   let cat =
     if t.committed > committed_before then 0 (* base *)
@@ -901,7 +1081,7 @@ let attribute_cycle t ~committed_before =
     end
   in
   t.last_cpi <- cat;
-  Stats.incr t.stats cpi_counters.(cat)
+  Stats.bump t.ctr.c_cpi.(cat)
 
 (* The stall category (Cpistack.categories index) the last tick was
    attributed to; feeds the per-cause quiet-cycle accounting. *)
@@ -914,7 +1094,7 @@ let last_cycle_cause t = t.last_cpi
 let tick t ~now =
   t.now <- now;
   let committed_before = t.committed in
-  Stats.incr t.stats "core.cycles";
+  Stats.bump t.ctr.c_cycles;
   if now land 255 = 0 && Trace.active t.trace Trace.Core then
     Trace.emit t.trace ~now
       (Trace.Counter { core = t.id; name = "rob"; value = t.rob_count });
@@ -930,12 +1110,7 @@ let tick t ~now =
     ignore (Selfprof.switch sp Selfprof.ph_mem);
     sb_stage t;
     ignore (Selfprof.switch sp Selfprof.ph_ptw);
-    Ptw.tick t.ptw ~issue:(fun ~line ~id ->
-        if L1.can_accept t.l1d then begin
-          L1.request t.l1d ~line ~store:false ~id;
-          true
-        end
-        else false);
+    Ptw.tick t.ptw ~issue:t.ptw_issue;
     ignore (Selfprof.switch sp Selfprof.ph_commit);
     commit_stage t;
     ignore (Selfprof.switch sp Selfprof.ph_purge);
@@ -955,12 +1130,7 @@ let tick t ~now =
       ignore (Selfprof.switch sp Selfprof.ph_mem);
       sb_stage t;
       ignore (Selfprof.switch sp Selfprof.ph_ptw);
-      Ptw.tick t.ptw ~issue:(fun ~line ~id ->
-          if L1.can_accept t.l1d then begin
-            L1.request t.l1d ~line ~store:false ~id;
-            true
-          end
-          else false);
+      Ptw.tick t.ptw ~issue:t.ptw_issue;
       ignore (Selfprof.switch sp Selfprof.ph_rename);
       rename_stage t;
       ignore (Selfprof.switch sp Selfprof.ph_fetch);
@@ -974,21 +1144,14 @@ let mem_complete t ~now ~id =
   if id land Ptw.id_tag <> 0 then Ptw.mem_response ~now t.ptw ~id
   else if id land sb_tag <> 0 then t.sb.(id land lnot sb_tag) <- false
   else begin
-    (* Load completion: find the ROB entry owning this LQ slot. *)
-    let found = ref false in
-    Array.iteri
-      (fun i entry ->
-        match entry with
-        | Some e when (not !found) && e.lq_slot = Some id && e.state = Rs_issued
-          ->
-          found := true;
-          ignore i;
-          e.state <- Rs_done;
-          Histogram.add t.load_lat (now - t.lq_issued_at.(id));
-          set_dst_ready_at t e now
-        | _ -> ())
-      t.rob;
-    if not !found then failwith "Core.mem_complete: orphan load completion"
+    (* Load completion: the ROB entry owning this LQ slot. *)
+    let idx = t.lq_rob.(id) in
+    match if idx >= 0 then t.rob.(idx) else None with
+    | Some ({ lq_slot = Some s; state = Rs_issued; _ } as e) when s = id ->
+      e.state <- Rs_done;
+      Histogram.add t.load_lat (now - t.lq_issued_at.(id));
+      set_dst_ready_at t e now
+    | _ -> failwith "Core.mem_complete: orphan load completion"
   end
 
 let icache_complete t ~id =
@@ -1008,10 +1171,7 @@ let finished t =
 let rob_occupancy t = t.rob_count
 
 let iq_occupancy t =
-  Array.fold_left
-    (fun n q -> n + List.length !q)
-    (List.length !(t.iq_mem) + List.length !(t.iq_fp))
-    t.iq_alu
+  Array.fold_left (fun n q -> n + q.n) (t.iq_mem.n + t.iq_fp.n) t.iq_alu
 
 let count_busy a = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a
 let lq_occupancy t = count_busy t.lq
@@ -1082,9 +1242,9 @@ type checkpoint = {
   ck_map_table : int array;
   ck_free_list : int list;
   ck_ready_at : int array;
-  ck_iq_alu : int list array;
-  ck_iq_mem : int list;
-  ck_iq_fp : int list;
+  ck_iq_alu : int array array;
+  ck_iq_mem : int array;
+  ck_iq_fp : int array;
   ck_lq : bool array;
   ck_sq : sq_ck option array;
   ck_sq_head : int;
@@ -1094,7 +1254,9 @@ type checkpoint = {
   ck_sb_lines : int array;
   ck_sb_pending : int list;
   ck_dtlb_outstanding : int;
-  ck_events : (int * (unit -> unit)) list;
+  ck_events : event list; (* newest first *)
+  ck_events_ran : int;
+  ck_events_seq : int;
   ck_purge : purge_phase;
   ck_purge_kind : purge_kind;
   ck_saved_predictors : predictor_ctx option;
@@ -1113,6 +1275,12 @@ type checkpoint = {
   ck_load_lat : Histogram.t;
   ck_purge_lat : Histogram.t;
 }
+
+let iq_contents q = Array.sub q.slots 0 q.n
+
+let iq_assign q a =
+  Array.blit a 0 q.slots 0 (Array.length a);
+  q.n <- Array.length a
 
 let save ?(omit_predictors = false) t =
   {
@@ -1136,9 +1304,9 @@ let save ?(omit_predictors = false) t =
     ck_map_table = Array.copy t.map_table;
     ck_free_list = List.of_seq (Queue.to_seq t.free_list);
     ck_ready_at = Array.copy t.ready_at;
-    ck_iq_alu = Array.map (fun q -> !q) t.iq_alu;
-    ck_iq_mem = !(t.iq_mem);
-    ck_iq_fp = !(t.iq_fp);
+    ck_iq_alu = Array.map iq_contents t.iq_alu;
+    ck_iq_mem = iq_contents t.iq_mem;
+    ck_iq_fp = iq_contents t.iq_fp;
     ck_lq = Array.copy t.lq;
     ck_sq =
       Array.map
@@ -1151,7 +1319,9 @@ let save ?(omit_predictors = false) t =
     ck_sb_lines = Array.copy t.sb_lines;
     ck_sb_pending = List.of_seq (Queue.to_seq t.sb_pending);
     ck_dtlb_outstanding = t.dtlb_outstanding;
-    ck_events = !(t.events);
+    ck_events = pending_events t.wheel;
+    ck_events_ran = t.wheel.ran;
+    ck_events_seq = t.wheel.seq;
     ck_purge = t.purge;
     ck_purge_kind = t.purge_kind;
     ck_saved_predictors = t.saved_predictors;
@@ -1206,10 +1376,17 @@ let restore t ck =
   Queue.clear t.free_list;
   List.iter (fun p -> Queue.add p t.free_list) ck.ck_free_list;
   Array.blit ck.ck_ready_at 0 t.ready_at 0 (Array.length t.ready_at);
-  Array.iteri (fun i q -> t.iq_alu.(i) := q) ck.ck_iq_alu;
-  t.iq_mem := ck.ck_iq_mem;
-  t.iq_fp := ck.ck_iq_fp;
+  Array.iteri (fun i q -> iq_assign t.iq_alu.(i) q) ck.ck_iq_alu;
+  iq_assign t.iq_mem ck.ck_iq_mem;
+  iq_assign t.iq_fp ck.ck_iq_fp;
   Array.blit ck.ck_lq 0 t.lq 0 (Array.length t.lq);
+  Array.fill t.lq_rob 0 (Array.length t.lq_rob) (-1);
+  Array.iteri
+    (fun i slot ->
+      match slot with
+      | Some { lq_slot = Some s; _ } -> t.lq_rob.(s) <- i
+      | _ -> ())
+    t.rob;
   Array.iteri
     (fun i slot ->
       t.sq.(i) <-
@@ -1227,7 +1404,10 @@ let restore t ck =
   Queue.clear t.sb_pending;
   List.iter (fun s -> Queue.add s t.sb_pending) ck.ck_sb_pending;
   t.dtlb_outstanding <- ck.ck_dtlb_outstanding;
-  t.events := ck.ck_events;
+  t.wheel.ran <- ck.ck_events_ran;
+  t.wheel.seq <- ck.ck_events_seq;
+  wheel_rebuild t.wheel ~size:(Array.length t.wheel.buckets)
+    (List.rev ck.ck_events);
   t.purge <- ck.ck_purge;
   t.purge_kind <- ck.ck_purge_kind;
   t.saved_predictors <- ck.ck_saved_predictors;
@@ -1311,9 +1491,16 @@ let structural_signature t =
         i (rob_state_code e.state);
         b e.mispredict)
     t.rob;
-  Array.iter (fun q -> h := Statesig.mix_list !h Fun.id !q) t.iq_alu;
-  h := Statesig.mix_list !h Fun.id !(t.iq_mem);
-  h := Statesig.mix_list !h Fun.id !(t.iq_fp);
+  (* Issue queues and events fold newest first, as lists did. *)
+  let iq q =
+    i q.n;
+    for j = q.n - 1 downto 0 do
+      i q.slots.(j)
+    done
+  in
+  Array.iter iq t.iq_alu;
+  iq t.iq_mem;
+  iq t.iq_fp;
   Array.iter b t.lq;
   i t.sq_head;
   i t.sq_tail;
@@ -1329,7 +1516,7 @@ let structural_signature t =
   i (Queue.length t.sb_pending);
   Queue.iter i t.sb_pending;
   i t.dtlb_outstanding;
-  h := Statesig.mix_list !h fst !(t.events);
+  h := Statesig.mix_list !h (fun ev -> ev.ev_at) (pending_events t.wheel);
   i (purge_code t.purge);
   i (purge_kind_code t.purge_kind);
   b (t.saved_predictors <> None);
@@ -1360,14 +1547,19 @@ let dump_state t buf =
           (sig_opt e.sq_slot) (rob_state_code e.state) e.mispredict)
     t.rob;
   Buffer.add_string buf "] iq[";
+  let iq q =
+    for j = q.n - 1 downto 0 do
+      Printf.bprintf buf "%d;" q.slots.(j)
+    done
+  in
   Array.iter
     (fun q ->
-      List.iter (fun x -> Printf.bprintf buf "%d;" x) !q;
+      iq q;
       Buffer.add_char buf '|')
     t.iq_alu;
-  List.iter (fun x -> Printf.bprintf buf "%d;" x) !(t.iq_mem);
+  iq t.iq_mem;
   Buffer.add_char buf '|';
-  List.iter (fun x -> Printf.bprintf buf "%d;" x) !(t.iq_fp);
+  iq t.iq_fp;
   Buffer.add_string buf "] lq[";
   Array.iter (fun busy -> Buffer.add_char buf (if busy then '1' else '0')) t.lq;
   Printf.bprintf buf "] sq=%d/%d/%d[" t.sq_head t.sq_tail t.sq_count;
@@ -1385,7 +1577,7 @@ let dump_state t buf =
   Buffer.add_string buf "] sbp[";
   Queue.iter (fun s -> Printf.bprintf buf "%d;" s) t.sb_pending;
   Printf.bprintf buf "] dtlb=%d ev[" t.dtlb_outstanding;
-  List.iter (fun (at, _) -> Printf.bprintf buf "%d;" at) !(t.events);
+  List.iter (fun ev -> Printf.bprintf buf "%d;" ev.ev_at) (pending_events t.wheel);
   Printf.bprintf buf "] pg=%d pk=%d sp=%b pr=%b com=%d ps=%d "
     (purge_code t.purge)
     (purge_kind_code t.purge_kind)

@@ -81,22 +81,18 @@ let start ?(now = 0) t ~vpage ~on_done =
 
 let tick t ~issue =
   (* Issue at most one PTE read per cycle, lowest slot first. *)
-  let issued = ref false in
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | Some w when (not !issued) && (not w.waiting_mem) && w.levels_left <> []
-        -> (
-        match w.levels_left with
-        | level :: _ ->
-          let line = pte_line t ~level ~vpage:w.vpage in
-          if issue ~line ~id:(id_tag lor i) then begin
-            w.waiting_mem <- true;
-            issued := true
-          end
-        | [] -> ())
-      | _ -> ())
-    t.slots
+  let issued = ref false and i = ref 0 in
+  while (not !issued) && !i < Array.length t.slots do
+    (match t.slots.(!i) with
+    | Some ({ waiting_mem = false; levels_left = level :: _; _ } as w) ->
+      if issue ~line:(pte_line t ~level ~vpage:w.vpage) ~id:(id_tag lor !i)
+      then begin
+        w.waiting_mem <- true;
+        issued := true
+      end
+    | _ -> ());
+    incr i
+  done
 
 let mem_response ?(now = 0) t ~id =
   let slot = id land lnot id_tag in

@@ -21,23 +21,25 @@ let set_of t vpage = vpage land (t.cfg.sets - 1)
 
 let lookup t ~vpage =
   let set = set_of t vpage in
-  match Sram.find t.array ~set ~tag:vpage with
-  | Some (way, ()) ->
+  let way = Sram.find t.array ~set ~tag:vpage in
+  if way >= 0 then begin
     Replacement.touch t.repl ~set ~way;
     true
-  | None -> false
+  end
+  else false
 
 let insert t ~vpage =
   let set = set_of t vpage in
-  match Sram.find t.array ~set ~tag:vpage with
-  | Some (way, ()) -> Replacement.touch t.repl ~set ~way
-  | None ->
+  let way = Sram.find t.array ~set ~tag:vpage in
+  if way >= 0 then Replacement.touch t.repl ~set ~way
+  else begin
     let way =
       Replacement.victim t.repl ~set
         ~invalid_way:(Sram.invalid_way t.array ~set)
     in
     Sram.fill t.array ~set ~way ~tag:vpage ();
     Replacement.touch t.repl ~set ~way
+  end
 
 (* Self-cleaning LRU (Section 6): invalidating a set resets its
    replacement metadata, so a full flush leaves the public fresh state. *)

@@ -1,12 +1,28 @@
 (** Named counters and simple summary statistics for simulator runs.
 
-    Each simulated component owns a [t] and bumps counters by name; the
-    benchmark harness reads them back to compute the paper's metrics
-    (instructions, cycles, misses per kilo-instruction, stall fractions). *)
+    Each simulated component owns a [t]; the benchmark harness reads the
+    counters back to compute the paper's metrics (instructions, cycles,
+    misses per kilo-instruction, stall fractions).  Components resolve a
+    {!counter} handle per name once, when they are created, and {!bump}
+    it on their tick paths, so a simulated cycle never hashes a name.
+
+    A counter exists (shows in {!names}, {!to_assoc}, {!copy}, ...) once
+    it has been written: bumped, or touched by [incr], [add] or [set].
+    Resolving a handle alone leaves the table's contents unchanged. *)
 
 type t
 
 val create : unit -> t
+
+(** A handle on one named counter of one table. *)
+type counter
+
+(** [counter t name] resolves [name]'s handle.  The handle stays bound
+    to [t] across {!reset} and {!restore}. *)
+val counter : t -> string -> counter
+
+(** [bump c] adds one to the handle's counter. *)
+val bump : counter -> unit
 
 (** [incr t name] adds one to counter [name], creating it at zero first. *)
 val incr : t -> string -> unit

@@ -393,6 +393,55 @@ let prop_msi_invariant =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* ------------------------------------------------------------------ *)
+(* Allocation guards                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* An idle cycle must allocate nothing: no closures, options, lists or
+   strings built per tick.  The components are wired the way
+   [Tmachine.create] wires them, from the public constructors. *)
+module Config = Mi6_core.Config
+module Controller = Mi6_dram.Controller
+
+let idle_rig (timing : Config.timing) =
+  let stats = Stats.create () in
+  let links =
+    Array.init timing.Config.llc.Llc.cores (fun _ -> Link.create ~depth:4)
+  in
+  let dram =
+    Controller.constant ~latency:timing.Config.dram_latency
+      ~max_outstanding:timing.Config.dram_outstanding ~stats ()
+  in
+  let llc =
+    Llc.create timing.Config.llc ~security:timing.Config.llc_security ~links
+      ~dram ~stats
+  in
+  let l1 = L1.create timing.Config.l1 ~link:links.(0) ~stats ~name:"l1d.0" in
+  (llc, l1)
+
+let idle_ticks = 10_000
+
+let test_idle_ticks_allocate_nothing (name, timing) () =
+  let llc, l1 = idle_rig timing in
+  let w0 = Gc.minor_words () in
+  for now = 0 to idle_ticks - 1 do
+    Llc.tick llc ~now
+  done;
+  let w1 = Gc.minor_words () in
+  for now = 0 to idle_ticks - 1 do
+    L1.tick l1 ~now ~complete:ignore
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) (name ^ ": idle Llc.tick words") 0. (w1 -. w0);
+  Alcotest.(check (float 0.)) (name ^ ": idle L1.tick words") 0. (w2 -. w1)
+
+let alloc_configs =
+  [
+    ("F+P+M+A", Config.timing ~cores:1 Config.Fpma);
+    ("BASE", Config.timing ~cores:1 Config.Base);
+    ("secure 2-core", Config.secure_multicore ~cores:2);
+  ]
+
 let () =
   Alcotest.run "mi6_llc"
     [
@@ -436,4 +485,10 @@ let () =
         qsuite
           [ prop_random_traffic_completes; prop_msi_invariant; prop_inclusion ]
       );
+      ( "alloc",
+        List.map
+          (fun ((name, _) as cfg) ->
+            Alcotest.test_case ("idle ticks allocate nothing: " ^ name) `Quick
+              (test_idle_ticks_allocate_nothing cfg))
+          alloc_configs );
     ]

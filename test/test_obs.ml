@@ -644,7 +644,7 @@ let test_selfprof_phases_sum_to_wall () =
   check_bool "llc charged" true (Selfprof.phase_seconds sp Selfprof.ph_llc > 0.0);
   check_bool "harness charged" true
     (Selfprof.phase_seconds sp Selfprof.ph_harness > 0.0);
-  check_bool "kips positive" true (Selfprof.overall_kips sp > 0.0);
+  check_bool "kips positive" true (Selfprof.overall_kcps sp > 0.0);
   check_bool "series has the run point" true (Selfprof.kips_series sp <> [])
 
 let test_selfprof_null_disabled () =

@@ -146,6 +146,62 @@ let test_long_latency_alu () =
     true
     (cycles > n * 18)
 
+(* Deferred completions sit on a timing wheel sized for the common
+   latencies; a latency past its window must keep exact timing.  Each
+   op of a dependent chain issues [latency] cycles after the previous
+   one, so the chains differ by exactly [n * (100 - 20)] cycles. *)
+let test_latency_beyond_event_window () =
+  let n = 50 in
+  let chain latency =
+    List.init n (fun i ->
+        Uop.alu ~latency ~pipe:Uop.Pipe_fp ~pc:(0x1000 + (i mod 16 * 4)) ~dst:2
+          ~srcs:[ 2 ] ())
+  in
+  let _, c20, _ = run_core (chain 20) in
+  let _, c100, _ = run_core (chain 100) in
+  check_int "cycles grow by exactly the added latency" (n * 80) (c100 - c20)
+
+(* Ticking only every third cycle, events due in the skipped cycles
+   still run, oldest first.  The finishing cycle is the one the model
+   reached when it scanned every pending event each tick. *)
+let test_skipped_cycles_run_due_events () =
+  let stats = Stats.create () in
+  let links = [| Link.create ~depth:4; Link.create ~depth:4 |] in
+  let dram = Controller.constant ~latency:120 ~max_outstanding:24 ~stats () in
+  let llc =
+    Llc.create (Llc.default_config ~cores:2) ~security:Llc.baseline_security
+      ~links ~dram ~stats
+  in
+  let l1d = L1.create L1.default_config ~link:links.(0) ~stats ~name:"l1d" in
+  let l1i = L1.create L1.default_config ~link:links.(1) ~stats ~name:"l1i" in
+  let n = 300 in
+  let q = Queue.create () in
+  List.iter
+    (fun u -> Queue.add u q)
+    (List.init n (fun i ->
+         if i mod 3 = 0 then
+           Uop.load ~pc:(0x1000 + (i mod 64 * 4)) ~addr:(0x20000 + (i * 64))
+             ~dst:3 ~srcs:[] ()
+         else
+           Uop.alu ~latency:(1 + (i mod 5)) ~pc:(0x1000 + (i mod 64 * 4))
+             ~dst:2 ~srcs:[ 2; 3 ] ()));
+  let core =
+    Core.create Core_config.default ~l1i ~l1d ~stream:(fun () -> Queue.take_opt q)
+      ~stats ~pt_base_line:(16 * 1024 * 1024 / 64)
+  in
+  let cycle = ref 0 in
+  while (not (Core.finished core)) && !cycle < 3_000_000 do
+    Core.tick core ~now:!cycle;
+    L1.tick l1d ~now:!cycle ~complete:(fun id ->
+        Core.mem_complete core ~now:!cycle ~id);
+    L1.tick l1i ~now:!cycle ~complete:(fun id -> Core.icache_complete core ~id);
+    Llc.tick llc ~now:!cycle;
+    cycle := !cycle + 3
+  done;
+  check_bool "core finished" true (Core.finished core);
+  check_int "all committed" n (Core.committed_instructions core);
+  check_int "finishing cycle" 2673 !cycle
+
 let test_load_hits_pipeline () =
   (* Loads to one hot line: after warmup they hit in the L1. *)
   let n = 5_000 in
@@ -403,6 +459,10 @@ let () =
           Alcotest.test_case "dependent chain ipc" `Quick
             test_ipc_dependent_chain;
           Alcotest.test_case "long latency ops" `Quick test_long_latency_alu;
+          Alcotest.test_case "latency beyond event window" `Quick
+            test_latency_beyond_event_window;
+          Alcotest.test_case "skipped cycles run due events" `Quick
+            test_skipped_cycles_run_due_events;
         ] );
       ( "memory",
         [

@@ -284,6 +284,141 @@ let test_stats_merge () =
   check_int "merged existing" 3 (Stats.get a "x");
   check_int "merged fresh" 3 (Stats.get a "y")
 
+(* Handles resolved at component creation must not change what the
+   table shows until they are bumped, and must keep writing to the same
+   table across reset and restore. *)
+let test_stats_handle_invisible () =
+  let s = Stats.create () in
+  let _ = Stats.counter s "idle" in
+  Stats.incr s "x";
+  Alcotest.(check (list string)) "names" [ "x" ] (Stats.names s);
+  Alcotest.(check (list (pair string int)))
+    "to_assoc" [ ("x", 1) ] (Stats.to_assoc s)
+
+let test_stats_bump_get () =
+  let s = Stats.create () in
+  let c = Stats.counter s "x" in
+  Stats.bump c;
+  Stats.bump c;
+  check_int "bump visible through get" 2 (Stats.get s "x");
+  Stats.incr s "x";
+  Stats.bump c;
+  check_int "handle and name share the counter" 4 (Stats.get s "x");
+  Stats.bump (Stats.counter s "x");
+  check_int "resolving again gives the same counter" 5 (Stats.get s "x")
+
+let test_stats_handle_reset_restore () =
+  let s = Stats.create () in
+  let c = Stats.counter s "x" in
+  Stats.bump c;
+  Stats.reset s;
+  Stats.bump c;
+  check_int "handle survives reset" 1 (Stats.get s "x");
+  let snap = Stats.copy s in
+  Stats.bump c;
+  Stats.bump c;
+  Stats.restore ~into:s snap;
+  check_int "restore rewinds" 1 (Stats.get s "x");
+  Stats.bump c;
+  check_int "handle survives restore" 2 (Stats.get s "x");
+  check_int "snapshot untouched" 1 (Stats.get snap "x")
+
+let test_stats_copy_diff_drop_unbumped () =
+  let s = Stats.create () in
+  let _ = Stats.counter s "idle" in
+  Stats.set s "x" 5;
+  let base = Stats.copy s in
+  Alcotest.(check (list string)) "copy" [ "x" ] (Stats.names base);
+  Stats.incr s "x";
+  Alcotest.(check (list (pair string int)))
+    "diff" [ ("x", 1) ] (Stats.to_assoc (Stats.diff s ~baseline:base))
+
+(* Random interleavings of every writer against an association-list
+   model of the visible table, compared after each step.  [Copy] takes
+   the snapshot that later [Restore]s rewind to. *)
+type stats_op =
+  | Resolve of string
+  | Bump of string
+  | Incr of string
+  | Add of string * int
+  | Set of string * int
+  | Reset
+  | Copy
+  | Restore
+
+let stats_op_gen =
+  let name = QCheck.Gen.oneofl [ "a"; "b"; "c"; "d" ] in
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun n -> Resolve n) name);
+        (4, map (fun n -> Bump n) name);
+        (2, map (fun n -> Incr n) name);
+        (2, map2 (fun n k -> Add (n, k)) name (int_range (-3) 3));
+        (2, map2 (fun n v -> Set (n, v)) name (int_range (-3) 9));
+        (1, return Reset);
+        (1, return Copy);
+        (1, return Restore);
+      ])
+
+let stats_op_print = function
+  | Resolve n -> "resolve " ^ n
+  | Bump n -> "bump " ^ n
+  | Incr n -> "incr " ^ n
+  | Add (n, k) -> Printf.sprintf "add %s %d" n k
+  | Set (n, v) -> Printf.sprintf "set %s %d" n v
+  | Reset -> "reset"
+  | Copy -> "copy"
+  | Restore -> "restore"
+
+let prop_stats_model =
+  QCheck.Test.make ~name:"stats handles match an assoc-list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map stats_op_print ops))
+       QCheck.Gen.(list_size (int_range 0 40) stats_op_gen))
+    (fun ops ->
+      let s = Stats.create () in
+      let handles = Hashtbl.create 4 in
+      let handle n =
+        match Hashtbl.find_opt handles n with
+        | Some c -> c
+        | None ->
+          let c = Stats.counter s n in
+          Hashtbl.add handles n c;
+          c
+      in
+      let model = ref [] and snap = ref (Stats.create (), []) in
+      let get n = Option.value (List.assoc_opt n !model) ~default:0 in
+      let put n v = model := (n, v) :: List.remove_assoc n !model in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Resolve n -> ignore (handle n)
+          | Bump n ->
+            Stats.bump (handle n);
+            put n (get n + 1)
+          | Incr n ->
+            Stats.incr s n;
+            put n (get n + 1)
+          | Add (n, k) ->
+            Stats.add s n k;
+            put n (get n + k)
+          | Set (n, v) ->
+            Stats.set s n v;
+            put n v
+          | Reset ->
+            Stats.reset s;
+            model := List.map (fun (n, _) -> (n, 0)) !model
+          | Copy -> snap := (Stats.copy s, !model)
+          | Restore ->
+            let table, values = !snap in
+            Stats.restore ~into:s table;
+            model := List.map (fun (n, _) -> (n, 0)) !model;
+            List.iter (fun (n, v) -> put n v) values);
+          Stats.to_assoc s = List.sort compare !model
+          && Stats.to_assoc (fst !snap) = List.sort compare (snd !snap))
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Table                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -450,7 +585,16 @@ let () =
           Alcotest.test_case "counters" `Quick test_stats_counters;
           Alcotest.test_case "per kilo" `Quick test_stats_per_kilo;
           Alcotest.test_case "merge" `Quick test_stats_merge;
-        ] );
+          Alcotest.test_case "unbumped handle is invisible" `Quick
+            test_stats_handle_invisible;
+          Alcotest.test_case "bump visible through get" `Quick
+            test_stats_bump_get;
+          Alcotest.test_case "handle survives reset and restore" `Quick
+            test_stats_handle_reset_restore;
+          Alcotest.test_case "copy and diff drop unbumped" `Quick
+            test_stats_copy_diff_drop_unbumped;
+        ]
+        @ qsuite [ prop_stats_model ] );
       ( "table",
         [
           Alcotest.test_case "cells and width check" `Quick test_table_cells;
