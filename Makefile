@@ -87,14 +87,16 @@ bisect-smoke:
 
 # Interrupt-schedule noninterference gate:
 #   - a generated adversarial batch on the full MI6 variant must pass
-#     clean (exit 0) and its mi6.ni/1 report must validate;
+#     clean (exit 0) and its mi6.ni/1 report must validate; any
+#     falsifying schedule is kept in ni-falsified.sched for replay;
 #   - replaying the committed BASE counterexample must falsify (exit 1)
 #     and its report must validate too, which (via json_check --ni)
 #     requires the Audit localization to name a real leaking channel;
 #   - the replay verdicts must be byte-identical across --jobs.
 ni-smoke:
 	dune build bin/mi6_sim.exe bench/json_check.exe
-	dune exec bin/mi6_sim.exe -- ni --count 25 --seed 42 --json ni-fpma.json
+	dune exec bin/mi6_sim.exe -- ni --count 25 --seed 42 --json ni-fpma.json \
+		--save-falsified ni-falsified.sched
 	dune exec bench/json_check.exe -- --ni ni-fpma.json
 	sh -c 'dune exec bin/mi6_sim.exe -- ni \
 		--schedule-file examples/ni/base-counterexample.sched \
@@ -149,7 +151,8 @@ lint:
 #     to the channel it leaves open, the MI6 machine must lint clean
 #     over the same shared-region demo ledger;
 #   - every committed hex example must get its expected verdict with
-#     channel lowering on (ct_* clean, everything else flagged).
+#     channel lowering on (ct_* clean, everything else flagged); its
+#     examples/lint/*-channels.json report is kept for inspection.
 lint-channels:
 	dune build bin/mi6_sim.exe bench/json_check.exe
 	sh -c 'dune exec bin/mi6_sim.exe -- lint --witness all --speculative 32 \
@@ -174,7 +177,6 @@ lint-channels:
 		dune exec bench/json_check.exe -- --lint "$${f%.hex}-channels.json" \
 			|| exit 1; \
 	done
-	rm -f examples/lint/*-channels.json
 
 ci: build test bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke perf-smoke lint lint-channels
 
@@ -185,5 +187,5 @@ clean:
 		lint-channels.json lint-channels-2.json lint-channels-base.json \
 		lint-channels-mi6.json examples/lint/*-channels.json \
 		bisect.json bisect-secret.json BISECT_history.jsonl \
-		ni-fpma.json ni-base.json ni-base-j2.json \
+		ni-fpma.json ni-base.json ni-base-j2.json ni-falsified.sched \
 		telemetry.jsonl tel-serial\#* tel-parallel\#*

@@ -370,15 +370,13 @@ let flush_step t =
     true
   end
 
-let replacement_signature t = Replacement.state_signature t.repl
-
 let miss_latency t = t.miss_lat
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint/restore                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything behavior-relevant, including what structural_signature
+(* Everything behavior-relevant, including what the state fold
    excludes (tag array, replacement metadata).  MSHRs are copied by value
    because m_waiters is mutable.  The core-side link FIFOs are owned (and
    checkpointed) by the LLC, which holds the full links array. *)
@@ -418,59 +416,44 @@ let restore t ck =
   t.flushing <- ck.ck_flushing;
   t.flush_cursor <- ck.ck_flush_cursor
 
-(* Structure state for the quiet-cycle detector: the input queue, MSHRs,
-   pending completions, and the flush cursor.  The data array and
-   replacement metadata are excluded — they only change in cycles that
-   also move an MSHR, a queue, or the cursor. *)
+(* Structure state: the input queue, MSHRs, pending completions, and
+   the flush cursor.  The data array and replacement metadata are
+   excluded — they only change in cycles that also move an MSHR, a
+   queue, or the cursor. *)
 let msi_code = function Msi.M -> 2 | Msi.S -> 1 | Msi.I -> 0
 
-let structural_signature t =
-  let h = ref Statesig.empty in
-  let i v = h := Statesig.mix !h v in
-  i (Fifo.length t.input);
+let state t s =
+  let open Statesig in
+  lit s t.name;
+  int s ".in=" (Fifo.length t.input);
+  lit s "[";
   Fifo.iter
     (fun p ->
-      i p.p_line;
-      h := Statesig.mix_bool !h p.p_store;
-      i p.p_id)
+      int s "(" p.p_line;
+      bool s "," p.p_store;
+      int s "," p.p_id;
+      lit s ")")
     t.input;
+  lit s "] mshrs[";
   Array.iter
     (function
-      | None -> i (-1)
+      | None -> none s "-"
       | Some m ->
-        i m.m_line;
-        i (msi_code m.m_to);
-        i m.m_way;
-        i m.m_set;
-        i m.m_born;
-        h := Statesig.mix_list !h Fun.id m.m_waiters)
+        int s "(" m.m_line;
+        int s "," (msi_code m.m_to);
+        int s "," m.m_way;
+        int s "," m.m_set;
+        int s "," m.m_born;
+        items s ",w=" m.m_waiters;
+        lit s ")")
     t.mshrs;
-  i (Queue.length t.completions);
+  int s "] comp=" (Queue.length t.completions);
+  lit s "[";
   Queue.iter
     (fun (id, ready) ->
-      i id;
-      i ready)
+      int s "(" id;
+      int s "," ready;
+      lit s ")")
     t.completions;
-  h := Statesig.mix_bool !h t.flushing;
-  i t.flush_cursor;
-  !h
-
-let dump_state t buf =
-  Printf.bprintf buf "%s.in=%d[" t.name (Fifo.length t.input);
-  Fifo.iter
-    (fun p -> Printf.bprintf buf "(%d,%b,%d)" p.p_line p.p_store p.p_id)
-    t.input;
-  Buffer.add_string buf "] mshrs[";
-  Array.iter
-    (function
-      | None -> Buffer.add_char buf '-'
-      | Some m ->
-        Printf.bprintf buf "(%d,%d,%d,%d,%d,w=" m.m_line (msi_code m.m_to)
-          m.m_way m.m_set m.m_born;
-        List.iter (fun id -> Printf.bprintf buf "%d;" id) m.m_waiters;
-        Buffer.add_char buf ')')
-    t.mshrs;
-  Printf.bprintf buf "] comp=%d[" (Queue.length t.completions);
-  Queue.iter (fun (id, ready) -> Printf.bprintf buf "(%d,%d)" id ready)
-    t.completions;
-  Printf.bprintf buf "] flush=%b@%d" t.flushing t.flush_cursor
+  bool s "] flush=" t.flushing;
+  int s "@" t.flush_cursor

@@ -77,28 +77,22 @@ val flush_step : t -> bool
 (** [valid_lines t] is the number of valid lines (tests). *)
 val valid_lines : t -> int
 
-(** [replacement_signature t] exposes the replacement-policy state hash
-    (tests check purge restores the public value). *)
-val replacement_signature : t -> int
-
 (** Demand-miss latency distribution (request accepted to fill), in
     cycles.  Prefetch fills are excluded. *)
 val miss_latency : t -> Histogram.t
 
-(** Fold of input queue / MSHR / completion / flush-cursor state for the
-    quiet-cycle detector (see {!Mi6_util.Statesig}); the data array and
-    replacement metadata are excluded (they change only in cycles that
-    also move the included state). *)
-val structural_signature : t -> int
-
-(** Detailed render of the same state, for the byte-compare oracle. *)
-val dump_state : t -> Buffer.t -> unit
+(** [state t s] walks the input queue, MSHRs, completions and flush
+    cursor through {!Mi6_util.Statesig}, for the quiet-cycle signature
+    and the labelled dump alike; the data array and replacement metadata
+    are excluded (they change only in cycles that also move the included
+    state). *)
+val state : t -> Statesig.acc -> unit
 
 (** Value snapshot of {e all} behavior-relevant state — tag array,
     replacement metadata, MSHRs, queues, flush cursor, and the
-    miss-latency histogram (everything {!structural_signature} excludes
-    included).  The core-side link FIFOs are captured by the LLC's
-    checkpoint, which owns the links array. *)
+    miss-latency histogram (everything {!state} excludes included).  The
+    core-side link FIFOs are captured by the LLC's checkpoint, which owns
+    the links array. *)
 type checkpoint
 
 val save : t -> checkpoint

@@ -46,8 +46,8 @@ let scrub t =
     Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) l.stamps
 
 (* Checkpoint/restore of the program-dependent policy state — included in
-   machine checkpoints precisely because structural_signature leaves it
-   out: victim choice after a restore must replay identically. *)
+   machine checkpoints precisely because the L1 and LLC state folds leave
+   it out: victim choice after a restore must replay identically. *)
 type checkpoint =
   | Ck_random of int64
   | Ck_lru of { c_stamps : int array array; c_clock : int }

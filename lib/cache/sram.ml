@@ -16,9 +16,6 @@ let create ~sets ~ways =
     meta = Array.make_matrix sets ways None;
   }
 
-let sets t = t.nsets
-let ways t = t.nways
-
 let check t set way =
   if set < 0 || set >= t.nsets || way < 0 || way >= t.nways then
     invalid_arg "Sram: set/way out of range"
@@ -111,13 +108,5 @@ let restore ?(copy = fun m -> m) t ck =
     Array.blit ck.c_valid.(set) 0 t.valid.(set) 0 t.nways;
     for way = 0 to t.nways - 1 do
       t.meta.(set).(way) <- Option.map copy ck.c_meta.(set).(way)
-    done
-  done
-
-let invalidate_all t =
-  for set = 0 to t.nsets - 1 do
-    for way = 0 to t.nways - 1 do
-      t.valid.(set).(way) <- false;
-      t.meta.(set).(way) <- None
     done
   done

@@ -6,8 +6,6 @@
 type 'a t
 
 val create : sets:int -> ways:int -> 'a t
-val sets : 'a t -> int
-val ways : 'a t -> int
 
 (** [find t ~set ~tag] is the way holding a valid line tagged [tag], or
     [-1].  Lookups allocate nothing; read the line with {!meta}. *)
@@ -39,9 +37,6 @@ val count_valid : 'a t -> int
 
 (** [iter_valid f t] applies [f set way tag meta] to every valid line. *)
 val iter_valid : (int -> int -> int -> 'a -> unit) -> 'a t -> unit
-
-(** [invalidate_all t] clears every line (whole-structure flush). *)
-val invalidate_all : 'a t -> unit
 
 (** Value snapshot of tags, valid bits, and metadata. *)
 type 'a checkpoint

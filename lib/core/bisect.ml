@@ -138,6 +138,14 @@ let observe2 ls ~cycle =
 let finished2 ls = Tmachine.finished ls.a && Tmachine.finished ls.b
 let sig_eq ls = Tmachine.structural_signature ls.a = Tmachine.structural_signature ls.b
 
+(* Per-component signatures and labelled dumps, read off the machine's
+   state sections. *)
+let signatures m =
+  List.map (fun (n, fold) -> (n, Statesig.hash fold)) (Tmachine.sections m)
+
+let dumps m =
+  List.map (fun (n, fold) -> (n, Statesig.render fold)) (Tmachine.sections m)
+
 (* Restore both sides to the recorded checkpoints nearest [cycle] and
    re-execute to exactly [cycle] — the O(interval) reachability the ring
    guarantees. *)
@@ -185,8 +193,7 @@ let activity prev secs committed =
 
 let build_slice ls ~oracle ~cycle ~checkpoint_cycle ~components ~window
     ~trace_a ~trace_b =
-  let dumps_a = Tmachine.dump_sections ls.a
-  and dumps_b = Tmachine.dump_sections ls.b in
+  let dumps_a = dumps ls.a and dumps_b = dumps ls.b in
   let diffs =
     List.filter_map
       (fun name ->
@@ -222,7 +229,7 @@ let run ?(interval = 256) ?(ring = 64) ?(window = 16)
     ?(max_cycles = 4_000_000) ?trace_a ?trace_b ~label_a ~label_b a b =
   if Tmachine.now a <> 0 || Tmachine.now b <> 0 then
     invalid_arg "Bisect.run: machines must be fresh (cycle 0)";
-  let shape m = List.map fst (Tmachine.signature_sections m) in
+  let shape m = List.map fst (Tmachine.sections m) in
   if shape a <> shape b then
     invalid_arg "Bisect.run: machines must have the same component shape";
   let ls =
@@ -288,9 +295,7 @@ let run ?(interval = 256) ?(ring = 64) ?(window = 16)
         let components =
           List.filter_map
             (fun ((n, sa), (_, sb)) -> if sa <> sb then Some n else None)
-            (List.combine
-               (Tmachine.signature_sections ls.a)
-               (Tmachine.signature_sections ls.b))
+            (List.combine (signatures ls.a) (signatures ls.b))
         in
         Diverged
           (build_slice ls ~oracle:"signature" ~cycle:first ~checkpoint_cycle
@@ -299,8 +304,7 @@ let run ?(interval = 256) ?(ring = 64) ?(window = 16)
     else begin
       (* Activity oracle: per-cycle comparison finds the first divergent
          cycle directly; the recorders still bound slice re-execution. *)
-      let prev_a = ref (Tmachine.signature_sections a)
-      and prev_b = ref (Tmachine.signature_sections b) in
+      let prev_a = ref (signatures a) and prev_b = ref (signatures b) in
       let cycle = ref 0 in
       let divergent = ref None in
       while
@@ -309,8 +313,7 @@ let run ?(interval = 256) ?(ring = 64) ?(window = 16)
         tick2 ls;
         incr cycle;
         observe2 ls ~cycle:!cycle;
-        let secs_a = Tmachine.signature_sections a
-        and secs_b = Tmachine.signature_sections b in
+        let secs_a = signatures a and secs_b = signatures b in
         let act_a = activity !prev_a secs_a (Tmachine.committed a)
         and act_b = activity !prev_b secs_b (Tmachine.committed b) in
         prev_a := secs_a;
@@ -369,7 +372,7 @@ let slice_at ?(window = 16) ?trace ~recorder m ~cycle =
   Printf.bprintf buf "component state:\n";
   List.iter
     (fun (n, d) -> Printf.bprintf buf "  %s: %s\n" n d)
-    (Tmachine.dump_sections m);
+    (dumps m);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -3,8 +3,8 @@
     Runs two machines in lockstep while a {!Mi6_obs.Replay} flight
     recorder checkpoints each side periodically, locates the first cycle
     at which their structure state disagrees, and renders a causal
-    slice: the diverging component, a field-level diff of its
-    [dump_state], the in-flight µops on both sides, and the last few
+    slice: the diverging component, a field-level diff of its labelled
+    state dump, the in-flight µops on both sides, and the last few
     trace events each side emitted.
 
     Two comparison oracles, chosen automatically from the machines'

@@ -50,6 +50,7 @@ type t = {
   occupancy : Occupancy.t;
   telemetry : Telemetry.t;
   rstreams : rstream array;
+  sections : (string * (Statesig.acc -> unit)) list;
   mutable clock : int;
   (* Per-core L1 completion sinks, built once: D-side completions carry
      the current [clock]. *)
@@ -109,9 +110,21 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null)
           ~stats
           ~pt_base_line:(pt_base_line ~core:i))
   in
+  (* One labelled state fold per component: the cores (each covering its
+     own walker), both L1s per core, and the LLC (which also folds the
+     links and the DRAM controller). *)
+  let section fmt fold xs =
+    Array.to_list (Array.mapi (fun i x -> (Printf.sprintf fmt i, fold x)) xs)
+  in
+  let sections =
+    section "core%d" Core.state cores
+    @ section "l1d.%d" L1.state l1ds
+    @ section "l1i.%d" L1.state l1is
+    @ [ ("llc", Llc.state llc) ]
+  in
   let t =
     { cores; l1ds; l1is; llc; stats; trace; selfprof; occupancy; telemetry;
-      rstreams; clock = 0; complete_d = Array.make n ignore;
+      rstreams; sections; clock = 0; complete_d = Array.make n ignore;
       complete_i = Array.make n ignore }
   in
   Array.iteri
@@ -168,81 +181,13 @@ let metrics m ~stats =
 let now t = t.clock
 let core t i = t.cores.(i)
 
-(* Whole-machine structure signature: the cores (each covering its own
-   walker), both L1s per core, and the LLC (which also folds the links
-   and the DRAM controller). *)
+let sections t = t.sections
+
 let structural_signature t =
-  let h = ref Statesig.empty in
-  Array.iter
-    (fun c -> h := Statesig.mix !h (Core.structural_signature c))
-    t.cores;
-  Array.iter (fun l -> h := Statesig.mix !h (L1.structural_signature l)) t.l1ds;
-  Array.iter (fun l -> h := Statesig.mix !h (L1.structural_signature l)) t.l1is;
-  Statesig.mix !h (Llc.structural_signature t.llc)
+  Statesig.hash (fun s -> List.iter (fun (_, fold) -> fold s) t.sections)
 
 let dump_state t =
-  let buf = Buffer.create 4096 in
-  Array.iter
-    (fun c ->
-      Core.dump_state c buf;
-      Buffer.add_char buf '\n')
-    t.cores;
-  Array.iter
-    (fun l ->
-      L1.dump_state l buf;
-      Buffer.add_char buf '\n')
-    t.l1ds;
-  Array.iter
-    (fun l ->
-      L1.dump_state l buf;
-      Buffer.add_char buf '\n')
-    t.l1is;
-  Llc.dump_state t.llc buf;
-  Buffer.contents buf
-
-(* Per-component views of the same state, for causal-slice reports:
-   which component's signature diverged, and a labelled dump of each to
-   diff field-by-field. *)
-let signature_sections t =
-  List.concat
-    [
-      Array.to_list
-        (Array.mapi
-           (fun i c -> (Printf.sprintf "core%d" i, Core.structural_signature c))
-           t.cores);
-      Array.to_list
-        (Array.mapi
-           (fun i l -> (Printf.sprintf "l1d.%d" i, L1.structural_signature l))
-           t.l1ds);
-      Array.to_list
-        (Array.mapi
-           (fun i l -> (Printf.sprintf "l1i.%d" i, L1.structural_signature l))
-           t.l1is);
-      [ ("llc", Llc.structural_signature t.llc) ];
-    ]
-
-let dump_sections t =
-  let dump f x =
-    let buf = Buffer.create 1024 in
-    f x buf;
-    Buffer.contents buf
-  in
-  List.concat
-    [
-      Array.to_list
-        (Array.mapi
-           (fun i c -> (Printf.sprintf "core%d" i, dump Core.dump_state c))
-           t.cores);
-      Array.to_list
-        (Array.mapi
-           (fun i l -> (Printf.sprintf "l1d.%d" i, dump L1.dump_state l))
-           t.l1ds);
-      Array.to_list
-        (Array.mapi
-           (fun i l -> (Printf.sprintf "l1i.%d" i, dump L1.dump_state l))
-           t.l1is);
-      [ ("llc", dump Llc.dump_state t.llc) ];
-    ]
+  String.concat "\n" (List.map (fun (_, fold) -> Statesig.render fold) t.sections)
 
 let committed t =
   Array.fold_left (fun n c -> n + Core.committed_instructions c) 0 t.cores

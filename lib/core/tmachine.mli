@@ -34,25 +34,23 @@ val finished : t -> bool
 (** Committed instructions summed over all cores. *)
 val committed : t -> int
 
-(** [structural_signature t] folds every component's structure state
-    (cores, walkers, L1s, LLC, links, DRAM) into one {!Mi6_util.Statesig}
-    hash; two consecutive cycles with equal signatures advanced nothing
-    but the clock (the quiet-cycle criterion). *)
+(** The machine's state folds, one per component, labelled ["core0"],
+    ["l1d.0"], ["l1i.0"], …, ["llc"] (cores cover their walkers; the LLC
+    covers the links and the DRAM controller).  Bisect hashes them per
+    section to name the diverging component and renders them for slice
+    reports. *)
+val sections : t -> (string * (Mi6_util.Statesig.acc -> unit)) list
+
+(** [structural_signature t] hashes every section in order
+    ({!Mi6_util.Statesig.hash}); two consecutive cycles with equal
+    signatures advanced nothing but the clock (the quiet-cycle
+    criterion). *)
 val structural_signature : t -> int
 
-(** [dump_state t] — labelled rendering of the same state
-    {!structural_signature} folds; the quiet-cycle property test
-    byte-compares consecutive dumps as the oracle. *)
+(** [dump_state t] renders every section, one line each; the
+    quiet-cycle property test byte-compares consecutive dumps as the
+    oracle. *)
 val dump_state : t -> string
-
-(** Per-component {!structural_signature} values, labelled ["core0"],
-    ["l1d.0"], ["l1i.0"], …, ["llc"] — the bisector compares these to
-    name the diverging component. *)
-val signature_sections : t -> (string * int) list
-
-(** Per-component [dump_state] renderings under the same labels; slice
-    reports diff them field-by-field. *)
-val dump_sections : t -> (string * string) list
 
 (** Value snapshot of the whole machine: every core (predictors, TLBs,
     walker, deferred events), every L1, the LLC (links and DRAM

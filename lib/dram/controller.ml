@@ -1,52 +1,41 @@
 type req = { read : bool; line : int; tag : int }
 
-type t =
-  | Const of Dram.t * int
-  | Reorder of Fr_fcfs.t * int
+type t = Const of Dram.t | Reorder of Fr_fcfs.t
 
 let constant ?trace ~latency ~max_outstanding ~stats () =
-  Const (Dram.create ?trace ~latency ~max_outstanding ~stats (), max_outstanding)
+  Const (Dram.create ?trace ~latency ~max_outstanding ~stats ())
 
-let reordering ?trace cfg ~stats =
-  Reorder (Fr_fcfs.create ?trace cfg ~stats, cfg.Fr_fcfs.max_outstanding)
+let reordering ?trace cfg ~stats = Reorder (Fr_fcfs.create ?trace cfg ~stats)
 
 let can_accept = function
-  | Const (d, _) -> Dram.can_accept d
-  | Reorder (d, _) -> Fr_fcfs.can_accept d
+  | Const d -> Dram.can_accept d
+  | Reorder d -> Fr_fcfs.can_accept d
 
 let accept t ~now { read; line; tag } =
   match t with
-  | Const (d, _) -> Dram.accept d ~now { Dram.read; line; tag }
-  | Reorder (d, _) -> Fr_fcfs.accept d ~now { Fr_fcfs.read; line; tag }
+  | Const d -> Dram.accept d ~now { Dram.read; line; tag }
+  | Reorder d -> Fr_fcfs.accept d ~now { Fr_fcfs.read; line; tag }
 
 let tick t ~now ~respond =
   match t with
-  | Const (d, _) -> Dram.tick d ~now ~respond
-  | Reorder (d, _) -> Fr_fcfs.tick d ~now ~respond
+  | Const d -> Dram.tick d ~now ~respond
+  | Reorder d -> Fr_fcfs.tick d ~now ~respond
 
 let outstanding = function
-  | Const (d, _) -> Dram.outstanding d
-  | Reorder (d, _) -> Fr_fcfs.outstanding d
+  | Const d -> Dram.outstanding d
+  | Reorder d -> Fr_fcfs.outstanding d
 
-let max_outstanding = function Const (_, m) -> m | Reorder (_, m) -> m
+(* Only the constant-latency model checkpoints and describes its state:
+   the reordering one runs in the DRAM-bank channel demonstration alone,
+   which never rewinds, signs or dumps a machine. *)
+let constant_only op = invalid_arg ("Controller." ^ op ^ ": reordering controller")
 
-type checkpoint = Ck_const of Dram.checkpoint | Ck_reorder of Fr_fcfs.checkpoint
+type checkpoint = Dram.checkpoint
 
-let save = function
-  | Const (d, _) -> Ck_const (Dram.save d)
-  | Reorder (d, _) -> Ck_reorder (Fr_fcfs.save d)
+let save = function Const d -> Dram.save d | Reorder _ -> constant_only "save"
 
 let restore t ck =
-  match (t, ck) with
-  | Const (d, _), Ck_const c -> Dram.restore d c
-  | Reorder (d, _), Ck_reorder c -> Fr_fcfs.restore d c
-  | _ -> invalid_arg "Controller.restore: checkpoint from a different model"
+  match t with Const d -> Dram.restore d ck | Reorder _ -> constant_only "restore"
 
-let structural_signature = function
-  | Const (d, _) -> Dram.structural_signature d
-  | Reorder (d, _) -> Fr_fcfs.structural_signature d
-
-let dump_state t buf =
-  match t with
-  | Const (d, _) -> Dram.dump_state d buf
-  | Reorder (d, _) -> Fr_fcfs.dump_state d buf
+let state t s =
+  match t with Const d -> Dram.state d s | Reorder _ -> constant_only "state"

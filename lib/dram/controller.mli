@@ -13,20 +13,16 @@ val can_accept : t -> bool
 val accept : t -> now:int -> req -> unit
 val tick : t -> now:int -> respond:(tag:int -> line:int -> unit) -> unit
 val outstanding : t -> int
-val max_outstanding : t -> int
 
-(** Value snapshot of the active backend's state. *)
+(** Value snapshot of the constant-latency controller's state.  The
+    reordering controller is never checkpointed: {!save} and {!restore}
+    raise [Invalid_argument] on it. *)
 type checkpoint
 
 val save : t -> checkpoint
-
-(** [restore t ck] — raises [Invalid_argument] if [ck] came from the
-    other backend. *)
 val restore : t -> checkpoint -> unit
 
-(** Fold of the active backend's structure state for the quiet-cycle
-    detector (see {!Mi6_util.Statesig}). *)
-val structural_signature : t -> int
-
-(** Detailed render of the same state, for the byte-compare oracle. *)
-val dump_state : t -> Buffer.t -> unit
+(** [state t s] is the constant-latency controller's state fold (see
+    {!Dram.state}); raises [Invalid_argument] on a reordering
+    controller. *)
+val state : t -> Statesig.acc -> unit

@@ -24,7 +24,6 @@ let create ?(trace = Trace.null) ~latency ~max_outstanding ~stats () =
     accepted_at = -1;
   }
 
-let latency t = t.lat
 let outstanding t = Fifo.length t.q
 
 let can_accept t = Fifo.length t.q < t.max_outstanding
@@ -66,24 +65,18 @@ let restore t ck =
   Fifo.assign t.q ck.ck_q;
   t.accepted_at <- ck.ck_accepted_at
 
-(* Structure state for the quiet-cycle detector: the in-flight queue is
-   the only cross-cycle mutable state (accepted_at only changes when the
-   queue does). *)
-let structural_signature t =
-  let h = ref (Statesig.mix Statesig.empty (Fifo.length t.q)) in
+(* Structure state: the in-flight queue is the only cross-cycle mutable
+   state (accepted_at only changes when the queue does). *)
+let state t s =
+  let open Statesig in
+  int s "dram.q=" (Fifo.length t.q);
+  lit s "[";
   Fifo.iter
     (fun { req = { read; line; tag }; done_at } ->
-      h := Statesig.mix_bool !h read;
-      h := Statesig.mix !h line;
-      h := Statesig.mix !h tag;
-      h := Statesig.mix !h done_at)
+      bool s "(" read;
+      int s "," line;
+      int s "," tag;
+      int s "," done_at;
+      lit s ")")
     t.q;
-  !h
-
-let dump_state t buf =
-  Printf.bprintf buf "dram.q=%d[" (Fifo.length t.q);
-  Fifo.iter
-    (fun { req = { read; line; tag }; done_at } ->
-      Printf.bprintf buf "(%b,%d,%d,%d)" read line tag done_at)
-    t.q;
-  Buffer.add_char buf ']'
+  lit s "]"

@@ -19,7 +19,6 @@ type t
 
 val create :
   ?trace:Trace.t -> latency:int -> max_outstanding:int -> stats:Stats.t -> unit -> t
-val latency : t -> int
 
 (** [can_accept t] — backpressure signal ([max_outstanding] reached or a
     request was already accepted this cycle). *)
@@ -41,9 +40,6 @@ type checkpoint
 val save : t -> checkpoint
 val restore : t -> checkpoint -> unit
 
-(** Fold of the in-flight queue for the quiet-cycle detector (see
-    {!Mi6_util.Statesig}). *)
-val structural_signature : t -> int
-
-(** Detailed render of the same state, for the byte-compare oracle. *)
-val dump_state : t -> Buffer.t -> unit
+(** [state t s] walks the in-flight queue through {!Mi6_util.Statesig}:
+    the quiet-cycle signature and the labelled dump both come from it. *)
+val state : t -> Statesig.acc -> unit

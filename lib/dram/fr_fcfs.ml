@@ -128,97 +128,3 @@ let tick t ~now ~respond =
     ignore (Fifo.deq t.ready);
     respond ~tag:req.tag ~line:req.line
   | None -> ()
-
-(* Checkpoint/restore: bank records are mutable and copied by value;
-   the waiting queue and ready fifo hold immutable payloads. *)
-type checkpoint = {
-  ck_banks : bank array;
-  ck_queue : waiting list;
-  ck_seq : int;
-  ck_accepted_at : int;
-  ck_ready : (int * req) list;
-}
-
-let copy_bank b = { b with open_row = b.open_row }
-
-let save t =
-  {
-    ck_banks = Array.map copy_bank t.banks;
-    ck_queue = t.queue;
-    ck_seq = t.seq;
-    ck_accepted_at = t.accepted_at;
-    ck_ready = Fifo.to_list t.ready;
-  }
-
-let restore t ck =
-  Array.iteri (fun i b -> t.banks.(i) <- copy_bank b) ck.ck_banks;
-  t.queue <- ck.ck_queue;
-  t.seq <- ck.ck_seq;
-  t.accepted_at <- ck.ck_accepted_at;
-  Fifo.assign t.ready ck.ck_ready
-
-(* Structure state for the quiet-cycle detector: waiting queue, per-bank
-   service state, and the response fifo.  Open rows are included — a row
-   opened this cycle changes future timing even if the queues look the
-   same. *)
-let structural_signature t =
-  let h = ref Statesig.empty in
-  let i v = h := Statesig.mix !h v in
-  let req r =
-    h := Statesig.mix_bool !h r.read;
-    i r.line;
-    i r.tag
-  in
-  i (List.length t.queue);
-  List.iter
-    (fun w ->
-      req w.w_req;
-      i w.w_seq)
-    t.queue;
-  Array.iter
-    (fun b ->
-      i (match b.open_row with None -> -1 | Some r -> r);
-      i b.busy_until;
-      match b.current with
-      | None -> i (-1)
-      | Some (r, done_at) ->
-        req r;
-        i done_at)
-    t.banks;
-  i t.seq;
-  i (Fifo.length t.ready);
-  Fifo.iter
-    (fun (done_at, r) ->
-      i done_at;
-      req r)
-    t.ready;
-  !h
-
-let dump_state t buf =
-  let req r = Printf.bprintf buf "(%b,%d,%d)" r.read r.line r.tag in
-  Printf.bprintf buf "frfcfs.q=%d[" (List.length t.queue);
-  List.iter
-    (fun w ->
-      req w.w_req;
-      Printf.bprintf buf "@%d;" w.w_seq)
-    t.queue;
-  Buffer.add_string buf "] banks[";
-  Array.iter
-    (fun b ->
-      Printf.bprintf buf "row=%s busy=%d cur="
-        (match b.open_row with None -> "-" | Some r -> string_of_int r)
-        b.busy_until;
-      (match b.current with
-      | None -> Buffer.add_char buf '-'
-      | Some (r, done_at) ->
-        req r;
-        Printf.bprintf buf "@%d" done_at);
-      Buffer.add_char buf '|')
-    t.banks;
-  Printf.bprintf buf "] seq=%d ready=%d[" t.seq (Fifo.length t.ready);
-  Fifo.iter
-    (fun (done_at, r) ->
-      req r;
-      Printf.bprintf buf "@%d;" done_at)
-    t.ready;
-  Buffer.add_char buf ']'

@@ -26,21 +26,3 @@ val can_accept : t -> bool
 val accept : t -> now:int -> req -> unit
 val tick : t -> now:int -> respond:(tag:int -> line:int -> unit) -> unit
 val outstanding : t -> int
-
-(** [bank_of cfg ~line] is the bank index for a line (low-order line bits,
-    standard interleaving). *)
-val bank_of : config -> line:int -> int
-
-(** Value snapshot of the waiting queue, per-bank service state (open
-    rows included), and response fifo. *)
-type checkpoint
-
-val save : t -> checkpoint
-val restore : t -> checkpoint -> unit
-
-(** Fold of queue / bank / response state for the quiet-cycle detector
-    (see {!Mi6_util.Statesig}). *)
-val structural_signature : t -> int
-
-(** Detailed render of the same state, for the byte-compare oracle. *)
-val dump_state : t -> Buffer.t -> unit

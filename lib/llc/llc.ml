@@ -857,8 +857,6 @@ let busy t =
 
 let probe t ~line = Sram.find t.array ~set:(set_of t line) ~tag:line >= 0
 
-let occupancy t = Sram.count_valid t.array
-
 let invalidate_region t ~geometry ~region =
   if busy t then failwith "Llc.invalidate_region: LLC not quiescent";
   let to_drop = ref [] in
@@ -878,7 +876,7 @@ let invalidate_region t ~geometry ~region =
 (* Checkpoint/restore                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything behavior-relevant, including what structural_signature
+(* Everything behavior-relevant, including what the state fold
    excludes: the tag array with its mutable directory metadata, the
    replacement state, and the occupancy histogram.  The child links are
    captured here because the LLC owns the links array (the L1s share the
@@ -958,7 +956,7 @@ let restore t ck =
   Histogram.restore ~into:t.occ_hist ck.ck_occ_hist
 
 (* ------------------------------------------------------------------ *)
-(* Structure state (quiet-cycle detector)                              *)
+(* Structure state (quiet-cycle signature and labelled dump)           *)
 (* ------------------------------------------------------------------ *)
 
 (* MSHRs, every queue (pipeline, retry, UQ, DQ), the child links, and
@@ -979,107 +977,76 @@ let phase_code = function
 
 let sig_msi = function Msi.M -> 2 | Msi.S -> 1 | Msi.I -> 0
 
-let structural_signature t =
-  let h = ref Statesig.empty in
-  let i v = h := Statesig.mix !h v in
-  let b v = h := Statesig.mix_bool !h v in
-  i t.live;
+let state t s =
+  let open Statesig in
+  (* Queues render as "x;" runs; their lengths reach the hash through
+     [len]. *)
+  let ints q =
+    len s (Fifo.length q);
+    Fifo.iter (item s) q
+  in
+  let msgs q =
+    len s (Fifo.length q);
+    Fifo.iter (fun m -> item s (Hashtbl.hash m)) q
+  in
+  int s "llc.live=" t.live;
+  lit s " entries[";
   Array.iter
     (function
-      | None -> i (-1)
+      | None -> none s "-"
       | Some e ->
-        i (phase_code e.e_phase);
-        i e.e_core;
-        i e.e_line;
-        i (sig_msi e.e_to);
-        i e.e_set;
-        i e.e_way;
-        b e.e_locks_way;
-        b e.e_needs_wb;
-        i e.e_wb_line;
-        b e.e_retry;
-        i (Hashtbl.hash e.e_pending);
-        h := Statesig.mix_list !h Hashtbl.hash e.e_to_send;
-        h := Statesig.mix_list !h Fun.id e.e_blocked;
-        i (match e.e_dq_kind with Dq_read -> 0 | Dq_wb -> 1))
+        int s "(ph=" (phase_code e.e_phase);
+        int s " c=" e.e_core;
+        int s " l=" e.e_line;
+        int s " to=" (sig_msi e.e_to);
+        int s " s=" e.e_set;
+        int s " w=" e.e_way;
+        bool s " lk=" e.e_locks_way;
+        bool s " wb=" e.e_needs_wb;
+        int s "@" e.e_wb_line;
+        bool s " r=" e.e_retry;
+        int s " p=" (Hashtbl.hash e.e_pending);
+        int s " ts=" (List.length e.e_to_send);
+        lit s "[";
+        List.iter (fun x -> item s (Hashtbl.hash x)) e.e_to_send;
+        items s "] blk[" e.e_blocked;
+        int s "] dq=" (match e.e_dq_kind with Dq_read -> 0 | Dq_wb -> 1);
+        lit s ")")
     t.entries;
-  i (Fifo.length t.pipe);
+  int s "] pipe=" (Fifo.length t.pipe);
+  lit s "[";
   Fifo.iter
     (fun (exit_at, msg) ->
-      i exit_at;
-      i (Hashtbl.hash msg))
+      int s "(" exit_at;
+      int s "," (Hashtbl.hash msg);
+      lit s ")")
     t.pipe;
+  lit s "] retryq[";
   Array.iter
     (fun q ->
-      i (Fifo.length q);
-      Fifo.iter i q)
+      ints q;
+      lit s "|")
     t.retryq;
+  lit s "] uqs[";
   Array.iter
     (fun q ->
-      i (Fifo.length q);
-      Fifo.iter i q)
+      ints q;
+      lit s "|")
     t.uqs;
-  i (Fifo.length t.dq);
-  Fifo.iter i t.dq;
-  i t.dq_pending_read;
+  lit s "] dq[";
+  ints t.dq;
+  lit s "] dqp=";
+  if t.dq_pending_read < 0 then none s "-" else int s "" t.dq_pending_read;
+  lit s " links[";
   Array.iter
     (fun l ->
-      i (Fifo.length l.Link.rq);
-      Fifo.iter (fun m -> i (Hashtbl.hash m)) l.Link.rq;
-      i (Fifo.length l.Link.rs);
-      Fifo.iter (fun m -> i (Hashtbl.hash m)) l.Link.rs;
-      i (Fifo.length l.Link.p2c);
-      Fifo.iter (fun m -> i (Hashtbl.hash m)) l.Link.p2c)
+      lit s "rq=";
+      msgs l.Link.rq;
+      lit s " rs=";
+      msgs l.Link.rs;
+      lit s " p2c=";
+      msgs l.Link.p2c;
+      lit s "|")
     t.links;
-  i (Controller.structural_signature t.dram);
-  !h
-
-let dump_state t buf =
-  Printf.bprintf buf "llc.live=%d entries[" t.live;
-  Array.iter
-    (function
-      | None -> Buffer.add_char buf '-'
-      | Some e ->
-        Printf.bprintf buf "(ph=%d c=%d l=%d to=%d s=%d w=%d lk=%b wb=%b@%d r=%b p=%d ts=%d["
-          (phase_code e.e_phase) e.e_core e.e_line (sig_msi e.e_to) e.e_set
-          e.e_way e.e_locks_way e.e_needs_wb e.e_wb_line e.e_retry
-          (Hashtbl.hash e.e_pending)
-          (List.length e.e_to_send);
-        List.iter (fun x -> Printf.bprintf buf "%d;" (Hashtbl.hash x)) e.e_to_send;
-        Printf.bprintf buf "] blk[";
-        List.iter (fun x -> Printf.bprintf buf "%d;" x) e.e_blocked;
-        Printf.bprintf buf "] dq=%d)"
-          (match e.e_dq_kind with Dq_read -> 0 | Dq_wb -> 1))
-    t.entries;
-  Printf.bprintf buf "] pipe=%d[" (Fifo.length t.pipe);
-  Fifo.iter
-    (fun (exit_at, msg) -> Printf.bprintf buf "(%d,%d)" exit_at (Hashtbl.hash msg))
-    t.pipe;
-  Buffer.add_string buf "] retryq[";
-  Array.iter
-    (fun q ->
-      Fifo.iter (fun x -> Printf.bprintf buf "%d;" x) q;
-      Buffer.add_char buf '|')
-    t.retryq;
-  Buffer.add_string buf "] uqs[";
-  Array.iter
-    (fun q ->
-      Fifo.iter (fun x -> Printf.bprintf buf "%d;" x) q;
-      Buffer.add_char buf '|')
-    t.uqs;
-  Buffer.add_string buf "] dq[";
-  Fifo.iter (fun x -> Printf.bprintf buf "%d;" x) t.dq;
-  Printf.bprintf buf "] dqp=%s links["
-    (if t.dq_pending_read < 0 then "-" else string_of_int t.dq_pending_read);
-  Array.iter
-    (fun l ->
-      Buffer.add_string buf "rq=";
-      Fifo.iter (fun m -> Printf.bprintf buf "%d;" (Hashtbl.hash m)) l.Link.rq;
-      Buffer.add_string buf " rs=";
-      Fifo.iter (fun m -> Printf.bprintf buf "%d;" (Hashtbl.hash m)) l.Link.rs;
-      Buffer.add_string buf " p2c=";
-      Fifo.iter (fun m -> Printf.bprintf buf "%d;" (Hashtbl.hash m)) l.Link.p2c;
-      Buffer.add_char buf '|')
-    t.links;
-  Buffer.add_string buf "] dram=";
-  Controller.dump_state t.dram buf
+  lit s "] dram=";
+  Controller.state t.dram s

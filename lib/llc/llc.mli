@@ -78,34 +78,25 @@ val busy : t -> bool
 (** [probe t ~line] — line present in the LLC (tests and attack agents). *)
 val probe : t -> line:int -> bool
 
-(** [occupancy t] is the number of valid lines. *)
-val occupancy : t -> int
-
 (** MSHR-occupancy distribution, one sample per tick. *)
 val mshr_occupancy : t -> Histogram.t
 
 (** Currently allocated MSHR entries (instantaneous occupancy). *)
 val live_mshrs : t -> int
 
-(** [structural_signature t] folds the LLC's structure state — live MSHR
-    entries and their phases, the pipeline/retry/UQ/DQ queues, the child
-    links, and the DRAM controller — into a {!Statesig} hash.  The cache
-    array, directory metadata, and replacement state are excluded: they
-    only change in cycles that also move an MSHR or a queue. *)
-val structural_signature : t -> int
-
-(** [dump_state t buf] appends a labelled rendering of the same state
-    [structural_signature] folds (the quiet-cycle oracle). *)
-val dump_state : t -> Buffer.t -> unit
-
-(** [free_mshrs_for t ~core ~line] — allocation headroom visible to a
-    core's next request (tests of the MSHR channels). *)
-val free_mshrs_for : t -> core:int -> line:int -> int
+(** [state t s] walks the LLC's structure state — live MSHR entries and
+    their phases, the pipeline/retry/UQ/DQ queues, the child links, and
+    the DRAM controller — through {!Statesig}, for the quiet-cycle
+    signature and the labelled dump alike.  The cache array, directory
+    metadata, and replacement state are excluded: they only change in
+    cycles that also move an MSHR or a queue.  Like {!save}, it requires
+    the constant-latency DRAM controller ({!Controller.state}). *)
+val state : t -> Statesig.acc -> unit
 
 (** Value snapshot of {e all} behavior-relevant state: MSHRs, every
     queue, the tag array with directory metadata, replacement state, the
     child links (owned here; the L1s share the same [Link.t] values), and
-    the DRAM controller. *)
+    the DRAM controller (constant-latency only, see {!Controller.save}). *)
 type checkpoint
 
 val save : t -> checkpoint

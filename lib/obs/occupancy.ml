@@ -6,9 +6,10 @@
    flat-state refactor.
 
    Quiet cycles: the machine hands the detector its structural signature
-   (see [Mi6_util.Statesig]) once per cycle; a cycle whose signature
-   equals the previous cycle's advanced nothing but the clock, so an
-   event-driven simulator could have skipped it.  Each cycle is also
+   (the hash reading of its state folds, see [Mi6_util.Statesig]) once
+   per cycle; a cycle whose signature equals the previous cycle's
+   advanced nothing but the clock, so an event-driven simulator could
+   have skipped it.  Each cycle is also
    tagged with the core's CPI-stack attribution, giving the
    fast-forwardable fraction per stall cause (a purge stall is quiet
    almost always; a commit cycle never is). *)

@@ -2,16 +2,18 @@
 
     The machine calls {!sample} once per cycle with each structure's
     current occupancy (log2-histogrammed) and {!note_cycle} with its
-    structural signature (see {!Mi6_util.Statesig}) plus the cycle's
-    CPI-stack attribution.  A cycle whose signature equals the previous
+    structural signature plus the cycle's CPI-stack attribution.  The
+    signature is the hash reading of the components' state folds (see
+    {!Mi6_util.Statesig}); the labelled dump the quiet-cycle oracle
+    compares is the render reading of the same folds.  A cycle whose signature equals the previous
     cycle's mutated no structure — nothing but the clock advanced — and
     counts as {e quiet}, i.e. fast-forwardable by an event-driven core.
     Quiet counts are kept per stall cause so the fast-forward payoff can
     be attributed (purge and LLC/DRAM stalls are mostly quiet; commit
     cycles never are).
 
-    Excluded from "structure" on both the signature and the oracle side
-    (they only ever change in cycles that also move a queue or a
+    Excluded from "structure", and so from both the signature and the
+    dump (they only ever change in cycles that also move a queue or a
     state machine): branch predictors, TLB/translation-cache contents and
     LRU, cache data arrays and replacement metadata, physical-register
     scoreboards, and all observability state (stats, histograms, trace

@@ -967,15 +967,6 @@ let backend_quiescent t =
   && t.dtlb_outstanding = 0
   && t.wheel.pending = 0
 
-let debug_quiescence t =
-  Printf.sprintf
-    "rob=%d sbp=%d sb=%b l1d=%d l1i=%d ptw=%d dtlb=%d events=%d wait_ic=%b wait_it=%b"
-    t.rob_count (Queue.length t.sb_pending)
-    (Array.exists (fun x -> x) t.sb)
-    (L1.in_flight t.l1d) (L1.in_flight t.l1i) (Ptw.active_walks t.ptw)
-    t.dtlb_outstanding t.wheel.pending t.fetch_wait_icache
-    t.fetch_wait_itlb
-
 let purge_stage t =
   match t.purge with
   | Pp_none -> ()
@@ -1433,7 +1424,7 @@ let restore t ck =
   Histogram.restore ~into:t.purge_lat ck.ck_purge_lat
 
 (* ------------------------------------------------------------------ *)
-(* Structure state (quiet-cycle detector)                              *)
+(* Structure state (quiet-cycle signature and labelled dump)           *)
 (* ------------------------------------------------------------------ *)
 
 (* The fold covers everything whose change means the cycle did work:
@@ -1457,130 +1448,88 @@ let purge_code = function
 
 let purge_kind_code = function Pk_enter -> 0 | Pk_exit -> 1 | Pk_external -> 2
 
-let structural_signature t =
-  let h = ref Statesig.empty in
-  let i v = h := Statesig.mix !h v in
-  let b v = h := Statesig.mix_bool !h v in
-  i (Fifo.length t.fetch_q);
+let state t s =
+  let open Statesig in
+  int s "core" t.id;
+  int s " fq=" (Fifo.length t.fetch_q);
+  lit s "[";
   Fifo.iter
     (fun r ->
-      i (Hashtbl.hash r.pre_uop);
-      b r.pre_mispredict)
+      int s "(" (Hashtbl.hash r.pre_uop);
+      bool s "," r.pre_mispredict;
+      lit s ")")
     t.fetch_q;
-  b t.stream_done;
-  i t.fetch_stall_until;
-  b t.fetch_blocked_on_resolve;
-  b t.fetch_blocked_on_trap;
-  b t.fetch_wait_icache;
-  b t.fetch_wait_itlb;
-  i t.last_fetch_line;
-  i t.last_fetch_page;
-  i t.rob_head;
-  i t.rob_tail;
-  i t.rob_count;
+  bool s "] sd=" t.stream_done;
+  int s " fsu=" t.fetch_stall_until;
+  bool s " fbr=" t.fetch_blocked_on_resolve;
+  bool s " fbt=" t.fetch_blocked_on_trap;
+  bool s " fwi=" t.fetch_wait_icache;
+  bool s " fwt=" t.fetch_wait_itlb;
+  int s " lfl=" t.last_fetch_line;
+  int s " lfp=" t.last_fetch_page;
+  int s " rob=" t.rob_head;
+  int s "/" t.rob_tail;
+  int s "/" t.rob_count;
+  lit s "[";
   Array.iter
     (function
-      | None -> i (-1)
+      | None -> none s "-"
       | Some e ->
-        i (Hashtbl.hash e.u);
-        i (sig_opt e.dst_phys);
-        i (sig_opt e.old_phys);
-        h := Statesig.mix_list !h Fun.id e.src_phys;
-        i (sig_opt e.lq_slot);
-        i (sig_opt e.sq_slot);
-        i (rob_state_code e.state);
-        b e.mispredict)
+        int s "(" (Hashtbl.hash e.u);
+        int s " d=" (sig_opt e.dst_phys);
+        int s " o=" (sig_opt e.old_phys);
+        items s " s=[" e.src_phys;
+        int s "] l=" (sig_opt e.lq_slot);
+        int s " q=" (sig_opt e.sq_slot);
+        int s " st=" (rob_state_code e.state);
+        bool s " m=" e.mispredict;
+        lit s ")")
     t.rob;
   (* Issue queues and events fold newest first, as lists did. *)
   let iq q =
-    i q.n;
+    len s q.n;
     for j = q.n - 1 downto 0 do
-      i q.slots.(j)
+      item s q.slots.(j)
     done
   in
-  Array.iter iq t.iq_alu;
-  iq t.iq_mem;
-  iq t.iq_fp;
-  Array.iter b t.lq;
-  i t.sq_head;
-  i t.sq_tail;
-  i t.sq_count;
-  Array.iter
-    (function
-      | None -> i (-1)
-      | Some s ->
-        i s.sq_line;
-        b s.sq_addr_ready)
-    t.sq;
-  Array.iteri (fun k busy -> if busy then i t.sb_lines.(k) else i (-1)) t.sb;
-  i (Queue.length t.sb_pending);
-  Queue.iter i t.sb_pending;
-  i t.dtlb_outstanding;
-  h := Statesig.mix_list !h (fun ev -> ev.ev_at) (pending_events t.wheel);
-  i (purge_code t.purge);
-  i (purge_kind_code t.purge_kind);
-  b (t.saved_predictors <> None);
-  b t.purge_requested;
-  i t.committed;
-  i t.purge_started;
-  i (Ptw.structural_signature t.ptw);
-  !h
-
-let dump_state t buf =
-  Printf.bprintf buf "core%d fq=%d[" t.id (Fifo.length t.fetch_q);
-  Fifo.iter
-    (fun r -> Printf.bprintf buf "(%d,%b)" (Hashtbl.hash r.pre_uop) r.pre_mispredict)
-    t.fetch_q;
-  Printf.bprintf buf "] sd=%b fsu=%d fbr=%b fbt=%b fwi=%b fwt=%b lfl=%d lfp=%d "
-    t.stream_done t.fetch_stall_until t.fetch_blocked_on_resolve
-    t.fetch_blocked_on_trap t.fetch_wait_icache t.fetch_wait_itlb
-    t.last_fetch_line t.last_fetch_page;
-  Printf.bprintf buf "rob=%d/%d/%d[" t.rob_head t.rob_tail t.rob_count;
-  Array.iter
-    (function
-      | None -> Buffer.add_char buf '-'
-      | Some e ->
-        Printf.bprintf buf "(%d d=%d o=%d s=[" (Hashtbl.hash e.u)
-          (sig_opt e.dst_phys) (sig_opt e.old_phys);
-        List.iter (fun p -> Printf.bprintf buf "%d;" p) e.src_phys;
-        Printf.bprintf buf "] l=%d q=%d st=%d m=%b)" (sig_opt e.lq_slot)
-          (sig_opt e.sq_slot) (rob_state_code e.state) e.mispredict)
-    t.rob;
-  Buffer.add_string buf "] iq[";
-  let iq q =
-    for j = q.n - 1 downto 0 do
-      Printf.bprintf buf "%d;" q.slots.(j)
-    done
-  in
+  lit s "] iq[";
   Array.iter
     (fun q ->
       iq q;
-      Buffer.add_char buf '|')
+      lit s "|")
     t.iq_alu;
   iq t.iq_mem;
-  Buffer.add_char buf '|';
+  lit s "|";
   iq t.iq_fp;
-  Buffer.add_string buf "] lq[";
-  Array.iter (fun busy -> Buffer.add_char buf (if busy then '1' else '0')) t.lq;
-  Printf.bprintf buf "] sq=%d/%d/%d[" t.sq_head t.sq_tail t.sq_count;
+  lit s "] lq[";
+  Array.iter (flag s) t.lq;
+  int s "] sq=" t.sq_head;
+  int s "/" t.sq_tail;
+  int s "/" t.sq_count;
+  lit s "[";
   Array.iter
     (function
-      | None -> Buffer.add_char buf '-'
-      | Some s -> Printf.bprintf buf "(%d,%b)" s.sq_line s.sq_addr_ready)
+      | None -> none s "-"
+      | Some sq ->
+        int s "(" sq.sq_line;
+        bool s "," sq.sq_addr_ready;
+        lit s ")")
     t.sq;
-  Buffer.add_string buf "] sb[";
+  lit s "] sb[";
   Array.iteri
     (fun k busy ->
-      if busy then Printf.bprintf buf "%d;" t.sb_lines.(k)
-      else Buffer.add_string buf "-;")
+      if busy then item s t.sb_lines.(k) else none s "-;")
     t.sb;
-  Buffer.add_string buf "] sbp[";
-  Queue.iter (fun s -> Printf.bprintf buf "%d;" s) t.sb_pending;
-  Printf.bprintf buf "] dtlb=%d ev[" t.dtlb_outstanding;
-  List.iter (fun ev -> Printf.bprintf buf "%d;" ev.ev_at) (pending_events t.wheel);
-  Printf.bprintf buf "] pg=%d pk=%d sp=%b pr=%b com=%d ps=%d "
-    (purge_code t.purge)
-    (purge_kind_code t.purge_kind)
-    (t.saved_predictors <> None)
-    t.purge_requested t.committed t.purge_started;
-  Ptw.dump_state t.ptw buf
+  lit s "] sbp[";
+  len s (Queue.length t.sb_pending);
+  Queue.iter (item s) t.sb_pending;
+  int s "] dtlb=" t.dtlb_outstanding;
+  items s " ev[" (List.map (fun ev -> ev.ev_at) (pending_events t.wheel));
+  int s "] pg=" (purge_code t.purge);
+  int s " pk=" (purge_kind_code t.purge_kind);
+  bool s " sp=" (t.saved_predictors <> None);
+  bool s " pr=" t.purge_requested;
+  int s " com=" t.committed;
+  int s " ps=" t.purge_started;
+  lit s " ";
+  Ptw.state t.ptw s

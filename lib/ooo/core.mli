@@ -66,9 +66,6 @@ val purging : t -> bool
     (purge tests: must equal a fresh core's after purge). *)
 val predictor_signature : t -> int
 
-(** [debug_quiescence t] — internal-state summary for debugging. *)
-val debug_quiescence : t -> string
-
 (** [request_purge t] — external (security-monitor initiated) purge, used
     by the machine model when descheduling an enclave outside a trap
     boundary.  Takes effect like a trap-boundary purge. *)
@@ -103,26 +100,23 @@ val in_flight_uops : t -> (Uop.t * string) list
     was attributed to (feeds per-stall-cause quiet-cycle accounting). *)
 val last_cycle_cause : t -> int
 
-(** [structural_signature t] folds the core's structure state — fetch
-    queue, ROB, issue/load/store queues, store buffer, pending events,
-    page walker, purge machinery — into a {!Statesig} hash.  Predictors,
-    TLB contents, and renaming bookkeeping are excluded: they only
-    change in cycles that also move an included structure. *)
-val structural_signature : t -> int
-
-(** [dump_state t buf] appends a labelled rendering of the same state
-    [structural_signature] folds (the quiet-cycle oracle). *)
-val dump_state : t -> Buffer.t -> unit
+(** [state t s] walks the core's structure state — fetch queue, ROB,
+    issue/load/store queues, store buffer, pending events, page walker,
+    purge machinery — through {!Statesig}, for the quiet-cycle signature
+    and the labelled dump alike.  Predictors, TLB contents, and renaming
+    bookkeeping are excluded: they only change in cycles that also move
+    an included structure. *)
+val state : t -> Statesig.acc -> unit
 
 (** Value snapshot of {e all} behavior-relevant core state: front end,
     ROB, rename tables, issue/load/store queues, store buffer, deferred
     events, purge machinery, predictors (BTB, tournament, RAS), TLBs,
-    translation cache, and page walker — everything
-    [structural_signature] excludes included.  Event and walker
-    continuations capture heap records that [restore] rewinds in place,
-    so a checkpoint is only valid on the [t] that produced it.  The µop
-    stream, the L1s, and the stats table are owned by the machine and
-    checkpointed there; [set_on_commit] probes are left untouched.
+    translation cache, and page walker — everything {!state} excludes
+    included.  Event and walker continuations capture heap records that
+    [restore] rewinds in place, so a checkpoint is only valid on the [t]
+    that produced it.  The µop stream, the L1s, and the stats table are
+    owned by the machine and checkpointed there; [set_on_commit] probes
+    are left untouched.
 
     [save ~omit_predictors:true] deliberately leaves predictor state out
     — restore then leaves the current predictor contents in place.  This

@@ -168,31 +168,21 @@ let restore t ck =
     ck.ck_slots;
   Histogram.restore ~into:t.walk_lat ck.ck_walk_lat
 
-(* Structure state (quiet-cycle detector): the walk slots.  The
-   translation cache and latency histogram are excluded — they only
-   change when a walk also completes. *)
-let structural_signature t =
-  let h = ref Statesig.empty in
+(* Structure state: the walk slots.  The translation cache and latency
+   histogram are excluded — they only change when a walk also
+   completes. *)
+let state t s =
+  let open Statesig in
+  lit s "ptw[";
   Array.iter
     (function
-      | None -> h := Statesig.mix !h (-1)
+      | None -> none s "-"
       | Some w ->
-        h := Statesig.mix !h w.vpage;
-        h := Statesig.mix !h w.started_at;
-        h := Statesig.mix_list !h Fun.id w.levels_left;
-        h := Statesig.mix_bool !h w.waiting_mem;
-        h := Statesig.mix !h w.reads)
+        int s "(v=" w.vpage;
+        int s " s=" w.started_at;
+        items s " ll=[" w.levels_left;
+        bool s "] wm=" w.waiting_mem;
+        int s " r=" w.reads;
+        lit s ")")
     t.slots;
-  !h
-
-let dump_state t buf =
-  Buffer.add_string buf "ptw[";
-  Array.iter
-    (function
-      | None -> Buffer.add_char buf '-'
-      | Some w ->
-        Printf.bprintf buf "(v=%d s=%d ll=[" w.vpage w.started_at;
-        List.iter (fun l -> Printf.bprintf buf "%d;" l) w.levels_left;
-        Printf.bprintf buf "] wm=%b r=%d)" w.waiting_mem w.reads)
-    t.slots;
-  Buffer.add_char buf ']'
+  lit s "]"

@@ -55,15 +55,11 @@ val pte_line : t -> level:int -> vpage:int -> int
     with core load/store ids. *)
 val id_tag : int
 
-(** [structural_signature t] folds the walker's in-flight walk slots into
-    a {!Statesig} hash (quiet-cycle detector); the translation cache and
-    latency histogram are excluded since they only change when a walk
-    also progresses. *)
-val structural_signature : t -> int
-
-(** [dump_state t buf] appends a labelled rendering of the same state
-    [structural_signature] folds (the quiet-cycle oracle). *)
-val dump_state : t -> Buffer.t -> unit
+(** [state t s] walks the in-flight walk slots through
+    {!Mi6_util.Statesig}, for the quiet-cycle signature and the labelled
+    dump alike; the translation cache and latency histogram are excluded
+    since they only change when a walk also progresses. *)
+val state : t -> Statesig.acc -> unit
 
 (** Snapshot of the in-flight walk slots and the latency histogram.  Walk
     continuations capture the owning core, so [restore] rewinds the walk

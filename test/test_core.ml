@@ -631,9 +631,11 @@ let test_cpi_stack_sums_to_cycles () =
 
 (* The quiet-cycle detector compares one Statesig hash per cycle; the
    oracle byte-compares the full labelled structure dump between
-   consecutive cycles.  Over random (seed, bench, variant) runs the two
-   must agree on every cycle — a disagreement means the signature folds
-   a field the dump misses (false quiet) or vice versa (missed quiet). *)
+   consecutive cycles.  Both read the same component folds, so over
+   random (seed, bench, variant) runs the two must agree on every cycle
+   — a disagreement means a fold renders state through a call that does
+   not hash it (false quiet) or hashes state it does not render (missed
+   quiet). *)
 let prop_quiet_detector_matches_oracle =
   QCheck.Test.make
     ~name:"quiet-cycle detector agrees with dump_state oracle" ~count:12

@@ -56,6 +56,55 @@ let multi_case =
       check_run "core 0 (gcc)" rs.(0) ~cycles:77294 ~instrs:19999 ~md5;
       check_run "core 1 (mcf)" rs.(1) ~cycles:120601 ~instrs:20000 ~md5)
 
+(* State-description anchors: the labelled dump every 97th cycle of a
+   20,000-cycle run, and the quiet-cycle count the per-cycle signature
+   yields over the same run.  Both come from the components' state folds,
+   so a fold that renders or hashes one field differently moves one of
+   the two numbers even when no simulated bit changes. *)
+let dump_cycles = 20_000
+let dump_every = 97
+
+let dump_case label ~timing ~benches ~md5 ~quiet =
+  Alcotest.test_case ("dump " ^ label) `Quick (fun () ->
+      let occupancy = Mi6_obs.Occupancy.create () in
+      let streams =
+        Array.mapi
+          (fun core bench ->
+            Tmachine.spec_stream ~core ~bench ~limit:(warmup + measure) ())
+          benches
+      in
+      let m =
+        Tmachine.create ~occupancy timing ~streams ~stats:(Stats.create ())
+      in
+      let b = Buffer.create (1 lsl 20) in
+      while Tmachine.now m < dump_cycles && not (Tmachine.finished m) do
+        Tmachine.tick m;
+        if Tmachine.now m mod dump_every = 0 then
+          Buffer.add_string b (Tmachine.dump_state m)
+      done;
+      Alcotest.(check int) (label ^ " cycles run") dump_cycles (Tmachine.now m);
+      Alcotest.(check string) (label ^ " dumps") md5
+        (Digest.to_hex (Digest.string (Buffer.contents b)));
+      Alcotest.(check int) (label ^ " quiet cycles") quiet
+        (Mi6_obs.Occupancy.quiet_cycles occupancy))
+
+let dump_anchors =
+  [
+    dump_case "mcf/BASE"
+      ~timing:(Config.timing ~cores:1 Config.Base)
+      ~benches:[| Spec.Mcf |] ~md5:"d3b5a38b4c0af12cc4b3232a747cce99"
+      ~quiet:11338;
+    dump_case "mcf/F+P+M+A"
+      ~timing:(Config.timing ~cores:1 Config.Fpma)
+      ~benches:[| Spec.Mcf |] ~md5:"ca1ba82f40684b36c887ae0ff9ba3908"
+      ~quiet:10603;
+    dump_case "secure 2-core gcc+mcf"
+      ~timing:(Config.secure_multicore ~cores:2)
+      ~benches:[| Spec.Gcc; Spec.Mcf |] ~md5:"8c7c7fd3fbb69a71078b3519a2737b3e"
+      ~quiet:5698;
+  ]
+
 let () =
   Alcotest.run "mi6_golden"
-    [ ("golden", List.map spec_case spec_anchors @ [ multi_case ]) ]
+    [ ("golden", List.map spec_case spec_anchors @ [ multi_case ]);
+      ("dump", dump_anchors) ]

@@ -442,6 +442,25 @@ let alloc_configs =
     ("secure 2-core", Config.secure_multicore ~cores:2);
   ]
 
+(* Only the constant-latency controller is checkpointed or described;
+   the reordering one (the DRAM-bank channel demonstration) refuses
+   rather than hand back state it does not capture. *)
+let test_reordering_controller_refuses_state () =
+  let stats = Stats.create () in
+  let reorder = Controller.reordering Mi6_dram.Fr_fcfs.default_config ~stats in
+  let const = Controller.constant ~latency:120 ~max_outstanding:24 ~stats () in
+  let refuses op f =
+    Alcotest.check_raises op
+      (Invalid_argument ("Controller." ^ op ^ ": reordering controller"))
+      f
+  in
+  refuses "save" (fun () -> ignore (Controller.save reorder));
+  refuses "restore" (fun () -> Controller.restore reorder (Controller.save const));
+  refuses "state" (fun () -> ignore (Statesig.hash (Controller.state reorder)));
+  refuses "state" (fun () -> ignore (Statesig.render (Controller.state reorder)));
+  Alcotest.(check string) "constant controller renders" "dram.q=0[]"
+    (Statesig.render (Controller.state const))
+
 let () =
   Alcotest.run "mi6_llc"
     [
@@ -480,6 +499,8 @@ let () =
           Alcotest.test_case "rr arbiter idles" `Quick test_rr_arbiter_idle_slots;
           Alcotest.test_case "invalidate region" `Quick test_invalidate_region;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "reordering controller refuses state" `Quick
+            test_reordering_controller_refuses_state;
         ] );
       ( "properties",
         qsuite

@@ -549,6 +549,109 @@ let prop_sha256_incremental_split =
       Sha256.feed ctx b;
       Sha256.finalize ctx = Sha256.digest (a ^ b))
 
+(* ------------------------------------------------------------------ *)
+(* Statesig                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Miniature component folds in the shapes the simulator uses: index
+   queues rendered as "i;j;" runs with their lengths hashed through
+   [len] (LLC retry/UQ, core issue queues), whole lists through [items]
+   (ROB sources, walker levels), slot arrays with empty markers (MSHRs,
+   ROB, walker slots), and busy bits (load queue). *)
+let fold_queues qs s =
+  List.iter
+    (fun q ->
+      Statesig.len s (List.length q);
+      List.iter (Statesig.item s) q;
+      Statesig.lit s "|")
+    qs
+
+let fold_lists xss s =
+  List.iter
+    (fun xs ->
+      Statesig.items s "[" xs;
+      Statesig.lit s "]")
+    xss
+
+let fold_slots slots s =
+  List.iter
+    (function
+      | None -> Statesig.none s "-"
+      | Some v ->
+        Statesig.int s "(" v;
+        Statesig.lit s ")")
+    slots
+
+let fold_bits bits s = List.iter (Statesig.flag s) bits
+
+(* The renderings differ only in where punctuation falls; the hash sees
+   values and lengths only, so it must still tell the two states
+   apart. *)
+let check_apart name fold a b ~render_a ~render_b =
+  check_string (name ^ ": first rendering") render_a (Statesig.render (fold a));
+  check_string (name ^ ": second rendering") render_b (Statesig.render (fold b));
+  check_bool (name ^ ": hashes differ") true
+    (Statesig.hash (fold a) <> Statesig.hash (fold b))
+
+let test_statesig_aliasing () =
+  check_apart "queue boundary" fold_queues [ [ 1; 2 ]; [ 3 ] ] [ [ 1 ]; [ 2; 3 ] ]
+    ~render_a:"1;2;|3;|" ~render_b:"1;|2;3;|";
+  check_apart "list boundary" fold_lists [ [ 1; 2 ]; [ 3 ] ] [ [ 1 ]; [ 2; 3 ] ]
+    ~render_a:"[1;2;][3;]" ~render_b:"[1;][2;3;]";
+  check_apart "empty slot" fold_slots [ None; Some 5 ] [ Some 5; None ]
+    ~render_a:"-(5)" ~render_b:"(5)-";
+  check_apart "busy bit" fold_bits [ true; false ] [ false; true ]
+    ~render_a:"10" ~render_b:"01"
+
+let test_statesig_labels () =
+  let fold label v s =
+    Statesig.lit s "[";
+    Statesig.int s label v;
+    Statesig.bool s " m=" true
+  in
+  check_string "labels render" "[d=7 m=true" (Statesig.render (fold "d=" 7));
+  check_bool "labels and punctuation are not hashed" true
+    (Statesig.hash (fold "d=" 7) = Statesig.hash (fold "o=" 7));
+  check_bool "values are hashed" true
+    (Statesig.hash (fold "d=" 7) <> Statesig.hash (fold "d=" 8))
+
+(* Every state of a small component — two index queues, a list, two
+   slots, two busy bits — folded in both modes: equal renderings hash
+   equally and different renderings hash differently. *)
+let test_statesig_exhaustive () =
+  let seqs = [ []; [ 1 ]; [ 2 ]; [ 1; 1 ]; [ 1; 2 ]; [ 2; 1 ]; [ 2; 2 ] ] in
+  let slots = [ None; Some 1; Some 2 ] and bits = [ false; true ] in
+  let fold (q1, q2, l, s1, s2, b1, b2) s =
+    fold_queues [ q1; q2 ] s;
+    fold_lists [ l ] s;
+    fold_slots [ s1; s2 ] s;
+    fold_bits [ b1; b2 ] s
+  in
+  let ( let* ) xs f = List.concat_map f xs in
+  let states =
+    let* q1 = seqs in
+    let* q2 = seqs in
+    let* l = seqs in
+    let* s1 = slots in
+    let* s2 = slots in
+    let* b1 = bits in
+    let* b2 = bits in
+    [ (q1, q2, l, s1, s2, b1, b2) ]
+  in
+  let by_render = Hashtbl.create 16384 and by_hash = Hashtbl.create 16384 in
+  List.iter
+    (fun st ->
+      let r = Statesig.render (fold st) and h = Statesig.hash (fold st) in
+      (match Hashtbl.find_opt by_render r with
+      | Some h' -> check_int ("equal renderings hash equally: " ^ r) h' h
+      | None -> Hashtbl.add by_render r h);
+      match Hashtbl.find_opt by_hash h with
+      | Some r' -> check_string "equal hashes render equally" r' r
+      | None -> Hashtbl.add by_hash h r)
+    (states @ states);
+  check_int "every state renders distinctly" (List.length states)
+    (Hashtbl.length by_render)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -611,4 +714,13 @@ let () =
           Alcotest.test_case "hmac verify" `Quick test_hmac_verify;
         ]
         @ qsuite [ prop_sha256_incremental_split ] );
+      ( "statesig",
+        [
+          Alcotest.test_case "punctuation-only differences hash apart" `Quick
+            test_statesig_aliasing;
+          Alcotest.test_case "labels render, values hash" `Quick
+            test_statesig_labels;
+          Alcotest.test_case "hash agrees with rendering" `Quick
+            test_statesig_exhaustive;
+        ] );
     ]
