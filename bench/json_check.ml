@@ -15,7 +15,7 @@
    Telemetry JSONL streams: every line must validate against the
    snapshot schema, with dense sequence numbers and strictly increasing
    cycles; --min-snapshots additionally bounds the count from below.
-   --bisect files must follow the mi6.bisect/1 slice-report schema;
+   --bisect files must follow the mi6.bisect/2 slice-report schema;
    --agrees-audit additionally cross-checks each diverged bisect report
    against an audit JSON: the auditor's first leaking baseline channel
    must be among the channels the bisector's diverging component hosts.
@@ -94,7 +94,7 @@ let check_history file =
     problems := [ "no records (empty history)" ];
   List.rev !problems
 
-(* mi6.bisect/1 slice-report schema, plus the optional channel-agreement
+(* mi6.bisect/2 slice-report schema, plus the optional channel-agreement
    cross-check against an audit report. *)
 let check_bisect ?audit json =
   let problems = ref [] in
@@ -109,8 +109,8 @@ let check_bisect ?audit json =
       bad "missing %S" name;
       None
   in
-  let int_field ?(where = json) name =
-    match Json.member name where with
+  let int_field name =
+    match Json.member name json with
     | Some (Json.Int i) when i >= 0 -> Some i
     | Some _ -> bad "%S is not a non-negative int" name; None
     | None -> bad "missing %S" name; None
@@ -124,21 +124,13 @@ let check_bisect ?audit json =
     | None -> bad "missing %S" name; None
   in
   (match str_field "schema" with
-  | Some "mi6.bisect/1" | None -> ()
-  | Some other -> bad "schema is %S, want \"mi6.bisect/1\"" other);
+  | Some "mi6.bisect/2" | None -> ()
+  | Some other -> bad "schema is %S, want \"mi6.bisect/2\"" other);
   ignore (str_field "label_a");
   ignore (str_field "label_b");
-  (match Json.member "checkpoints" json with
-  | Some (Json.Obj _ as cks) ->
-    List.iter
-      (fun f -> ignore (int_field ~where:cks f))
-      [ "interval"; "taken"; "retained"; "mem_high_water_words"; "probes" ]
-  | Some _ -> bad "\"checkpoints\" is not an object"
-  | None -> bad "missing \"checkpoints\"");
   (match Json.member "diverged" json with
   | Some (Json.Bool true) ->
     ignore (int_field "cycle");
-    ignore (int_field "checkpoint_cycle");
     (match str_field "oracle" with
     | Some ("signature" | "activity") | None -> ()
     | Some other -> bad "oracle is %S, want signature|activity" other);

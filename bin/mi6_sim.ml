@@ -12,9 +12,9 @@
      lint    static secret-taint / constant-time analysis of programs and
              hardware-invariant linting of machine configurations
 
-     bisect  lockstep two configurations from shared flight-recorder
-             checkpoints, binary-search the first divergent cycle, and
-             print a causal slice report
+     bisect  run two configurations in lockstep, compare them every
+             cycle, and print a causal slice report at the first
+             divergent cycle
 
    Exit codes are uniform across subcommands: 0 = clean, 1 = findings
    (lint violations, leakage divergence, attribution residual, a
@@ -1111,7 +1111,7 @@ let bisect_cmd =
              ~doc:"Side-A secret input (witness mode; needs \
                    $(b,--secret-b)).  Both sides then run the same variant \
                    and differ only in the secret, so the exact \
-                   whole-machine signature oracle applies.")
+                   per-section signature oracle applies.")
   in
   let secret_b =
     Arg.(value & opt (some int) None
@@ -1122,16 +1122,6 @@ let bisect_cmd =
          & info [ "window" ] ~docv:"T"
              ~doc:"Trace events per side in the slice report.")
   in
-  let interval =
-    Arg.(value & opt int 256
-         & info [ "interval" ] ~docv:"N"
-             ~doc:"Cycles between flight-recorder checkpoints.")
-  in
-  let ring =
-    Arg.(value & opt int 64
-         & info [ "ring" ] ~docv:"K"
-             ~doc:"Checkpoints retained per side (bounded memory).")
-  in
   let max_cycles =
     Arg.(value & opt int 4_000_000
          & info [ "max-cycles" ] ~docv:"N" ~doc:"Lockstep scan budget.")
@@ -1139,18 +1129,17 @@ let bisect_cmd =
   let json_file =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write the slice report as JSON (schema mi6.bisect/1).")
+             ~doc:"Write the slice report as JSON (schema mi6.bisect/2).")
   in
   let history_file =
     Arg.(value & opt (some string) None
          & info [ "history" ] ~docv:"FILE"
              ~doc:"Append a Perfdb record with the bisection wall time and \
-                   checkpoint memory high-water to $(docv) (JSONL); \
-                   compare.exe then gates flight-recorder overhead \
-                   regressions.")
+                   lockstep speed to $(docv) (JSONL); compare.exe then \
+                   gates bisection speed regressions.")
   in
   let run witness_name bench uops variant_a variant_b secret_a secret_b
-      window interval ring max_cycles json_file history_file =
+      window max_cycles json_file history_file =
     guard_io @@ fun () ->
     let open Mi6_obs in
     let trace_a = Trace.create ~capacity:(1 lsl 16) ()
@@ -1235,7 +1224,7 @@ let bisect_cmd =
     in
     let t0 = Unix.gettimeofday () in
     let r =
-      Bisect.run ~interval ~ring ~window ~max_cycles ~trace_a ~trace_b
+      Bisect.run ~window ~max_cycles ~trace_a ~trace_b
         ~label_a ~label_b a b
     in
     let wall = Unix.gettimeofday () -. t0 in
@@ -1254,7 +1243,7 @@ let bisect_cmd =
         | Bisect.Clean { cycles_run } -> cycles_run
         | Bisect.Diverged s -> s.Bisect.s_cycle
       in
-      let stats = r.Bisect.r_stats in
+      let instrs = Tmachine.committed a in
       let record =
         {
           Perfdb.run_id;
@@ -1262,27 +1251,21 @@ let bisect_cmd =
           variant = "bisect";
           bench = Printf.sprintf "%s-vs-%s" label_a label_b;
           cycles;
-          instrs = stats.Bisect.cs_taken;
+          instrs;
           ipc = 0.0;
           cpi = [];
           quantiles = [];
-          (* kips here is lockstep scan speed (both machines + recorder,
-             counted as side A's committed instructions), so
-             compare.exe's kips gate bounds flight-recorder overhead
-             regressions; checkpoint memory rides in the phase table. *)
+          (* kips here is lockstep scan speed (both machines ticked and
+             compared, counted as side A's committed instructions), so
+             compare.exe's kips gate bounds bisection speed regressions. *)
           host =
             Some
               {
                 Perfdb.wall_s = wall;
                 kips =
                   (if wall <= 0.0 then 0.0
-                   else float_of_int (Tmachine.committed a) /. wall /. 1000.0);
-                phases =
-                  [
-                    ( "checkpoint_mem_words",
-                      float_of_int stats.Bisect.cs_mem_high_water_words );
-                    ("probes", float_of_int stats.Bisect.cs_probes);
-                  ];
+                   else float_of_int instrs /. wall /. 1000.0);
+                phases = [];
               };
         }
       in
@@ -1295,12 +1278,12 @@ let bisect_cmd =
     (Cmd.info "bisect" ~exits
        ~doc:
          "run two configurations (variant pair or secret pair) in lockstep \
-          from shared flight-recorder checkpoints, locate the first cycle \
+          from reset, compare them every cycle, stop at the first cycle \
           where their structure state diverges, and print a causal slice \
           report (diverging component, field-level state diff, in-flight \
           µops, trace tails); exits 1 on divergence")
     Term.(const run $ witness_arg $ bench $ uops $ variant_a $ variant_b
-          $ secret_a $ secret_b $ window $ interval $ ring $ max_cycles
+          $ secret_a $ secret_b $ window $ max_cycles
           $ json_file $ history_file)
 
 (* ------------------------------------------------------------------ *)

@@ -372,50 +372,6 @@ let flush_step t =
 
 let miss_latency t = t.miss_lat
 
-(* ------------------------------------------------------------------ *)
-(* Checkpoint/restore                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Everything behavior-relevant, including what the state fold
-   excludes (tag array, replacement metadata).  MSHRs are copied by value
-   because m_waiters is mutable.  The core-side link FIFOs are owned (and
-   checkpointed) by the LLC, which holds the full links array. *)
-type checkpoint = {
-  ck_array : line_meta Sram.checkpoint;
-  ck_repl : Replacement.checkpoint;
-  ck_miss_lat : Histogram.t;
-  ck_input : pending list;
-  ck_mshrs : mshr option array;
-  ck_completions : (int * int) list;
-  ck_flushing : bool;
-  ck_flush_cursor : int;
-}
-
-let copy_mshr m = { m with m_line = m.m_line }
-
-let save t =
-  {
-    ck_array = Sram.save t.array;
-    ck_repl = Replacement.save t.repl;
-    ck_miss_lat = Histogram.copy t.miss_lat;
-    ck_input = Fifo.to_list t.input;
-    ck_mshrs = Array.map (Option.map copy_mshr) t.mshrs;
-    ck_completions = List.of_seq (Queue.to_seq t.completions);
-    ck_flushing = t.flushing;
-    ck_flush_cursor = t.flush_cursor;
-  }
-
-let restore t ck =
-  Sram.restore t.array ck.ck_array;
-  Replacement.restore t.repl ck.ck_repl;
-  Histogram.restore ~into:t.miss_lat ck.ck_miss_lat;
-  Fifo.assign t.input ck.ck_input;
-  Array.iteri (fun i m -> t.mshrs.(i) <- Option.map copy_mshr m) ck.ck_mshrs;
-  Queue.clear t.completions;
-  List.iter (fun c -> Queue.add c t.completions) ck.ck_completions;
-  t.flushing <- ck.ck_flushing;
-  t.flush_cursor <- ck.ck_flush_cursor
-
 (* Structure state: the input queue, MSHRs, pending completions, and
    the flush cursor.  The data array and replacement metadata are
    excluded — they only change in cycles that also move an MSHR, a

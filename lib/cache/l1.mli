@@ -87,16 +87,3 @@ val miss_latency : t -> Histogram.t
     are excluded (they change only in cycles that also move the included
     state). *)
 val state : t -> Statesig.acc -> unit
-
-(** Value snapshot of {e all} behavior-relevant state — tag array,
-    replacement metadata, MSHRs, queues, flush cursor, and the
-    miss-latency histogram (everything {!state} excludes included).  The
-    core-side link FIFOs are captured by the LLC's checkpoint, which owns
-    the links array. *)
-type checkpoint
-
-val save : t -> checkpoint
-
-(** [restore t ck] rewinds [t] in place to the saved state; re-running
-    the same input replays byte-identically. *)
-val restore : t -> checkpoint -> unit

@@ -45,26 +45,6 @@ let scrub t =
     l.clock <- 0;
     Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) l.stamps
 
-(* Checkpoint/restore of the program-dependent policy state — included in
-   machine checkpoints precisely because the L1 and LLC state folds leave
-   it out: victim choice after a restore must replay identically. *)
-type checkpoint =
-  | Ck_random of int64
-  | Ck_lru of { c_stamps : int array array; c_clock : int }
-
-let save = function
-  | Random r -> Ck_random r.state
-  | Lru l -> Ck_lru { c_stamps = Array.map Array.copy l.stamps; c_clock = l.clock }
-
-let restore t ck =
-  match (t, ck) with
-  | Random r, Ck_random s -> r.state <- s
-  | Lru l, Ck_lru { c_stamps; c_clock } ->
-    Array.iteri (fun i row -> Array.blit row 0 l.stamps.(i) 0 (Array.length row))
-      c_stamps;
-    l.clock <- c_clock
-  | _ -> invalid_arg "Replacement.restore: checkpoint from a different policy"
-
 let state_signature t =
   match t with
   | Random r -> Int64.to_int (Int64.logand r.state 0x3FFFFFFFFFFFFFFFL)

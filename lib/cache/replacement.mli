@@ -31,14 +31,3 @@ val scrub : t -> unit
     tests to check that purge leaves the policy in a canonical public
     state. *)
 val state_signature : t -> int
-
-(** Value snapshot of the policy state (LFSR position or LRU stamps) —
-    state {!state_signature} summarizes but machine signatures exclude;
-    checkpoints must carry it so victim choices replay identically. *)
-type checkpoint
-
-val save : t -> checkpoint
-
-(** [restore t ck] — raises [Invalid_argument] if [ck] came from a
-    different policy. *)
-val restore : t -> checkpoint -> unit

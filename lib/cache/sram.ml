@@ -84,29 +84,3 @@ let iter_valid f t =
         | None -> assert false
     done
   done
-
-(* Checkpoint/restore: matrices are copied by value; [copy] deep-copies a
-   metadata record so mutable meta (the LLC's line_meta) is captured by
-   value on both the save and the restore path — a checkpoint stays valid
-   however the live array (or a restored machine) mutates afterwards. *)
-type 'a checkpoint = {
-  c_tags : int array array;
-  c_valid : bool array array;
-  c_meta : 'a option array array;
-}
-
-let save ?(copy = fun m -> m) t =
-  {
-    c_tags = Array.map Array.copy t.tags;
-    c_valid = Array.map Array.copy t.valid;
-    c_meta = Array.map (Array.map (Option.map copy)) t.meta;
-  }
-
-let restore ?(copy = fun m -> m) t ck =
-  for set = 0 to t.nsets - 1 do
-    Array.blit ck.c_tags.(set) 0 t.tags.(set) 0 t.nways;
-    Array.blit ck.c_valid.(set) 0 t.valid.(set) 0 t.nways;
-    for way = 0 to t.nways - 1 do
-      t.meta.(set).(way) <- Option.map copy ck.c_meta.(set).(way)
-    done
-  done

@@ -37,16 +37,3 @@ val count_valid : 'a t -> int
 
 (** [iter_valid f t] applies [f set way tag meta] to every valid line. *)
 val iter_valid : (int -> int -> int -> 'a -> unit) -> 'a t -> unit
-
-(** Value snapshot of tags, valid bits, and metadata. *)
-type 'a checkpoint
-
-(** [save ?copy t] captures the array.  Pass [copy] when ['a] is a
-    mutable record so the snapshot owns its own metadata (defaults to
-    identity, correct for immutable metadata). *)
-val save : ?copy:('a -> 'a) -> 'a t -> 'a checkpoint
-
-(** [restore ?copy t ck] overwrites [t] in place with [ck]; the same
-    [copy] keeps the checkpoint reusable after the restored machine
-    mutates its lines. *)
-val restore : ?copy:('a -> 'a) -> 'a t -> 'a checkpoint -> unit

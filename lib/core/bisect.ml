@@ -1,35 +1,21 @@
-(* Cross-run bisection: two machines advance in lockstep while a flight
-   recorder checkpoints each every [interval] cycles; when their
-   structure state first disagrees, the offending interval is re-entered
-   from the last shared checkpoint and searched down to the exact cycle,
-   and a causal slice (diverging component, field-level dump diff,
-   in-flight µops, recent trace events) is produced.
+(* Cross-run bisection: two machines advance in lockstep from reset and
+   are compared after every cycle; at the first cycle where they
+   disagree, a causal slice (diverging component, field-level dump diff,
+   in-flight µops, recent trace events) is read off the live machines.
+   Nothing is rewound.
 
    Two comparison oracles, picked automatically:
 
    - [signature]: the machines have identical structure shapes (same
-     variant — the secret-pair mode), so whole-machine
-     [structural_signature] equality is the oracle.  The lockstep scan
-     compares only at checkpoint boundaries and a binary search (restore
-     + re-execute, O(interval · log interval)) pins the first divergent
-     cycle, under the documented assumption that diverged machine states
-     do not reconverge to signature equality by a boundary.
+     variant — the secret-pair mode), so per-section signature equality
+     is the oracle, and the sections that differ are the components.
 
    - [activity]: structurally different variants (BASE vs F+P+M+A) hash
      differently from reset, so raw signatures are vacuous.  The oracle
      instead compares each cycle's per-component activity pattern —
      which components' signatures changed that cycle, plus the committed
      instruction count — which is identical while the two variants
-     execute the same program with the same timing.  The scan compares
-     every cycle, so the first divergent cycle falls out directly. *)
-
-type checkpoint_stats = {
-  cs_interval : int;
-  cs_taken : int;
-  cs_retained : int;
-  cs_mem_high_water_words : int;
-  cs_probes : int; (* restore + re-execute probes during the search *)
-}
+     execute the same program with the same timing. *)
 
 type component_diff = {
   cd_component : string;
@@ -44,7 +30,6 @@ type slice = {
   s_component : string; (* first diverging section label *)
   s_components : string list; (* all diverging section labels *)
   s_audit_channels : string list; (* audit channels the component hosts *)
-  s_checkpoint_cycle : int; (* shared checkpoint the slice replayed from *)
   s_diffs : component_diff list;
   s_uops_a : string list;
   s_uops_b : string list;
@@ -54,12 +39,7 @@ type slice = {
 
 type outcome = Clean of { cycles_run : int } | Diverged of slice
 
-type report = {
-  r_label_a : string;
-  r_label_b : string;
-  r_outcome : outcome;
-  r_stats : checkpoint_stats;
-}
+type report = { r_label_a : string; r_label_b : string; r_outcome : outcome }
 
 let diverged r = match r.r_outcome with Diverged _ -> true | Clean _ -> false
 
@@ -118,26 +98,6 @@ let in_flight m =
 (* Lockstep driver                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type lockstep = {
-  a : Tmachine.t;
-  b : Tmachine.t;
-  rec_a : Tmachine.checkpoint Replay.t;
-  rec_b : Tmachine.checkpoint Replay.t;
-  interval : int;
-  mutable probes : int;
-}
-
-let tick2 ls =
-  Tmachine.tick ls.a;
-  Tmachine.tick ls.b
-
-let observe2 ls ~cycle =
-  Replay.observe ls.rec_a ~cycle;
-  Replay.observe ls.rec_b ~cycle
-
-let finished2 ls = Tmachine.finished ls.a && Tmachine.finished ls.b
-let sig_eq ls = Tmachine.structural_signature ls.a = Tmachine.structural_signature ls.b
-
 (* Per-component signatures and labelled dumps, read off the machine's
    state sections. *)
 let signatures m =
@@ -146,59 +106,22 @@ let signatures m =
 let dumps m =
   List.map (fun (n, fold) -> (n, Statesig.render fold)) (Tmachine.sections m)
 
-(* Restore both sides to the recorded checkpoints nearest [cycle] and
-   re-execute to exactly [cycle] — the O(interval) reachability the ring
-   guarantees. *)
-let goto ls ~cycle =
-  (match
-     (Replay.nearest ls.rec_a ~cycle, Replay.nearest ls.rec_b ~cycle)
-   with
-  | Some ca, Some cb ->
-    Tmachine.restore ls.a ca;
-    Tmachine.restore ls.b cb
-  | _ -> invalid_arg "Bisect: cycle precedes the recorder window");
-  while Tmachine.now ls.a < cycle do
-    tick2 ls
-  done;
-  ls.probes <- ls.probes + 1
-
-(* Binary search in (lo, hi]: equal at [lo], diverged at [hi].  Probes
-   restore from the nearest retained checkpoint; each equal probe
-   re-records a checkpoint at its cycle (via the recorders' save
-   thunks), so later probes re-execute ever-shorter spans. *)
-let rec search ls ~base_a ~base_b ~lo ~hi =
-  if hi - lo <= 1 then (hi, base_a, base_b)
-  else begin
-    let mid = (lo + hi) / 2 in
-    Tmachine.restore ls.a base_a;
-    Tmachine.restore ls.b base_b;
-    while Tmachine.now ls.a < mid do
-      tick2 ls
-    done;
-    ls.probes <- ls.probes + 1;
-    if sig_eq ls then
-      search ls ~base_a:(Tmachine.save ls.a) ~base_b:(Tmachine.save ls.b)
-        ~lo:mid ~hi
-    else search ls ~base_a ~base_b ~lo ~hi:mid
-  end
+(* Labels of the sections whose values differ between two assoc lists
+   over the same labels. *)
+let differing xs ys =
+  List.filter_map
+    (fun ((n, x), (_, y)) -> if x = y then None else Some n)
+    (List.combine xs ys)
 
 (* Per-component activity of the cycle just ticked: which sections'
-   signatures changed, plus the committed count. *)
-let activity prev secs committed =
-  (List.map2 (fun (n, s) (n', s') ->
-       assert (String.equal n n');
-       (n, s <> s'))
-     prev secs,
-   committed)
+   signatures changed. *)
+let changed prev now = List.map2 (fun (n, s) (_, s') -> (n, s <> s')) prev now
 
-let build_slice ls ~oracle ~cycle ~checkpoint_cycle ~components ~window
-    ~trace_a ~trace_b =
-  let dumps_a = dumps ls.a and dumps_b = dumps ls.b in
+let build_slice a b ~oracle ~cycle ~components ~window ~trace_a ~trace_b =
   let diffs =
     List.filter_map
-      (fun name ->
-        match (List.assoc_opt name dumps_a, List.assoc_opt name dumps_b) with
-        | Some da, Some db ->
+      (fun ((name, da), (_, db)) ->
+        if List.mem name components then
           Some
             {
               cd_component = name;
@@ -206,8 +129,8 @@ let build_slice ls ~oracle ~cycle ~checkpoint_cycle ~components ~window
               cd_dump_b = db;
               cd_first_diff = first_diff_excerpt da db;
             }
-        | _ -> None)
-      components
+        else None)
+      (List.combine (dumps a) (dumps b))
   in
   let first = match components with c :: _ -> c | [] -> "unknown" in
   {
@@ -217,151 +140,61 @@ let build_slice ls ~oracle ~cycle ~checkpoint_cycle ~components ~window
     s_components = components;
     s_audit_channels =
       List.map Audit.channel_name (audit_channels_of_component first);
-    s_checkpoint_cycle = checkpoint_cycle;
     s_diffs = diffs;
-    s_uops_a = in_flight ls.a;
-    s_uops_b = in_flight ls.b;
+    s_uops_a = in_flight a;
+    s_uops_b = in_flight b;
     s_trace_a = trace_tail trace_a ~window;
     s_trace_b = trace_tail trace_b ~window;
   }
 
-let run ?(interval = 256) ?(ring = 64) ?(window = 16)
-    ?(max_cycles = 4_000_000) ?trace_a ?trace_b ~label_a ~label_b a b =
+let run ?(window = 16) ?(max_cycles = 4_000_000) ?trace_a ?trace_b ~label_a
+    ~label_b a b =
   if Tmachine.now a <> 0 || Tmachine.now b <> 0 then
     invalid_arg "Bisect.run: machines must be fresh (cycle 0)";
   let shape m = List.map fst (Tmachine.sections m) in
   if shape a <> shape b then
     invalid_arg "Bisect.run: machines must have the same component shape";
-  let ls =
-    {
-      a;
-      b;
-      rec_a =
-        Replay.create ~interval ~capacity:ring
-          ~save:(fun () -> Tmachine.save a)
-          ~cycle_of:Tmachine.checkpoint_cycle;
-      rec_b =
-        Replay.create ~interval ~capacity:ring
-          ~save:(fun () -> Tmachine.save b)
-          ~cycle_of:Tmachine.checkpoint_cycle;
-      interval;
-      probes = 0;
-    }
+  let sigs_a = signatures a and sigs_b = signatures b in
+  let homogeneous = sigs_a = sigs_b in
+  let oracle = if homogeneous then "signature" else "activity" in
+  (* The sections the cycle just ticked blames; [] while the runs agree. *)
+  let blame ~prev_a ~prev_b sigs_a sigs_b =
+    if homogeneous then differing sigs_a sigs_b
+    else
+      match differing (changed prev_a sigs_a) (changed prev_b sigs_b) with
+      | [] when Tmachine.committed a <> Tmachine.committed b ->
+        [ "core0" (* committed count differed *) ]
+      | cs -> cs
   in
-  observe2 ls ~cycle:0;
-  let homogeneous = sig_eq ls in
-  let stats () =
-    {
-      cs_interval = interval;
-      cs_taken = Replay.taken ls.rec_a + Replay.taken ls.rec_b;
-      cs_retained = Replay.count ls.rec_a + Replay.count ls.rec_b;
-      cs_mem_high_water_words =
-        Replay.mem_high_water_words ls.rec_a
-        + Replay.mem_high_water_words ls.rec_b;
-      cs_probes = ls.probes;
-    }
-  in
-  let outcome =
-    if homogeneous then begin
-      (* Signature oracle: compare at boundaries, then binary-search. *)
-      let cycle = ref 0 in
-      let divergent = ref None in
-      while
-        !divergent = None && (not (finished2 ls)) && !cycle < max_cycles
-      do
-        tick2 ls;
-        incr cycle;
-        observe2 ls ~cycle:!cycle;
-        if (!cycle mod interval = 0 || finished2 ls) && not (sig_eq ls) then
-          divergent := Some !cycle
-      done;
-      match !divergent with
-      | None -> Clean { cycles_run = !cycle }
-      | Some hi ->
-        let lo = hi - 1 - ((hi - 1) mod interval) in
-        goto ls ~cycle:lo;
-        if not (sig_eq ls) then
-          (* Divergence predates the boundary scan's resolution (should
-             not happen: lo was a compared-equal boundary). *)
-          invalid_arg "Bisect: checkpoint boundary no longer equal";
-        let base_a = Tmachine.save ls.a and base_b = Tmachine.save ls.b in
-        let first, base_a, base_b = search ls ~base_a ~base_b ~lo ~hi in
-        let checkpoint_cycle = Tmachine.checkpoint_cycle base_a in
-        Tmachine.restore ls.a base_a;
-        Tmachine.restore ls.b base_b;
-        while Tmachine.now ls.a < first do
-          tick2 ls
-        done;
-        let components =
-          List.filter_map
-            (fun ((n, sa), (_, sb)) -> if sa <> sb then Some n else None)
-            (List.combine (signatures ls.a) (signatures ls.b))
-        in
-        Diverged
-          (build_slice ls ~oracle:"signature" ~cycle:first ~checkpoint_cycle
-             ~components ~window ~trace_a ~trace_b)
-    end
+  let rec scan cycle ~prev_a ~prev_b =
+    if (Tmachine.finished a && Tmachine.finished b) || cycle >= max_cycles
+    then Clean { cycles_run = cycle }
     else begin
-      (* Activity oracle: per-cycle comparison finds the first divergent
-         cycle directly; the recorders still bound slice re-execution. *)
-      let prev_a = ref (signatures a) and prev_b = ref (signatures b) in
-      let cycle = ref 0 in
-      let divergent = ref None in
-      while
-        !divergent = None && (not (finished2 ls)) && !cycle < max_cycles
-      do
-        tick2 ls;
-        incr cycle;
-        observe2 ls ~cycle:!cycle;
-        let secs_a = signatures a and secs_b = signatures b in
-        let act_a = activity !prev_a secs_a (Tmachine.committed a)
-        and act_b = activity !prev_b secs_b (Tmachine.committed b) in
-        prev_a := secs_a;
-        prev_b := secs_b;
-        if act_a <> act_b then divergent := Some (!cycle, act_a, act_b)
-      done;
-      match !divergent with
-      | None -> Clean { cycles_run = !cycle }
-      | Some (first, (bits_a, _), (bits_b, _)) ->
-        let components =
-          List.filter_map
-            (fun ((n, ca), (_, cb)) -> if ca <> cb then Some n else None)
-            (List.combine bits_a bits_b)
-        in
-        let components =
-          if components = [] then [ "core0" (* committed count differed *) ]
-          else components
-        in
-        let checkpoint_cycle =
-          match Replay.nearest ls.rec_a ~cycle:first with
-          | Some ck -> Tmachine.checkpoint_cycle ck
-          | None -> 0
-        in
+      Tmachine.tick a;
+      Tmachine.tick b;
+      let cycle = cycle + 1 in
+      let sigs_a = signatures a and sigs_b = signatures b in
+      match blame ~prev_a ~prev_b sigs_a sigs_b with
+      | [] -> scan cycle ~prev_a:sigs_a ~prev_b:sigs_b
+      | components ->
         Diverged
-          (build_slice ls ~oracle:"activity" ~cycle:first ~checkpoint_cycle
-             ~components ~window ~trace_a ~trace_b)
+          (build_slice a b ~oracle ~cycle ~components ~window ~trace_a
+             ~trace_b)
     end
   in
-  { r_label_a = label_a; r_label_b = label_b; r_outcome = outcome;
-    r_stats = stats () }
+  let outcome = scan 0 ~prev_a:sigs_a ~prev_b:sigs_b in
+  { r_label_a = label_a; r_label_b = label_b; r_outcome = outcome }
 
 (* ------------------------------------------------------------------ *)
 (* Single-run slice (differential-test counterexamples)                *)
 (* ------------------------------------------------------------------ *)
 
-(* One machine, one recorder: rewind to the nearest checkpoint, re-run
-   to [cycle], and render what the machine was doing — the slice a
-   shrunk qcheck counterexample prints alongside the failing retirement
+(* What one machine is doing at its current cycle — the slice a shrunk
+   qcheck counterexample prints alongside the failing retirement
    index. *)
-let slice_at ?(window = 16) ?trace ~recorder m ~cycle =
-  (match Replay.nearest recorder ~cycle with
-  | Some ck -> Tmachine.restore m ck
-  | None -> invalid_arg "Bisect.slice_at: cycle precedes the recorder window");
-  while Tmachine.now m < cycle && not (Tmachine.finished m) do
-    Tmachine.tick m
-  done;
+let slice_text ?(window = 16) ?trace m =
   let buf = Buffer.create 2048 in
-  Printf.bprintf buf "causal slice @ cycle %d\n" cycle;
+  Printf.bprintf buf "causal slice @ cycle %d\n" (Tmachine.now m);
   Printf.bprintf buf "in-flight µops:\n";
   List.iter (fun l -> Printf.bprintf buf "  %s\n" l) (in_flight m);
   (match trace_tail trace ~window with
@@ -379,27 +212,16 @@ let slice_at ?(window = 16) ?trace ~recorder m ~cycle =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let schema = "mi6.bisect/1"
+let schema = "mi6.bisect/2"
 
 let report_to_json r =
   let strings l = Json.List (List.map (fun s -> Json.String s) l) in
-  let stats =
-    Json.Obj
-      [
-        ("interval", Json.Int r.r_stats.cs_interval);
-        ("taken", Json.Int r.r_stats.cs_taken);
-        ("retained", Json.Int r.r_stats.cs_retained);
-        ("mem_high_water_words", Json.Int r.r_stats.cs_mem_high_water_words);
-        ("probes", Json.Int r.r_stats.cs_probes);
-      ]
-  in
   let base =
     [
       ("schema", Json.String schema);
       ("label_a", Json.String r.r_label_a);
       ("label_b", Json.String r.r_label_b);
       ("diverged", Json.Bool (diverged r));
-      ("checkpoints", stats);
     ]
   in
   match r.r_outcome with
@@ -414,7 +236,6 @@ let report_to_json r =
           ("component", Json.String s.s_component);
           ("components", strings s.s_components);
           ("audit_channels", strings s.s_audit_channels);
-          ("checkpoint_cycle", Json.Int s.s_checkpoint_cycle);
           ( "field_diff",
             Json.List
               (List.map
@@ -444,7 +265,6 @@ let pp_report fmt r =
     pr "  component: %s  (all: %s)@." s.s_component
       (String.concat ", " s.s_components);
     pr "  audit channels: %s@." (String.concat ", " s.s_audit_channels);
-    pr "  replayed from checkpoint at cycle %d@." s.s_checkpoint_cycle;
     List.iter
       (fun d ->
         if d.cd_first_diff <> "" then
@@ -465,7 +285,4 @@ let pp_report fmt r =
       end
     in
     tr r.r_label_a s.s_trace_a;
-    tr r.r_label_b s.s_trace_b);
-  pr "  checkpoints: %d taken, %d retained, interval %d, %d probes, %d words peak@."
-    r.r_stats.cs_taken r.r_stats.cs_retained r.r_stats.cs_interval
-    r.r_stats.cs_probes r.r_stats.cs_mem_high_water_words
+    tr r.r_label_b s.s_trace_b)

@@ -1,35 +1,23 @@
 (** Cross-run bisection and causal slice reports.
 
-    Runs two machines in lockstep while a {!Mi6_obs.Replay} flight
-    recorder checkpoints each side periodically, locates the first cycle
-    at which their structure state disagrees, and renders a causal
-    slice: the diverging component, a field-level diff of its labelled
-    state dump, the in-flight µops on both sides, and the last few
-    trace events each side emitted.
+    Runs two machines in lockstep from reset, compares them after every
+    cycle, and at the first cycle where they disagree renders a causal
+    slice from the live machines: the diverging component, a
+    field-level diff of its labelled state dump, the in-flight µops on
+    both sides, and the last few trace events each side emitted.
+    Nothing is rewound, so no checkpoint is ever taken.
 
     Two comparison oracles, chosen automatically from the machines'
     cycle-0 signatures:
 
     - [signature] — identical configurations (the secret-pair mode):
-      whole-machine [structural_signature] equality, compared at
-      checkpoint boundaries, with a restore-and-re-execute binary search
-      inside the offending interval.  Assumes diverged states do not
-      reconverge to signature equality exactly at a boundary.
+      per-section {!Mi6_util.Statesig} signatures must be equal after
+      every cycle; the first cycle with a differing section is the
+      divergence, and the differing sections are the components.
     - [activity] — structurally different variants (e.g. BASE vs
       F+P+M+A) hash differently from reset, so the oracle is each
       cycle's per-component activity pattern (which sections' signatures
-      changed, plus committed count); the per-cycle scan yields the
-      first divergent cycle directly. *)
-
-type checkpoint_stats = {
-  cs_interval : int;
-  cs_taken : int;  (** checkpoints taken over both recorders *)
-  cs_retained : int;  (** checkpoints live in the rings at the end *)
-  cs_mem_high_water_words : int;
-      (** peak [Obj.reachable_words] of both rings — the recorder's
-          memory cost, exported to the perf DB *)
-  cs_probes : int;  (** restore + re-execute probes during the search *)
-}
+      changed, plus committed count). *)
 
 type component_diff = {
   cd_component : string;
@@ -46,7 +34,6 @@ type slice = {
   s_audit_channels : string list;
       (** audit channels hosted by [s_component] — cross-checkable
           against {!Mi6_obs.Audit} verdicts *)
-  s_checkpoint_cycle : int;  (** checkpoint the slice replayed from *)
   s_diffs : component_diff list;
   s_uops_a : string list;  (** in-flight µops, side A *)
   s_uops_b : string list;
@@ -56,12 +43,7 @@ type slice = {
 
 type outcome = Clean of { cycles_run : int } | Diverged of slice
 
-type report = {
-  r_label_a : string;
-  r_label_b : string;
-  r_outcome : outcome;
-  r_stats : checkpoint_stats;
-}
+type report = { r_label_a : string; r_label_b : string; r_outcome : outcome }
 
 val diverged : report -> bool
 
@@ -72,15 +54,12 @@ val diverged : report -> bool
 val audit_channels_of_component : string -> Audit.channel list
 
 (** [run ~label_a ~label_b a b] — both machines must be fresh (cycle 0)
-    and share a component shape (same core count).  [interval] is the
-    checkpoint period, [ring] the per-side ring capacity, [window] the
+    and share a component shape (same core count).  [window] is the
     trace-tail length in the slice, [max_cycles] the scan budget (a
     budget exhaustion reports [Clean] with the cycles run).  Pass the
     [Trace.t] each machine was created with via [trace_a] / [trace_b]
     to include trace tails in the slice. *)
 val run :
-  ?interval:int ->
-  ?ring:int ->
   ?window:int ->
   ?max_cycles:int ->
   ?trace_a:Trace.t ->
@@ -91,23 +70,15 @@ val run :
   Tmachine.t ->
   report
 
-(** [slice_at ~recorder m ~cycle] — single-run slice: restore [m] to the
-    recorder's nearest checkpoint at or before [cycle], re-execute to
-    [cycle], and render the in-flight µops, trace tail, and component
-    state as text.  Used by the differential tester to annotate qcheck
-    counterexamples.  Raises [Invalid_argument] if [cycle] precedes the
-    recorder's retained window. *)
-val slice_at :
-  ?window:int ->
-  ?trace:Trace.t ->
-  recorder:Tmachine.checkpoint Mi6_obs.Replay.t ->
-  Tmachine.t ->
-  cycle:int ->
-  string
+(** [slice_text m] — single-run slice of [m] at its current cycle: the
+    in-flight µops, the last [window] events of [trace], and every
+    component's state, as text.  The differential tester prints it
+    alongside a shrunk counterexample. *)
+val slice_text : ?window:int -> ?trace:Trace.t -> Tmachine.t -> string
 
 val schema : string
 
-(** Schema ["mi6.bisect/1"]. *)
+(** Schema ["mi6.bisect/2"]. *)
 val report_to_json : report -> Json.t
 
 val pp_report : Format.formatter -> report -> unit

@@ -199,44 +199,35 @@ let first_mismatch ~expected ~actual =
   in
   go 0 expected actual
 
-(* Re-run the stream with the flight recorder attached, map the failing
-   retirement index to its retirement cycle, and render the causal slice
+(* Two passes from reset, nothing rewound: the first finds the cycle at
+   which retirement [index] happens (the last retirement when [index] is
+   past the end, the final cycle when nothing retires), the second ticks
+   a fresh, traced machine to that cycle and renders the causal slice
    there — what qcheck prints alongside a shrunk counterexample. *)
-let explain_divergence ?(interval = 256) ?(ring = 64) ?(window = 16)
-    ~variant ~index uops =
-  let stats = Stats.create () in
-  let timing = Config.timing ~cores:1 variant in
-  let remaining = ref uops in
-  let stream () =
-    match !remaining with
-    | [] -> None
-    | u :: tl ->
-      remaining := tl;
-      Some u
+let explain_divergence ?(window = 16) ~variant ~index uops =
+  let machine ?trace () =
+    Tmachine.create ?trace
+      (Config.timing ~cores:1 variant)
+      ~streams:[| Seq.to_dispenser (List.to_seq uops) |]
+      ~stats:(Stats.create ())
   in
-  let trace = Trace.create ~capacity:4096 () in
-  let m = Tmachine.create ~trace timing ~streams:[| stream |] ~stats in
-  let retire_cycles = ref [] in
+  let m = machine () in
+  let retired = ref 0 and retire_cycle = ref None in
   Core.set_on_commit (Tmachine.core m 0) (fun _ ->
-      retire_cycles := Tmachine.now m :: !retire_cycles);
-  let recorder =
-    Replay.create ~interval ~capacity:ring
-      ~save:(fun () -> Tmachine.save m)
-      ~cycle_of:Tmachine.checkpoint_cycle
-  in
-  Replay.observe recorder ~cycle:0;
+      if !retired <= index then retire_cycle := Some (Tmachine.now m);
+      incr retired);
   let budget = ref 4_000_000 in
-  while (not (Tmachine.finished m)) && !budget > 0 do
+  while !retired <= index && (not (Tmachine.finished m)) && !budget > 0 do
     Tmachine.tick m;
-    decr budget;
-    Replay.observe recorder ~cycle:(Tmachine.now m)
+    decr budget
   done;
-  let cycles = Array.of_list (List.rev !retire_cycles) in
-  let cycle =
-    if Array.length cycles = 0 then Tmachine.now m
-    else cycles.(min index (Array.length cycles - 1))
-  in
-  Bisect.slice_at ~window ~trace ~recorder m ~cycle
+  let cycle = Option.value !retire_cycle ~default:(Tmachine.now m) in
+  let trace = Trace.create ~capacity:4096 () in
+  let m = machine ~trace () in
+  while Tmachine.now m < cycle && not (Tmachine.finished m) do
+    Tmachine.tick m
+  done;
+  Bisect.slice_text ~window ~trace m
 
 let compare_commits ~expected ~actual =
   let rec go i es actuals =

@@ -93,19 +93,14 @@ val compare_commits :
     the position {!compare_commits} reports on. *)
 val first_mismatch : expected:Uop.t list -> actual:Uop.t list -> int option
 
-(** [explain_divergence ~variant ~index uops] re-runs [uops] through the
-    variant machine with a {!Mi6_obs.Replay} flight recorder and a trace
-    attached, maps retirement position [index] to its retirement cycle,
-    and renders {!Bisect.slice_at}'s causal slice there — the annotation
+(** [explain_divergence ~variant ~index uops] runs [uops] through the
+    variant machine twice from reset: once to find the cycle at which
+    retirement position [index] happens (the last retirement when
+    [index] is past the end), then on a fresh traced machine up to that
+    cycle, where it renders {!Bisect.slice_text} — the annotation
     printed alongside a shrunk differential-test counterexample. *)
 val explain_divergence :
-  ?interval:int ->
-  ?ring:int ->
-  ?window:int ->
-  variant:Config.variant ->
-  index:int ->
-  Uop.t list ->
-  string
+  ?window:int -> variant:Config.variant -> index:int -> Uop.t list -> string
 
 (** One-line rendering of a µop for counterexample reports. *)
 val uop_to_string : Uop.t -> string

@@ -1,44 +1,3 @@
-(* Rewindable µop stream.  The cores capture their stream closures at
-   [create], so rewinding has to happen {e behind} those closures: each
-   raw stream is wrapped in a cursor + log.  Until the first machine
-   checkpoint nothing is recorded (zero steady-state cost); from the
-   first [save] on, every µop pulled from the raw stream is logged, and
-   [restore] just moves the cursor back — replayed pulls are served from
-   the log, byte-identical, until the cursor catches up with the raw
-   stream again. *)
-type rstream = {
-  raw : unit -> Uop.t option;
-  mutable buf : Uop.t option array; (* grow-on-demand log *)
-  mutable start : int; (* stream position of buf.(0) *)
-  mutable stored : int; (* log entries *)
-  mutable pos : int; (* next position to serve *)
-  mutable recording : bool;
-}
-
-let make_rstream raw =
-  { raw; buf = [||]; start = 0; stored = 0; pos = 0; recording = false }
-
-let rstream_pull rs () =
-  let item =
-    if rs.pos < rs.start + rs.stored then rs.buf.(rs.pos - rs.start)
-    else begin
-      let v = rs.raw () in
-      if rs.recording then begin
-        if rs.stored = Array.length rs.buf then begin
-          let nbuf = Array.make (max 64 (2 * rs.stored)) None in
-          Array.blit rs.buf 0 nbuf 0 rs.stored;
-          rs.buf <- nbuf
-        end;
-        rs.buf.(rs.stored) <- v;
-        rs.stored <- rs.stored + 1
-      end
-      else rs.start <- rs.start + 1 (* not logged: start tracks pos *);
-      v
-    end
-  in
-  rs.pos <- rs.pos + 1;
-  item
-
 type t = {
   cores : Core.t array;
   l1ds : L1.t array;
@@ -49,7 +8,6 @@ type t = {
   selfprof : Selfprof.t;
   occupancy : Occupancy.t;
   telemetry : Telemetry.t;
-  rstreams : rstream array;
   sections : (string * (Statesig.acc -> unit)) list;
   mutable clock : int;
   (* Per-core L1 completion sinks, built once: D-side completions carry
@@ -101,12 +59,11 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null)
           ~stats
           ~name:(Printf.sprintf "l1i.%d" i))
   in
-  let rstreams = Array.map make_rstream streams in
   let cores =
     Array.init n (fun i ->
         Core.create ~trace ~selfprof ~id:i timing.Config.core ~l1i:l1is.(i)
           ~l1d:l1ds.(i)
-          ~stream:(rstream_pull rstreams.(i))
+          ~stream:streams.(i)
           ~stats
           ~pt_base_line:(pt_base_line ~core:i))
   in
@@ -124,7 +81,7 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null)
   in
   let t =
     { cores; l1ds; l1is; llc; stats; trace; selfprof; occupancy; telemetry;
-      rstreams; sections; clock = 0; complete_d = Array.make n ignore;
+      sections; clock = 0; complete_d = Array.make n ignore;
       complete_i = Array.make n ignore }
   in
   Array.iteri
@@ -191,54 +148,6 @@ let dump_state t =
 
 let committed t =
   Array.fold_left (fun n c -> n + Core.committed_instructions c) 0 t.cores
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint / restore                                                *)
-(* ------------------------------------------------------------------ *)
-
-type checkpoint = {
-  ck_clock : int;
-  ck_cores : Core.checkpoint array;
-  ck_l1ds : L1.checkpoint array;
-  ck_l1is : L1.checkpoint array;
-  ck_llc : Llc.checkpoint;
-  ck_stats : Stats.t;
-  ck_trace : Trace.checkpoint;
-  ck_streams : int array; (* rstream cursor positions *)
-}
-
-let save ?omit_predictors t =
-  (* First save turns stream logging on; positions at or after this
-     point are replayable. *)
-  Array.iter (fun rs -> rs.recording <- true) t.rstreams;
-  {
-    ck_clock = t.clock;
-    ck_cores = Array.map (Core.save ?omit_predictors) t.cores;
-    ck_l1ds = Array.map L1.save t.l1ds;
-    ck_l1is = Array.map L1.save t.l1is;
-    ck_llc = Llc.save t.llc;
-    ck_stats = Stats.copy t.stats;
-    ck_trace = Trace.save t.trace;
-    ck_streams = Array.map (fun rs -> rs.pos) t.rstreams;
-  }
-
-let restore t ck =
-  t.clock <- ck.ck_clock;
-  Array.iteri (fun i c -> Core.restore t.cores.(i) c) ck.ck_cores;
-  Array.iteri (fun i c -> L1.restore t.l1ds.(i) c) ck.ck_l1ds;
-  Array.iteri (fun i c -> L1.restore t.l1is.(i) c) ck.ck_l1is;
-  Llc.restore t.llc ck.ck_llc;
-  Stats.restore ~into:t.stats ck.ck_stats;
-  Trace.restore t.trace ck.ck_trace;
-  Array.iteri
-    (fun i p ->
-      let rs = t.rstreams.(i) in
-      if p < rs.start then
-        invalid_arg "Tmachine.restore: stream position predates the log";
-      rs.pos <- p)
-    ck.ck_streams
-
-let checkpoint_cycle ck = ck.ck_clock
 
 let tick t =
   let now = t.clock in

@@ -11,7 +11,10 @@
 type t
 
 (** [create ?trace timing ~streams ~stats] builds a machine with one core
-    per stream.  [trace] (default {!Trace.null}) is shared by every
+    per stream; core [i] pulls its µops straight from [streams.(i)].
+    Nothing rewinds a machine: the simulator is deterministic, so a run
+    is reproduced by building a fresh machine from the same inputs.
+    [trace] (default {!Trace.null}) is shared by every
     component for cycle-stamped event capture; [selfprof] attributes host
     cost to simulation phases, [occupancy] samples structure occupancy
     and classifies quiet cycles, [telemetry] streams periodic JSONL
@@ -37,8 +40,8 @@ val committed : t -> int
 (** The machine's state folds, one per component, labelled ["core0"],
     ["l1d.0"], ["l1i.0"], …, ["llc"] (cores cover their walkers; the LLC
     covers the links and the DRAM controller).  Bisect hashes them per
-    section to name the diverging component and renders them for slice
-    reports. *)
+    section every cycle to find and name the diverging component, and
+    renders them for slice reports. *)
 val sections : t -> (string * (Mi6_util.Statesig.acc -> unit)) list
 
 (** [structural_signature t] hashes every section in order
@@ -49,31 +52,9 @@ val structural_signature : t -> int
 
 (** [dump_state t] renders every section, one line each; the
     quiet-cycle property test byte-compares consecutive dumps as the
-    oracle. *)
+    oracle, and the determinism property compares two fresh machines'
+    dumps after every tick. *)
 val dump_state : t -> string
-
-(** Value snapshot of the whole machine: every core (predictors, TLBs,
-    walker, deferred events), every L1, the LLC (links and DRAM
-    included), the stats table, the trace ring, and each µop stream's
-    position.  Stream logging starts lazily at the first [save] — a
-    machine that never checkpoints pays nothing — after which consumed
-    µops are logged so [restore] can rewind the stream cursor and replay
-    byte-identically.
-
-    Core checkpoints rewind closure-captured records in place, so a
-    checkpoint is only valid on the [t] that produced it.  Observability
-    sinks (selfprof, occupancy, telemetry) are not rewound.
-
-    [save ~omit_predictors:true] deliberately breaks the completeness
-    guarantee (see {!Core.save}) — the non-vacuity witness for the
-    checkpoint-determinism property test. *)
-type checkpoint
-
-val save : ?omit_predictors:bool -> t -> checkpoint
-val restore : t -> checkpoint -> unit
-
-(** The machine clock at which the checkpoint was taken. *)
-val checkpoint_cycle : checkpoint -> int
 
 (** [run t ~max_cycles] ticks until every core finishes; returns cycles.
     Raises [Failure] on timeout. *)

@@ -25,17 +25,10 @@ let outstanding = function
   | Const d -> Dram.outstanding d
   | Reorder d -> Fr_fcfs.outstanding d
 
-(* Only the constant-latency model checkpoints and describes its state:
-   the reordering one runs in the DRAM-bank channel demonstration alone,
-   which never rewinds, signs or dumps a machine. *)
-let constant_only op = invalid_arg ("Controller." ^ op ^ ": reordering controller")
-
-type checkpoint = Dram.checkpoint
-
-let save = function Const d -> Dram.save d | Reorder _ -> constant_only "save"
-
-let restore t ck =
-  match t with Const d -> Dram.restore d ck | Reorder _ -> constant_only "restore"
-
+(* Only the constant-latency model describes its state: the reordering
+   one runs in the DRAM-bank channel demonstration alone, which never
+   signs or dumps a machine. *)
 let state t s =
-  match t with Const d -> Dram.state d s | Reorder _ -> constant_only "state"
+  match t with
+  | Const d -> Dram.state d s
+  | Reorder _ -> invalid_arg "Controller.state: reordering controller"

@@ -14,14 +14,6 @@ val accept : t -> now:int -> req -> unit
 val tick : t -> now:int -> respond:(tag:int -> line:int -> unit) -> unit
 val outstanding : t -> int
 
-(** Value snapshot of the constant-latency controller's state.  The
-    reordering controller is never checkpointed: {!save} and {!restore}
-    raise [Invalid_argument] on it. *)
-type checkpoint
-
-val save : t -> checkpoint
-val restore : t -> checkpoint -> unit
-
 (** [state t s] is the constant-latency controller's state fold (see
     {!Dram.state}); raises [Invalid_argument] on a reordering
     controller. *)

@@ -56,15 +56,6 @@ let tick t ~now ~respond =
     drain_writes t ~now
   | _ -> ()
 
-(* Checkpoint/restore: queue contents plus the accept-rate limiter. *)
-type checkpoint = { ck_q : inflight list; ck_accepted_at : int }
-
-let save t = { ck_q = Fifo.to_list t.q; ck_accepted_at = t.accepted_at }
-
-let restore t ck =
-  Fifo.assign t.q ck.ck_q;
-  t.accepted_at <- ck.ck_accepted_at
-
 (* Structure state: the in-flight queue is the only cross-cycle mutable
    state (accepted_at only changes when the queue does). *)
 let state t s =

@@ -34,12 +34,6 @@ val tick : t -> now:int -> respond:(tag:int -> line:int -> unit) -> unit
 
 val outstanding : t -> int
 
-(** Value snapshot of the in-flight queue and accept-rate limiter. *)
-type checkpoint
-
-val save : t -> checkpoint
-val restore : t -> checkpoint -> unit
-
 (** [state t s] walks the in-flight queue through {!Mi6_util.Statesig}:
     the quiet-cycle signature and the labelled dump both come from it. *)
 val state : t -> Statesig.acc -> unit

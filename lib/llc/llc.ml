@@ -135,8 +135,7 @@ type t = {
   repl : Replacement.t;
   entries : entry option array;
   (* Indices derived from [entries], kept in step with every phase change
-     and allocation so arbitration never rescans the MSHR file;
-     [restore] recomputes them. *)
+     and allocation so arbitration never rescans the MSHR file. *)
   arrived : int array; (* per core: entries in P_dram_arrived *)
   free : int array; (* per (MSHR partition, bank): unallocated entries *)
   respond : tag:int -> line:int -> unit; (* DRAM response sink *)
@@ -871,89 +870,6 @@ let invalidate_region t ~geometry ~region =
       end)
     t.array;
   List.iter (fun (set, way) -> Sram.invalidate t.array ~set ~way) !to_drop
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint/restore                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Everything behavior-relevant, including what the state fold
-   excludes: the tag array with its mutable directory metadata, the
-   replacement state, and the occupancy histogram.  The child links are
-   captured here because the LLC owns the links array (the L1s share the
-   same Link.t values).  [port_used] is per-cycle scratch refilled in
-   every tick before anything reads it and needs no capture; the
-   derived indices ([arrived], [free]) are recomputed from the entries. *)
-
-let copy_meta m = { m with sharers = Bitvec.copy m.sharers }
-let copy_entry e = { e with e_pending = Bitvec.copy e.e_pending }
-
-type link_ck = {
-  lk_rq : Msg.child_req list;
-  lk_rs : Msg.child_resp list;
-  lk_p2c : Msg.parent_msg list;
-}
-
-type checkpoint = {
-  ck_array : line_meta Sram.checkpoint;
-  ck_repl : Replacement.checkpoint;
-  ck_entries : entry option array;
-  ck_pipe : (int * pipe_msg) list;
-  ck_retryq : int list array;
-  ck_uqs : int list array;
-  ck_dq : int list;
-  ck_dq_pending_read : int;
-  ck_links : link_ck array;
-  ck_dram : Controller.checkpoint;
-  ck_tnow : int;
-  ck_live : int;
-  ck_occ_hist : Histogram.t;
-}
-
-let save t =
-  {
-    ck_array = Sram.save ~copy:copy_meta t.array;
-    ck_repl = Replacement.save t.repl;
-    ck_entries = Array.map (Option.map copy_entry) t.entries;
-    ck_pipe = Fifo.to_list t.pipe;
-    ck_retryq = Array.map Fifo.to_list t.retryq;
-    ck_uqs = Array.map Fifo.to_list t.uqs;
-    ck_dq = Fifo.to_list t.dq;
-    ck_dq_pending_read = t.dq_pending_read;
-    ck_links =
-      Array.map
-        (fun l ->
-          {
-            lk_rq = Fifo.to_list l.Link.rq;
-            lk_rs = Fifo.to_list l.Link.rs;
-            lk_p2c = Fifo.to_list l.Link.p2c;
-          })
-        t.links;
-    ck_dram = Controller.save t.dram;
-    ck_tnow = t.tnow;
-    ck_live = t.live;
-    ck_occ_hist = Histogram.copy t.occ_hist;
-  }
-
-let restore t ck =
-  Sram.restore ~copy:copy_meta t.array ck.ck_array;
-  Replacement.restore t.repl ck.ck_repl;
-  Array.iteri (fun i e -> t.entries.(i) <- Option.map copy_entry e) ck.ck_entries;
-  Fifo.assign t.pipe ck.ck_pipe;
-  Array.iteri (fun i xs -> Fifo.assign t.retryq.(i) xs) ck.ck_retryq;
-  Array.iteri (fun i xs -> Fifo.assign t.uqs.(i) xs) ck.ck_uqs;
-  Fifo.assign t.dq ck.ck_dq;
-  t.dq_pending_read <- ck.ck_dq_pending_read;
-  Array.iteri
-    (fun i lk ->
-      Fifo.assign t.links.(i).Link.rq lk.lk_rq;
-      Fifo.assign t.links.(i).Link.rs lk.lk_rs;
-      Fifo.assign t.links.(i).Link.p2c lk.lk_p2c)
-    ck.ck_links;
-  Controller.restore t.dram ck.ck_dram;
-  t.tnow <- ck.ck_tnow;
-  t.live <- ck.ck_live;
-  recount t;
-  Histogram.restore ~into:t.occ_hist ck.ck_occ_hist
 
 (* ------------------------------------------------------------------ *)
 (* Structure state (quiet-cycle signature and labelled dump)           *)

@@ -89,20 +89,9 @@ val live_mshrs : t -> int
     the DRAM controller — through {!Statesig}, for the quiet-cycle
     signature and the labelled dump alike.  The cache array, directory
     metadata, and replacement state are excluded: they only change in
-    cycles that also move an MSHR or a queue.  Like {!save}, it requires
-    the constant-latency DRAM controller ({!Controller.state}). *)
+    cycles that also move an MSHR or a queue.  It requires the
+    constant-latency DRAM controller ({!Controller.state}). *)
 val state : t -> Statesig.acc -> unit
-
-(** Value snapshot of {e all} behavior-relevant state: MSHRs, every
-    queue, the tag array with directory metadata, replacement state, the
-    child links (owned here; the L1s share the same [Link.t] values), and
-    the DRAM controller (constant-latency only, see {!Controller.save}). *)
-type checkpoint
-
-val save : t -> checkpoint
-
-(** [restore t ck] rewinds the LLC (links and DRAM included) in place. *)
-val restore : t -> checkpoint -> unit
 
 (** [invalidate_region t ~geometry ~region] drops every line whose address
     falls in the DRAM region; monitor support for scrubbing a region

@@ -74,22 +74,6 @@ let reset t =
   t.lo <- max_int;
   t.hi <- 0
 
-let copy t =
-  {
-    counts = Array.copy t.counts;
-    n = t.n;
-    total = t.total;
-    lo = t.lo;
-    hi = t.hi;
-  }
-
-let restore ~into src =
-  Array.blit src.counts 0 into.counts 0 nbuckets;
-  into.n <- src.n;
-  into.total <- src.total;
-  into.lo <- src.lo;
-  into.hi <- src.hi
-
 let merge ~into src =
   Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
   into.n <- into.n + src.n;

@@ -51,15 +51,6 @@ val buckets : t -> (int * int * int) list
 
 val reset : t -> unit
 
-(** [copy t] is an independent snapshot. *)
-val copy : t -> t
-
-(** [restore ~into snapshot] overwrites [into] in place with the buckets
-    and totals of [snapshot], preserving the histogram's identity (the
-    checkpoint/restore primitive for components that registered the
-    histogram elsewhere). *)
-val restore : into:t -> t -> unit
-
 (** [merge ~into src] adds [src]'s buckets and totals into [into]. *)
 val merge : into:t -> t -> unit
 

@@ -233,35 +233,6 @@ let reset t =
   t.drops <- 0;
   Array.fill t.drop_counts 0 (Array.length t.drop_counts) 0
 
-(* In-place checkpoint/restore: the live window is saved oldest-first and
-   written back at position 0, so a restored ring renders byte-identically
-   even though the physical head moved. *)
-type checkpoint = {
-  c_slots : slot array;
-  c_drops : int;
-  c_drop_counts : int array;
-}
-
-let save t =
-  let cap = Array.length t.buf in
-  let start = if cap = 0 then 0 else (t.head - t.len + cap) mod cap in
-  {
-    c_slots =
-      Array.init t.len (fun i -> t.buf.((start + i) mod (Stdlib.max cap 1)));
-    c_drops = t.drops;
-    c_drop_counts = Array.copy t.drop_counts;
-  }
-
-let restore t ck =
-  if Array.length t.buf > 0 then begin
-    reset t;
-    Array.iteri (fun i s -> t.buf.(i) <- s) ck.c_slots;
-    t.len <- Array.length ck.c_slots;
-    t.head <- t.len mod Array.length t.buf;
-    t.drops <- ck.c_drops;
-    Array.blit ck.c_drop_counts 0 t.drop_counts 0 (Array.length t.drop_counts)
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)

@@ -98,20 +98,6 @@ val iter : t -> (cycle:int -> event -> unit) -> unit
 (** [reset t] empties the buffer and zeroes the drop counter. *)
 val reset : t -> unit
 
-(** Value snapshot of the live window and drop accounting, for the
-    flight recorder: restoring rewinds the ring so a replayed segment
-    re-records exactly the events the original segment did. *)
-type checkpoint
-
-(** [save t] captures the buffered events (oldest first) and drop
-    counters. *)
-val save : t -> checkpoint
-
-(** [restore t ck] rewinds [t] in place to [ck]; {!events}, {!dropped}
-    and {!dropped_by_kind} then render exactly as at save time.  No-op on
-    {!null}. *)
-val restore : t -> checkpoint -> unit
-
 (** Chrome [trace_event] JSON ([{"traceEvents": [...]}]); one trace-event
     per buffered event, cycles as microsecond timestamps, purges as
     begin/end duration slices, occupancy samples as counter tracks. *)

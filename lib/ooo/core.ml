@@ -1190,240 +1190,6 @@ let in_flight_uops t =
   go t.rob_head t.rob_count []
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint / restore                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Deferred-event closures and walker continuations capture the
-   ROB-entry and SQ-entry records themselves, so the checkpoint keeps
-   those records (not copies) together with the values of their mutable
-   fields, and [restore] writes the fields back in place.  A checkpoint
-   is therefore only valid on the [t] it was saved from.  The µop
-   stream, L1s, stats and trace are owned by the machine, which
-   checkpoints them alongside.  [on_commit] is a harness probe, not
-   machine state, and is left untouched. *)
-
-type rob_ck = {
-  rk_entry : rob_entry;
-  rk_state : rob_state;
-  rk_mispredict : bool;
-}
-
-type sq_ck = { qk_entry : sq_entry; qk_addr_ready : bool }
-
-type predictor_ck = {
-  pk_btb : Btb.snapshot;
-  pk_tournament : Tournament.snapshot;
-  pk_ras : Ras.snapshot;
-}
-
-type checkpoint = {
-  ck_fetch_q : rob_ref list;
-  ck_stream_done : bool;
-  ck_fetch_stall_until : int;
-  ck_fetch_blocked_on_resolve : bool;
-  ck_fetch_blocked_on_trap : bool;
-  ck_fetch_wait_icache : bool;
-  ck_fetch_wait_itlb : bool;
-  ck_last_fetch_line : int;
-  ck_last_fetch_page : int;
-  ck_rob : rob_ck option array;
-  ck_rob_head : int;
-  ck_rob_tail : int;
-  ck_rob_count : int;
-  ck_map_table : int array;
-  ck_free_list : int list;
-  ck_ready_at : int array;
-  ck_iq_alu : int array array;
-  ck_iq_mem : int array;
-  ck_iq_fp : int array;
-  ck_lq : bool array;
-  ck_sq : sq_ck option array;
-  ck_sq_head : int;
-  ck_sq_tail : int;
-  ck_sq_count : int;
-  ck_sb : bool array;
-  ck_sb_lines : int array;
-  ck_sb_pending : int list;
-  ck_dtlb_outstanding : int;
-  ck_events : event list; (* newest first *)
-  ck_events_ran : int;
-  ck_events_seq : int;
-  ck_purge : purge_phase;
-  ck_purge_kind : purge_kind;
-  ck_saved_predictors : predictor_ctx option;
-  ck_purge_requested : bool;
-  ck_committed : int;
-  ck_now : int;
-  ck_predictors : predictor_ck option; (* None iff deliberately omitted *)
-  ck_itlb : Tlb.checkpoint;
-  ck_dtlb : Tlb.checkpoint;
-  ck_l2tlb : Tlb.checkpoint;
-  ck_tcache : Trans_cache.checkpoint;
-  ck_ptw : Ptw.checkpoint;
-  ck_last_cpi : int;
-  ck_purge_started : int;
-  ck_lq_issued_at : int array;
-  ck_load_lat : Histogram.t;
-  ck_purge_lat : Histogram.t;
-}
-
-let iq_contents q = Array.sub q.slots 0 q.n
-
-let iq_assign q a =
-  Array.blit a 0 q.slots 0 (Array.length a);
-  q.n <- Array.length a
-
-let save ?(omit_predictors = false) t =
-  {
-    ck_fetch_q = Fifo.to_list t.fetch_q;
-    ck_stream_done = t.stream_done;
-    ck_fetch_stall_until = t.fetch_stall_until;
-    ck_fetch_blocked_on_resolve = t.fetch_blocked_on_resolve;
-    ck_fetch_blocked_on_trap = t.fetch_blocked_on_trap;
-    ck_fetch_wait_icache = t.fetch_wait_icache;
-    ck_fetch_wait_itlb = t.fetch_wait_itlb;
-    ck_last_fetch_line = t.last_fetch_line;
-    ck_last_fetch_page = t.last_fetch_page;
-    ck_rob =
-      Array.map
-        (Option.map (fun e ->
-             { rk_entry = e; rk_state = e.state; rk_mispredict = e.mispredict }))
-        t.rob;
-    ck_rob_head = t.rob_head;
-    ck_rob_tail = t.rob_tail;
-    ck_rob_count = t.rob_count;
-    ck_map_table = Array.copy t.map_table;
-    ck_free_list = List.of_seq (Queue.to_seq t.free_list);
-    ck_ready_at = Array.copy t.ready_at;
-    ck_iq_alu = Array.map iq_contents t.iq_alu;
-    ck_iq_mem = iq_contents t.iq_mem;
-    ck_iq_fp = iq_contents t.iq_fp;
-    ck_lq = Array.copy t.lq;
-    ck_sq =
-      Array.map
-        (Option.map (fun s -> { qk_entry = s; qk_addr_ready = s.sq_addr_ready }))
-        t.sq;
-    ck_sq_head = t.sq_head;
-    ck_sq_tail = t.sq_tail;
-    ck_sq_count = t.sq_count;
-    ck_sb = Array.copy t.sb;
-    ck_sb_lines = Array.copy t.sb_lines;
-    ck_sb_pending = List.of_seq (Queue.to_seq t.sb_pending);
-    ck_dtlb_outstanding = t.dtlb_outstanding;
-    ck_events = pending_events t.wheel;
-    ck_events_ran = t.wheel.ran;
-    ck_events_seq = t.wheel.seq;
-    ck_purge = t.purge;
-    ck_purge_kind = t.purge_kind;
-    ck_saved_predictors = t.saved_predictors;
-    ck_purge_requested = t.purge_requested;
-    ck_committed = t.committed;
-    ck_now = t.now;
-    ck_predictors =
-      (if omit_predictors then None
-       else
-         Some
-           {
-             pk_btb = Btb.snapshot t.btb;
-             pk_tournament = Tournament.snapshot t.tournament;
-             pk_ras = Ras.snapshot t.ras;
-           });
-    ck_itlb = Tlb.save t.itlb;
-    ck_dtlb = Tlb.save t.dtlb;
-    ck_l2tlb = Tlb.save t.l2tlb;
-    ck_tcache = Trans_cache.save t.tcache;
-    ck_ptw = Ptw.save t.ptw;
-    ck_last_cpi = t.last_cpi;
-    ck_purge_started = t.purge_started;
-    ck_lq_issued_at = Array.copy t.lq_issued_at;
-    ck_load_lat = Histogram.copy t.load_lat;
-    ck_purge_lat = Histogram.copy t.purge_lat;
-  }
-
-let restore t ck =
-  Fifo.assign t.fetch_q ck.ck_fetch_q;
-  t.stream_done <- ck.ck_stream_done;
-  t.fetch_stall_until <- ck.ck_fetch_stall_until;
-  t.fetch_blocked_on_resolve <- ck.ck_fetch_blocked_on_resolve;
-  t.fetch_blocked_on_trap <- ck.ck_fetch_blocked_on_trap;
-  t.fetch_wait_icache <- ck.ck_fetch_wait_icache;
-  t.fetch_wait_itlb <- ck.ck_fetch_wait_itlb;
-  t.last_fetch_line <- ck.ck_last_fetch_line;
-  t.last_fetch_page <- ck.ck_last_fetch_page;
-  Array.iteri
-    (fun i slot ->
-      t.rob.(i) <-
-        Option.map
-          (fun rk ->
-            rk.rk_entry.state <- rk.rk_state;
-            rk.rk_entry.mispredict <- rk.rk_mispredict;
-            rk.rk_entry)
-          slot)
-    ck.ck_rob;
-  t.rob_head <- ck.ck_rob_head;
-  t.rob_tail <- ck.ck_rob_tail;
-  t.rob_count <- ck.ck_rob_count;
-  Array.blit ck.ck_map_table 0 t.map_table 0 (Array.length t.map_table);
-  Queue.clear t.free_list;
-  List.iter (fun p -> Queue.add p t.free_list) ck.ck_free_list;
-  Array.blit ck.ck_ready_at 0 t.ready_at 0 (Array.length t.ready_at);
-  Array.iteri (fun i q -> iq_assign t.iq_alu.(i) q) ck.ck_iq_alu;
-  iq_assign t.iq_mem ck.ck_iq_mem;
-  iq_assign t.iq_fp ck.ck_iq_fp;
-  Array.blit ck.ck_lq 0 t.lq 0 (Array.length t.lq);
-  Array.fill t.lq_rob 0 (Array.length t.lq_rob) (-1);
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | Some { lq_slot = Some s; _ } -> t.lq_rob.(s) <- i
-      | _ -> ())
-    t.rob;
-  Array.iteri
-    (fun i slot ->
-      t.sq.(i) <-
-        Option.map
-          (fun qk ->
-            qk.qk_entry.sq_addr_ready <- qk.qk_addr_ready;
-            qk.qk_entry)
-          slot)
-    ck.ck_sq;
-  t.sq_head <- ck.ck_sq_head;
-  t.sq_tail <- ck.ck_sq_tail;
-  t.sq_count <- ck.ck_sq_count;
-  Array.blit ck.ck_sb 0 t.sb 0 (Array.length t.sb);
-  Array.blit ck.ck_sb_lines 0 t.sb_lines 0 (Array.length t.sb_lines);
-  Queue.clear t.sb_pending;
-  List.iter (fun s -> Queue.add s t.sb_pending) ck.ck_sb_pending;
-  t.dtlb_outstanding <- ck.ck_dtlb_outstanding;
-  t.wheel.ran <- ck.ck_events_ran;
-  t.wheel.seq <- ck.ck_events_seq;
-  wheel_rebuild t.wheel ~size:(Array.length t.wheel.buckets)
-    (List.rev ck.ck_events);
-  t.purge <- ck.ck_purge;
-  t.purge_kind <- ck.ck_purge_kind;
-  t.saved_predictors <- ck.ck_saved_predictors;
-  t.purge_requested <- ck.ck_purge_requested;
-  t.committed <- ck.ck_committed;
-  t.now <- ck.ck_now;
-  (match ck.ck_predictors with
-  | Some pk ->
-    Btb.restore t.btb pk.pk_btb;
-    Tournament.restore t.tournament pk.pk_tournament;
-    Ras.restore t.ras pk.pk_ras
-  | None -> ());
-  Tlb.restore t.itlb ck.ck_itlb;
-  Tlb.restore t.dtlb ck.ck_dtlb;
-  Tlb.restore t.l2tlb ck.ck_l2tlb;
-  Trans_cache.restore t.tcache ck.ck_tcache;
-  Ptw.restore t.ptw ck.ck_ptw;
-  t.last_cpi <- ck.ck_last_cpi;
-  t.purge_started <- ck.ck_purge_started;
-  Array.blit ck.ck_lq_issued_at 0 t.lq_issued_at 0
-    (Array.length t.lq_issued_at);
-  Histogram.restore ~into:t.load_lat ck.ck_load_lat;
-  Histogram.restore ~into:t.purge_lat ck.ck_purge_lat
-
-(* ------------------------------------------------------------------ *)
 (* Structure state (quiet-cycle signature and labelled dump)           *)
 (* ------------------------------------------------------------------ *)
 

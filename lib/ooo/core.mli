@@ -103,27 +103,8 @@ val last_cycle_cause : t -> int
 (** [state t s] walks the core's structure state — fetch queue, ROB,
     issue/load/store queues, store buffer, pending events, page walker,
     purge machinery — through {!Statesig}, for the quiet-cycle signature
-    and the labelled dump alike.  Predictors, TLB contents, and renaming
-    bookkeeping are excluded: they only change in cycles that also move
-    an included structure. *)
+    and the labelled dump alike.  It is the core's only state
+    description: nothing rewinds a core.  Predictors, TLB contents, and
+    renaming bookkeeping are excluded: they only change in cycles that
+    also move an included structure. *)
 val state : t -> Statesig.acc -> unit
-
-(** Value snapshot of {e all} behavior-relevant core state: front end,
-    ROB, rename tables, issue/load/store queues, store buffer, deferred
-    events, purge machinery, predictors (BTB, tournament, RAS), TLBs,
-    translation cache, and page walker — everything {!state} excludes
-    included.  Event and walker continuations capture heap records that
-    [restore] rewinds in place, so a checkpoint is only valid on the [t]
-    that produced it.  The µop stream, the L1s, and the stats table are
-    owned by the machine and checkpointed there; [set_on_commit] probes
-    are left untouched.
-
-    [save ~omit_predictors:true] deliberately leaves predictor state out
-    — restore then leaves the current predictor contents in place.  This
-    exists solely as the non-vacuity witness for the checkpoint
-    determinism property: replay from such a checkpoint must be
-    detectably wrong. *)
-type checkpoint
-
-val save : ?omit_predictors:bool -> t -> checkpoint
-val restore : t -> checkpoint -> unit

@@ -27,12 +27,3 @@ let flush t =
   t.depth <- 0
 
 let depth t = t.depth
-
-type snapshot = { s_stack : int array; s_top : int; s_depth : int }
-
-let snapshot t = { s_stack = Array.copy t.stack; s_top = t.top; s_depth = t.depth }
-
-let restore t s =
-  Array.blit s.s_stack 0 t.stack 0 t.entries;
-  t.top <- s.s_top;
-  t.depth <- s.s_depth

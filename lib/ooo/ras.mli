@@ -11,9 +11,3 @@ val pop : t -> int
 
 val flush : t -> unit
 val depth : t -> int
-
-(** Value snapshot of the stack contents and pointers. *)
-type snapshot
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit

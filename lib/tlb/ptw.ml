@@ -120,54 +120,6 @@ let mem_response ?(now = 0) t ~id =
         w.on_done ~reads:w.reads
       end)
 
-(* Checkpoint/restore.  A walk record carries an [on_done] closure that
-   captures the owning core's heap state, so slots cannot be rebuilt from
-   values: the checkpoint keeps the {e original} walk records and copies of
-   their mutable fields, and [restore] writes those fields back in place.
-   Only valid on the same [t] the checkpoint came from.  The translation
-   cache is shared (passed in at [create]) and checkpointed by its owner. *)
-type slot_ck = {
-  sk_walk : walk;
-  sk_levels_left : int list;
-  sk_waiting_mem : bool;
-  sk_reads : int;
-}
-
-type checkpoint = {
-  ck_slots : slot_ck option array;
-  ck_walk_lat : Histogram.t;
-}
-
-let save t =
-  {
-    ck_slots =
-      Array.map
-        (Option.map (fun w ->
-             {
-               sk_walk = w;
-               sk_levels_left = w.levels_left;
-               sk_waiting_mem = w.waiting_mem;
-               sk_reads = w.reads;
-             }))
-        t.slots;
-    ck_walk_lat = Histogram.copy t.walk_lat;
-  }
-
-let restore t ck =
-  Array.iteri
-    (fun i s ->
-      t.slots.(i) <-
-        Option.map
-          (fun sk ->
-            let w = sk.sk_walk in
-            w.levels_left <- sk.sk_levels_left;
-            w.waiting_mem <- sk.sk_waiting_mem;
-            w.reads <- sk.sk_reads;
-            w)
-          s)
-    ck.ck_slots;
-  Histogram.restore ~into:t.walk_lat ck.ck_walk_lat
-
 (* Structure state: the walk slots.  The translation cache and latency
    histogram are excluded — they only change when a walk also
    completes. *)

@@ -60,13 +60,3 @@ val id_tag : int
     dump alike; the translation cache and latency histogram are excluded
     since they only change when a walk also progresses. *)
 val state : t -> Statesig.acc -> unit
-
-(** Snapshot of the in-flight walk slots and the latency histogram.  Walk
-    continuations capture the owning core, so [restore] rewinds the walk
-    records {e in place} — it is only valid on the same [t] that [save]
-    produced the checkpoint from.  The translation cache is shared state
-    checkpointed by its owner. *)
-type checkpoint
-
-val save : t -> checkpoint
-val restore : t -> checkpoint -> unit

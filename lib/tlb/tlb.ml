@@ -56,18 +56,5 @@ let flush_all t =
 
 let occupancy t = Sram.count_valid t.array
 
-(* Checkpoint/restore: tag array plus LRU stamps — predictor-class state
-   that machine signatures exclude but replay determinism needs. *)
-type checkpoint = {
-  ck_array : unit Sram.checkpoint;
-  ck_repl : Replacement.checkpoint;
-}
-
-let save t = { ck_array = Sram.save t.array; ck_repl = Replacement.save t.repl }
-
-let restore t ck =
-  Sram.restore t.array ck.ck_array;
-  Replacement.restore t.repl ck.ck_repl
-
 let lru_signature t =
   if occupancy t = 0 then 0 else Replacement.state_signature t.repl

@@ -40,10 +40,3 @@ val occupancy : t -> int
 (** [lru_signature t] hashes the replacement metadata of {e invalid} state:
     after a full flush the signature equals that of a fresh TLB. *)
 val lru_signature : t -> int
-
-(** Value snapshot of the tag array {e and} the LRU stamps — predictor-class
-    state that signatures exclude but replay determinism needs. *)
-type checkpoint
-
-val save : t -> checkpoint
-val restore : t -> checkpoint -> unit

@@ -23,8 +23,3 @@ let flush t = Array.iter Tlb.flush_all t.levels
 
 let occupancy t =
   Array.fold_left (fun n l -> n + Tlb.occupancy l) 0 t.levels
-
-type checkpoint = Tlb.checkpoint array
-
-let save t = Array.map Tlb.save t.levels
-let restore t ck = Array.iteri (fun i c -> Tlb.restore t.levels.(i) c) ck

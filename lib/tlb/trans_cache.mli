@@ -18,9 +18,3 @@ val insert : t -> level:int -> prefix:int -> unit
 val flush : t -> unit
 
 val occupancy : t -> int
-
-(** Value snapshot of every level (tags and LRU stamps). *)
-type checkpoint
-
-val save : t -> checkpoint
-val restore : t -> checkpoint -> unit

@@ -54,9 +54,3 @@ let to_list q =
   let acc = ref [] in
   iter (fun x -> acc := x :: !acc) q;
   List.rev !acc
-
-let assign q xs =
-  if List.length xs > Array.length q.buf then
-    invalid_arg "Fifo.assign: list exceeds capacity";
-  clear q;
-  List.iter (enq q) xs

@@ -46,9 +46,3 @@ val iter : ('a -> unit) -> 'a t -> unit
 
 (** [to_list q] lists elements oldest-first. *)
 val to_list : 'a t -> 'a list
-
-(** [assign q xs] replaces the contents with [xs] (oldest first) — the
-    checkpoint/restore primitive: [assign q (to_list q')] makes [q] an
-    element-wise copy of [q'].  Raises [Invalid_argument] when [xs]
-    exceeds the capacity. *)
-val assign : 'a t -> 'a list -> unit

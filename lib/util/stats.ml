@@ -51,10 +51,6 @@ let diff t ~baseline =
 
 let to_assoc t = List.map (fun name -> (name, get t name)) (names t)
 
-let restore ~into src =
-  reset into;
-  iter_live (set into) src
-
 let pp ppf t =
   (* Column width follows the longest counter name so long names stay
      aligned instead of shoving their values out of the column. *)

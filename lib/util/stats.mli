@@ -18,7 +18,7 @@ val create : unit -> t
 type counter
 
 (** [counter t name] resolves [name]'s handle.  The handle stays bound
-    to [t] across {!reset} and {!restore}. *)
+    to [t] across {!reset}. *)
 val counter : t -> string -> counter
 
 (** [bump c] adds one to the handle's counter. *)
@@ -60,12 +60,6 @@ val diff : t -> baseline:t -> t
 (** [to_assoc t] is every counter as [(name, value)], sorted by name —
     the one-call accessor for exporters (no [names]+[get] pairing). *)
 val to_assoc : t -> (string * int) list
-
-(** [restore ~into snapshot] overwrites [into] in place with the values
-    of [snapshot] (a table from {!copy}); counters created after the
-    snapshot drop back to zero.  The table identity is preserved, so
-    components holding the [t] see the rewound values. *)
-val restore : into:t -> t -> unit
 
 (** Aligned two-column dump; the name column is sized to the longest
     counter name. *)

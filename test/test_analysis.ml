@@ -638,7 +638,7 @@ let test_bisect_leaky_branch_secret_pair () =
   let w = Option.get (Witness.find "leaky-branch") in
   let a = witness_machine w ~variant:Config.Base ~secret:(Some 0L) in
   let b = witness_machine w ~variant:Config.Base ~secret:(Some 1L) in
-  let r = Bisect.run ~interval:64 ~ring:16 ~label_a:"s=0" ~label_b:"s=1" a b in
+  let r = Bisect.run ~label_a:"s=0" ~label_b:"s=1" a b in
   match r.Bisect.r_outcome with
   | Bisect.Clean _ -> Alcotest.fail "leaky-branch secret pair must diverge"
   | Bisect.Diverged s ->
@@ -653,7 +653,7 @@ let test_bisect_spectre_secret_pair_clean () =
   let w = Option.get (Witness.find "spectre-v1") in
   let a = witness_machine w ~variant:Config.Base ~secret:(Some 0L) in
   let b = witness_machine w ~variant:Config.Base ~secret:(Some 1L) in
-  let r = Bisect.run ~interval:64 ~ring:16 ~label_a:"s=0" ~label_b:"s=1" a b in
+  let r = Bisect.run ~label_a:"s=0" ~label_b:"s=1" a b in
   Alcotest.(check bool) "no committed-state divergence" false
     (Bisect.diverged r)
 
@@ -666,7 +666,7 @@ let test_bisect_spectre_variant_pair_matches_audit () =
   let a = witness_machine w ~variant:Config.Base ~secret:None in
   let b = witness_machine w ~variant:Config.Fpma ~secret:None in
   let r =
-    Bisect.run ~interval:64 ~ring:16 ~label_a:"BASE" ~label_b:"F+P+M+A" a b
+    Bisect.run ~label_a:"BASE" ~label_b:"F+P+M+A" a b
   in
   match r.Bisect.r_outcome with
   | Bisect.Clean _ -> Alcotest.fail "BASE vs F+P+M+A must diverge"
@@ -678,6 +678,50 @@ let test_bisect_spectre_variant_pair_matches_audit () =
     Alcotest.(check bool)
       "diverging component hosts the audited llc-arbiter channel" true
       (List.mem "llc-arbiter" channels)
+
+(* Verdict anchors: the oracle, first divergent cycle and component of
+   each pair, or "clean" with the cycles run.  The BASE vs NONSPEC rows
+   split within ten cycles and reconverge long before cycle 256: only a
+   comparison after every cycle sees them. *)
+let bisect_anchors =
+  let secrets s0 s1 w =
+    (witness_machine w ~variant:Config.Base ~secret:(Some s0),
+     witness_machine w ~variant:Config.Base ~secret:(Some s1))
+  and variants va vb w =
+    (witness_machine w ~variant:va ~secret:None,
+     witness_machine w ~variant:vb ~secret:None)
+  in
+  [
+    ("spectre-v1", "BASE vs F+P+M+A", variants Config.Base Config.Fpma,
+     "activity@9:llc");
+    ("leaky-branch", "secrets 0/1", secrets 0L 1L, "signature@3:core0");
+    ("leaky-load", "secrets 3/200", secrets 3L 200L, "signature@5:core0");
+    ("leaky-store", "secrets 3/200", secrets 3L 200L, "signature@7:core0");
+    ("spectre-v1", "secrets 0/1", secrets 0L 1L, "clean@406");
+    ("leaky-load", "BASE vs NONSPEC", variants Config.Base Config.Nonspec,
+     "signature@6:core0");
+    ("shared-leaky-read", "BASE vs NONSPEC",
+     variants Config.Base Config.Nonspec, "signature@6:core0");
+    ("shared-write", "BASE vs NONSPEC", variants Config.Base Config.Nonspec,
+     "signature@6:core0");
+    ("leaky-store", "BASE vs NONSPEC", variants Config.Base Config.Nonspec,
+     "signature@8:core0");
+  ]
+
+let test_bisect_verdict_anchors () =
+  List.iter
+    (fun (name, pair, machines, want) ->
+      let a, b = machines (Option.get (Witness.find name)) in
+      let r = Bisect.run ~label_a:"a" ~label_b:"b" a b in
+      let got =
+        match r.Bisect.r_outcome with
+        | Bisect.Clean { cycles_run } -> Printf.sprintf "clean@%d" cycles_run
+        | Bisect.Diverged s ->
+          Printf.sprintf "%s@%d:%s" s.Bisect.s_oracle s.Bisect.s_cycle
+            s.Bisect.s_component
+      in
+      Alcotest.(check string) (name ^ " " ^ pair) want got)
+    bisect_anchors
 
 (* ------------------------------------------------------------------ *)
 
@@ -749,5 +793,7 @@ let () =
             test_bisect_spectre_secret_pair_clean;
           Alcotest.test_case "spectre-v1 variant pair matches audit channel"
             `Quick test_bisect_spectre_variant_pair_matches_audit;
+          Alcotest.test_case "verdict anchors" `Quick
+            test_bisect_verdict_anchors;
         ] );
     ]

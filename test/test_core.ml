@@ -682,28 +682,9 @@ let prop_quiet_detector_matches_oracle =
       && Mi6_obs.Occupancy.quiet_cycles occupancy
          < Mi6_obs.Occupancy.cycles occupancy)
 
-(* --- Checkpoint determinism (flight-recorder foundation) --- *)
+(* --- Fresh-machine determinism (replay from reset) --- *)
 
-(* Run [k] cycles collecting everything replay must reproduce: the
-   per-cycle whole-machine signature, the retirement stream, the final
-   labelled dump, and the clock/instruction counts. *)
-let record_run m ~k =
-  let retired = ref [] in
-  Mi6_ooo.Core.set_on_commit (Tmachine.core m 0) (fun u ->
-      retired := Mi6_ooo.Uop.to_string u :: !retired);
-  let sigs = ref [] in
-  for _ = 1 to k do
-    Tmachine.tick m;
-    sigs := Tmachine.structural_signature m :: !sigs
-  done;
-  Mi6_ooo.Core.set_on_commit (Tmachine.core m 0) ignore;
-  ( !sigs,
-    List.rev !retired,
-    Tmachine.dump_state m,
-    Tmachine.now m,
-    Tmachine.committed m )
-
-let checkpoint_machine ~seed ~pick =
+let fresh_machine ~seed ~pick =
   let bench =
     List.nth
       [ Mi6_workload.Spec.Gcc; Mi6_workload.Spec.Mcf;
@@ -717,46 +698,42 @@ let checkpoint_machine ~seed ~pick =
     ~streams:[| stream |]
     ~stats:(Mi6_util.Stats.create ())
 
-let prop_checkpoint_determinism =
-  QCheck.Test.make
-    ~name:"restore + replay is byte-identical to the first execution"
-    ~count:10
-    QCheck.(
-      triple (int_range 0 10_000) (int_range 0 7)
-        (pair (int_range 50 2_000) (int_range 50 1_500)))
-    (fun (seed, pick, (m_cycles, k_cycles)) ->
-      let m = checkpoint_machine ~seed ~pick in
-      for _ = 1 to m_cycles do
-        Tmachine.tick m
-      done;
-      let ck = Tmachine.save m in
-      let first = record_run m ~k:k_cycles in
-      Tmachine.restore m ck;
-      let replay = record_run m ~k:k_cycles in
-      first = replay)
+(* Tick [a] and [b] in lockstep for [k] cycles; the first cycle after
+   which their labelled dumps or committed counts differ, if any. *)
+let first_disagreement a b ~k =
+  let rec go cycle =
+    if cycle > k then None
+    else begin
+      Tmachine.tick a;
+      Tmachine.tick b;
+      if
+        Tmachine.committed a = Tmachine.committed b
+        && String.equal (Tmachine.dump_state a) (Tmachine.dump_state b)
+      then go (cycle + 1)
+      else Some cycle
+    end
+  in
+  go 1
 
-(* Non-vacuity: a checkpoint that deliberately omits one state family
-   (the branch predictors) must be {e caught} by the same oracle —
-   otherwise the property above could pass while save was silently
-   incomplete. *)
-let test_checkpoint_nonvacuity () =
-  let diverged = ref false in
-  let seed = ref 0 in
-  while (not !diverged) && !seed < 5 do
-    let m = checkpoint_machine ~seed:!seed ~pick:0 in
-    for _ = 1 to 1_000 do
-      Tmachine.tick m
-    done;
-    let ck = Tmachine.save ~omit_predictors:true m in
-    let first = record_run m ~k:2_000 in
-    Tmachine.restore m ck;
-    let replay = record_run m ~k:2_000 in
-    if first <> replay then diverged := true;
-    incr seed
-  done;
-  Alcotest.(check bool)
-    "omitting predictor state from the checkpoint breaks replay" true
-    !diverged
+(* Two machines built from the same inputs in one process agree after
+   every tick.  Replaying a run from reset (the differential tester's
+   slice) and bisect's clean verdict both rest on this. *)
+let prop_fresh_machine_determinism =
+  QCheck.Test.make ~name:"same inputs agree after every tick" ~count:10
+    QCheck.(triple (int_range 0 10_000) (int_range 0 7) (int_range 1 2_000))
+    (fun (seed, pick, k) ->
+      first_disagreement (fresh_machine ~seed ~pick) (fresh_machine ~seed ~pick)
+        ~k
+      = None)
+
+(* Non-vacuity: the same comparison separates machines whose streams
+   differ, so the property above cannot pass on an oracle that sees
+   nothing. *)
+let test_fresh_machine_nonvacuity () =
+  Alcotest.(check bool) "seeds 0 and 1 disagree within 2000 cycles" true
+    (first_disagreement (fresh_machine ~seed:0 ~pick:0)
+       (fresh_machine ~seed:1 ~pick:0) ~k:2_000
+    <> None)
 
 (* ---------- cross-run bisection ---------- *)
 
@@ -774,7 +751,7 @@ let test_bisect_variant_pair_diverges () =
   let a = bisect_machine ~variant:Config.Base ~bench ~limit:2_000 () in
   let b = bisect_machine ~variant:Config.Fpma ~bench ~limit:2_000 () in
   let r =
-    Bisect.run ~interval:64 ~ring:16 ~label_a:"BASE" ~label_b:"F+P+M+A" a b
+    Bisect.run ~label_a:"BASE" ~label_b:"F+P+M+A" a b
   in
   match r.Bisect.r_outcome with
   | Bisect.Clean _ -> Alcotest.fail "BASE vs F+P+M+A must diverge"
@@ -789,29 +766,23 @@ let test_bisect_identical_machines_clean () =
     bisect_machine ~variant:Config.Base ~bench:Mi6_workload.Spec.Mcf
       ~limit:1_000 ()
   in
-  let r = Bisect.run ~interval:64 ~ring:16 ~label_a:"a" ~label_b:"b" (mk ())
-      (mk ())
-  in
-  (match r.Bisect.r_outcome with
+  let r = Bisect.run ~label_a:"a" ~label_b:"b" (mk ()) (mk ()) in
+  match r.Bisect.r_outcome with
   | Bisect.Clean { cycles_run } ->
     Alcotest.(check bool) "ran to completion" true (cycles_run > 0)
   | Bisect.Diverged s ->
-    Alcotest.failf "identical machines diverged at cycle %d" s.Bisect.s_cycle);
-  Alcotest.(check bool) "checkpoints taken" true
-    (r.Bisect.r_stats.Bisect.cs_taken > 0);
-  Alcotest.(check bool) "memory high-water tracked" true
-    (r.Bisect.r_stats.Bisect.cs_mem_high_water_words > 0)
+    Alcotest.failf "identical machines diverged at cycle %d" s.Bisect.s_cycle
 
 (* Same configuration, different streams (the secret-pair shape): the
-   exact signature oracle with checkpoint-boundary compare + binary
-   search must pin a first divergent cycle. *)
+   exact per-section signature oracle must pin a first divergent
+   cycle. *)
 let test_bisect_signature_oracle_pins_cycle () =
   let mk seed =
     bisect_machine ~seed ~variant:Config.Base ~bench:Mi6_workload.Spec.Gcc
       ~limit:1_000 ()
   in
   let r =
-    Bisect.run ~interval:64 ~ring:16 ~label_a:"s0" ~label_b:"s1" (mk 0) (mk 7)
+    Bisect.run ~label_a:"s0" ~label_b:"s1" (mk 0) (mk 7)
   in
   match r.Bisect.r_outcome with
   | Bisect.Clean _ -> Alcotest.fail "different streams must diverge"
@@ -1003,12 +974,12 @@ let () =
             test_concurrent_enclaves_on_two_cores;
         ]
         @ qsuite [ prop_quiet_detector_matches_oracle ] );
-      ( "checkpoint",
+      ( "fresh-machine",
         [
-          Alcotest.test_case "non-vacuity: omitted predictors break replay"
-            `Quick test_checkpoint_nonvacuity;
+          Alcotest.test_case "non-vacuity: different seeds diverge" `Quick
+            test_fresh_machine_nonvacuity;
         ]
-        @ qsuite [ prop_checkpoint_determinism ] );
+        @ qsuite [ prop_fresh_machine_determinism ] );
       ( "bisect",
         [
           Alcotest.test_case "variant pair diverges (activity oracle)" `Quick

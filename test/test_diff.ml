@@ -53,8 +53,8 @@ let check_program variant ops =
   with
   | Ok () -> true
   | Error msg ->
-    (* Map the failing retirement index to its cycle via the flight
-       recorder and print the causal slice under the counterexample. *)
+    (* Map the failing retirement index to its cycle with a second run
+       from reset and print the causal slice under the counterexample. *)
     let slice =
       match
         Difftest.first_mismatch ~expected:uops ~actual:ooo.Difftest.committed
@@ -328,6 +328,94 @@ let transient_witness_tests =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* ------------------------------------------------------------------ *)
+(* explain_divergence anchors                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The slice printed under a counterexample only appears when a property
+   above fails, so its bytes are pinned here: MD5 of the slice for two
+   witness streams and a 3,000-µop gcc stream, on BASE and F+P+M+A, at
+   the first retirement, the middle one, and an index past the end.  A
+   change to the retirement-cycle mapping, the replay, or the slice
+   text moves them. *)
+
+let witness_uops name =
+  let w = Option.get (Mi6_analysis.Witness.find name) in
+  let run =
+    Difftest.run_func ~program:(Mi6_analysis.Witness.program w)
+      ~data_base:0x8000 ~data_bytes:1024 ~max_steps:20_000 ()
+  in
+  Difftest.to_uops run ~func_code_base:w.Mi6_analysis.Witness.base
+    ~func_data_base:0x8000
+
+let gcc_uops () =
+  let stream =
+    Tmachine.spec_stream ~core:0 ~bench:Mi6_workload.Spec.Gcc ~limit:3_000 ()
+  in
+  List.of_seq (Seq.of_dispenser stream)
+
+(* Per variant, the digests at index 0, n/2 and n+10. *)
+let explain_anchors =
+  [
+    ( "spectre-v1",
+      (fun () -> witness_uops "spectre-v1"),
+      [
+        ( Config.Base,
+          [ "31604c7bd346aaefcfa355987b52b1e7";
+            "e6844788e94d28f867685ef1ef38e258";
+            "ae2473ea9687edb555bfcdbe248f2322" ] );
+        ( Config.Fpma,
+          [ "06c63732aae1b841ce973a1a908cfe71";
+            "7f50bc605e2a183aa739ca0ca30c8972";
+            "895060bcc6aaac80e419b830aacb775a" ] );
+      ] );
+    ( "leaky-branch",
+      (fun () -> witness_uops "leaky-branch"),
+      [
+        ( Config.Base,
+          [ "6ec5e24f24d2117eaa087e80afe93aad";
+            "cf76d8802ac9eeb52eee41e9aae690e0";
+            "961b193adfd78c4c86d09b10ff9c9412" ] );
+        ( Config.Fpma,
+          [ "3bf425aad12b3f5d794760af8380506b";
+            "f1e26e5d0a106c98e7ae6d7a7e75a0aa";
+            "2a6519c1d536778af19ccfa0b990737e" ] );
+      ] );
+    ( "gcc 3000 uops",
+      gcc_uops,
+      [
+        ( Config.Base,
+          [ "ea25ed60cbcb28372ffad7062d76a002";
+            "b16cf00e93fbc994bd1e31e163ee33cc";
+            "b8f31ad9aac149d13e520c1b5d25fd72" ] );
+        ( Config.Fpma,
+          [ "b5a842d0c343637acd03931181068278";
+            "b66853643fdc7c14f99e030c4f7b0fb7";
+            "f2700a21c3c62eaf27e1c2ef4af2b547" ] );
+      ] );
+  ]
+
+let explain_tests =
+  List.map
+    (fun (name, uops, per_variant) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let uops = uops () in
+          let n = List.length uops in
+          List.iter
+            (fun (variant, digests) ->
+              List.iter2
+                (fun index want ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s index %d" (Config.variant_name variant)
+                       index)
+                    want
+                    (Digest.to_hex
+                       (Digest.string
+                          (Difftest.explain_divergence ~variant ~index uops))))
+                [ 0; n / 2; n + 10 ] digests)
+            per_variant))
+    explain_anchors
+
 let () =
   Alcotest.run "mi6_diff"
     [
@@ -343,4 +431,5 @@ let () =
               test_settle_floor;
           ] );
       ("transient-witnesses", transient_witness_tests);
+      ("explain-divergence", explain_tests);
     ]

@@ -792,68 +792,6 @@ let test_telemetry_counter_deltas () =
   check_bool "second a=+7" true (delta l2 "a" = Some (Json.Int 7));
   check_bool "second b=+3" true (delta l2 "b" = Some (Json.Int 3))
 
-(* ---------- Replay flight recorder ---------- *)
-
-(* Checkpoints are just recorded cycle numbers: Replay is generic, so a
-   trivial save thunk exercises the ring logic in isolation. *)
-let make_recorder ~interval ~capacity =
-  let clock = ref 0 in
-  let t =
-    Replay.create ~interval ~capacity ~save:(fun () -> !clock) ~cycle_of:Fun.id
-  in
-  (t, clock)
-
-let test_replay_records_every_interval () =
-  let t, clock = make_recorder ~interval:10 ~capacity:100 in
-  for c = 0 to 95 do
-    clock := c;
-    Replay.observe t ~cycle:c
-  done;
-  Alcotest.(check int) "taken" 10 (Replay.taken t);
-  Alcotest.(check (list int)) "checkpoints"
-    [ 0; 10; 20; 30; 40; 50; 60; 70; 80; 90 ]
-    (Replay.checkpoints t)
-
-let test_replay_ring_bounds_memory () =
-  let t, clock = make_recorder ~interval:10 ~capacity:3 in
-  for c = 0 to 95 do
-    clock := c;
-    Replay.observe t ~cycle:c
-  done;
-  Alcotest.(check int) "retained" 3 (Replay.count t);
-  Alcotest.(check int) "taken" 10 (Replay.taken t);
-  Alcotest.(check (list int)) "only the newest survive" [ 70; 80; 90 ]
-    (Replay.checkpoints t);
-  Alcotest.(check (option int)) "oldest" (Some 70) (Replay.oldest_cycle t)
-
-let test_replay_nearest () =
-  let t, clock = make_recorder ~interval:10 ~capacity:4 in
-  for c = 0 to 59 do
-    clock := c;
-    Replay.observe t ~cycle:c
-  done;
-  (* Retained: 20 30 40 50. *)
-  Alcotest.(check (option int)) "exact hit" (Some 40)
-    (Replay.nearest t ~cycle:40);
-  Alcotest.(check (option int)) "rounds down" (Some 40)
-    (Replay.nearest t ~cycle:49);
-  Alcotest.(check (option int)) "newest" (Some 50) (Replay.nearest t ~cycle:999);
-  Alcotest.(check (option int)) "fell off the ring" None
-    (Replay.nearest t ~cycle:15)
-
-let test_replay_rejects_bad_args () =
-  let raises f =
-    match f () with exception Invalid_argument _ -> true | _ -> false
-  in
-  Alcotest.(check bool) "zero interval" true
-    (raises (fun () ->
-         Replay.create ~interval:0 ~capacity:1 ~save:(fun () -> 0)
-           ~cycle_of:Fun.id));
-  Alcotest.(check bool) "zero capacity" true
-    (raises (fun () ->
-         Replay.create ~interval:1 ~capacity:0 ~save:(fun () -> 0)
-           ~cycle_of:Fun.id))
-
 let () =
   Alcotest.run "mi6_obs"
     [
@@ -946,15 +884,5 @@ let () =
         [
           Alcotest.test_case "scoping and export" `Quick
             test_metrics_scoping_and_export;
-        ] );
-      ( "replay",
-        [
-          Alcotest.test_case "records every interval" `Quick
-            test_replay_records_every_interval;
-          Alcotest.test_case "ring bounds memory" `Quick
-            test_replay_ring_bounds_memory;
-          Alcotest.test_case "nearest checkpoint" `Quick test_replay_nearest;
-          Alcotest.test_case "rejects bad arguments" `Quick
-            test_replay_rejects_bad_args;
         ] );
     ]

@@ -286,7 +286,7 @@ let test_stats_merge () =
 
 (* Handles resolved at component creation must not change what the
    table shows until they are bumped, and must keep writing to the same
-   table across reset and restore. *)
+   table across reset. *)
 let test_stats_handle_invisible () =
   let s = Stats.create () in
   let _ = Stats.counter s "idle" in
@@ -307,7 +307,7 @@ let test_stats_bump_get () =
   Stats.bump (Stats.counter s "x");
   check_int "resolving again gives the same counter" 5 (Stats.get s "x")
 
-let test_stats_handle_reset_restore () =
+let test_stats_handle_reset () =
   let s = Stats.create () in
   let c = Stats.counter s "x" in
   Stats.bump c;
@@ -316,12 +316,8 @@ let test_stats_handle_reset_restore () =
   check_int "handle survives reset" 1 (Stats.get s "x");
   let snap = Stats.copy s in
   Stats.bump c;
-  Stats.bump c;
-  Stats.restore ~into:s snap;
-  check_int "restore rewinds" 1 (Stats.get s "x");
-  Stats.bump c;
-  check_int "handle survives restore" 2 (Stats.get s "x");
-  check_int "snapshot untouched" 1 (Stats.get snap "x")
+  check_int "handle keeps counting" 2 (Stats.get s "x");
+  check_int "copy untouched" 1 (Stats.get snap "x")
 
 let test_stats_copy_diff_drop_unbumped () =
   let s = Stats.create () in
@@ -335,7 +331,7 @@ let test_stats_copy_diff_drop_unbumped () =
 
 (* Random interleavings of every writer against an association-list
    model of the visible table, compared after each step.  [Copy] takes
-   the snapshot that later [Restore]s rewind to. *)
+   a snapshot that later writes must leave untouched. *)
 type stats_op =
   | Resolve of string
   | Bump of string
@@ -344,7 +340,6 @@ type stats_op =
   | Set of string * int
   | Reset
   | Copy
-  | Restore
 
 let stats_op_gen =
   let name = QCheck.Gen.oneofl [ "a"; "b"; "c"; "d" ] in
@@ -358,7 +353,6 @@ let stats_op_gen =
         (2, map2 (fun n v -> Set (n, v)) name (int_range (-3) 9));
         (1, return Reset);
         (1, return Copy);
-        (1, return Restore);
       ])
 
 let stats_op_print = function
@@ -369,7 +363,6 @@ let stats_op_print = function
   | Set (n, v) -> Printf.sprintf "set %s %d" n v
   | Reset -> "reset"
   | Copy -> "copy"
-  | Restore -> "restore"
 
 let prop_stats_model =
   QCheck.Test.make ~name:"stats handles match an assoc-list model" ~count:300
@@ -409,12 +402,7 @@ let prop_stats_model =
           | Reset ->
             Stats.reset s;
             model := List.map (fun (n, _) -> (n, 0)) !model
-          | Copy -> snap := (Stats.copy s, !model)
-          | Restore ->
-            let table, values = !snap in
-            Stats.restore ~into:s table;
-            model := List.map (fun (n, _) -> (n, 0)) !model;
-            List.iter (fun (n, v) -> put n v) values);
+          | Copy -> snap := (Stats.copy s, !model));
           Stats.to_assoc s = List.sort compare !model
           && Stats.to_assoc (fst !snap) = List.sort compare (snd !snap))
         ops)
@@ -692,8 +680,8 @@ let () =
             test_stats_handle_invisible;
           Alcotest.test_case "bump visible through get" `Quick
             test_stats_bump_get;
-          Alcotest.test_case "handle survives reset and restore" `Quick
-            test_stats_handle_reset_restore;
+          Alcotest.test_case "handle survives reset" `Quick
+            test_stats_handle_reset;
           Alcotest.test_case "copy and diff drop unbumped" `Quick
             test_stats_copy_diff_drop_unbumped;
         ]
