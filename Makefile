@@ -17,10 +17,17 @@ bench-smoke:
 	dune exec bench/json_check.exe -- --require runs BENCH_run.json
 	dune exec bench/json_check.exe -- --history BENCH_history.jsonl
 
-# Leakage audit: exits nonzero unless the MI6 LLC shows zero divergence
-# across attacker behaviours AND the baseline leak is localized.
+# Leakage gates, each exiting nonzero unless both halves of the claim
+# hold: `attack` needs every insecure channel to leak and every MI6 one
+# to be bit-identical; `audit` needs zero MI6 divergence across attacker
+# behaviours AND a localized baseline leak, with a report that is
+# byte-identical for every --jobs value.
 audit-smoke:
+	dune build bin/mi6_sim.exe
+	dune exec bin/mi6_sim.exe -- attack
 	dune exec bin/mi6_sim.exe -- audit --json audit.json
+	dune exec bin/mi6_sim.exe -- audit --jobs 2 --json audit-j2.json > /dev/null
+	cmp audit.json audit-j2.json
 
 # Domain-parallel sweep determinism gate: the --stats-json snapshot must
 # be byte-identical no matter how many domains ran the cells.
@@ -177,8 +184,8 @@ ci: build test bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bis
 
 clean:
 	dune clean
-	rm -f BENCH_run.json audit.json sweep-serial.json sweep-parallel.json \
-		lint-mi6.json lint-base.json lint-witnesses.json \
+	rm -f BENCH_run.json audit.json audit-j2.json sweep-serial.json \
+		sweep-parallel.json lint-mi6.json lint-base.json lint-witnesses.json \
 		lint-channels.json lint-channels-2.json lint-channels-base.json \
 		lint-channels-mi6.json examples/lint/*-channels.json \
 		bisect.json bisect-secret.json BISECT_history.jsonl \

@@ -320,55 +320,15 @@ let noninterference () =
   print_endline
     "Security validation (Property 1): attacker observation traces across \
      victim behaviours";
-  let verdict name leaky =
-    Printf.printf "  %-46s %s\n" name
-      (if leaky then "LEAKS (distinguishable)" else "no leak (bit-identical)")
-  in
-  verdict "prime+probe, baseline LLC"
-    (Noninterference.leaks
-       [
-         Noninterference.prime_probe Noninterference.baseline_setup ~secret:true;
-         Noninterference.prime_probe Noninterference.baseline_setup
-           ~secret:false;
-       ]);
-  verdict "prime+probe, MI6 LLC"
-    (Noninterference.leaks
-       [
-         Noninterference.prime_probe Noninterference.mi6_setup ~secret:true;
-         Noninterference.prime_probe Noninterference.mi6_setup ~secret:false;
-       ]);
-  verdict "MSHR/queue contention, baseline LLC"
-    (Noninterference.leaks
-       [
-         Noninterference.mshr_channel Noninterference.baseline_setup
-           ~victim_floods:true;
-         Noninterference.mshr_channel Noninterference.baseline_setup
-           ~victim_floods:false;
-       ]);
-  verdict "MSHR/queue contention, MI6 LLC"
-    (Noninterference.leaks
-       [
-         Noninterference.mshr_channel Noninterference.mi6_setup
-           ~victim_floods:true;
-         Noninterference.mshr_channel Noninterference.mi6_setup
-           ~victim_floods:false;
-       ]);
-  verdict "DRAM banks, FR-FCFS reordering controller"
-    (Noninterference.leaks
-       [
-         Noninterference.dram_bank_channel ~reordering:true
-           ~victim_same_bank:true;
-         Noninterference.dram_bank_channel ~reordering:true
-           ~victim_same_bank:false;
-       ]);
-  verdict "DRAM banks, constant-latency controller"
-    (Noninterference.leaks
-       [
-         Noninterference.dram_bank_channel ~reordering:false
-           ~victim_same_bank:true;
-         Noninterference.dram_bank_channel ~reordering:false
-           ~victim_same_bank:false;
-       ]);
+  List.iter
+    (fun { Noninterference.insecure; mi6 } ->
+      List.iter
+        (fun { Noninterference.label; leaks } ->
+          Printf.printf "  %-46s %s\n" label
+            (if leaks then "LEAKS (distinguishable)"
+             else "no leak (bit-identical)"))
+        [ insecure; mi6 ])
+    (Noninterference.channels ());
   print_newline ()
 
 (* ------------------------------------------------------------------ *)

@@ -453,32 +453,30 @@ let sweep_cmd =
 let attack_cmd =
   let run () =
     guard_io @@ fun () ->
-    let verdict name leaky =
-      Printf.printf "%-46s %s\n" name
-        (if leaky then "LEAKS" else "no leak (bit-identical)")
-    in
-    let open Noninterference in
-    verdict "prime+probe, baseline LLC"
-      (leaks [ prime_probe baseline_setup ~secret:true;
-               prime_probe baseline_setup ~secret:false ]);
-    verdict "prime+probe, MI6 LLC"
-      (leaks [ prime_probe mi6_setup ~secret:true;
-               prime_probe mi6_setup ~secret:false ]);
-    verdict "MSHR/queue contention, baseline LLC"
-      (leaks [ mshr_channel baseline_setup ~victim_floods:true;
-               mshr_channel baseline_setup ~victim_floods:false ]);
-    verdict "MSHR/queue contention, MI6 LLC"
-      (leaks [ mshr_channel mi6_setup ~victim_floods:true;
-               mshr_channel mi6_setup ~victim_floods:false ]);
-    verdict "DRAM banks, FR-FCFS controller"
-      (leaks [ dram_bank_channel ~reordering:true ~victim_same_bank:true;
-               dram_bank_channel ~reordering:true ~victim_same_bank:false ]);
-    verdict "DRAM banks, constant-latency controller"
-      (leaks [ dram_bank_channel ~reordering:false ~victim_same_bank:true;
-               dram_bank_channel ~reordering:false ~victim_same_bank:false ]);
-    0
+    let channels = Noninterference.channels () in
+    List.iter
+      (fun { Noninterference.insecure; mi6 } ->
+        List.iter
+          (fun { Noninterference.label; leaks } ->
+            Printf.printf "%-46s %s\n" label
+              (if leaks then "LEAKS" else "no leak (bit-identical)"))
+          [ insecure; mi6 ])
+      channels;
+    (* Both halves of the claim, as in [audit]: every insecure row must
+       leak (the experiment can see a leak at all) and no MI6 row may. *)
+    if
+      List.for_all
+        (fun { Noninterference.insecure; mi6 } ->
+          insecure.Noninterference.leaks && not mi6.Noninterference.leaks)
+        channels
+    then 0
+    else 1
   in
-  Cmd.v (Cmd.info "attack" ~exits ~doc:"side-channel experiment verdicts")
+  Cmd.v
+    (Cmd.info "attack" ~exits
+       ~doc:
+         "side-channel experiment verdicts; exits 1 unless every insecure \
+          configuration leaks and every MI6 one is bit-identical")
     Term.(const run $ const ())
 
 (* ------------------------------------------------------------------ *)
@@ -518,69 +516,74 @@ let audit_cmd =
     print_newline ();
     (* Fan the whole (setup x attacker) grid out over the pool — every
        capture builds its own hierarchy and trace ring — then walk the
-       results in canonical grid order, so the report is identical for
-       every --jobs value. *)
-    let grid = Noninterference.audit_grid ~attackers () in
+       results in grid order, so the report is identical for every
+       --jobs value.  Within each setup the idle reference comes first,
+       then the requested behaviours in [all_attackers] order with
+       duplicates dropped. *)
+    let behaviours =
+      Noninterference.A_idle
+      :: List.filter
+           (fun a -> a <> Noninterference.A_idle && List.mem a attackers)
+           Noninterference.all_attackers
+    in
+    let grid =
+      List.concat_map
+        (fun (name, timing) ->
+          List.map (fun attacker -> (name, timing, attacker)) behaviours)
+        [
+          ("baseline", Config.timing ~cores:1 Config.Base);
+          ("mi6", Config.secure_multicore ~cores:1);
+        ]
+    in
     let captures =
       with_pool ~jobs (fun pool ->
-          Mi6_exec.Pool.run_list pool grid Noninterference.run_audit_cell)
+          Mi6_exec.Pool.run_list pool grid (fun (_, timing, attacker) ->
+              Noninterference.victim_observation timing ~attacker))
     in
     (* Drops accumulate into the report too: a consumer of the JSON must
        be able to see that the audit ran on a lossy trace without
        scraping stderr. *)
     let total_dropped = ref 0 and dominant_drop = ref None in
-    let capture_of =
-      let tbl = List.combine grid captures in
-      fun cell name ->
-        let events, drops, dominant = List.assq cell tbl in
-        if drops > 0 then begin
-          total_dropped := !total_dropped + drops;
-          (match dominant with
-          | Some (_, n) as d
-            when (match !dominant_drop with
-                 | Some (_, best) -> n > best
-                 | None -> true) ->
-            dominant_drop := d
-          | _ -> ());
-          let mostly =
-            match dominant with
-            | Some (kind, n) -> Printf.sprintf " (mostly %s: %d)" kind n
-            | None -> ""
-          in
-          Printf.eprintf
-            "warning: %s trace ring dropped %d events%s; audit is \
-             unreliable\n%!"
-            name drops mostly
-        end;
-        events
+    let events_of ((name, _, attacker), (events, drops, dominant)) =
+      if drops > 0 then begin
+        total_dropped := !total_dropped + drops;
+        (match dominant with
+        | Some (_, n) as d
+          when (match !dominant_drop with
+               | Some (_, best) -> n > best
+               | None -> true) ->
+          dominant_drop := d
+        | _ -> ());
+        let mostly =
+          match dominant with
+          | Some (kind, n) -> Printf.sprintf " (mostly %s: %d)" kind n
+          | None -> ""
+        in
+        Printf.eprintf
+          "warning: %s/%s trace ring dropped %d events%s; audit is \
+           unreliable\n%!"
+          name
+          (Noninterference.attacker_name attacker)
+          drops mostly
+      end;
+      events
     in
     let audit_setup name =
       let cells =
-        List.filter
-          (fun c -> c.Noninterference.cell_setup_name = name)
-          grid
+        List.filter (fun ((n, _, _), _) -> n = name) (List.combine grid captures)
       in
-      let reference, rest =
-        match cells with
-        | ref_cell :: rest
-          when ref_cell.Noninterference.cell_attacker = Noninterference.A_idle
-          ->
-          (capture_of ref_cell (Noninterference.audit_cell_name ref_cell), rest)
-        | _ -> failwith "audit grid lost its idle reference"
-      in
+      let reference = events_of (List.hd cells) in
       List.map
-        (fun cell ->
-          let attacker = cell.Noninterference.cell_attacker in
+        (fun (((_, _, attacker), _) as cell) ->
           let r =
             Audit.diff ~label_a:"idle"
               ~label_b:(Noninterference.attacker_name attacker)
-              reference
-              (capture_of cell (Noninterference.audit_cell_name cell))
+              reference (events_of cell)
           in
           Printf.printf "[%s LLC] %s\n" name
             (Format.asprintf "%a" Audit.pp_report r);
           r)
-        rest
+        (List.tl cells)
     in
     let baseline = audit_setup "baseline" in
     let mi6 = audit_setup "mi6" in

@@ -21,10 +21,10 @@ let stats obs =
   let mx = List.fold_left max 0 obs in
   (float_of_int sum /. float_of_int n, mx)
 
-let run name setup =
+let run name timing =
   Printf.printf "\n%s\n" name;
-  let busy = Noninterference.mshr_channel setup ~victim_floods:true in
-  let idle = Noninterference.mshr_channel setup ~victim_floods:false in
+  let busy = Noninterference.mshr_channel timing ~victim_floods:true in
+  let idle = Noninterference.mshr_channel timing ~victim_floods:false in
   let mb, xb = stats busy and mi, xi = stats idle in
   Printf.printf "  victim flooding: mean %.1f cyc, max %3d\n" mb xb;
   Printf.printf "  victim idle:     mean %.1f cyc, max %3d\n" mi xi;
@@ -35,8 +35,10 @@ let run name setup =
 let () =
   print_endline
     "MSHR / queue / arbitration contention in the LLC (paper Section 5.4)";
-  let base = run "[1] Baseline LLC (Figure 2)" Noninterference.baseline_setup in
-  let mi6 = run "[2] MI6 LLC (Figure 3)" Noninterference.mi6_setup in
+  let base =
+    run "[1] Baseline LLC (Figure 2)" (Config.timing ~cores:1 Config.Base)
+  in
+  let mi6 = run "[2] MI6 LLC (Figure 3)" (Config.secure_multicore ~cores:1) in
   print_endline "\n[3] DRAM controller comparison (Section 5.2)";
   let reorder =
     Noninterference.leaks

@@ -21,10 +21,10 @@ let recovered obs =
      primed set -> secret bit 1. *)
   List.exists (fun l -> l > 100) obs
 
-let run name setup =
+let run name timing =
   Printf.printf "\n%s\n" name;
-  let obs1 = Noninterference.prime_probe setup ~secret:true in
-  let obs0 = Noninterference.prime_probe setup ~secret:false in
+  let obs1 = Noninterference.prime_probe timing ~secret:true in
+  let obs0 = Noninterference.prime_probe timing ~secret:false in
   show "probe (secret=1):" obs1;
   show "probe (secret=0):" obs0;
   Printf.printf "  attacker recovers secret=1 as %b, secret=0 as %b -> %s\n"
@@ -41,11 +41,11 @@ let () =
      the attacker probes its lines and times each access.";
   let base_leaks =
     run "[1] Baseline RiscyOO LLC (flat index, shared sets)"
-      Noninterference.baseline_setup
+      (Config.timing ~cores:1 Config.Base)
   in
   let mi6_leaks =
     run "[2] MI6 LLC (set partitioning by DRAM region, Figure 3 structures)"
-      Noninterference.mi6_setup
+      (Config.secure_multicore ~cores:1)
   in
   Printf.printf
     "\nSummary: baseline leaks = %b, MI6 leaks = %b  (paper: set \

@@ -69,20 +69,15 @@ let () =
 
   print_endline
     "\n[2] And within-domain footprints are invisible across domains";
-  let leak_base =
+  let receiver_works timing =
     Noninterference.leaks
       [
-        Noninterference.prime_probe Noninterference.baseline_setup ~secret:true;
-        Noninterference.prime_probe Noninterference.baseline_setup ~secret:false;
+        Noninterference.prime_probe timing ~secret:true;
+        Noninterference.prime_probe timing ~secret:false;
       ]
   in
-  let leak_mi6 =
-    Noninterference.leaks
-      [
-        Noninterference.prime_probe Noninterference.mi6_setup ~secret:true;
-        Noninterference.prime_probe Noninterference.mi6_setup ~secret:false;
-      ]
-  in
+  let leak_base = receiver_works (Config.timing ~cores:1 Config.Base) in
+  let leak_mi6 = receiver_works (Config.secure_multicore ~cores:1) in
   Printf.printf
     "  receiver (prime+probe) works on baseline: %b; on MI6: %b\n" leak_base
     leak_mi6;

@@ -1,32 +1,3 @@
-type llc_setup = {
-  security : Llc.security;
-  index : Index.t;
-  mshrs : int;
-  mshr_banks : int;
-  strict_bank_stall : bool;
-}
-
-let baseline_setup =
-  {
-    security = Llc.baseline_security;
-    index = Index.flat ~set_bits:10;
-    mshrs = 16;
-    mshr_banks = 1;
-    strict_bank_stall = false;
-  }
-
-let mi6_setup =
-  {
-    security = Llc.mi6_security;
-    index =
-      Index.partitioned ~set_bits:10 ~region_bits:2
-        ~geometry:Addr.default_regions;
-    (* Partitioned: 6 entries per core; DRAM sized per the paper's rule. *)
-    mshrs = 12;
-    mshr_banks = 1;
-    strict_bank_stall = false;
-  }
-
 let geometry = Addr.default_regions
 
 (* The attacker sits on the HIGHER core index: the baseline two-level mux
@@ -41,21 +12,19 @@ let victim_core = 0
 let attacker_base_line = Addr.region_base geometry 2 / Addr.line_bytes
 let victim_base_line = Addr.region_base geometry 3 / Addr.line_bytes
 
-let make_hierarchy ?trace setup ~dram =
-  let stats = Stats.create () in
-  let llc_cfg =
+let const_dram (timing : Config.timing) =
+  Hierarchy.Const_dram
     {
-      (Llc.default_config ~cores:2) with
-      Llc.index = setup.index;
-      mshrs = setup.mshrs;
-      mshr_banks = setup.mshr_banks;
-      strict_bank_stall = setup.strict_bank_stall;
+      latency = timing.Config.dram_latency;
+      max_outstanding = timing.Config.dram_outstanding;
     }
-  in
-  Hierarchy.create ?trace ~llc:llc_cfg ~security:setup.security ~dram ~stats
-    ()
 
-let const_dram = Hierarchy.Const_dram { latency = 120; max_outstanding = 24 }
+(* One core's two LLC ports (I and D) carry the two agents. *)
+let make_hierarchy ?trace ?dram (timing : Config.timing) =
+  Hierarchy.create ?trace ~l1:timing.Config.l1 ~llc:timing.Config.llc
+    ~security:timing.Config.llc_security
+    ~dram:(Option.value dram ~default:(const_dram timing))
+    ~stats:(Stats.create ()) ()
 
 (* Serially access [line] from [core] and return the completion latency.
    [while_waiting] runs every cycle (drives the concurrent victim). *)
@@ -90,8 +59,8 @@ let plain_access h ~core ~line =
 (* Prime + probe                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let prime_probe setup ~secret =
-  let h = make_hierarchy setup ~dram:const_dram in
+let prime_probe timing ~secret =
+  let h = make_hierarchy timing in
   (* Lines of the attacker that share one index-set under the FLAT
      function; under the partitioned function they stay inside the
      attacker's slice either way. *)
@@ -121,8 +90,8 @@ let prime_probe setup ~secret =
 (* MSHR / queue contention                                             *)
 (* ------------------------------------------------------------------ *)
 
-let mshr_channel setup ~victim_floods =
-  let h = make_hierarchy setup ~dram:const_dram in
+let mshr_channel timing ~victim_floods =
+  let h = make_hierarchy timing in
   (* The victim keeps as many misses in flight as its L1 allows, to
      fresh lines so every one reaches the LLC and DRAM. *)
   let next_victim = ref 0 in
@@ -146,10 +115,10 @@ let mshr_channel setup ~victim_floods =
 
 let dram_bank_channel ~reordering ~victim_same_bank =
   let dram =
-    if reordering then Hierarchy.Reorder_dram Fr_fcfs.default_config
-    else const_dram
+    if reordering then Some (Hierarchy.Reorder_dram Fr_fcfs.default_config)
+    else None
   in
-  let h = make_hierarchy mi6_setup ~dram in
+  let h = make_hierarchy ?dram (Config.secure_multicore ~cores:1) in
   let banks = Fr_fcfs.default_config.Fr_fcfs.banks in
   (* Attacker misses always target bank 0 (line multiple of #banks). *)
   let attacker_line k = attacker_base_line + (k * 129 * banks) in
@@ -202,11 +171,11 @@ let victim_event vcore ev =
     | Trace.Dram_cmd { line; _ } -> victim_owns_line line
     | _ -> false)
 
-let victim_observation setup ~attacker =
+let victim_observation timing ~attacker =
   let trace =
     Trace.create ~capacity:(1 lsl 16) ~filter:[ Trace.Llc; Trace.Dram ] ()
   in
-  let h = make_hierarchy ~trace setup ~dram:const_dram in
+  let h = make_hierarchy ~trace timing in
   (* Roles swapped relative to the other experiments: the victim sits on
      the HIGHER core index, where the baseline mux's lower-core-first
      unfairness can starve it whenever the attacker is busy.  MI6's
@@ -273,61 +242,43 @@ let victim_observation setup ~attacker =
   in
   (events, Trace.dropped trace, Trace.dominant_dropped trace)
 
-let victim_llc_events setup ~attacker =
-  let events, drops, _dominant = victim_observation setup ~attacker in
-  (events, drops)
-
-let victim_timeline setup ~attacker_floods =
-  let events, _drops, _dominant =
-    victim_observation setup
-      ~attacker:(if attacker_floods then A_flood else A_idle)
-  in
-  (* Rendered to stable strings, DRAM excluded: the historical
-     timeline-equality shape (PR 1's noninterference test). *)
-  List.filter_map
-    (fun (cycle, ev) ->
-      match Trace.category_of_event ev with
-      | Trace.Llc -> Some (Printf.sprintf "%d %s" cycle (Trace.event_label ev))
-      | _ -> None)
-    events
-
 let leaks observations =
   match observations with
   | [] -> false
   | first :: rest -> List.exists (fun o -> o <> first) rest
 
 (* ------------------------------------------------------------------ *)
-(* Audit grid                                                          *)
+(* Verdict table                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type audit_cell = {
-  cell_setup_name : string;
-  cell_setup : llc_setup;
-  cell_attacker : attacker;
-}
+type verdict = { label : string; leaks : bool }
+type channel = { insecure : verdict; mi6 : verdict }
 
-let audit_setups = [ ("baseline", baseline_setup); ("mi6", mi6_setup) ]
-
-let audit_grid ?(setups = audit_setups) ~attackers () =
-  (* Canonical enumeration: setups in given order, the idle reference
-     first within each, then the requested behaviours in [all_attackers]
-     order with duplicates dropped.  Every capture in the grid is
-     self-contained (each cell builds its own hierarchy and trace ring),
-     so a pool may run the cells in any order; consumers index results by
-     cell and the report stays deterministic. *)
-  let attackers =
-    List.filter
-      (fun a -> a <> A_idle && List.mem a attackers)
-      all_attackers
-  in
-  List.concat_map
-    (fun (cell_setup_name, cell_setup) ->
-      List.map
-        (fun cell_attacker -> { cell_setup_name; cell_setup; cell_attacker })
-        (A_idle :: attackers))
-    setups
-
-let audit_cell_name c =
-  c.cell_setup_name ^ "/" ^ attacker_name c.cell_attacker
-
-let run_audit_cell c = victim_observation c.cell_setup ~attacker:c.cell_attacker
+let channels () =
+  let base = Config.timing ~cores:1 Config.Base
+  and mi6 = Config.secure_multicore ~cores:1 in
+  let row label run = { label; leaks = leaks [ run true; run false ] } in
+  [
+    {
+      insecure =
+        row "prime+probe, baseline LLC" (fun secret ->
+            prime_probe base ~secret);
+      mi6 = row "prime+probe, MI6 LLC" (fun secret -> prime_probe mi6 ~secret);
+    };
+    {
+      insecure =
+        row "MSHR/queue contention, baseline LLC" (fun victim_floods ->
+            mshr_channel base ~victim_floods);
+      mi6 =
+        row "MSHR/queue contention, MI6 LLC" (fun victim_floods ->
+            mshr_channel mi6 ~victim_floods);
+    };
+    {
+      insecure =
+        row "DRAM banks, FR-FCFS controller" (fun victim_same_bank ->
+            dram_bank_channel ~reordering:true ~victim_same_bank);
+      mi6 =
+        row "DRAM banks, constant-latency controller" (fun victim_same_bank ->
+            dram_bank_channel ~reordering:false ~victim_same_bank);
+    };
+  ]

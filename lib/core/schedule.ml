@@ -41,11 +41,11 @@ type t = {
 (* Address layout                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Same protection-domain layout as the purge-indistinguishability
-   property: the enclave owns DRAM regions 1 (code) and 2 (data) — the
-   ranges Difftest.to_uops remaps generated programs into — while the
-   attacker's code sits far above the enclave pcs and its data in
-   region 3, so LLC partitioning confines each side's residue. *)
+(* The protection-domain layout: the enclave owns DRAM regions 1 (code)
+   and 2 (data) — the ranges Difftest.to_uops remaps generated programs
+   into — while the attacker's code sits far above the enclave pcs and
+   its data in region 3, so LLC partitioning confines each side's
+   residue. *)
 let geometry = Addr.default_regions
 let enclave_code = Addr.region_base geometry 1
 let attacker_code = enclave_code + 0x100000
@@ -65,8 +65,8 @@ let marker pc kind = { Uop.pc; kind; dst = None; srcs = [] }
    buffer + forwarding). *)
 let attacker_uops = function
   | Probe ->
-    (* Loads on fresh pages with a dependent branch/alu/store tail —
-       the same shape as the purge property's probe. *)
+    (* Loads on fresh pages with a dependent branch/alu/store tail:
+       TLB, cache-fill, and predictor state in one window. *)
     List.concat
       (List.init 8 (fun i ->
            let pc = attacker_code + (16 * i) in
@@ -407,16 +407,3 @@ let localize ?max_cycles ~body t =
   in
   Audit.diff ~label_a:"body" ~label_b:"reference" (side body)
     (side (reference_body (List.length body)))
-
-(* ------------------------------------------------------------------ *)
-(* Config-derived settle window                                        *)
-(* ------------------------------------------------------------------ *)
-
-let settle_uops (timing : Config.timing) =
-  let c = timing.Config.core in
-  let cycles =
-    (2 * c.Core_config.purge_floor)
-    + c.Core_config.rob_entries + c.Core_config.redirect_penalty
-    + timing.Config.dram_latency
-  in
-  c.Core_config.commit_width * cycles

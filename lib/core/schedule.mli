@@ -127,11 +127,3 @@ val check : ?max_cycles:int -> body:Uop.t list -> t -> verdict
     lengths cancels), and diff them: {!Mi6_obs.Audit.first_leaking_channel}
     then names the structure the leak entered through. *)
 val localize : ?max_cycles:int -> body:Uop.t list -> t -> Audit.report
-
-(** Settle window for trap-boundary experiments, in µops, derived from
-    the machine configuration instead of a hand-tuned constant: covers
-    the entry+return purge pair, a full ROB drain, a front-end redirect
-    refill, and one DRAM round trip, at [commit_width] µops per cycle.
-    Config changes (a deeper ROB, a slower purge) can no longer silently
-    under-warm the purge-indistinguishability property. *)
-val settle_uops : Config.timing -> int

@@ -5,40 +5,28 @@ type dram_kind =
 type t = {
   l1s : L1.t array;
   llc : Llc.t;
-  selfprof : Selfprof.t;
   mutable clock : int;
   completions : (int * int) list ref array; (* reversed *)
 }
 
-let create ?(trace = Trace.null) ?(selfprof = Selfprof.null)
-    ?(l1 = L1.default_config) ?(link_depth = 4) ~llc:llc_cfg ~security ~dram
-    ~stats () =
+let create ?(trace = Trace.null) ?(l1 = L1.default_config) ~llc:llc_cfg
+    ~security ~dram ~stats () =
   let n = llc_cfg.Llc.cores in
-  let links = Array.init n (fun _ -> Link.create ~depth:link_depth) in
+  let links = Array.init n (fun _ -> Link.create ~depth:4) in
   let dram_ctrl =
     match dram with
     | Const_dram { latency; max_outstanding } ->
       Controller.constant ~trace ~latency ~max_outstanding ~stats ()
     | Reorder_dram cfg -> Controller.reordering ~trace cfg ~stats
   in
-  let llc =
-    Llc.create ~trace ~selfprof llc_cfg ~security ~links ~dram:dram_ctrl
-      ~stats
-  in
+  let llc = Llc.create ~trace llc_cfg ~security ~links ~dram:dram_ctrl ~stats in
   let l1s =
     Array.init n (fun i ->
         L1.create ~trace l1 ~link:links.(i) ~stats
           ~name:(Printf.sprintf "l1.%d" i))
   in
-  {
-    l1s;
-    llc;
-    selfprof;
-    clock = 0;
-    completions = Array.init n (fun _ -> ref []);
-  }
+  { l1s; llc; clock = 0; completions = Array.init n (fun _ -> ref []) }
 
-let cores t = Array.length t.l1s
 let now t = t.clock
 let l1 t ~core = t.l1s.(core)
 let llc t = t.llc
@@ -49,15 +37,12 @@ let request t ~core ~line ~store ~id =
 
 let tick t =
   let now = t.clock in
-  let p = Selfprof.switch t.selfprof Selfprof.ph_l1 in
   Array.iteri
     (fun core cache ->
       L1.tick cache ~now ~complete:(fun id ->
           t.completions.(core) := (id, now) :: !(t.completions.(core))))
     t.l1s;
-  ignore (Selfprof.switch t.selfprof Selfprof.ph_llc);
   Llc.tick t.llc ~now;
-  Selfprof.restore t.selfprof p;
   t.clock <- now + 1
 
 let take_completions t ~core =

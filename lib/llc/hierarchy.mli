@@ -15,9 +15,7 @@ type t
 
 val create :
   ?trace:Trace.t ->
-  ?selfprof:Selfprof.t ->
   ?l1:L1.config ->
-  ?link_depth:int ->
   llc:Llc.config ->
   security:Llc.security ->
   dram:dram_kind ->
@@ -25,7 +23,6 @@ val create :
   unit ->
   t
 
-val cores : t -> int
 val now : t -> int
 val l1 : t -> core:int -> L1.t
 val llc : t -> Llc.t

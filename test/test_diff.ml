@@ -1,6 +1,7 @@
 (* Differential tests between the functional reference model and the
    out-of-order timing core, plus the purge-indistinguishability property
-   (paper Section 6 transition isolation).
+   (paper Section 6 transition isolation) as a single-trap schedule class
+   of the interrupt-schedule harness.
 
    Random RV64IM programs (forward-only control flow, so every program
    terminates) execute on the functional simulator; the committed path is
@@ -84,66 +85,26 @@ let diff_tests =
 (* Purge indistinguishability (Section 6 transition isolation)         *)
 (* ------------------------------------------------------------------ *)
 
-(* An enclave runs an arbitrary program, traps into the monitor (purge),
-   returns (purge again), and then a fixed probe executes.  On the full
-   MI6 variant the probe's microarchitectural observables — window
-   cycles, mispredicts, L1 I/D misses — must be independent of what the
-   enclave did: the purge scrubbed the core-private state and the
-   partitioned LLC confines the enclave's residue to its own region.
-
-   The probe lives in disjoint address ranges (code far from the enclave
-   pcs, data in region 3 instead of the enclave's region 2), modelling
-   the next protection domain. *)
+(* The single-trap schedule class: an arbitrary enclave µop prefix runs
+   to completion with no preemption points, traps into the monitor
+   (purge), returns (purge again), and the attacker's final [Probe]
+   window runs.  On the full MI6 variant the probe's observables must
+   not depend on what the enclave did: the purge scrubbed the
+   core-private state and the partitioned LLC confines the enclave's
+   residue to its own region.  {!Schedule.check} compares the prefix
+   against the same-length ALU reference body. *)
 
 module Uop = Mi6_ooo.Uop
 
 let geometry = Mi6_mem.Addr.default_regions
 let enclave_code = Mi6_mem.Addr.region_base geometry 1
 let enclave_data = Mi6_mem.Addr.region_base geometry 2
-let probe_code = enclave_code + 0x100000
+
+(* The attacker's data region, where the [Probe] window loads. *)
 let probe_data = Mi6_mem.Addr.region_base geometry 3
 
-let marker pc kind = { Uop.pc; kind; dst = None; srcs = [] }
-
-(* Settle gap in µops between the return-path purge and the measured
-   probe body, derived from the machine configuration (both purges, a
-   full ROB drain, a front-end redirect refill, one DRAM round trip)
-   rather than a hand-tuned constant — see {!Schedule.settle_uops}.  A
-   deeper ROB or a slower purge can no longer silently under-warm the
-   property. *)
-let settle = Schedule.settle_uops (Config.timing ~cores:1 Config.Fpma)
-
-(* Fixed probe: a settle gap, then loads touching fresh pages (TLB +
-   cache fills), a branch pattern (predictor state), and stores. *)
-let probe_uops =
-  let gap =
-    List.init settle (fun i ->
-        Uop.alu ~pc:(probe_code + (4 * i)) ~dst:1 ~srcs:[] ())
-  in
-  let after_gap = probe_code + (4 * settle) in
-  let body =
-    List.concat
-      (List.init 16 (fun i ->
-           let pc = after_gap + (16 * i) in
-           [
-             Uop.load ~pc ~addr:(probe_data + (i * 4096)) ~dst:2 ~srcs:[] ();
-             Uop.branch ~pc:(pc + 4) ~taken:false ~target:(pc + 12)
-               ~srcs:[ 2 ] ();
-             Uop.alu ~pc:(pc + 8) ~dst:3 ~srcs:[ 2 ] ();
-             Uop.store ~pc:(pc + 12) ~addr:(probe_data + (i * 4096) + 64)
-               ~srcs:[ 3 ] ();
-           ]))
-  in
-  gap @ body
-
-let stream_of_list uops =
-  let rest = ref uops in
-  fun () ->
-    match !rest with
-    | [] -> None
-    | u :: tl ->
-      rest := tl;
-      Some u
+let single_trap variant =
+  { Schedule.variant; body_seed = 0; points = []; final = Schedule.Probe }
 
 (* Enclave prefix generator: straight-line µops over the enclave's own
    code/data ranges — loads, stores, alus, and branches that train the
@@ -181,62 +142,34 @@ let arbitrary_prefix =
       String.concat "\n" (List.map Difftest.uop_to_string uops))
     ~shrink:QCheck.Shrink.list prefix_gen
 
-let observable ~variant prefix =
-  let n = List.length prefix in
-  let trap_pc = enclave_code + (4 * n) in
-  let stream =
-    prefix
-    @ [ marker trap_pc Uop.Enter_kernel; marker (trap_pc + 4) Uop.Exit_kernel ]
-    @ probe_uops
-  in
-  (* Warmup covers the enclave, both purges, and the settle gap; the
-     measured window is exactly the probe body. *)
-  let warmup = n + 2 + settle in
-  let r =
-    Tmachine.run_stream
-      ~timing:(Config.timing ~cores:1 variant)
-      ~stream:(stream_of_list stream) ~warmup
-      ~measure:(List.length probe_uops - settle)
-      ()
-  in
-  let get = Mi6_util.Stats.get r.Tmachine.stats in
-  ( r.Tmachine.cycles,
-    get "core.mispredicts",
-    get "l1d.0.misses",
-    get "l1i.0.misses" )
-
-let reference = lazy (observable ~variant:Config.Fpma [])
-
 let purge_indistinguishability =
   QCheck.Test.make
     ~name:"post-purge probe observables independent of enclave program"
     ~count:30 arbitrary_prefix (fun prefix ->
-      let obs = observable ~variant:Config.Fpma prefix in
-      let refr = Lazy.force reference in
-      if obs = refr then true
+      let v = Schedule.check ~body:prefix (single_trap Config.Fpma) in
+      if not v.Schedule.v_falsified then true
       else
-        let p (a, b, c, d) = Printf.sprintf "cycles=%d mispredicts=%d l1d=%d l1i=%d" a b c d in
         QCheck.Test.fail_reportf
-          "purge leaked: probe saw %s after this enclave, %s after an empty \
-           one"
-          (p obs) (p refr))
+          "purge leaked: the probe distinguishes this enclave from the ALU \
+           reference:@.body:@.%a@.reference:@.%a"
+          Schedule.pp_observation v.Schedule.v_obs Schedule.pp_observation
+          v.Schedule.v_ref_obs)
 
-(* Witness that the harness can see a leak at all: without purges (BASE
-   machine, flush_on_trap off) a cache-priming enclave must change the
-   probe's timing. *)
+(* Witness that the class can see a leak at all: without purges (BASE
+   machine, flush_on_trap off) an enclave that touches the probe's own
+   pages leaves them resident, and the probe's timing changes. *)
 let test_base_leak_witness () =
   let priming =
-    (* Touch the probe's own lines pre-trap; on BASE they stay resident. *)
     List.init 64 (fun i ->
         Uop.load
           ~pc:(enclave_code + (4 * i))
-          ~addr:(probe_data + (i mod 16 * 4096))
+          ~addr:(probe_data + (i mod 8 * 4096))
           ~dst:4 ~srcs:[] ())
   in
-  let idle = observable ~variant:Config.Base [] in
-  let primed = observable ~variant:Config.Base priming in
   Alcotest.(check bool)
-    "BASE probe distinguishes priming enclave from idle" true (idle <> primed)
+    "BASE probe distinguishes priming enclave from the reference" true
+    (Schedule.check ~body:priming (single_trap Config.Base))
+      .Schedule.v_falsified
 
 (* Converse deterministic anchor on the secure machine: a heavy but
    {e legal} enclave — confined to its own data region, as the monitor's
@@ -259,22 +192,11 @@ let test_fpma_priming_clean () =
                ();
            ]))
   in
-  let idle = observable ~variant:Config.Fpma [] in
-  let primed = observable ~variant:Config.Fpma priming in
   Alcotest.(check bool)
-    "F+P+M+A probe cannot distinguish priming enclave from idle" true
-    (idle = primed)
-
-(* The derived settle window must cover at least the two purges and one
-   ROB drain at full commit bandwidth — the structural minimum for the
-   probe to start from scrubbed state. *)
-let test_settle_floor () =
-  let cfg = (Config.timing ~cores:1 Config.Fpma).Config.core in
-  let open Mi6_ooo.Core_config in
-  Alcotest.(check bool)
-    "settle covers both purges and a drain" true
-    (settle >= cfg.commit_width * ((2 * cfg.purge_floor) + cfg.rob_entries));
-  Alcotest.(check bool) "settle is finite/sane" true (settle < 100_000)
+    "F+P+M+A probe cannot distinguish priming enclave from the reference"
+    false
+    (Schedule.check ~body:priming (single_trap Config.Fpma))
+      .Schedule.v_falsified
 
 (* ------------------------------------------------------------------ *)
 (* Transient-leak witnesses commit secret-independent paths            *)
@@ -427,8 +349,6 @@ let () =
               test_base_leak_witness;
             Alcotest.test_case "F+P+M+A priming clean" `Quick
               test_fpma_priming_clean;
-            Alcotest.test_case "settle gap derived from config" `Quick
-              test_settle_floor;
           ] );
       ("transient-witnesses", transient_witness_tests);
       ("explain-divergence", explain_tests);

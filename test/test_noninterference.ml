@@ -9,13 +9,17 @@ open Mi6_core
 
 let check_bool = Alcotest.(check bool)
 
+(* The insecure and the MI6 configuration of every experiment below. *)
+let base = Config.timing ~cores:1 Config.Base
+let mi6 = Config.secure_multicore ~cores:1
+
 (* ------------------------------------------------------------------ *)
 (* Prime + probe (LLC set contention, Section 5.2)                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_prime_probe_baseline_leaks () =
-  let t = Noninterference.prime_probe Noninterference.baseline_setup ~secret:true in
-  let f = Noninterference.prime_probe Noninterference.baseline_setup ~secret:false in
+  let t = Noninterference.prime_probe base ~secret:true in
+  let f = Noninterference.prime_probe base ~secret:false in
   check_bool "baseline LLC leaks the secret" true (Noninterference.leaks [ t; f ]);
   (* The leak is through *slow* probes: evictions by the victim. *)
   let slow l = List.filter (fun x -> x > 100) l in
@@ -24,8 +28,8 @@ let test_prime_probe_baseline_leaks () =
     (List.length (slow t) > List.length (slow f))
 
 let test_prime_probe_mi6_noninterference () =
-  let t = Noninterference.prime_probe Noninterference.mi6_setup ~secret:true in
-  let f = Noninterference.prime_probe Noninterference.mi6_setup ~secret:false in
+  let t = Noninterference.prime_probe mi6 ~secret:true in
+  let f = Noninterference.prime_probe mi6 ~secret:false in
   check_bool "MI6 set partitioning closes the channel" false
     (Noninterference.leaks [ t; f ])
 
@@ -34,8 +38,8 @@ let test_prime_probe_mi6_noninterference () =
 (* ------------------------------------------------------------------ *)
 
 let test_mshr_baseline_leaks () =
-  let busy = Noninterference.mshr_channel Noninterference.baseline_setup ~victim_floods:true in
-  let idle = Noninterference.mshr_channel Noninterference.baseline_setup ~victim_floods:false in
+  let busy = Noninterference.mshr_channel base ~victim_floods:true in
+  let idle = Noninterference.mshr_channel base ~victim_floods:false in
   check_bool "baseline queue/MSHR contention leaks" true
     (Noninterference.leaks [ busy; idle ]);
   (* The attacker is slower when the victim floods. *)
@@ -43,8 +47,8 @@ let test_mshr_baseline_leaks () =
   check_bool "flooding delays the attacker" true (sum busy > sum idle)
 
 let test_mshr_mi6_noninterference () =
-  let busy = Noninterference.mshr_channel Noninterference.mi6_setup ~victim_floods:true in
-  let idle = Noninterference.mshr_channel Noninterference.mi6_setup ~victim_floods:false in
+  let busy = Noninterference.mshr_channel mi6 ~victim_floods:true in
+  let idle = Noninterference.mshr_channel mi6 ~victim_floods:false in
   check_bool
     "MI6 (partitioned MSHRs + RR arbiter + split UQ + 1-cycle DQ) closes it"
     false
@@ -73,100 +77,39 @@ let test_dram_constant_noninterference () =
 (* Dropping the round-robin arbiter from the otherwise-secure LLC
    re-opens interference for the low-priority attacker. *)
 let test_ablation_arbiter_required () =
-  let setup =
+  let timing =
     {
-      Noninterference.mi6_setup with
-      Noninterference.security =
+      mi6 with
+      Config.llc_security =
         { Llc.mi6_security with Llc.round_robin_arbiter = false };
     }
   in
-  let busy = Noninterference.mshr_channel setup ~victim_floods:true in
-  let idle = Noninterference.mshr_channel setup ~victim_floods:false in
+  let busy = Noninterference.mshr_channel timing ~victim_floods:true in
+  let idle = Noninterference.mshr_channel timing ~victim_floods:false in
   check_bool "without the RR arbiter the channel re-opens" true
     (Noninterference.leaks [ busy; idle ])
 
 (* Keeping the secure LLC structures but the *flat* index re-opens
    prime+probe: set partitioning is what isolates the arrays. *)
 let test_ablation_partitioning_required () =
-  let setup =
+  let timing =
     {
-      Noninterference.mi6_setup with
-      Noninterference.index = Index.flat ~set_bits:10;
+      mi6 with
+      Config.llc = { mi6.Config.llc with Llc.index = Index.flat ~set_bits:10 };
     }
   in
-  let t = Noninterference.prime_probe setup ~secret:true in
-  let f = Noninterference.prime_probe setup ~secret:false in
+  let t = Noninterference.prime_probe timing ~secret:true in
+  let f = Noninterference.prime_probe timing ~secret:false in
   check_bool "without set partitioning prime+probe re-opens" true
     (Noninterference.leaks [ t; f ])
-
-(* ------------------------------------------------------------------ *)
-(* Property: attacker observations invariant over random victims        *)
-(* ------------------------------------------------------------------ *)
-
-let prop_mi6_invariant_over_victims =
-  QCheck.Test.make
-    ~name:"MI6 prime+probe observation is a constant function of the victim"
-    ~count:8 QCheck.bool
-    (fun secret ->
-      let reference =
-        Noninterference.prime_probe Noninterference.mi6_setup ~secret:false
-      in
-      Noninterference.prime_probe Noninterference.mi6_setup ~secret = reference)
-
-let prop_mi6_mshr_invariant =
-  QCheck.Test.make
-    ~name:"MI6 miss-timing observation is a constant function of the victim"
-    ~count:6 QCheck.bool
-    (fun floods ->
-      let reference =
-        Noninterference.mshr_channel Noninterference.mi6_setup
-          ~victim_floods:false
-      in
-      Noninterference.mshr_channel Noninterference.mi6_setup
-        ~victim_floods:floods
-      = reference)
-
-(* ------------------------------------------------------------------ *)
-(* Victim-timeline equality (trace capture)                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The strongest statement of non-interference the simulator can make:
-   not just that the victim's end-to-end latencies match, but that its
-   entire cycle-stamped LLC event timeline — every arbiter grant, MSHR
-   allocation/release, and upgrade-queue send — is bit-identical whether
-   the attacker floods the hierarchy or sits idle. *)
-
-let test_timeline_mi6_identical () =
-  let quiet =
-    Noninterference.victim_timeline Noninterference.mi6_setup
-      ~attacker_floods:false
-  in
-  let noisy =
-    Noninterference.victim_timeline Noninterference.mi6_setup
-      ~attacker_floods:true
-  in
-  Alcotest.(check bool) "timeline non-empty" true (quiet <> []);
-  Alcotest.(check (list string)) "victim timeline bit-identical" quiet noisy
-
-let test_timeline_baseline_differs () =
-  let quiet =
-    Noninterference.victim_timeline Noninterference.baseline_setup
-      ~attacker_floods:false
-  in
-  let noisy =
-    Noninterference.victim_timeline Noninterference.baseline_setup
-      ~attacker_floods:true
-  in
-  Alcotest.(check bool) "baseline victim timeline perturbed" true
-    (quiet <> noisy)
 
 (* ------------------------------------------------------------------ *)
 (* Leakage audit (Section 5.4 via the stream-diff auditor)              *)
 (* ------------------------------------------------------------------ *)
 
-let victim_stream setup attacker =
-  let events, drops =
-    Noninterference.victim_llc_events setup ~attacker
+let victim_stream timing attacker =
+  let events, drops, _ =
+    Noninterference.victim_observation timing ~attacker
   in
   Alcotest.(check int)
     (Printf.sprintf "no trace drops under %s"
@@ -176,7 +119,7 @@ let victim_stream setup attacker =
 
 let test_audit_mi6_clean_under_every_attacker () =
   let reference =
-    victim_stream Noninterference.mi6_setup Noninterference.A_idle
+    victim_stream mi6 Noninterference.A_idle
   in
   check_bool "victim observed at all" true (reference <> []);
   List.iter
@@ -185,7 +128,7 @@ let test_audit_mi6_clean_under_every_attacker () =
         Mi6_obs.Audit.diff ~label_a:"idle"
           ~label_b:(Noninterference.attacker_name attacker)
           reference
-          (victim_stream Noninterference.mi6_setup attacker)
+          (victim_stream mi6 attacker)
       in
       check_bool
         (Printf.sprintf "mi6 timing-independent vs %s"
@@ -196,11 +139,11 @@ let test_audit_mi6_clean_under_every_attacker () =
 
 let test_audit_baseline_localizes_leak () =
   let reference =
-    victim_stream Noninterference.baseline_setup Noninterference.A_idle
+    victim_stream base Noninterference.A_idle
   in
   let r =
     Mi6_obs.Audit.diff ~label_a:"idle" ~label_b:"flood" reference
-      (victim_stream Noninterference.baseline_setup Noninterference.A_flood)
+      (victim_stream base Noninterference.A_flood)
   in
   check_bool "baseline leaks" false (Mi6_obs.Audit.clean r);
   (* The auditor must name the structure where the leak enters — on the
@@ -228,8 +171,6 @@ let test_attacker_names_roundtrip () =
     Noninterference.all_attackers;
   check_bool "unknown rejected" true
     (Noninterference.attacker_of_name "nonsense" = None)
-
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
   Alcotest.run "mi6_noninterference"
@@ -260,13 +201,6 @@ let () =
           Alcotest.test_case "set partitioning required" `Quick
             test_ablation_partitioning_required;
         ] );
-      ( "victim_timeline",
-        [
-          Alcotest.test_case "mi6 bit-identical" `Quick
-            test_timeline_mi6_identical;
-          Alcotest.test_case "baseline perturbed" `Quick
-            test_timeline_baseline_differs;
-        ] );
       ( "audit",
         [
           Alcotest.test_case "mi6 clean under every attacker" `Quick
@@ -276,6 +210,4 @@ let () =
           Alcotest.test_case "attacker names roundtrip" `Quick
             test_attacker_names_roundtrip;
         ] );
-      ( "properties",
-        qsuite [ prop_mi6_invariant_over_victims; prop_mi6_mshr_invariant ] );
     ]
