@@ -12,7 +12,11 @@ test:
 
 # Short benchmark run that must produce parseable machine-readable output
 # (BENCH_run.json snapshot + BENCH_history.jsonl regression database).
+# An unknown figure name must exit 2 before the harness writes anything.
 bench-smoke:
+	dune build bench/main.exe
+	sh -c 'dune exec bench/main.exe -- --fast fig5 fig05 > /dev/null 2>&1; \
+		test $$? -eq 2'
 	dune exec bench/main.exe -- --fast fig5
 	dune exec bench/json_check.exe -- --require runs BENCH_run.json
 	dune exec bench/json_check.exe -- --history BENCH_history.jsonl
@@ -190,4 +194,4 @@ clean:
 		lint-channels-mi6.json examples/lint/*-channels.json \
 		bisect.json bisect-secret.json BISECT_history.jsonl \
 		ni-fpma.json ni-base.json ni-base-j2.json ni-falsified.sched \
-		telemetry.jsonl tel-serial\#* tel-parallel\#*
+		telemetry.jsonl tel-serial\#* tel-parallel\#* SWEEP_history.jsonl

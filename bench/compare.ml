@@ -6,8 +6,10 @@
                        [--max-kips-drop PCT]
 
    Without --old/--new the latest two runs in the history are compared.
-   Exits 1 when any (variant, bench) pair regresses past a threshold,
-   2 on usage errors or when the history holds fewer than two runs.
+   Records pair on (variant, bench, instrs): runs of different lengths
+   are different experiments.  Exits 1 when any pair regresses past a
+   threshold, 2 on usage errors, when the history holds fewer than two
+   runs, or when no record of the new run pairs with one of the old.
    Each violation is attributed: the CPI-stack categories that moved
    most between the two runs are printed next to it. *)
 
@@ -88,20 +90,29 @@ let () =
       exit 2
   in
   let run_id rs = match rs with r :: _ -> r.Perfdb.run_id | [] -> "?" in
+  let pairs = Perfdb.pairs ~old_run ~new_run in
+  if pairs = [] then begin
+    Printf.eprintf
+      "compare: no record of run %s pairs with one of run %s on (variant, \
+       bench, instrs); nothing to compare\n"
+      (run_id new_run) (run_id old_run);
+    exit 2
+  end;
   Printf.printf
-    "comparing %s (old) vs %s (new): %d vs %d records, thresholds \
-     cycles +%.1f%% / ipc -%.1f%% / kips -%.1f%%\n"
+    "comparing %s (old) vs %s (new): %d vs %d records, %d paired, \
+     thresholds cycles +%.1f%% / ipc -%.1f%% / kips -%.1f%%\n"
     (run_id old_run) (run_id new_run) (List.length old_run)
-    (List.length new_run) !max_cycles !max_ipc !max_kips;
+    (List.length new_run) (List.length pairs) !max_cycles !max_ipc !max_kips;
   (* Attribute a cycle regression: which CPI buckets grew the most. *)
-  let attribution variant bench =
-    let find rs =
+  let attribution (r : Perfdb.regression) =
+    match
       List.find_opt
-        (fun r -> r.Perfdb.variant = variant && r.Perfdb.bench = bench)
-        rs
-    in
-    match (find old_run, find new_run) with
-    | Some o, Some n ->
+        (fun (_, (n : Perfdb.record)) ->
+          n.variant = r.r_variant && n.bench = r.r_bench
+          && n.instrs = r.r_instrs)
+        pairs
+    with
+    | Some (o, n) ->
       let cats =
         List.sort_uniq compare
           (List.map fst o.Perfdb.cpi @ List.map fst n.Perfdb.cpi)
@@ -125,7 +136,7 @@ let () =
         Printf.sprintf " (cpi movers: %s)"
           (String.concat ", "
              (List.map (fun (c, d) -> Printf.sprintf "%s %+d" c d) top)))
-    | _ -> ""
+    | None -> ""
   in
   let regressions =
     Perfdb.compare_runs ~max_cycle_regress_pct:!max_cycles
@@ -140,7 +151,7 @@ let () =
     (fun (r : Perfdb.regression) ->
       Printf.printf "REGRESSION %s%s\n"
         (Format.asprintf "%a" Perfdb.pp_regression r)
-        (attribution r.Perfdb.r_variant r.Perfdb.r_bench))
+        (attribution r))
     regressions;
   Printf.printf "%d regression(s) past thresholds\n" (List.length regressions);
   exit 1

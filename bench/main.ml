@@ -5,7 +5,8 @@
    Usage:
      bench/main.exe                 all figures, full length
      bench/main.exe --fast          shorter runs (CI)
-     bench/main.exe fig5 fig9 area  a subset
+     bench/main.exe fig5 fig9 area  a subset (an unknown name exits 2
+                                    before anything runs)
      bench/main.exe micro           Bechamel microbenchmarks of the
                                     simulator's core data structures
 
@@ -774,6 +775,20 @@ let () =
     go [] args
   in
   let wanted = List.filter (fun a -> a <> "--fast") args in
+  (* Every name is checked before anything runs or is written. *)
+  (match
+     List.filter
+       (fun name -> name <> "micro" && not (List.mem_assoc name all_figs))
+       wanted
+   with
+  | [] -> ()
+  | unknown ->
+    List.iter
+      (fun name ->
+        Printf.eprintf "bench: unknown figure %S (have: %s, micro)\n" name
+          (String.concat ", " (List.map fst all_figs)))
+      unknown;
+    exit 2);
   Printf.printf
     "MI6 evaluation harness: %d SPEC CINT2006 models x 7 processor variants \
      (warmup %d, measure %d instructions)\n\n"
@@ -783,15 +798,7 @@ let () =
     let figs =
       if wanted = [] then all_figs
       else
-        List.filter_map
-          (fun name ->
-            match List.assoc_opt name all_figs with
-            | Some f -> Some (name, f)
-            | None ->
-              Printf.eprintf "unknown figure %S (have: %s, micro)\n" name
-                (String.concat ", " (List.map fst all_figs));
-              None)
-          wanted
+        List.map (fun name -> (name, List.assoc name all_figs)) wanted
     in
     prefill ~jobs (List.map fst figs);
     List.iter (fun (_, f) -> f ()) figs;

@@ -22,8 +22,6 @@ type mshr = {
   mutable m_waiters : int list; (* request ids, completion order *)
 }
 
-type pending = { p_line : int; p_store : bool; p_id : int }
-
 (* Counter handles, resolved once per cache. *)
 type counters = {
   c_accesses : Stats.counter;
@@ -45,9 +43,9 @@ type t = {
   trace : Trace.t;
   miss_lat : Histogram.t; (* demand-miss request-to-fill latency *)
   name : string;
-  input : pending Fifo.t;
+  input : Ring.t; (* requests: line, store (0/1), id *)
   mshrs : mshr option array;
-  completions : (int * int) Queue.t; (* id, ready_at *)
+  completions : Ring.t; (* id, ready_at; grows when full *)
   mutable flushing : bool;
   mutable flush_cursor : int; (* line index being flushed: set * ways + way *)
 }
@@ -73,20 +71,25 @@ let create ?(trace = Trace.null) cfg ~link ~stats ~name =
     trace;
     miss_lat = Histogram.create ();
     name;
-    input = Fifo.create ~capacity:4;
+    input = Ring.create ~width:3 4;
     mshrs = Array.make cfg.mshrs None;
-    completions = Queue.create ();
+    completions = Ring.create ~width:2 16;
     flushing = false;
     flush_cursor = 0;
   }
 
 let config t = t.cfg
-let can_accept t = Fifo.can_enq t.input && not t.flushing
+let can_accept t = (not (Ring.is_full t.input)) && not t.flushing
 
 let request t ~line ~store ~id =
   if not (can_accept t) then failwith "L1.request: not ready";
   Stats.bump t.ctr.c_accesses;
-  Fifo.enq t.input { p_line = line; p_store = store; p_id = id }
+  Ring.push3 t.input line (Bool.to_int store) id
+
+(* Request [id] completes at cycle [at]. *)
+let complete_at t id at =
+  if Ring.is_full t.completions then Ring.grow t.completions;
+  Ring.push2 t.completions id at
 
 (* L1s always use the flat (low-bits) index; sets is a power of two. *)
 let set_of t line = line land (t.cfg.sets - 1)
@@ -114,9 +117,9 @@ let mshr t idx =
   match t.mshrs.(idx) with Some m -> m | None -> assert false
 
 let in_flight t =
-  Fifo.length t.input
+  Ring.length t.input
   + Array.fold_left (fun n m -> n + match m with Some _ -> 1 | None -> 0) 0 t.mshrs
-  + Queue.length t.completions
+  + Ring.length t.completions
 
 (* A way already reserved as the fill target of an in-flight miss must not
    be picked by another miss in the same set. *)
@@ -169,7 +172,7 @@ let process_parent t ~now =
     if Trace.active t.trace Trace.L1 then
       Trace.emit t.trace ~now (Trace.Cache_fill { cache = t.name; line });
     List.iter
-      (fun id -> Queue.add (id, now + t.cfg.hit_latency) t.completions)
+      (fun id -> complete_at t id (now + t.cfg.hit_latency))
       (List.rev m.m_waiters);
     t.mshrs.(idx) <- None
   | Some (Msg.Downgrade_req { line; to_s }) ->
@@ -268,7 +271,7 @@ let start_miss t ~now ~idx ~present ~line ~set ~needed ~id =
     end
   in
   if way >= 0 then begin
-    ignore (Fifo.deq t.input);
+    Ring.drop t.input;
     Stats.bump t.ctr.c_misses;
     if Trace.active t.trace Trace.L1 then
       Trace.emit t.trace ~now (Trace.Cache_miss { cache = t.name; line });
@@ -282,18 +285,18 @@ let start_miss t ~now ~idx ~present ~line ~set ~needed ~id =
 
 (* Try to start the request at the head of the input queue. *)
 let process_input t ~now =
-  match Fifo.peek_opt t.input with
-  | None -> ()
-  | Some { p_line = line; p_store = store; p_id = id } ->
+  if not (Ring.is_empty t.input) then begin
+    let line = Ring.peek t.input 0 and id = Ring.peek t.input 2 in
+    let store = Ring.peek t.input 1 = 1 in
     let set = set_of t line in
     let needed = Msi.needed_for ~store in
     let way = Sram.find t.array ~set ~tag:line in
     if way >= 0 && Msi.leq needed (Sram.meta t.array ~set ~way).state then begin
       (* Hit. *)
-      ignore (Fifo.deq t.input);
+      Ring.drop t.input;
       Stats.bump t.ctr.c_hits;
       Replacement.touch t.repl ~set ~way;
-      Queue.add (id, now + t.cfg.hit_latency) t.completions
+      complete_at t id (now + t.cfg.hit_latency)
     end
     else begin
       (* Miss or upgrade. *)
@@ -301,7 +304,7 @@ let process_input t ~now =
       if midx >= 0 then begin
         let m = mshr t midx in
         if Msi.leq needed m.m_to then begin
-          ignore (Fifo.deq t.input);
+          Ring.drop t.input;
           Stats.bump t.ctr.c_mshr_merges;
           m.m_waiters <- id :: m.m_waiters
         end
@@ -316,12 +319,15 @@ let process_input t ~now =
           start_miss t ~now ~idx ~present:way ~line ~set ~needed ~id
       end
     end
+  end
 
 let deliver_completions t ~now ~complete =
   while
-    (not (Queue.is_empty t.completions)) && snd (Queue.peek t.completions) <= now
+    (not (Ring.is_empty t.completions)) && Ring.peek t.completions 1 <= now
   do
-    complete (fst (Queue.pop t.completions))
+    let id = Ring.peek t.completions 0 in
+    Ring.drop t.completions;
+    complete id
   done
 
 let tick t ~now ~complete =
@@ -381,15 +387,14 @@ let msi_code = function Msi.M -> 2 | Msi.S -> 1 | Msi.I -> 0
 let state t s =
   let open Statesig in
   lit s t.name;
-  int s ".in=" (Fifo.length t.input);
+  int s ".in=" (Ring.length t.input);
   lit s "[";
-  Fifo.iter
-    (fun p ->
-      int s "(" p.p_line;
-      bool s "," p.p_store;
-      int s "," p.p_id;
-      lit s ")")
-    t.input;
+  for i = 0 to Ring.length t.input - 1 do
+    int s "(" (Ring.get t.input i 0);
+    bool s "," (Ring.get t.input i 1 = 1);
+    int s "," (Ring.get t.input i 2);
+    lit s ")"
+  done;
   lit s "] mshrs[";
   Array.iter
     (function
@@ -403,13 +408,12 @@ let state t s =
         items s ",w=" m.m_waiters;
         lit s ")")
     t.mshrs;
-  int s "] comp=" (Queue.length t.completions);
+  int s "] comp=" (Ring.length t.completions);
   lit s "[";
-  Queue.iter
-    (fun (id, ready) ->
-      int s "(" id;
-      int s "," ready;
-      lit s ")")
-    t.completions;
+  for i = 0 to Ring.length t.completions - 1 do
+    int s "(" (Ring.get t.completions i 0);
+    int s "," (Ring.get t.completions i 1);
+    lit s ")"
+  done;
   bool s "] flush=" t.flushing;
   int s "@" t.flush_cursor

@@ -204,73 +204,69 @@ let next_run_id records ~commit =
 type regression = {
   r_variant : string;
   r_bench : string;
+  r_instrs : int;
   r_metric : string;
   r_old : float;
   r_new : float;
   r_delta_pct : float;
 }
 
+(* A record compares only with one of the same cell: same variant,
+   bench and instruction count (a 5k-instruction sweep cell and a
+   150k-instruction bench run of one (variant, bench) are different
+   experiments). *)
+let pairs ~old_run ~new_run =
+  List.filter_map
+    (fun (n : record) ->
+      List.find_opt
+        (fun (o : record) ->
+          o.variant = n.variant && o.bench = n.bench && o.instrs = n.instrs)
+        old_run
+      |> Option.map (fun o -> (o, n)))
+    new_run
+
 let compare_runs ?(max_cycle_regress_pct = 5.0) ?(max_ipc_drop_pct = 5.0)
     ?(max_kips_drop_pct = 50.0) ~old_run ~new_run () =
   List.concat_map
-    (fun (n : record) ->
-      match
-        List.find_opt
-          (fun (o : record) -> o.variant = n.variant && o.bench = n.bench)
-          old_run
-      with
-      | None -> []
-      | Some o ->
-        let pct ~old_ ~new_ =
-          if old_ = 0.0 then 0.0 else 100.0 *. (new_ -. old_) /. old_
-        in
-        let cyc =
-          pct ~old_:(float_of_int o.cycles) ~new_:(float_of_int n.cycles)
-        in
-        let ipc = pct ~old_:o.ipc ~new_:n.ipc in
-        (if cyc > max_cycle_regress_pct then
-           [
-             {
-               r_variant = n.variant;
-               r_bench = n.bench;
-               r_metric = "cycles";
-               r_old = float_of_int o.cycles;
-               r_new = float_of_int n.cycles;
-               r_delta_pct = cyc;
-             };
-           ]
+    (fun ((o : record), (n : record)) ->
+      let pct ~old_ ~new_ =
+        if old_ = 0.0 then 0.0 else 100.0 *. (new_ -. old_) /. old_
+      in
+      let regression metric ~old_ ~new_ delta =
+        {
+          r_variant = n.variant;
+          r_bench = n.bench;
+          r_instrs = n.instrs;
+          r_metric = metric;
+          r_old = old_;
+          r_new = new_;
+          r_delta_pct = delta;
+        }
+      in
+      let cyc = pct ~old_:(float_of_int o.cycles) ~new_:(float_of_int n.cycles) in
+      let ipc = pct ~old_:o.ipc ~new_:n.ipc in
+      (if cyc > max_cycle_regress_pct then
+         [
+           regression "cycles" ~old_:(float_of_int o.cycles)
+             ~new_:(float_of_int n.cycles) cyc;
+         ]
+       else [])
+      @ (if -.ipc > max_ipc_drop_pct then
+           [ regression "ipc" ~old_:o.ipc ~new_:n.ipc (-.ipc) ]
          else [])
-        @ (if -.ipc > max_ipc_drop_pct then
-             [
-               {
-                 r_variant = n.variant;
-                 r_bench = n.bench;
-                 r_metric = "ipc";
-                 r_old = o.ipc;
-                 r_new = n.ipc;
-                 r_delta_pct = -.ipc;
-               };
-             ]
-           else [])
-        @
-        (* Host-speed gate: generous threshold, since wall time on a
-           shared CI host is noisy — this catches order-of-magnitude
-           simulator slowdowns, not percent-level jitter. *)
-        match (o.host, n.host) with
-        | Some oh, Some nh when -.(pct ~old_:oh.kips ~new_:nh.kips)
-                                > max_kips_drop_pct ->
-          [
-            {
-              r_variant = n.variant;
-              r_bench = n.bench;
-              r_metric = "kips";
-              r_old = oh.kips;
-              r_new = nh.kips;
-              r_delta_pct = -.(pct ~old_:oh.kips ~new_:nh.kips);
-            };
-          ]
-        | _ -> [])
-    new_run
+      @
+      (* Host-speed gate: generous threshold, since wall time on a
+         shared CI host is noisy — this catches order-of-magnitude
+         simulator slowdowns, not percent-level jitter. *)
+      match (o.host, n.host) with
+      | Some oh, Some nh when -.(pct ~old_:oh.kips ~new_:nh.kips)
+                              > max_kips_drop_pct ->
+        [
+          regression "kips" ~old_:oh.kips ~new_:nh.kips
+            (-.(pct ~old_:oh.kips ~new_:nh.kips));
+        ]
+      | _ -> [])
+    (pairs ~old_run ~new_run)
 
 let pp_regression ppf r =
   Format.fprintf ppf "%s/%s %s: %.1f -> %.1f (%+.1f%% %s)" r.r_variant r.r_bench

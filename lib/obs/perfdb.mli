@@ -4,7 +4,8 @@
 
     Every benchmark-harness invocation appends one {!record} per
     (variant, bench) pair, all sharing a fresh [run_id]; {!compare_runs}
-    diffs two runs under configurable thresholds so CI can fail on a
+    diffs the records of two runs that share variant, bench and
+    instruction count, under configurable thresholds so CI can fail on a
     cycle-count or IPC regression.  Records carry the CPI stack and key
     histogram quantiles so a regression can be attributed, not just
     detected. *)
@@ -63,10 +64,17 @@ val latest_two : record list -> (record list * record list) option
     ["NNNN-commit"]. *)
 val next_run_id : record list -> commit:string -> string
 
+(** [pairs ~old_run ~new_run] — each record of [new_run] with the first
+    record of [old_run] of the same variant, bench and instruction count,
+    in [new_run] order; records without a partner are left out.  Runs of
+    different lengths are different experiments and never pair. *)
+val pairs : old_run:record list -> new_run:record list -> (record * record) list
+
 (** One threshold violation found by {!compare_runs}. *)
 type regression = {
   r_variant : string;
   r_bench : string;
+  r_instrs : int;
   r_metric : string;  (** ["cycles"], ["ipc"], or ["kips"] *)
   r_old : float;
   r_new : float;
@@ -74,7 +82,7 @@ type regression = {
 }
 
 (** [compare_runs ~old_run ~new_run] — threshold violations over the
-    (variant, bench) pairs present in both runs.  [max_cycle_regress_pct]
+    record {!pairs} of the two runs.  [max_cycle_regress_pct]
     (default 5.0) bounds the cycle-count increase; [max_ipc_drop_pct]
     (default 5.0) bounds the IPC decrease.  [max_kips_drop_pct] (default
     50.0) bounds the {e host}-speed drop when both records carry a

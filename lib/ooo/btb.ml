@@ -18,7 +18,7 @@ let slot t pc = pc lsr 2 land (t.entries - 1)
 
 let predict t ~pc =
   let i = slot t pc in
-  if t.valid.(i) && t.tags.(i) = pc then Some t.targets.(i) else None
+  if t.valid.(i) && t.tags.(i) = pc then t.targets.(i) else -1
 
 let update t ~pc ~target =
   let i = slot t pc in

@@ -7,8 +7,10 @@ type t
 
 val create : ?entries:int -> unit -> t
 
-(** [predict t ~pc] is the cached target for a control instruction. *)
-val predict : t -> pc:int -> int option
+(** [predict t ~pc] is the cached target for a control instruction, or
+    -1 when there is none (targets are non-negative addresses, and the
+    fetch path allocates no option per branch). *)
+val predict : t -> pc:int -> int
 
 (** [update t ~pc ~target] installs/overwrites the mapping. *)
 val update : t -> pc:int -> target:int -> unit

@@ -7,18 +7,20 @@ let never = max_int
 
 type rob_state = Rs_waiting | Rs_issued | Rs_done
 
-type rob_entry = {
-  u : Uop.t;
-  dst_phys : int option;
-  old_phys : int option; (* previous mapping of the dst, freed at commit *)
-  src_phys : int list;
-  lq_slot : int option;
-  sq_slot : int option;
+(* One ROB slot.  Every slot is created in [create] and rewritten at
+   rename; it is live while it lies in [rob_head, rob_head + rob_count).
+   [dst], [old], [lq] and [sq] are -1 for "none". *)
+type rob_slot = {
+  mutable u : Uop.t;
+  mutable dst : int; (* physical destination *)
+  mutable old : int; (* previous mapping of the dst, freed at commit *)
+  mutable srcs : int array; (* renamed sources, [srcs.(0 .. nsrc - 1)] *)
+  mutable nsrc : int;
+  mutable lq : int; (* LQ slot of a load *)
+  mutable sq : int; (* SQ slot of a store *)
   mutable state : rob_state;
   mutable mispredict : bool;
 }
-
-type sq_entry = { sq_line : int; mutable sq_addr_ready : bool }
 
 type purge_phase = Pp_none | Pp_quiesce | Pp_flush of int (* start cycle *)
 
@@ -32,24 +34,33 @@ type predictor_ctx = {
 (* An issue queue: ROB indices, oldest first, in [slots.(0 .. n - 1)]. *)
 type iq = { slots : int array; mutable n : int }
 
-(* A deferred continuation, due at cycle [ev_at]; [ev_seq] numbers the
-   events in insertion order. *)
-type event = { ev_at : int; ev_seq : int; ev_k : unit -> unit }
-
 (* Pending events on a timing wheel.  Bucket [c land mask] holds the
    events that run at cycle [c], in insertion order, for each [c] in
    (ran, ran + buckets); [ran] is the last cycle whose events have run.
    An event due at or before [ran] (a zero delay after this cycle's
    events ran) runs at [ran + 1], as it would have under a scan of every
-   pending event each cycle. *)
+   pending event each cycle.  An event is four ints in its bucket: the
+   cycle it is due, its insertion number, its kind and its argument
+   (see [run_event]). *)
 type wheel = {
-  mutable buckets : event array array;
-  mutable counts : int array;
+  mutable buckets : int array array;
+  mutable counts : int array; (* events per bucket *)
   mutable mask : int;
   mutable ran : int;
   mutable seq : int; (* next insertion number *)
   mutable pending : int;
 }
+
+(* Event kinds.  The argument is a ROB index, or a page for the I-side
+   kinds. *)
+let ev_exec_done = 0 (* an ALU, branch or jump µop finishes *)
+let ev_store_addr = 1 (* a translated store address enters the SQ *)
+let ev_load_forwarded = 2 (* a forwarded load completes *)
+let ev_load_port = 3 (* a load retries the D-cache port *)
+let ev_dtlb_l2 = 4 (* the L2 TLB answers a D-side miss *)
+let ev_dtlb_walk = 5 (* a D-side walk waits for a walker slot *)
+let ev_itlb_l2 = 6 (* the L2 TLB answers an I-side miss *)
+let ev_itlb_walk = 7 (* an I-side walk waits for a walker slot *)
 
 (* Counter handles, resolved once per core. *)
 type counters = {
@@ -87,7 +98,12 @@ type t = {
   tcache : Trans_cache.t;
   ptw : Ptw.t;
   ptw_issue : line:int -> id:int -> bool; (* walker's D-cache port *)
-  fetch_q : rob_ref Fifo.t;
+  (* Fetch queue: a ring of fetched µops, each with the mispredict flag
+     fetch gave it. *)
+  fq_uops : Uop.t array;
+  fq_mispredict : bool array;
+  mutable fq_head : int;
+  mutable fq_len : int;
   mutable stream_done : bool;
   mutable fetch_stall_until : int;
   mutable fetch_blocked_on_resolve : bool;
@@ -97,27 +113,29 @@ type t = {
   mutable last_fetch_line : int;
   mutable last_fetch_page : int;
   (* Rename / backend *)
-  rob : rob_entry option array;
+  rob : rob_slot array;
   mutable rob_head : int;
   mutable rob_tail : int;
   mutable rob_count : int;
   map_table : int array; (* logical -> phys *)
-  free_list : int Queue.t;
+  free_list : Ring.t;
   ready_at : int array; (* per phys reg *)
   iq_alu : iq array;
   iq_mem : iq;
   iq_fp : iq;
   lq : bool array; (* slot busy *)
   lq_rob : int array; (* per LQ slot: ROB index of its load, -1 when free *)
-  sq : sq_entry option array;
+  (* SQ: a ring of [sq_count] stores from [sq_head]. *)
+  sq_line : int array;
+  sq_ready : bool array; (* address translated; false when free *)
   mutable sq_head : int;
   mutable sq_tail : int;
   mutable sq_count : int;
   sb : bool array; (* store buffer slots busy *)
   sb_lines : int array; (* line held by each store-buffer slot *)
-  sb_pending : int Queue.t; (* sb slots waiting to drain *)
+  sb_pending : Ring.t; (* sb slots waiting to drain *)
   mutable dtlb_outstanding : int;
-  wheel : wheel; (* deferred continuations *)
+  wheel : wheel; (* deferred events *)
   mutable purge : purge_phase;
   mutable purge_kind : purge_kind;
   mutable saved_predictors : predictor_ctx option;
@@ -135,8 +153,6 @@ type t = {
   purge_lat : Histogram.t; (* full purge duration *)
   mutable on_commit : Uop.t -> unit; (* retirement probe, default no-op *)
 }
-
-and rob_ref = { pre_uop : Uop.t; pre_mispredict : bool }
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -176,7 +192,21 @@ let counters stats =
     c_cpi = Array.map c cpi_counters;
   }
 
-let no_event = { ev_at = 0; ev_seq = 0; ev_k = ignore }
+(* Fills slots that hold no µop yet. *)
+let no_uop = { Uop.pc = 0; kind = Uop.Enter_kernel; dst = None; srcs = [] }
+
+let new_slot () =
+  {
+    u = no_uop;
+    dst = -1;
+    old = -1;
+    srcs = Array.make 2 0;
+    nsrc = 0;
+    lq = -1;
+    sq = -1;
+    state = Rs_waiting;
+    mispredict = false;
+  }
 
 let wheel_create size =
   {
@@ -190,12 +220,15 @@ let wheel_create size =
 
 let iq_create cap = { slots = Array.make cap 0; n = 0 }
 
+let fetch_queue_entries = 16
+
 let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
     ~l1i ~l1d ~stream ~stats ~pt_base_line =
   let tcache = Trans_cache.create ~entries_per_level:24 ~levels:2 in
-  let free_list = Queue.create () in
-  for p = 32 to cfg.Core_config.phys_regs - 1 do
-    Queue.add p free_list
+  let phys_regs = cfg.Core_config.phys_regs in
+  let free_list = Ring.create phys_regs in
+  for p = 32 to phys_regs - 1 do
+    Ring.push free_list p
   done;
   let ptw_issue ~line ~id =
     L1.can_accept l1d
@@ -222,7 +255,10 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
       Ptw.create ~trace ~core:id ~max_walks:2 ~tcache ~pt_base_line
         ~table_window_lines:4096 ();
     ptw_issue;
-    fetch_q = Fifo.create ~capacity:16;
+    fq_uops = Array.make fetch_queue_entries no_uop;
+    fq_mispredict = Array.make fetch_queue_entries false;
+    fq_head = 0;
+    fq_len = 0;
     stream_done = false;
     fetch_stall_until = 0;
     fetch_blocked_on_resolve = false;
@@ -231,25 +267,26 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
     fetch_wait_itlb = false;
     last_fetch_line = -1;
     last_fetch_page = -1;
-    rob = Array.make cfg.Core_config.rob_entries None;
+    rob = Array.init cfg.Core_config.rob_entries (fun _ -> new_slot ());
     rob_head = 0;
     rob_tail = 0;
     rob_count = 0;
     map_table = Array.init 32 (fun i -> i);
     free_list;
-    ready_at = Array.make cfg.Core_config.phys_regs 0;
+    ready_at = Array.make phys_regs 0;
     iq_alu = Array.init cfg.Core_config.alu_pipes (fun _ -> iq ());
     iq_mem = iq ();
     iq_fp = iq ();
     lq = Array.make cfg.Core_config.lq_entries false;
     lq_rob = Array.make cfg.Core_config.lq_entries (-1);
-    sq = Array.make cfg.Core_config.sq_entries None;
+    sq_line = Array.make cfg.Core_config.sq_entries 0;
+    sq_ready = Array.make cfg.Core_config.sq_entries false;
     sq_head = 0;
     sq_tail = 0;
     sq_count = 0;
     sb = Array.make cfg.Core_config.sb_entries false;
     sb_lines = Array.make cfg.Core_config.sb_entries 0;
-    sb_pending = Queue.create ();
+    sb_pending = Ring.create cfg.Core_config.sb_entries;
     dtlb_outstanding = 0;
     wheel = wheel_create 32;
     purge = Pp_none;
@@ -303,30 +340,38 @@ let request_purge t = t.purge_requested <- true
 (* Events                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* File [ev] under the cycle it runs at.  The caller guarantees that
+(* File an event under the cycle it runs at.  The caller guarantees that
    cycle lies in the window. *)
-let wheel_file w ev =
-  let b = (max ev.ev_at (w.ran + 1)) land w.mask in
+let wheel_file w ~at ~seq ~kind ~arg =
+  let b = max at (w.ran + 1) land w.mask in
   let n = w.counts.(b) in
-  if n = Array.length w.buckets.(b) then begin
-    let bigger = Array.make (max 4 (2 * n)) no_event in
-    Array.blit w.buckets.(b) 0 bigger 0 n;
+  if 4 * n = Array.length w.buckets.(b) then begin
+    let bigger = Array.make (max 16 (8 * n)) 0 in
+    Array.blit w.buckets.(b) 0 bigger 0 (4 * n);
     w.buckets.(b) <- bigger
   end;
-  w.buckets.(b).(n) <- ev;
+  let bucket = w.buckets.(b) and o = 4 * n in
+  bucket.(o) <- at;
+  bucket.(o + 1) <- seq;
+  bucket.(o + 2) <- kind;
+  bucket.(o + 3) <- arg;
   w.counts.(b) <- n + 1;
   w.pending <- w.pending + 1
 
-(* Every pending event, newest first: the order the signature folds. *)
+(* Every pending event as (at, seq, kind, arg), newest first: the order
+   the state fold reads. *)
 let pending_events w =
   let acc = ref [] in
   Array.iteri
     (fun b n ->
+      let bucket = w.buckets.(b) in
       for i = 0 to n - 1 do
-        acc := w.buckets.(b).(i) :: !acc
+        let o = 4 * i in
+        acc :=
+          (bucket.(o), bucket.(o + 1), bucket.(o + 2), bucket.(o + 3)) :: !acc
       done)
     w.counts;
-  List.sort (fun a b -> compare b.ev_seq a.ev_seq) !acc
+  List.sort (fun (_, a, _, _) (_, b, _, _) -> compare b a) !acc
 
 (* Refile [evs] (oldest first) as the only pending events, on at least
    [size] buckets. *)
@@ -336,18 +381,15 @@ let wheel_rebuild w ~size evs =
     w.counts <- Array.make size 0;
     w.mask <- size - 1
   end
-  else begin
-    Array.iter (fun bucket -> Array.fill bucket 0 (Array.length bucket) no_event) w.buckets;
-    Array.fill w.counts 0 (Array.length w.counts) 0
-  end;
+  else Array.fill w.counts 0 (Array.length w.counts) 0;
   w.pending <- 0;
-  List.iter (wheel_file w) evs
+  List.iter (fun (at, seq, kind, arg) -> wheel_file w ~at ~seq ~kind ~arg) evs
 
-let after t delay k =
+let after t delay kind arg =
   let w = t.wheel in
-  let ev = { ev_at = t.now + delay; ev_seq = w.seq; ev_k = k } in
+  let at = t.now + delay and seq = w.seq in
   w.seq <- w.seq + 1;
-  let span = max ev.ev_at (w.ran + 1) - w.ran in
+  let span = max at (w.ran + 1) - w.ran in
   if span >= Array.length w.buckets then begin
     (* Beyond the window: double the wheel until it fits. *)
     let size = ref (Array.length w.buckets) in
@@ -356,111 +398,122 @@ let after t delay k =
     done;
     wheel_rebuild w ~size:!size (List.rev (pending_events w))
   end;
-  wheel_file w ev
+  wheel_file w ~at ~seq ~kind ~arg
 
-(* Run every event due by [t.now], oldest first.  Ticking cycle after
-   cycle, the due events are exactly the next cycle's bucket. *)
-let run_events t =
-  let w = t.wheel in
-  if t.now = w.ran + 1 then begin
-    w.ran <- t.now;
-    let b = t.now land w.mask in
-    let n = w.counts.(b) in
-    if n > 0 then begin
-      (* Detached first: continuations file new events in later cycles,
-         possibly into a regrown wheel. *)
-      let bucket = w.buckets.(b) in
-      w.counts.(b) <- 0;
-      w.pending <- w.pending - n;
-      for i = 0 to n - 1 do
-        let ev = bucket.(i) in
-        bucket.(i) <- no_event;
-        ev.ev_k ()
-      done
-    end
-  end
-  else begin
-    (* A skipped or repeated cycle: every event due by now runs, in
-       insertion order, and the rest are refiled around the new [ran]. *)
-    let due, rest =
-      List.partition (fun ev -> ev.ev_at <= t.now) (pending_events w)
-    in
-    w.ran <- max w.ran t.now;
-    wheel_rebuild w ~size:(Array.length w.buckets) (List.rev rest);
-    List.iter (fun ev -> ev.ev_k ()) (List.rev due)
-  end
+(* ------------------------------------------------------------------ *)
+(* ROB helpers                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let rob_full t = t.rob_count = Array.length t.rob
+let rob_empty t = t.rob_count = 0
+
+(* [idx] holds an in-flight µop. *)
+let rob_live t idx =
+  let n = Array.length t.rob in
+  (idx - t.rob_head + n) mod n < t.rob_count
+
+let srcs_ready t e =
+  let ready = ref true and i = ref 0 in
+  while !ready && !i < e.nsrc do
+    if t.ready_at.(e.srcs.(!i)) > t.now then ready := false;
+    incr i
+  done;
+  !ready
+
+let mark_done t idx =
+  let e = t.rob.(idx) in
+  e.state <- Rs_done;
+  if e.dst >= 0 then t.ready_at.(e.dst) <- min t.ready_at.(e.dst) t.now
+
+let mem_addr e =
+  match e.u.Uop.kind with
+  | Uop.Load { addr } | Uop.Store { addr } -> addr
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Translation (D-side)                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Attempt to begin translation; [k] fires when the translation is
-   available.  Returns false when the DTLB cannot take another miss this
-   cycle (caller retries next cycle). *)
-let translate_d t ~addr ~k =
-  let vpage = addr / 4096 in
+(* Store-to-load forwarding: an older SQ entry with a ready address on the
+   same line forwards, as does a store-buffer entry that has retired but
+   not yet drained to the D-cache.  (Timing model: unknown older store
+   addresses do not block the load — RiscyOO issues loads
+   speculatively.) *)
+let forwardable t line =
+  let found = ref false in
+  for i = 0 to Array.length t.sq_line - 1 do
+    if t.sq_ready.(i) && t.sq_line.(i) = line then found := true
+  done;
+  for i = 0 to Array.length t.sb - 1 do
+    if t.sb.(i) && t.sb_lines.(i) = line then found := true
+  done;
+  !found
+
+(* The load at [idx] asks the D-cache, or retries next cycle when the
+   port is busy. *)
+let load_port t idx =
+  if L1.can_accept t.l1d then begin
+    let e = t.rob.(idx) in
+    L1.request t.l1d ~line:(mem_addr e lsr 6) ~store:false ~id:e.lq
+  end
+  else after t 1 ev_load_port idx
+
+(* The memory µop at [idx] has its translation: a store's address
+   enters the SQ a cycle later; a load forwards or goes to the
+   D-cache. *)
+let translated t idx =
+  let e = t.rob.(idx) in
+  match e.u.Uop.kind with
+  | Uop.Store _ -> after t 1 ev_store_addr idx
+  | Uop.Load { addr } ->
+    if forwardable t (addr lsr 6) then begin
+      Stats.bump t.ctr.c_store_forwards;
+      after t 1 ev_load_forwarded idx
+    end
+    else load_port t idx
+  | _ -> assert false
+
+(* Hardware walk for the memory µop at [idx]; waits for a walker slot if
+   both are busy. *)
+let start_dwalk t idx =
+  if Ptw.can_start t.ptw then begin
+    let vpage = mem_addr t.rob.(idx) / 4096 in
+    Ptw.start t.ptw ~vpage ~on_done:(fun ~reads:_ ->
+        Tlb.insert t.l2tlb ~vpage;
+        Tlb.insert t.dtlb ~vpage;
+        t.dtlb_outstanding <- t.dtlb_outstanding - 1;
+        translated t idx)
+  end
+  else after t 1 ev_dtlb_walk idx
+
+(* Attempt to begin translation for the memory µop at [idx]; [translated]
+   runs when the translation is available.  Returns false when the DTLB
+   cannot take another miss this cycle (caller retries next cycle). *)
+let translate_d t idx =
+  let vpage = mem_addr t.rob.(idx) / 4096 in
   if Tlb.lookup t.dtlb ~vpage then begin
-    k ();
+    translated t idx;
     true
   end
   else if t.dtlb_outstanding >= t.cfg.Core_config.dtlb_misses then false
   else begin
     Stats.bump t.ctr.c_dtlb_misses;
     t.dtlb_outstanding <- t.dtlb_outstanding + 1;
-    after t t.cfg.Core_config.l2tlb_latency (fun () ->
-        if Tlb.lookup t.l2tlb ~vpage then begin
-          Tlb.insert t.dtlb ~vpage;
-          t.dtlb_outstanding <- t.dtlb_outstanding - 1;
-          k ()
-        end
-        else begin
-          Stats.bump t.ctr.c_l2tlb_misses;
-          (* Hardware walk; waits for a walker slot if both are busy. *)
-          let rec start_walk () =
-            if Ptw.can_start t.ptw then
-              Ptw.start t.ptw ~vpage ~on_done:(fun ~reads:_ ->
-                  Tlb.insert t.l2tlb ~vpage;
-                  Tlb.insert t.dtlb ~vpage;
-                  t.dtlb_outstanding <- t.dtlb_outstanding - 1;
-                  k ())
-            else after t 1 start_walk
-          in
-          start_walk ()
-        end);
+    after t t.cfg.Core_config.l2tlb_latency ev_dtlb_l2 idx;
     true
   end
 
 (* ------------------------------------------------------------------ *)
-(* ROB helpers                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let rob_entry t idx =
-  match t.rob.(idx) with
-  | Some e -> e
-  | None -> failwith "Core: dangling ROB index"
-
-let rob_full t = t.rob_count = Array.length t.rob
-let rob_empty t = t.rob_count = 0
-
-let rec srcs_ready t = function
-  | [] -> true
-  | p :: rest -> t.ready_at.(p) <= t.now && srcs_ready t rest
-
-let mark_done t idx =
-  let e = rob_entry t idx in
-  e.state <- Rs_done;
-  match e.dst_phys with
-  | Some p -> t.ready_at.(p) <- min t.ready_at.(p) t.now
-  | None -> ()
-
-let set_dst_ready_at t e at =
-  match e.dst_phys with
-  | Some p -> t.ready_at.(p) <- at
-  | None -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Fetch                                                               *)
 (* ------------------------------------------------------------------ *)
+
+let start_iwalk t page =
+  if Ptw.can_start t.ptw then
+    Ptw.start t.ptw ~vpage:page ~on_done:(fun ~reads:_ ->
+        Tlb.insert t.l2tlb ~vpage:page;
+        Tlb.insert t.itlb ~vpage:page;
+        t.fetch_wait_itlb <- false)
+  else after t 1 ev_itlb_walk page
 
 (* Handle I-side line/page transitions; true when the µop's line is
    available this cycle. *)
@@ -474,22 +527,7 @@ let fetch_mem_ok t (u : Uop.t) =
     if page <> t.last_fetch_page && not (Tlb.lookup t.itlb ~vpage:page) then begin
       Stats.bump t.ctr.c_itlb_misses;
       t.fetch_wait_itlb <- true;
-      after t t.cfg.Core_config.l2tlb_latency (fun () ->
-          if Tlb.lookup t.l2tlb ~vpage:page then begin
-            Tlb.insert t.itlb ~vpage:page;
-            t.fetch_wait_itlb <- false
-          end
-          else begin
-            let rec start_walk () =
-              if Ptw.can_start t.ptw then
-                Ptw.start t.ptw ~vpage:page ~on_done:(fun ~reads:_ ->
-                    Tlb.insert t.l2tlb ~vpage:page;
-                    Tlb.insert t.itlb ~vpage:page;
-                    t.fetch_wait_itlb <- false)
-              else after t 1 start_walk
-            in
-            start_walk ()
-          end);
+      after t t.cfg.Core_config.l2tlb_latency ev_itlb_l2 page;
       false
     end
     else begin
@@ -519,8 +557,6 @@ let fetch_mem_ok t (u : Uop.t) =
    decode-time redirect. *)
 type fetch_outcome = F_ok | F_stall_until_resolve | F_decode_redirect
 
-let predicts target = function Some p -> p = target | None -> false
-
 let predict_control t (u : Uop.t) =
   match u.Uop.kind with
   | Uop.Branch { taken; target } ->
@@ -529,7 +565,7 @@ let predict_control t (u : Uop.t) =
     let btb_target = Btb.predict t.btb ~pc:u.Uop.pc in
     Tournament.update t.tournament ~pc:u.Uop.pc ~taken;
     if taken then Btb.update t.btb ~pc:u.Uop.pc ~target;
-    if pred_dir <> taken || (taken && not (predicts target btb_target)) then begin
+    if pred_dir <> taken || (taken && btb_target <> target) then begin
       Stats.bump t.ctr.c_mispredicts;
       F_stall_until_resolve
     end
@@ -538,7 +574,7 @@ let predict_control t (u : Uop.t) =
     match kind with
     | `Plain | `Call ->
       if kind = `Call then Ras.push t.ras (u.Uop.pc + 4);
-      let hit = predicts target (Btb.predict t.btb ~pc:u.Uop.pc) in
+      let hit = Btb.predict t.btb ~pc:u.Uop.pc = target in
       Btb.update t.btb ~pc:u.Uop.pc ~target;
       if hit then F_ok
       else begin
@@ -555,6 +591,9 @@ let predict_control t (u : Uop.t) =
       end)
   | _ -> F_ok
 
+(* Ring position of the [i]th oldest fetch-queue entry. *)
+let fq_slot t i = (t.fq_head + i) mod fetch_queue_entries
+
 let fetch_stage t =
   if
     t.now >= t.fetch_stall_until
@@ -564,7 +603,7 @@ let fetch_stage t =
   then begin
     let budget = ref t.cfg.Core_config.fetch_width in
     let stop = ref false in
-    while !budget > 0 && (not !stop) && Fifo.can_enq t.fetch_q do
+    while !budget > 0 && (not !stop) && t.fq_len < fetch_queue_entries do
       match t.stream () with
       | None ->
         t.stream_done <- true;
@@ -598,7 +637,10 @@ let fetch_stage t =
           t.fetch_blocked_on_trap <- true;
           stop := true
         | Uop.Alu _ | Uop.Load _ | Uop.Store _ -> ());
-        Fifo.enq t.fetch_q { pre_uop = u; pre_mispredict = !mispredicted };
+        let s = fq_slot t t.fq_len in
+        t.fq_uops.(s) <- u;
+        t.fq_mispredict.(s) <- !mispredicted;
+        t.fq_len <- t.fq_len + 1;
         if not mem_ok then stop := true else decr budget
     done
   end
@@ -646,16 +688,24 @@ let iq_has_room t (u : Uop.t) =
   | Uop.Alu _ | Uop.Branch _ | Uop.Jump _ -> (shortest_alu_iq t).n < cap
   | Uop.Enter_kernel | Uop.Exit_kernel -> true
 
-(* The physical registers currently mapped to logical [regs]. *)
-let rec phys_of_regs t = function
-  | [] -> []
-  | r :: rest -> t.map_table.(r) :: phys_of_regs t rest
+(* Rename logical [regs] into [e.srcs] from position [i] on, growing the
+   array for a µop with more sources than any before it in this slot. *)
+let rec rename_srcs t e i = function
+  | [] -> e.nsrc <- i
+  | r :: rest ->
+    if i = Array.length e.srcs then begin
+      let bigger = Array.make (2 * i) 0 in
+      Array.blit e.srcs 0 bigger 0 i;
+      e.srcs <- bigger
+    end;
+    e.srcs.(i) <- t.map_table.(r);
+    rename_srcs t e (i + 1) rest
 
 let rename_stage t =
   let budget = ref t.cfg.Core_config.fetch_width in
   let stop = ref false in
-  while !budget > 0 && (not !stop) && Fifo.can_deq t.fetch_q do
-    let { pre_uop = u; pre_mispredict } = Fifo.peek t.fetch_q in
+  while !budget > 0 && (not !stop) && t.fq_len > 0 do
+    let u = t.fq_uops.(t.fq_head) in
     let is_mem = Uop.is_mem u in
     let is_marker =
       match u.Uop.kind with
@@ -666,18 +716,20 @@ let rename_stage t =
       t.cfg.Core_config.nonspec_mem && is_mem && not (rob_empty t)
     in
     let marker_block = is_marker && not (rob_empty t) in
-    let needs_dst = u.Uop.dst <> None in
+    let needs_dst = match u.Uop.dst with Some _ -> true | None -> false in
     let sq_needed = match u.Uop.kind with Uop.Store _ -> true | _ -> false in
     let lq_needed = match u.Uop.kind with Uop.Load _ -> true | _ -> false in
     if
       rob_full t || nonspec_block || marker_block
-      || (needs_dst && Queue.is_empty t.free_list)
+      || (needs_dst && Ring.is_empty t.free_list)
       || (not (iq_has_room t u))
-      || (sq_needed && t.sq_count = Array.length t.sq)
+      || (sq_needed && t.sq_count = Array.length t.sq_line)
       || (lq_needed && alloc_lq t < 0)
     then stop := true
     else begin
-      ignore (Fifo.deq t.fetch_q);
+      let mispredict = t.fq_mispredict.(t.fq_head) in
+      t.fq_head <- fq_slot t 1;
+      t.fq_len <- t.fq_len - 1;
       if is_marker then begin
         (* Serialized trap boundary: costs the trap latency and, in FLUSH
            variants, triggers the purge state machine.  Nothing younger
@@ -700,53 +752,40 @@ let rename_stage t =
         end
       end
       else begin
-        let src_phys = phys_of_regs t u.Uop.srcs in
-        let dst_phys, old_phys =
-          match u.Uop.dst with
-          | None -> (None, None)
-          | Some d ->
-            let p = Queue.pop t.free_list in
-            let old = t.map_table.(d) in
-            t.map_table.(d) <- p;
-            t.ready_at.(p) <- never;
-            (Some p, Some old)
-        in
         let idx = t.rob_tail in
-        let lq_slot =
-          if lq_needed then begin
-            let s = alloc_lq t in
-            t.lq.(s) <- true;
-            t.lq_rob.(s) <- idx;
-            Some s
-          end
-          else None
-        in
-        let sq_slot =
-          if sq_needed then begin
-            let s = t.sq_tail in
-            t.sq_tail <- (t.sq_tail + 1) mod Array.length t.sq;
-            t.sq_count <- t.sq_count + 1;
-            (match u.Uop.kind with
-            | Uop.Store { addr } ->
-              t.sq.(s) <- Some { sq_line = addr lsr 6; sq_addr_ready = false }
-            | _ -> assert false);
-            Some s
-          end
-          else None
-        in
-        t.rob.(idx) <-
-          Some
-            {
-              u;
-              dst_phys;
-              old_phys;
-              src_phys;
-              lq_slot;
-              sq_slot;
-              state = Rs_waiting;
-              mispredict = pre_mispredict;
-            };
-        t.rob_tail <- (t.rob_tail + 1) mod Array.length t.rob;
+        let e = t.rob.(idx) in
+        e.u <- u;
+        (* Sources read the map before the destination is renamed. *)
+        rename_srcs t e 0 u.Uop.srcs;
+        (match u.Uop.dst with
+        | None ->
+          e.dst <- -1;
+          e.old <- -1
+        | Some d ->
+          let p = Ring.pop t.free_list in
+          e.dst <- p;
+          e.old <- t.map_table.(d);
+          t.map_table.(d) <- p;
+          t.ready_at.(p) <- never);
+        if lq_needed then begin
+          let s = alloc_lq t in
+          t.lq.(s) <- true;
+          t.lq_rob.(s) <- idx;
+          e.lq <- s
+        end
+        else e.lq <- -1;
+        (match u.Uop.kind with
+        | Uop.Store { addr } ->
+          let s = t.sq_tail in
+          t.sq_line.(s) <- addr lsr 6;
+          t.sq_ready.(s) <- false;
+          t.sq_tail <- (s + 1) mod Array.length t.sq_line;
+          t.sq_count <- t.sq_count + 1;
+          e.sq <- s
+        | _ -> e.sq <- -1);
+        e.state <- Rs_waiting;
+        e.mispredict <- mispredict;
+        t.rob_tail <- (idx + 1) mod Array.length t.rob;
         t.rob_count <- t.rob_count + 1;
         dispatch_iq t idx u
       end;
@@ -762,31 +801,14 @@ let rename_stage t =
 let pick_ready t q =
   let found = ref (-1) and j = ref 0 in
   while !found < 0 && !j < q.n do
-    let e = rob_entry t q.slots.(!j) in
-    if e.state = Rs_waiting && srcs_ready t e.src_phys then found := !j;
+    let e = t.rob.(q.slots.(!j)) in
+    if e.state = Rs_waiting && srcs_ready t e then found := !j;
     incr j
   done;
   !found
 
-(* Store-to-load forwarding: an older SQ entry with a ready address on the
-   same line forwards, as does a store-buffer entry that has retired but
-   not yet drained to the D-cache.  (Timing model: unknown older store
-   addresses do not block the load — RiscyOO issues loads
-   speculatively.) *)
-let forwardable t line =
-  let found = ref false in
-  for i = 0 to Array.length t.sq - 1 do
-    match t.sq.(i) with
-    | Some s when s.sq_addr_ready && s.sq_line = line -> found := true
-    | _ -> ()
-  done;
-  for i = 0 to Array.length t.sb - 1 do
-    if t.sb.(i) && t.sb_lines.(i) = line then found := true
-  done;
-  !found
-
 let issue_alu_like t idx =
-  let e = rob_entry t idx in
+  let e = t.rob.(idx) in
   e.state <- Rs_issued;
   let latency =
     match e.u.Uop.kind with
@@ -794,61 +816,16 @@ let issue_alu_like t idx =
     | Uop.Branch _ | Uop.Jump _ -> 1
     | _ -> assert false
   in
-  set_dst_ready_at t e (t.now + latency);
-  after t latency (fun () ->
-      e.state <- Rs_done;
-      (* Control resolution restarts a stalled front end. *)
-      match e.u.Uop.kind with
-      | Uop.Branch _ | Uop.Jump _ ->
-        if e.mispredict then begin
-          e.mispredict <- false;
-          t.fetch_blocked_on_resolve <- false;
-          t.fetch_stall_until <-
-            max t.fetch_stall_until
-              (t.now + t.cfg.Core_config.redirect_penalty)
-        end
-      | _ -> ())
+  if e.dst >= 0 then t.ready_at.(e.dst) <- t.now + latency;
+  after t latency ev_exec_done idx
 
+(* Address generation + translation.  A store "executes" when its
+   address is translated and entered into the SQ. *)
 let issue_mem t idx =
-  let e = rob_entry t idx in
+  let e = t.rob.(idx) in
   e.state <- Rs_issued;
-  match e.u.Uop.kind with
-  | Uop.Store { addr } ->
-    (* Address generation + translation; the store "executes" when its
-       address is translated and entered into the SQ. *)
-    let k () =
-      after t 1 (fun () ->
-          (match e.sq_slot with
-          | Some s -> (
-            match t.sq.(s) with
-            | Some sq -> sq.sq_addr_ready <- true
-            | None -> assert false)
-          | None -> assert false);
-          e.state <- Rs_done)
-    in
-    if not (translate_d t ~addr ~k) then e.state <- Rs_waiting (* retry *)
-  | Uop.Load { addr } ->
-    (match e.lq_slot with
-    | Some s -> t.lq_issued_at.(s) <- t.now
-    | None -> ());
-    let line = addr lsr 6 in
-    let k () =
-      if forwardable t line then begin
-        Stats.bump t.ctr.c_store_forwards;
-        after t 1 (fun () -> mark_done t idx)
-      end
-      else begin
-        let lq_slot = match e.lq_slot with Some s -> s | None -> assert false in
-        let rec try_cache () =
-          if L1.can_accept t.l1d then
-            L1.request t.l1d ~line ~store:false ~id:lq_slot
-          else after t 1 try_cache
-        in
-        try_cache ()
-      end
-    in
-    if not (translate_d t ~addr ~k) then e.state <- Rs_waiting
-  | _ -> assert false
+  if e.lq >= 0 then t.lq_issued_at.(e.lq) <- t.now;
+  if not (translate_d t idx) then e.state <- Rs_waiting (* retry *)
 
 let issue_alu_iq t q =
   let j = pick_ready t q in
@@ -869,9 +846,88 @@ let issue_stage t =
     let idx = q.slots.(j) in
     issue_mem t idx;
     (* Leave in the queue on a DTLB-port stall (state reverted). *)
-    match (rob_entry t idx).state with
+    match t.rob.(idx).state with
     | Rs_waiting -> ()
     | _ -> iq_remove_at q j
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Event dispatch                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let run_event t kind arg =
+  if kind = ev_exec_done then begin
+    let e = t.rob.(arg) in
+    e.state <- Rs_done;
+    (* Control resolution restarts a stalled front end. *)
+    match e.u.Uop.kind with
+    | Uop.Branch _ | Uop.Jump _ ->
+      if e.mispredict then begin
+        e.mispredict <- false;
+        t.fetch_blocked_on_resolve <- false;
+        t.fetch_stall_until <-
+          max t.fetch_stall_until (t.now + t.cfg.Core_config.redirect_penalty)
+      end
+    | _ -> ()
+  end
+  else if kind = ev_store_addr then begin
+    let e = t.rob.(arg) in
+    t.sq_ready.(e.sq) <- true;
+    e.state <- Rs_done
+  end
+  else if kind = ev_load_forwarded then mark_done t arg
+  else if kind = ev_load_port then load_port t arg
+  else if kind = ev_dtlb_l2 then begin
+    let vpage = mem_addr t.rob.(arg) / 4096 in
+    if Tlb.lookup t.l2tlb ~vpage then begin
+      Tlb.insert t.dtlb ~vpage;
+      t.dtlb_outstanding <- t.dtlb_outstanding - 1;
+      translated t arg
+    end
+    else begin
+      Stats.bump t.ctr.c_l2tlb_misses;
+      start_dwalk t arg
+    end
+  end
+  else if kind = ev_dtlb_walk then start_dwalk t arg
+  else if kind = ev_itlb_l2 then begin
+    if Tlb.lookup t.l2tlb ~vpage:arg then begin
+      Tlb.insert t.itlb ~vpage:arg;
+      t.fetch_wait_itlb <- false
+    end
+    else start_iwalk t arg
+  end
+  else if kind = ev_itlb_walk then start_iwalk t arg
+  else invalid_arg "Core.run_event"
+
+(* Run every event due by [t.now], oldest first.  Ticking cycle after
+   cycle, the due events are exactly the next cycle's bucket. *)
+let run_events t =
+  let w = t.wheel in
+  if t.now = w.ran + 1 then begin
+    w.ran <- t.now;
+    let b = t.now land w.mask in
+    let n = w.counts.(b) in
+    if n > 0 then begin
+      (* Detached first: events file new events in later cycles, so
+         never in this bucket, possibly into a regrown wheel. *)
+      let bucket = w.buckets.(b) in
+      w.counts.(b) <- 0;
+      w.pending <- w.pending - n;
+      for i = 0 to n - 1 do
+        run_event t bucket.((4 * i) + 2) bucket.((4 * i) + 3)
+      done
+    end
+  end
+  else begin
+    (* A skipped or repeated cycle: every event due by now runs, in
+       insertion order, and the rest are refiled around the new [ran]. *)
+    let due, rest =
+      List.partition (fun (at, _, _, _) -> at <= t.now) (pending_events w)
+    in
+    w.ran <- max w.ran t.now;
+    wheel_rebuild w ~size:(Array.length w.buckets) (List.rev rest);
+    List.iter (fun (_, _, kind, arg) -> run_event t kind arg) (List.rev due)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -887,8 +943,8 @@ let alloc_sb t =
   if !i < Array.length t.sb then !i else -1
 
 let sb_stage t =
-  if (not (Queue.is_empty t.sb_pending)) && L1.can_accept t.l1d then begin
-    let slot = Queue.pop t.sb_pending in
+  if (not (Ring.is_empty t.sb_pending)) && L1.can_accept t.l1d then begin
+    let slot = Ring.pop t.sb_pending in
     L1.request t.l1d ~line:t.sb_lines.(slot) ~store:true ~id:(sb_tag lor slot)
   end
 
@@ -900,57 +956,45 @@ let commit_stage t =
   let budget = ref t.cfg.Core_config.commit_width in
   let stop = ref false in
   while !budget > 0 && (not !stop) && not (rob_empty t) do
-    match t.rob.(t.rob_head) with
-    | None -> assert false
-    | Some e ->
-      if e.state <> Rs_done then stop := true
-      else begin
-        let can_retire =
-          match e.u.Uop.kind with
-          | Uop.Store _ -> (
-            (* Needs a store-buffer slot; the SB drains in background. *)
-            let slot = alloc_sb t in
-            if slot >= 0 then begin
-              t.sb.(slot) <- true;
-              (match e.sq_slot with
-              | Some s -> (
-                match t.sq.(s) with
-                | Some sq -> t.sb_lines.(slot) <- sq.sq_line
-                | None -> assert false)
-              | None -> assert false);
-              Queue.add slot t.sb_pending;
-              true
-            end
-            else begin
-              Stats.bump t.ctr.c_sb_full_stalls;
-              false
-            end)
-          | _ -> true
-        in
-        if not can_retire then stop := true
-        else begin
-          (match e.old_phys with
-          | Some p -> Queue.add p t.free_list
-          | None -> ());
-          (match e.lq_slot with
-          | Some s ->
-            t.lq.(s) <- false;
-            t.lq_rob.(s) <- -1
-          | None -> ());
-          (match e.sq_slot with
-          | Some s ->
-            t.sq.(s) <- None;
-            t.sq_head <- (t.sq_head + 1) mod Array.length t.sq;
-            t.sq_count <- t.sq_count - 1
-          | None -> ());
-          t.rob.(t.rob_head) <- None;
-          t.rob_head <- (t.rob_head + 1) mod Array.length t.rob;
-          t.rob_count <- t.rob_count - 1;
-          t.committed <- t.committed + 1;
-          t.on_commit e.u;
-          decr budget
+    let e = t.rob.(t.rob_head) in
+    if e.state <> Rs_done then stop := true
+    else begin
+      (* A store needs a store-buffer slot; the SB drains in
+         background. *)
+      let can_retire =
+        e.sq < 0
+        ||
+        let slot = alloc_sb t in
+        if slot >= 0 then begin
+          t.sb.(slot) <- true;
+          t.sb_lines.(slot) <- t.sq_line.(e.sq);
+          Ring.push t.sb_pending slot;
+          true
         end
+        else begin
+          Stats.bump t.ctr.c_sb_full_stalls;
+          false
+        end
+      in
+      if not can_retire then stop := true
+      else begin
+        if e.old >= 0 then Ring.push t.free_list e.old;
+        if e.lq >= 0 then begin
+          t.lq.(e.lq) <- false;
+          t.lq_rob.(e.lq) <- -1
+        end;
+        if e.sq >= 0 then begin
+          t.sq_ready.(e.sq) <- false;
+          t.sq_head <- (t.sq_head + 1) mod Array.length t.sq_line;
+          t.sq_count <- t.sq_count - 1
+        end;
+        t.rob_head <- (t.rob_head + 1) mod Array.length t.rob;
+        t.rob_count <- t.rob_count - 1;
+        t.committed <- t.committed + 1;
+        t.on_commit e.u;
+        decr budget
       end
+    end
   done
 
 (* ------------------------------------------------------------------ *)
@@ -959,7 +1003,7 @@ let commit_stage t =
 
 let backend_quiescent t =
   rob_empty t
-  && Queue.is_empty t.sb_pending
+  && Ring.is_empty t.sb_pending
   && Array.for_all not t.sb
   && L1.in_flight t.l1d = 0
   && L1.in_flight t.l1i = 0
@@ -1055,19 +1099,16 @@ let attribute_cycle t ~committed_before =
       else if t.fetch_wait_itlb then 4 (* tlb_walk *)
       else 6 (* other *)
     else begin
-      let e = rob_entry t t.rob_head in
+      let e = t.rob.(t.rob_head) in
       match e.u.Uop.kind with
       | (Uop.Load _ | Uop.Store _) when e.state <> Rs_done ->
         if t.dtlb_outstanding > 0 || Ptw.active_walks t.ptw > 0 then
           4 (* tlb_walk *)
-        else begin
-          match (e.u.Uop.kind, e.lq_slot, e.state) with
-          | Uop.Load _, Some s, Rs_issued ->
-            if t.now - t.lq_issued_at.(s) > t.cfg.Core_config.llc_roundtrip_hint
-            then 3 (* llc_dram *)
-            else 2 (* l1_miss *)
-          | _ -> 6
-        end
+        else if e.lq >= 0 && e.state = Rs_issued then
+          if t.now - t.lq_issued_at.(e.lq) > t.cfg.Core_config.llc_roundtrip_hint
+          then 3 (* llc_dram *)
+          else 2 (* l1_miss *)
+        else 6
       | _ -> 6
     end
   in
@@ -1137,12 +1178,12 @@ let mem_complete t ~now ~id =
   else begin
     (* Load completion: the ROB entry owning this LQ slot. *)
     let idx = t.lq_rob.(id) in
-    match if idx >= 0 then t.rob.(idx) else None with
-    | Some ({ lq_slot = Some s; state = Rs_issued; _ } as e) when s = id ->
-      e.state <- Rs_done;
-      Histogram.add t.load_lat (now - t.lq_issued_at.(id));
-      set_dst_ready_at t e now
-    | _ -> failwith "Core.mem_complete: orphan load completion"
+    if idx < 0 || t.rob.(idx).lq <> id || t.rob.(idx).state <> Rs_issued then
+      failwith "Core.mem_complete: orphan load completion";
+    let e = t.rob.(idx) in
+    e.state <- Rs_done;
+    Histogram.add t.load_lat (now - t.lq_issued_at.(id));
+    if e.dst >= 0 then t.ready_at.(e.dst) <- now
   end
 
 let icache_complete t ~id =
@@ -1151,12 +1192,12 @@ let icache_complete t ~id =
   if id = 0 then t.fetch_wait_icache <- false
 
 let finished t =
-  t.stream_done && rob_empty t && Fifo.is_empty t.fetch_q
+  t.stream_done && rob_empty t && t.fq_len = 0
   && backend_quiescent t && t.purge = Pp_none
   && not t.purge_requested
 
 (* ------------------------------------------------------------------ *)
-(* Occupancy probes                                                    *)
+(* Occupancy probes and invariants                                     *)
 (* ------------------------------------------------------------------ *)
 
 let rob_occupancy t = t.rob_count
@@ -1169,25 +1210,62 @@ let lq_occupancy t = count_busy t.lq
 let sq_occupancy t = t.sq_count
 let sb_occupancy t = count_busy t.sb
 
+let rob_state_name = function
+  | Rs_waiting -> "waiting"
+  | Rs_issued -> "issued"
+  | Rs_done -> "done"
+
 (* In-flight (renamed, not yet retired) µops oldest-first, with the ROB
    state of each; causal-slice reports render these. *)
 let in_flight_uops t =
-  let n = Array.length t.rob in
-  let rec go i cnt acc =
-    if cnt = 0 then List.rev acc
-    else
-      match t.rob.(i) with
-      | Some e ->
-        let st =
-          match e.state with
-          | Rs_waiting -> "waiting"
-          | Rs_issued -> "issued"
-          | Rs_done -> "done"
-        in
-        go ((i + 1) mod n) (cnt - 1) ((e.u, st) :: acc)
-      | None -> go ((i + 1) mod n) cnt acc
-  in
-  go t.rob_head t.rob_count []
+  List.init t.rob_count (fun i ->
+      let e = t.rob.((t.rob_head + i) mod Array.length t.rob) in
+      (e.u, rob_state_name e.state))
+
+let check_invariants t =
+  let exception Broken of string in
+  let fail fmt = Printf.ksprintf (fun m -> raise (Broken m)) fmt in
+  try
+    (* Every physical register is free, mapped, or the old mapping of an
+       in-flight µop, in exactly one of these places. *)
+    let places = Array.make t.cfg.Core_config.phys_regs 0 in
+    let place p = places.(p) <- places.(p) + 1 in
+    for i = 0 to Ring.length t.free_list - 1 do
+      place (Ring.get t.free_list i 0)
+    done;
+    Array.iter place t.map_table;
+    let stores = ref 0 in
+    for i = 0 to t.rob_count - 1 do
+      let e = t.rob.((t.rob_head + i) mod Array.length t.rob) in
+      if e.old >= 0 then place e.old;
+      if e.sq >= 0 then incr stores
+    done;
+    Array.iteri
+      (fun p n ->
+        if n <> 1 then fail "physical register %d is in %d places" p n)
+      places;
+    (* Every busy LQ slot names a live load that points back at it. *)
+    Array.iteri
+      (fun s busy ->
+        let idx = t.lq_rob.(s) in
+        if not busy then begin
+          if idx <> -1 then fail "free LQ slot %d names ROB %d" s idx
+        end
+        else if idx < 0 || not (rob_live t idx) then
+          fail "LQ slot %d names ROB %d, not in flight" s idx
+        else begin
+          let e = t.rob.(idx) in
+          (match e.u.Uop.kind with
+          | Uop.Load _ -> ()
+          | _ -> fail "LQ slot %d names ROB %d, not a load" s idx);
+          if e.lq <> s then
+            fail "LQ slot %d names ROB %d, whose LQ slot is %d" s idx e.lq
+        end)
+      t.lq;
+    if t.sq_count <> !stores then
+      fail "SQ count %d, but %d stores in flight" t.sq_count !stores;
+    Ok ()
+  with Broken m -> Error m
 
 (* ------------------------------------------------------------------ *)
 (* Structure state (quiet-cycle signature and labelled dump)           *)
@@ -1199,13 +1277,12 @@ let in_flight_uops t =
    and the committed count.  Renaming state (map table, free list,
    ready_at), predictors, TLB/translation-cache contents and
    [lq_issued_at] are excluded: they only change in cycles that also
-   move an included structure.  Event closures cannot be hashed — their
-   scheduled times are folded instead, which is sound because every
-   retry path reschedules at a strictly later cycle. *)
+   move an included structure.  Events fold only their scheduled times,
+   which is sound because every retry path reschedules at a strictly
+   later cycle.  Slots outside the ROB, SQ and fetch-queue windows fold
+   as empty. *)
 
 let rob_state_code = function Rs_waiting -> 0 | Rs_issued -> 1 | Rs_done -> 2
-
-let sig_opt = function None -> -1 | Some v -> v
 
 let purge_code = function
   | Pp_none -> 0
@@ -1217,14 +1294,14 @@ let purge_kind_code = function Pk_enter -> 0 | Pk_exit -> 1 | Pk_external -> 2
 let state t s =
   let open Statesig in
   int s "core" t.id;
-  int s " fq=" (Fifo.length t.fetch_q);
+  int s " fq=" t.fq_len;
   lit s "[";
-  Fifo.iter
-    (fun r ->
-      int s "(" (Hashtbl.hash r.pre_uop);
-      bool s "," r.pre_mispredict;
-      lit s ")")
-    t.fetch_q;
+  for i = 0 to t.fq_len - 1 do
+    let j = fq_slot t i in
+    int s "(" (Hashtbl.hash t.fq_uops.(j));
+    bool s "," t.fq_mispredict.(j);
+    lit s ")"
+  done;
   bool s "] sd=" t.stream_done;
   int s " fsu=" t.fetch_stall_until;
   bool s " fbr=" t.fetch_blocked_on_resolve;
@@ -1237,19 +1314,24 @@ let state t s =
   int s "/" t.rob_tail;
   int s "/" t.rob_count;
   lit s "[";
-  Array.iter
-    (function
-      | None -> none s "-"
-      | Some e ->
+  Array.iteri
+    (fun idx e ->
+      if not (rob_live t idx) then none s "-"
+      else begin
         int s "(" (Hashtbl.hash e.u);
-        int s " d=" (sig_opt e.dst_phys);
-        int s " o=" (sig_opt e.old_phys);
-        items s " s=[" e.src_phys;
-        int s "] l=" (sig_opt e.lq_slot);
-        int s " q=" (sig_opt e.sq_slot);
+        int s " d=" e.dst;
+        int s " o=" e.old;
+        lit s " s=[";
+        len s e.nsrc;
+        for i = 0 to e.nsrc - 1 do
+          item s e.srcs.(i)
+        done;
+        int s "] l=" e.lq;
+        int s " q=" e.sq;
         int s " st=" (rob_state_code e.state);
         bool s " m=" e.mispredict;
-        lit s ")")
+        lit s ")"
+      end)
     t.rob;
   (* Issue queues and events fold newest first, as lists did. *)
   let iq q =
@@ -1273,24 +1355,28 @@ let state t s =
   int s "/" t.sq_tail;
   int s "/" t.sq_count;
   lit s "[";
-  Array.iter
-    (function
-      | None -> none s "-"
-      | Some sq ->
-        int s "(" sq.sq_line;
-        bool s "," sq.sq_addr_ready;
-        lit s ")")
-    t.sq;
+  let nsq = Array.length t.sq_line in
+  for i = 0 to nsq - 1 do
+    if (i - t.sq_head + nsq) mod nsq >= t.sq_count then none s "-"
+    else begin
+      int s "(" t.sq_line.(i);
+      bool s "," t.sq_ready.(i);
+      lit s ")"
+    end
+  done;
   lit s "] sb[";
   Array.iteri
     (fun k busy ->
       if busy then item s t.sb_lines.(k) else none s "-;")
     t.sb;
   lit s "] sbp[";
-  len s (Queue.length t.sb_pending);
-  Queue.iter (item s) t.sb_pending;
+  len s (Ring.length t.sb_pending);
+  for i = 0 to Ring.length t.sb_pending - 1 do
+    item s (Ring.get t.sb_pending i 0)
+  done;
   int s "] dtlb=" t.dtlb_outstanding;
-  items s " ev[" (List.map (fun ev -> ev.ev_at) (pending_events t.wheel));
+  items s " ev["
+    (List.map (fun (at, _, _, _) -> at) (pending_events t.wheel));
   int s "] pg=" (purge_code t.purge);
   int s " pk=" (purge_kind_code t.purge_kind);
   bool s " sp=" (t.saved_predictors <> None);

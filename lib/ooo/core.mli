@@ -96,6 +96,14 @@ val sb_occupancy : t -> int
     causal-slice reports. *)
 val in_flight_uops : t -> (Uop.t * string) list
 
+(** [check_invariants t] checks the rename and queue bookkeeping: every
+    physical register is in exactly one of the free list, the map table
+    and the [old] mapping of an in-flight µop; every busy LQ slot names
+    an in-flight load whose LQ slot points back (and a free one names
+    none); the SQ count equals the number of in-flight stores.  [Error]
+    describes the first violation found. *)
+val check_invariants : t -> (unit, string) result
+
 (** [last_cycle_cause t] — the {!Cpistack.categories} index the last tick
     was attributed to (feeds per-stall-cause quiet-cycle accounting). *)
 val last_cycle_cause : t -> int

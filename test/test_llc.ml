@@ -442,6 +442,56 @@ let alloc_configs =
     ("secure 2-core", Config.secure_multicore ~cores:2);
   ]
 
+(* A busy cycle allocates nothing either.  A one-core machine runs an
+   L1-resident loop of two loads (the second on the line the store
+   writes), a store, ALU ops and a taken backward branch, from µops built
+   once; the warm-up trains the predictors and fills the caches, TLBs and
+   event-wheel buckets.  Only the stream could allocate, and this one
+   does not. *)
+module Uop = Mi6_ooo.Uop
+module Tmachine = Mi6_core.Tmachine
+
+let busy_loop =
+  let code = 0x10000 and data = 0x200000 in
+  let pc i = code + (4 * i) in
+  [|
+    Uop.load ~pc:(pc 0) ~addr:data ~dst:5 ~srcs:[ 6 ] ();
+    Uop.alu ~pc:(pc 1) ~dst:6 ~srcs:[ 5; 6 ] ();
+    Uop.store ~pc:(pc 2) ~addr:(data + 64) ~srcs:[ 6; 7 ] ();
+    Uop.alu ~pc:(pc 3) ~dst:7 ~srcs:[ 7 ] ();
+    Uop.load ~pc:(pc 4) ~addr:(data + 64) ~dst:8 ~srcs:[ 7 ] ();
+    Uop.alu ~latency:3 ~pc:(pc 5) ~dst:9 ~srcs:[ 8; 5 ] ();
+    Uop.branch ~pc:(pc 6) ~taken:true ~target:(pc 0) ~srcs:[ 9 ] ();
+  |]
+
+let busy_warmup = 20_000
+
+let test_busy_ticks_allocate_nothing variant () =
+  let uops = Array.map Option.some busy_loop in
+  let next = ref 0 in
+  let stream () =
+    let u = uops.(!next) in
+    next := (!next + 1) mod Array.length uops;
+    u
+  in
+  let m =
+    Tmachine.create
+      (Config.timing ~cores:1 variant)
+      ~streams:[| stream |] ~stats:(Stats.create ())
+  in
+  for _ = 1 to busy_warmup do
+    Tmachine.tick m
+  done;
+  let c0 = Tmachine.committed m in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to idle_ticks do
+    Tmachine.tick m
+  done;
+  let w1 = Gc.minor_words () in
+  let name = Config.variant_name variant in
+  check_bool (name ^ ": loop commits") true (Tmachine.committed m - c0 > idle_ticks / 2);
+  Alcotest.(check (float 0.)) (name ^ ": busy Tmachine.tick words") 0. (w1 -. w0)
+
 (* Only the constant-latency controller describes its state; the
    reordering one (the DRAM-bank channel demonstration) refuses rather
    than hand back state it does not capture. *)
@@ -509,5 +559,13 @@ let () =
           (fun ((name, _) as cfg) ->
             Alcotest.test_case ("idle ticks allocate nothing: " ^ name) `Quick
               (test_idle_ticks_allocate_nothing cfg))
-          alloc_configs );
+          alloc_configs
+        @ List.map
+            (fun variant ->
+              Alcotest.test_case
+                ("busy core loop allocates nothing: "
+                ^ Config.variant_name variant)
+                `Quick
+                (test_busy_ticks_allocate_nothing variant))
+            [ Config.Base; Config.Fpma ] );
     ]

@@ -439,14 +439,14 @@ let test_audit_length_mismatch () =
 (* ------------------------------------------------------------------ *)
 
 let sample_record ?(run_id = "0001-abc") ?(variant = "BASE") ?(bench = "gcc")
-    ?(cycles = 1000) ?(ipc = 0.5) ?host () =
+    ?(cycles = 1000) ?(instrs = 500) ?(ipc = 0.5) ?host () =
   {
     Perfdb.run_id;
     commit = "abc";
     variant;
     bench;
     cycles;
-    instrs = 500;
+    instrs;
     ipc;
     cpi = [ ("base", 400); ("llc_dram", 600) ];
     quantiles = [ ("core.0.load_latency", (3, 40, 130)) ];
@@ -523,7 +523,19 @@ let test_perfdb_compare_runs () =
   check_bool "loose thresholds pass" true
     (Perfdb.compare_runs ~max_cycle_regress_pct:50.0 ~max_ipc_drop_pct:50.0
        ~old_run ~new_run:bad_run ()
-    = [])
+    = []);
+  (* A run of another length is another experiment: a 20x longer BASE/gcc
+     run pairs with nothing, so it is no regression, and the run of the
+     same length in the same history still pairs. *)
+  let longer = sample_record ~run_id:"0004-abc" ~cycles:20_000 ~instrs:10_000 () in
+  check_int "different instrs pair with nothing" 0
+    (List.length (Perfdb.pairs ~old_run ~new_run:[ longer ]));
+  check_bool "different instrs are no regression" true
+    (Perfdb.compare_runs ~old_run ~new_run:[ longer ] () = []);
+  check_int "same length still pairs" 1
+    (List.length
+       (Perfdb.pairs ~old_run:(longer :: old_run)
+          ~new_run:[ sample_record ~run_id:"0004-abc" ~cycles:1100 () ]))
 
 let test_perfdb_host_roundtrip () =
   let host =

@@ -54,12 +54,12 @@ let test_tournament_flush_resets () =
 
 let test_btb () =
   let b = Btb.create () in
-  check_bool "cold miss" true (Btb.predict b ~pc:0x1000 = None);
+  check_bool "cold miss" true (Btb.predict b ~pc:0x1000 = -1);
   Btb.update b ~pc:0x1000 ~target:0x2000;
-  check_bool "hit" true (Btb.predict b ~pc:0x1000 = Some 0x2000);
+  check_bool "hit" true (Btb.predict b ~pc:0x1000 = 0x2000);
   (* Aliasing: 256 entries x 4-byte instructions = 1 KB stride. *)
   Btb.update b ~pc:(0x1000 + 1024) ~target:0x3000;
-  check_bool "alias evicts" true (Btb.predict b ~pc:0x1000 = None);
+  check_bool "alias evicts" true (Btb.predict b ~pc:0x1000 = -1);
   Btb.flush b;
   check_int "flush empties" 0 (Btb.occupancy b)
 
@@ -440,6 +440,64 @@ let test_nonspec_serializes () =
     true
     (nonspec_cycles > base_cycles * 2)
 
+(* ------------------------------------------------------------------ *)
+(* Rename bookkeeping invariants                                       *)
+(* ------------------------------------------------------------------ *)
+
+module Config = Mi6_core.Config
+module Tmachine = Mi6_core.Tmachine
+module Spec = Mi6_workload.Spec
+
+(* A spec stream with a kernel excursion (an Enter_kernel marker, a few
+   dozen µops later an Exit_kernel one) every few hundred µops, so traps
+   and, on the flushing variants, purges run within a short window. *)
+let trapping_stream ~bench ~seed =
+  let spec = Tmachine.spec_stream ~seed ~core:0 ~bench ~limit:max_int () in
+  let rng = Rng.of_int seed in
+  let left = ref (200 + Rng.int rng 1500) and in_kernel = ref false in
+  fun () ->
+    decr left;
+    if !left > 0 then spec ()
+    else begin
+      in_kernel := not !in_kernel;
+      left := if !in_kernel then 20 + Rng.int rng 200 else 200 + Rng.int rng 1500;
+      let kind = if !in_kernel then Uop.Enter_kernel else Uop.Exit_kernel in
+      Some { Uop.pc = 0x1000; kind; dst = None; srcs = [] }
+    end
+
+(* At random stop cycles of random trapping streams on every variant,
+   the free list, map table, LQ map and SQ count agree with the ROB
+   (Core.check_invariants).  Odd stops also request an external purge,
+   so purges run on the non-flushing variants too. *)
+let prop_rename_invariants =
+  let pick xs i = List.nth xs (i mod List.length xs) in
+  QCheck.Test.make ~count:40 ~name:"rename bookkeeping invariants"
+    QCheck.(
+      quad small_nat small_nat (int_bound 999)
+        (list_of_size Gen.(1 -- 4) (int_range 1 12_000)))
+    (fun (b, v, seed, stops) ->
+      let bench = pick Spec.all b and variant = pick Config.all_variants v in
+      let m =
+        Tmachine.create
+          (Config.timing ~cores:1 variant)
+          ~streams:[| trapping_stream ~bench ~seed |]
+          ~stats:(Stats.create ())
+      in
+      let core = Tmachine.core m 0 in
+      List.for_all
+        (fun stop ->
+          while Tmachine.now m < stop do
+            Tmachine.tick m
+          done;
+          match Core.check_invariants core with
+          | Ok () ->
+            if stop land 1 = 1 then Core.request_purge core;
+            true
+          | Error msg ->
+            QCheck.Test.fail_reportf "%s on %s, cycle %d: %s" (Spec.name bench)
+              (Config.variant_name variant) stop msg)
+        (List.sort compare stops))
+
 let () =
   Alcotest.run "mi6_ooo"
     [
@@ -488,4 +546,5 @@ let () =
             test_save_restore_reduces_flush_cost;
         ] );
       ("nonspec", [ Alcotest.test_case "serializes" `Quick test_nonspec_serializes ]);
+      ("invariants", [ QCheck_alcotest.to_alcotest prop_rename_invariants ]);
     ]

@@ -208,6 +208,45 @@ let prop_bitvec_copy_independent =
 (* Rng                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* A ring of two-field records behaves like a list queue under any
+   push/drop sequence, doubling when full. *)
+let prop_ring_model =
+  QCheck.Test.make ~name:"ring matches list model" ~count:300
+    QCheck.(pair (int_range 1 8) (small_list (option small_int)))
+    (fun (cap, ops) ->
+      let r = Ring.create ~width:2 cap in
+      let model = ref [] in
+      let contents () =
+        List.init (Ring.length r) (fun i -> (Ring.get r i 0, Ring.get r i 1))
+      in
+      List.for_all
+        (fun op ->
+          (match (op, !model) with
+          | Some x, _ ->
+            if Ring.is_full r then Ring.grow r;
+            Ring.push2 r x (-x);
+            model := !model @ [ (x, -x) ]
+          | None, [] -> ()
+          | None, _ :: rest ->
+            Ring.drop r;
+            model := rest);
+          contents () = !model
+          && match !model with [] -> Ring.is_empty r | (x, _) :: _ -> Ring.peek r 0 = x)
+        ops)
+
+(* Integer and boolean draws allocate nothing: the state is unboxed. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.of_int 9 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Rng.int r 100;
+    if Rng.bool r ~p:0.5 then incr acc
+  done;
+  let w1 = Gc.minor_words () in
+  check_bool "draws ran" true (!acc > 0);
+  Alcotest.(check (float 0.)) "int/bool draw words" 0. (w1 -. w0)
+
 let test_rng_deterministic () =
   let a = Rng.of_int 42 and b = Rng.of_int 42 in
   for _ = 1 to 100 do
@@ -670,7 +709,10 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "weighted choice" `Quick test_rng_choose_weights;
           Alcotest.test_case "geometric mean" `Quick test_rng_geometric_mean;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
         ] );
+      ("ring", qsuite [ prop_ring_model ]);
       ( "stats",
         [
           Alcotest.test_case "counters" `Quick test_stats_counters;
