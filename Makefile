@@ -1,6 +1,6 @@
 # Convenience wrapper around dune; `make ci` is what the CI workflow runs.
 
-.PHONY: all build test bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke perf-smoke lint-channels perf-compare ci clean
+.PHONY: all build test bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke perf-smoke profile-smoke lint-channels perf-compare ci clean
 
 all: build
 
@@ -133,6 +133,21 @@ ni-smoke:
 perf-smoke:
 	dune build @perfbench/perf-smoke
 
+# CPI-stack profile gate: the same profile with and without the host
+# sampler (--self) must write byte-identical JSON, so sampling moves no
+# simulated bit, and the --self run must state the sampler's overhead.
+profile-smoke:
+	dune build bin/mi6_sim.exe
+	dune exec bin/mi6_sim.exe -- profile -b gcc -v BASE,F+P+M+A \
+		--warmup 20000 --measure 60000 --json profile.json \
+		--folded profile.folded
+	dune exec bin/mi6_sim.exe -- profile --self -b gcc -v BASE,F+P+M+A \
+		--warmup 20000 --measure 60000 --json profile-self.json \
+		> profile-self.txt
+	cat profile-self.txt
+	cmp profile.json profile-self.json
+	grep -q 'sampler overhead: .*% of wall' profile-self.txt
+
 # Diff the two most recent bench runs in BENCH_history.jsonl; exits
 # nonzero on a cycle or IPC regression past the default 5% thresholds.
 perf-compare:
@@ -184,7 +199,7 @@ lint-channels:
 			|| exit 1; \
 	done
 
-ci: build test bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke perf-smoke lint-channels
+ci: build test bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke perf-smoke profile-smoke lint-channels
 
 clean:
 	dune clean
@@ -194,4 +209,5 @@ clean:
 		lint-channels-mi6.json examples/lint/*-channels.json \
 		bisect.json bisect-secret.json BISECT_history.jsonl \
 		ni-fpma.json ni-base.json ni-base-j2.json ni-falsified.sched \
-		telemetry.jsonl tel-serial\#* tel-parallel\#* SWEEP_history.jsonl
+		telemetry.jsonl tel-serial\#* tel-parallel\#* SWEEP_history.jsonl \
+		profile.json profile.folded profile-self.json profile-self.txt

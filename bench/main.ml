@@ -34,9 +34,8 @@ let cache : (Config.variant * Mi6_workload.Spec.bench, Tmachine.result) Hashtbl.
 (* Host-side cost of each cached run (wall time and simulated
    kilo-instructions per host second), recorded unconditionally so
    BENCH_run.json and the history always carry host fields.  Runs are
-   timed with a plain wall clock: the self-profiler would slow them
-   down, and its per-phase split is what [mi6_sim profile --self]
-   reports. *)
+   timed with a plain wall clock; where the host time goes, layer by
+   layer, is what [mi6_sim profile --self] samples. *)
 let hosts : (Config.variant * Mi6_workload.Spec.bench, Mi6_obs.Perfdb.host) Hashtbl.t =
   Hashtbl.create 64
 
@@ -52,7 +51,6 @@ let timed_run variant bench =
     {
       Mi6_obs.Perfdb.wall_s = wall;
       kips = (if wall <= 0.0 then 0.0 else instrs /. wall /. 1000.0);
-      phases = [];
     } )
 
 let result variant bench =

@@ -236,12 +236,11 @@ let run_cmd =
                reopens (truncates) the stream, so the file holds the
                last run's snapshots with cycles increasing from 0. *)
             Mi6_obs.Trace.reset trace;
-            let telemetry, selfprof, occupancy =
+            let telemetry, occupancy =
               match telemetry_file with
-              | None -> (Telemetry.null, Selfprof.null, Occupancy.null)
+              | None -> (Telemetry.null, Occupancy.null)
               | Some path ->
                 ( Telemetry.create ~every:telemetry_every ~path (),
-                  Selfprof.create (),
                   Occupancy.create () )
             in
             let r =
@@ -250,8 +249,8 @@ let run_cmd =
                   telemetry_snapshots := Telemetry.snapshots telemetry;
                   Telemetry.close telemetry)
                 (fun () ->
-                  Tmachine.run_spec ~trace ~telemetry ~selfprof ~occupancy
-                    ~variant ~bench ~warmup ~measure ())
+                  Tmachine.run_spec ~trace ~telemetry ~occupancy ~variant
+                    ~bench ~warmup ~measure ())
             in
             last := Some r;
             print_result ~label:(Mi6_workload.Spec.name bench) ~variant r
@@ -427,7 +426,6 @@ let sweep_cmd =
                 kips =
                   (if wall <= 0.0 then 0.0
                    else float_of_int total_instrs /. wall /. 1000.0);
-                phases = [];
               };
         }
       in
@@ -681,6 +679,39 @@ let audit_cmd =
 (* profile                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* [profile --self]: host time by layer, from the SIGALRM call-stack
+   sampler the simulator benchmark uses (perfbench/prof.ml), with
+   [<layer>.ns_per_cycle] computed as the benchmark computes it: the
+   layer's share of the samples times the host ns that the busy domains
+   spent per simulated cycle. *)
+let print_self_profile ~runs ~domains ~wall_ns ~cycles =
+  let samples = Prof.samples () in
+  let total = Array.fold_left ( + ) 0 samples in
+  let wall = float_of_int wall_ns in
+  let overhead = float_of_int (Prof.overhead_ns ()) in
+  let plural n = if n = 1 then "" else "s" in
+  Printf.printf
+    "self-profile: %d run%s, %d cycles ticked, wall %.3fs on %d domain%s\n"
+    runs (plural runs) cycles (wall /. 1e9) domains (plural domains);
+  Printf.printf
+    "  sampler overhead: %.2f%% of wall (%d samples, handler %.1f ms)\n"
+    (100.0 *. overhead /. wall) total (overhead /. 1e6);
+  let ns_per_cycle =
+    float_of_int domains *. wall /. float_of_int (max 1 cycles)
+  in
+  let row name share =
+    Printf.printf "  %-9s %6.1f%% %9.1f\n" name (100.0 *. share)
+      (share *. ns_per_cycle)
+  in
+  Printf.printf "  %-9s %7s %9s\n" "layer" "share" "ns/cycle";
+  Array.iteri
+    (fun i name ->
+      row name
+        (if total = 0 then 0.0
+         else float_of_int samples.(i) /. float_of_int total))
+    Prof.layers;
+  row "total" (if total = 0 then 0.0 else 1.0)
+
 let profile_cmd =
   let benches =
     Arg.(value & opt (list bench_conv) [ Mi6_workload.Spec.Gcc ]
@@ -704,90 +735,49 @@ let profile_cmd =
   let self =
     Arg.(value & flag
          & info [ "self" ]
-             ~doc:"Also self-profile the $(i,simulator): per-phase host \
-                   ns/cycle and allocation per simulated cycle, overall \
-                   simulation speed, and the quiet-cycle (fast-forwardable) \
-                   fraction per stall cause.")
+             ~doc:"Also profile the $(i,simulator) on the host: sample the \
+                   call stack every 0.5 ms and report each layer's share of \
+                   host time and host ns per simulated cycle, with the \
+                   sampler's own overhead.  The simulated runs and every \
+                   output file are the same with or without it.")
   in
   let run benches variants warmup measure folded_file json_file self jobs =
     guard_io @@ fun () ->
     let open Mi6_obs in
     (* Prefill every (bench, variant) run on the pool; the serial report
        below reads from this table, so its output does not depend on
-       --jobs.  (Phase attribution stays exact under parallelism — each
-       run owns its profiler — though absolute wall times inflate when
-       domains compete for cores.) *)
+       --jobs. *)
     let pairs =
       List.concat_map
         (fun bench -> List.map (fun variant -> (bench, variant)) variants)
         benches
     in
-    let results =
+    (* The sampler runs only while every pool domain is up: from after
+       [Pool.create] has seen each one start until before the join. *)
+    let domains, wall_ns, results =
       with_pool ~jobs (fun pool ->
-          Mi6_exec.Pool.run_list pool pairs (fun (bench, variant) ->
-              let selfprof = if self then Selfprof.create () else Selfprof.null in
-              let occupancy =
-                if self then Occupancy.create () else Occupancy.null
-              in
-              let r =
-                Tmachine.run_spec ~selfprof ~occupancy ~variant ~bench ~warmup
-                  ~measure ()
-              in
-              (r, selfprof, occupancy)))
+          if self then Prof.start ();
+          let start = Prof.now_ns () in
+          let results =
+            Mi6_exec.Pool.run_list pool pairs (fun (bench, variant) ->
+                Tmachine.run_spec ~variant ~bench ~warmup ~measure ())
+          in
+          let wall_ns = Prof.now_ns () - start in
+          if self then Prof.stop ();
+          (min (Mi6_exec.Pool.domains pool) (List.length pairs), wall_ns,
+           results))
     in
     let table = List.combine pairs results in
     let folded = Buffer.create 256 in
     let all_stacks = ref [] in
     let failed = ref false in
-    let total_dropped = ref 0 and dominant_drop = ref None in
     List.iter
       (fun bench ->
         let bname = Mi6_workload.Spec.name bench in
         let stacks =
           List.map
             (fun variant ->
-              let r, _, _ = List.assoc (bench, variant) table in
-              (match
-                 List.assoc_opt "trace.dropped_events"
-                   (Metrics.counters r.Tmachine.metrics)
-               with
-              | Some d when d > 0 ->
-                (* Name the dominant dropped kind, so the warning says
-                   what the audit/trace lost, not just how much. *)
-                let dominant =
-                  let pfx = "trace.dropped." in
-                  let plen = String.length pfx in
-                  List.fold_left
-                    (fun acc (name, v) ->
-                      if
-                        String.length name > plen
-                        && String.sub name 0 plen = pfx
-                        && v > 0
-                        && (match acc with
-                           | Some (_, best) -> v > best
-                           | None -> true)
-                      then
-                        Some
-                          (String.sub name plen (String.length name - plen), v)
-                      else acc)
-                    None
-                    (Metrics.counters r.Tmachine.metrics)
-                in
-                (* Mirror the warning into the JSON export (trace.dropped
-                   / dominant_dropped) so CI can see the loss. *)
-                total_dropped := !total_dropped + d;
-                (match dominant with
-                | Some (_, n) as dom
-                  when (match !dominant_drop with
-                       | Some (_, best) -> n > best
-                       | None -> true) ->
-                  dominant_drop := dom
-                | _ -> ());
-                Printf.eprintf "warning: trace ring dropped %d events%s\n%!" d
-                  (match dominant with
-                  | Some (kind, n) -> Printf.sprintf " (mostly %s: %d)" kind n
-                  | None -> "")
-              | _ -> ());
+              let r = List.assoc (bench, variant) table in
               let s =
                 Cpistack.of_counters
                   ~label:(Config.variant_name variant)
@@ -817,44 +807,12 @@ let profile_cmd =
         all_stacks := (bname, stacks) :: !all_stacks;
         Printf.printf
           "CPI stack: %s (%d warmup + %d measured instructions)\n%s\n" bname
-          warmup measure (Cpistack.table stacks);
-        if self then
-          List.iter
-            (fun variant ->
-              let _, sp, occ = List.assoc (bench, variant) table in
-              let wall = Selfprof.wall_seconds sp in
-              Printf.printf "self-profile: %s/%s  wall=%.3fs  %.1f kcycles/s\n"
-                bname (Config.variant_name variant) wall
-                (Selfprof.overall_kcps sp);
-              Printf.printf "  %-10s %9s %9s %9s\n" "phase" "seconds" "ns/cyc"
-                "B/cyc";
-              let sum =
-                List.fold_left
-                  (fun acc (name, seconds, ns, ab) ->
-                    if seconds > 0.0 || ns > 0.0 then
-                      Printf.printf "  %-10s %9.3f %9.1f %9.1f\n" name seconds
-                        ns ab;
-                    acc +. seconds)
-                  0.0 (Selfprof.report sp)
-              in
-              (* The attribution invariant, host-side: every instant of
-                 the run window lands in exactly one phase. *)
-              Printf.printf "  %-10s %9.3f   (%.1f%% of wall)\n" "sum" sum
-                (if wall > 0.0 then 100.0 *. sum /. wall else 0.0);
-              Printf.printf
-                "  quiet cycles: %d/%d (%.1f%%) fast-forwardable\n"
-                (Occupancy.quiet_cycles occ) (Occupancy.cycles occ)
-                (100.0 *. Occupancy.quiet_fraction occ);
-              List.iter
-                (fun (cause, quiet, total) ->
-                  Printf.printf "    %-12s %6.1f%% of %d\n" cause
-                    (if total = 0 then 0.0
-                     else 100.0 *. float_of_int quiet /. float_of_int total)
-                    total)
-                (Occupancy.by_cause occ);
-              print_newline ())
-            variants)
+          warmup measure (Cpistack.table stacks))
       benches;
+    if self then
+      print_self_profile ~runs:(List.length results) ~domains ~wall_ns
+        ~cycles:
+          (List.fold_left (fun n r -> n + r.Tmachine.ticked) 0 results);
     (match folded_file with
     | Some path ->
       write_file path (Buffer.contents folded);
@@ -867,15 +825,6 @@ let profile_cmd =
           [
             ("warmup", Json.Int warmup);
             ("measure", Json.Int measure);
-            ( "trace",
-              Json.Obj
-                [
-                  ("dropped", Json.Int !total_dropped);
-                  ( "dominant_dropped",
-                    match !dominant_drop with
-                    | Some (kind, _) -> Json.String kind
-                    | None -> Json.Null );
-                ] );
             ( "profiles",
               Json.List
                 (List.rev_map
@@ -1004,7 +953,7 @@ let top_cmd =
           | Some (Json.Int i) -> float_of_int i
           | _ -> 0.0
         in
-        Printf.printf "host   %10.1f kcycles/s   %.1fs elapsed\n" (hf "kips")
+        Printf.printf "host   %10.1f kcycles/s   %.1fs elapsed\n" (hf "kcps")
           (hf "wall_s")
       | None -> Printf.printf "host   (deterministic stream: omitted)\n");
       (match Json.member "occupancy" j with
@@ -1072,8 +1021,8 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top" ~exits
        ~doc:
-         "live table over a telemetry JSONL stream: cycles, instrs, kips, \
-          structure occupancy, quiet-cycle fraction")
+         "live table over a telemetry JSONL stream: cycles, instrs, \
+          kcycles/s, structure occupancy, quiet-cycle fraction")
     Term.(const run $ file $ once $ interval)
 
 (* ------------------------------------------------------------------ *)
@@ -1268,7 +1217,6 @@ let bisect_cmd =
                 kips =
                   (if wall <= 0.0 then 0.0
                    else float_of_int instrs /. wall /. 1000.0);
-                phases = [];
               };
         }
       in

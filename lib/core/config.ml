@@ -50,11 +50,7 @@ let with_part t =
   }
 
 let with_miss t =
-  {
-    t with
-    llc =
-      { t.llc with Llc.mshrs = 12; mshr_banks = 4; strict_bank_stall = true };
-  }
+  { t with llc = { t.llc with Llc.mshrs = 12; mshr_banks = 4 } }
 
 let with_arb t =
   { t with llc = { t.llc with Llc.pipeline_latency = 4 + 8 } }

@@ -5,7 +5,6 @@ type t = {
   llc : Llc.t;
   stats : Stats.t;
   trace : Trace.t;
-  selfprof : Selfprof.t;
   occupancy : Occupancy.t;
   telemetry : Telemetry.t;
   sections : (string * (Statesig.acc -> unit)) list;
@@ -31,9 +30,8 @@ let pt_base_line ~core =
   Addr.region_base Addr.default_regions (region_block core + 4)
   / Addr.line_bytes
 
-let create ?(trace = Trace.null) ?(selfprof = Selfprof.null)
-    ?(occupancy = Occupancy.null) ?(telemetry = Telemetry.null)
-    (timing : Config.timing) ~streams ~stats =
+let create ?(trace = Trace.null) ?(occupancy = Occupancy.null)
+    ?(telemetry = Telemetry.null) (timing : Config.timing) ~streams ~stats =
   let n = Array.length streams in
   let ports = 2 * n in
   if timing.Config.llc.Llc.cores <> ports then
@@ -44,7 +42,7 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null)
       ~max_outstanding:timing.Config.dram_outstanding ~stats ()
   in
   let llc =
-    Llc.create ~trace ~selfprof timing.Config.llc
+    Llc.create ~trace timing.Config.llc
       ~security:timing.Config.llc_security ~links ~dram ~stats
   in
   let l1ds =
@@ -61,7 +59,7 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null)
   in
   let cores =
     Array.init n (fun i ->
-        Core.create ~trace ~selfprof ~id:i timing.Config.core ~l1i:l1is.(i)
+        Core.create ~trace ~id:i timing.Config.core ~l1i:l1is.(i)
           ~l1d:l1ds.(i)
           ~stream:streams.(i)
           ~stats
@@ -80,8 +78,8 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null)
     @ [ ("llc", Llc.state llc) ]
   in
   let t =
-    { cores; l1ds; l1is; llc; stats; trace; selfprof; occupancy; telemetry;
-      sections; clock = 0; complete_d = Array.make n ignore;
+    { cores; l1ds; l1is; llc; stats; trace; occupancy; telemetry; sections;
+      clock = 0; complete_d = Array.make n ignore;
       complete_i = Array.make n ignore }
   in
   Array.iteri
@@ -151,17 +149,12 @@ let committed t =
 
 let tick t =
   let now = t.clock in
-  let sp = t.selfprof in
   for i = 0 to Array.length t.cores - 1 do
     Core.tick t.cores.(i) ~now;
-    let p = Selfprof.switch sp Selfprof.ph_l1 in
     L1.tick t.l1ds.(i) ~now ~complete:t.complete_d.(i);
-    L1.tick t.l1is.(i) ~now ~complete:t.complete_i.(i);
-    Selfprof.restore sp p
+    L1.tick t.l1is.(i) ~now ~complete:t.complete_i.(i)
   done;
-  let p = Selfprof.switch sp Selfprof.ph_llc in
   Llc.tick t.llc ~now;
-  Selfprof.restore sp p;
   t.clock <- now + 1;
   if Occupancy.enabled t.occupancy then begin
     let rob = ref 0 and iq = ref 0 and lq = ref 0 and sq = ref 0 and sb = ref 0 in
@@ -181,7 +174,7 @@ let tick t =
   if Telemetry.enabled t.telemetry then
     Telemetry.maybe_emit t.telemetry ~cycle:t.clock ~instrs:(committed t)
       ~counters:(fun () -> Stats.to_assoc t.stats)
-      ~occupancy:t.occupancy ~selfprof:t.selfprof
+      ~occupancy:t.occupancy
 
 let finished t = Array.for_all Core.finished t.cores
 
@@ -195,6 +188,7 @@ let run t ~max_cycles =
 
 type result = {
   cycles : int;
+  ticked : int;
   instrs : int;
   stats : Stats.t;
   metrics : Metrics.t;
@@ -206,32 +200,27 @@ let mpki r counter =
   if r.instrs = 0 then 0.0
   else 1000.0 *. float_of_int (Stats.get r.stats counter) /. float_of_int r.instrs
 
-let run_stream ?trace ?selfprof ?occupancy ?telemetry ~timing ~stream ~warmup
-    ~measure () =
+let run_stream ?trace ?occupancy ?telemetry ~timing ~stream ~warmup ~measure
+    () =
   ignore measure;
   let stats = Stats.create () in
   let m =
-    create ?trace ?selfprof ?occupancy ?telemetry timing ~streams:[| stream |]
-      ~stats
+    create ?trace ?occupancy ?telemetry timing ~streams:[| stream |] ~stats
   in
   let c = m.cores.(0) in
   let snap = ref None in
   let budget = 400_000_000 in
-  Selfprof.run_begin m.selfprof;
   while (not (finished m)) && m.clock < budget do
     tick m;
-    if m.clock land 0xFFFF = 0 then
-      Selfprof.sample m.selfprof ~cycles:m.clock ~instrs:(committed m);
     if !snap = None && Core.committed_instructions c >= warmup then
       snap := Some (m.clock, Core.committed_instructions c, Stats.copy stats)
   done;
-  Selfprof.run_end m.selfprof ~cycles:m.clock ~instrs:(committed m);
   if not (finished m) then failwith "Tmachine.run_stream: cycle budget exhausted";
   let finish ~cycles ~instrs ~stats:window =
     let reg = metrics m ~stats:window in
     Metrics.set_int reg ~name:"run.cycles" cycles;
     Metrics.set_int reg ~name:"run.instrs" instrs;
-    { cycles; instrs; stats = window; metrics = reg }
+    { cycles; ticked = m.clock; instrs; stats = window; metrics = reg }
   in
   match !snap with
   | None ->
@@ -261,33 +250,29 @@ let spec_stream ?(seed = 0) ~core ~bench ~limit () =
   in
   Mi6_workload.Synth.stream gen ~limit
 
-let run_spec ?trace ?selfprof ?occupancy ?telemetry ?seed ~variant ~bench
-    ~warmup ~measure () =
+let run_spec ?trace ?occupancy ?telemetry ?seed ~variant ~bench ~warmup
+    ~measure () =
   let timing = Config.timing ~cores:1 variant in
   let stream = spec_stream ?seed ~core:0 ~bench ~limit:(warmup + measure) () in
-  run_stream ?trace ?selfprof ?occupancy ?telemetry ~timing ~stream ~warmup
-    ~measure ()
+  run_stream ?trace ?occupancy ?telemetry ~timing ~stream ~warmup ~measure ()
 
 (* Multiprogrammed run: one SPEC model per core, each confined to its own
    region block — the multiprocessor methodology the paper could not fit
    on its FPGA (Section 7.2). *)
-let run_multi ?trace ?selfprof ?occupancy ?telemetry ~timing ~benches ~warmup
-    ~measure () =
+let run_multi ?trace ?occupancy ?telemetry ~timing ~benches ~warmup ~measure
+    () =
   let n = Array.length benches in
   let stats = Stats.create () in
   let streams =
     Array.init n (fun i ->
         spec_stream ~core:i ~bench:benches.(i) ~limit:(warmup + measure) ())
   in
-  let m = create ?trace ?selfprof ?occupancy ?telemetry timing ~streams ~stats in
+  let m = create ?trace ?occupancy ?telemetry timing ~streams ~stats in
   let snaps = Array.make n None in
   let fins = Array.make n None in
   let budget = 600_000_000 in
-  Selfprof.run_begin m.selfprof;
   while (not (finished m)) && m.clock < budget do
     tick m;
-    if m.clock land 0xFFFF = 0 then
-      Selfprof.sample m.selfprof ~cycles:m.clock ~instrs:(committed m);
     Array.iteri
       (fun i core ->
         let c = Core.committed_instructions core in
@@ -297,7 +282,6 @@ let run_multi ?trace ?selfprof ?occupancy ?telemetry ~timing ~benches ~warmup
           fins.(i) <- Some (m.clock, c))
       m.cores
   done;
-  Selfprof.run_end m.selfprof ~cycles:m.clock ~instrs:(committed m);
   if not (finished m) then failwith "Tmachine.run_multi: budget exhausted";
   let reg = metrics m ~stats in
   Array.init n (fun i ->
@@ -306,5 +290,5 @@ let run_multi ?trace ?selfprof ?occupancy ?telemetry ~timing ~benches ~warmup
         Option.value fins.(i)
           ~default:(m.clock, Core.committed_instructions m.cores.(i))
       in
-      { cycles = cycle1 - cycle0; instrs = instr1 - instr0; stats;
-        metrics = reg })
+      { cycles = cycle1 - cycle0; ticked = m.clock; instrs = instr1 - instr0;
+        stats; metrics = reg })

@@ -15,13 +15,12 @@ type t
     Nothing rewinds a machine: the simulator is deterministic, so a run
     is reproduced by building a fresh machine from the same inputs.
     [trace] (default {!Trace.null}) is shared by every
-    component for cycle-stamped event capture; [selfprof] attributes host
-    cost to simulation phases, [occupancy] samples structure occupancy
-    and classifies quiet cycles, [telemetry] streams periodic JSONL
-    snapshots — each defaults to its disabled singleton. *)
+    component for cycle-stamped event capture; [occupancy] samples
+    structure occupancy and classifies quiet cycles, [telemetry] streams
+    periodic JSONL snapshots — each defaults to its disabled
+    singleton. *)
 val create :
   ?trace:Trace.t ->
-  ?selfprof:Selfprof.t ->
   ?occupancy:Occupancy.t ->
   ?telemetry:Telemetry.t ->
   Config.timing ->
@@ -63,6 +62,7 @@ val run : t -> max_cycles:int -> int
 (** Result of a measured single-core run. *)
 type result = {
   cycles : int;  (** measured-window cycles *)
+  ticked : int;  (** cycles the machine ran, warmup included *)
   instrs : int;  (** measured-window committed instructions *)
   stats : Stats.t;  (** measured-window counter deltas *)
   metrics : Metrics.t;
@@ -86,7 +86,6 @@ val mpki : result -> string -> float
     independent streams of the same model. *)
 val run_spec :
   ?trace:Trace.t ->
-  ?selfprof:Selfprof.t ->
   ?occupancy:Occupancy.t ->
   ?telemetry:Telemetry.t ->
   ?seed:int ->
@@ -115,7 +114,6 @@ val spec_stream :
     must end after [warmup + measure] µops. *)
 val run_stream :
   ?trace:Trace.t ->
-  ?selfprof:Selfprof.t ->
   ?occupancy:Occupancy.t ->
   ?telemetry:Telemetry.t ->
   timing:Config.timing ->
@@ -135,7 +133,6 @@ val run_stream :
     machine-wide). *)
 val run_multi :
   ?trace:Trace.t ->
-  ?selfprof:Selfprof.t ->
   ?occupancy:Occupancy.t ->
   ?telemetry:Telemetry.t ->
   timing:Config.timing ->

@@ -24,6 +24,7 @@ type t = {
   mutable job : job option;
   mutable gen : int;
   mutable stop : bool;
+  mutable started : int;  (* workers that have entered [worker_loop] *)
   mutable workers : unit Domain.t list;
 }
 
@@ -56,6 +57,10 @@ let drain t j =
   done
 
 let worker_loop t () =
+  Mutex.lock t.mutex;
+  t.started <- t.started + 1;
+  Condition.broadcast t.work_done;
+  Mutex.unlock t.mutex;
   let last_gen = ref 0 in
   let running = ref true in
   while !running do
@@ -89,11 +94,21 @@ let create ~domains =
       job = None;
       gen = 0;
       stop = false;
+      started = 0;
       workers = [];
     }
   in
-  if size > 1 then
+  if size > 1 then begin
     t.workers <- List.init (size - 1) (fun _ -> Domain.spawn (worker_loop t));
+    (* Wait until every worker runs OCaml code.  A domain that is still
+       starting has no domain-local state yet, and on OCaml 5.1 a signal
+       handler that reads some (the host sampler's does) crashes there. *)
+    Mutex.lock t.mutex;
+    while t.started < size - 1 do
+      Condition.wait t.work_done t.mutex
+    done;
+    Mutex.unlock t.mutex
+  end;
   t
 
 let map_serial n f =

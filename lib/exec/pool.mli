@@ -19,7 +19,9 @@ type t
 
 val create : domains:int -> t
 (** [create ~domains] makes a pool that runs jobs on [max domains 1]
-    domains in total (including the caller). *)
+    domains in total (including the caller).  It returns once every
+    worker domain has started, so a signal handler installed afterwards
+    never runs on a half-initialised domain. *)
 
 val domains : t -> int
 (** Number of domains that participate in a job, including the caller. *)

@@ -29,7 +29,6 @@ type config = {
   ways : int;
   mshrs : int;
   mshr_banks : int;
-  strict_bank_stall : bool;
   pipeline_latency : int;
   cores : int;
   repl_seed : int;
@@ -41,7 +40,6 @@ let default_config ~cores =
     ways = 16;
     mshrs = 16;
     mshr_banks = 1;
-    strict_bank_stall = false;
     pipeline_latency = 4;
     cores;
     repl_seed = 0x22;
@@ -147,7 +145,6 @@ type t = {
   port_used : bool array; (* per-core outgoing port, per cycle *)
   (* Observability *)
   trace : Trace.t;
-  selfprof : Selfprof.t;
   mutable tnow : int; (* current cycle, for probes deep in the pipeline *)
   mutable live : int; (* allocated MSHR entries (avoids a per-tick scan) *)
   occ_hist : Histogram.t; (* MSHR occupancy, sampled once per tick *)
@@ -184,8 +181,7 @@ let recount t =
         t.free.(k) <- t.free.(k) + 1)
     t.entries
 
-let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) cfg ~security
-    ~links ~dram ~stats =
+let create ?(trace = Trace.null) cfg ~security ~links ~dram ~stats =
   if Array.length links <> cfg.cores then
     invalid_arg "Llc.create: one link per core required";
   if cfg.mshrs mod cfg.mshr_banks <> 0 then
@@ -230,7 +226,6 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) cfg ~security
       dq_pending_read = -1;
       port_used = Array.make cfg.cores false;
       trace;
-      selfprof;
       tnow = 0;
       live = 0;
       occ_hist = Histogram.create ();
@@ -255,17 +250,15 @@ let set_of t line = Index.index t.cfg.index ~line
 
 let free_in_bank t core bank = t.free.(free_slot t ~core ~bank)
 
+(* The paper's pessimistic FPGA model: one full bank stalls all
+   allocation.  With one bank this is just the partition's free count. *)
 let free_mshrs_for t ~core ~line =
   let bank = bank_of_set t (set_of t line) in
-  if t.cfg.strict_bank_stall then begin
-    (* Pessimistic model: any full bank blocks everything. *)
-    let all_ok = ref true in
-    for b = 0 to t.cfg.mshr_banks - 1 do
-      if free_in_bank t core b = 0 then all_ok := false
-    done;
-    if !all_ok then free_in_bank t core bank else 0
-  end
-  else free_in_bank t core bank
+  let all_ok = ref true in
+  for b = 0 to t.cfg.mshr_banks - 1 do
+    if free_in_bank t core b = 0 then all_ok := false
+  done;
+  if !all_ok then free_in_bank t core bank else 0
 
 let is_free t i = match t.entries.(i) with None -> true | Some _ -> false
 
@@ -844,9 +837,7 @@ let tick t ~now =
   advance_pipeline t ~now;
   enter_pipeline t ~now;
   if t.live > 0 then dq_dequeue t ~now;
-  let p = Selfprof.switch t.selfprof Selfprof.ph_dram in
-  Controller.tick t.dram ~now ~respond:t.respond;
-  Selfprof.restore t.selfprof p
+  Controller.tick t.dram ~now ~respond:t.respond
 
 let busy t =
   Array.exists (fun e -> e <> None) t.entries

@@ -25,8 +25,8 @@
     - [partitioned_mshrs]: MSHRs statically divided among cores.
 
     The MSHR file may additionally be sliced into banks by low set-index
-    bits (the MISS experiment, Section 7.3); [strict_bank_stall] reproduces
-    the paper's pessimistic FPGA model in which one full bank stalls all
+    bits (the MISS experiment, Section 7.3), following the paper's
+    pessimistic FPGA model in which one full bank stalls all
     allocation. *)
 
 type security = {
@@ -45,7 +45,6 @@ type config = {
   ways : int;
   mshrs : int;  (** total MSHR entries *)
   mshr_banks : int;  (** 1 = unbanked *)
-  strict_bank_stall : bool;
   pipeline_latency : int;
   cores : int;
   repl_seed : int;
@@ -59,7 +58,6 @@ type t
 
 val create :
   ?trace:Trace.t ->
-  ?selfprof:Selfprof.t ->
   config ->
   security:security ->
   links:Link.t array ->

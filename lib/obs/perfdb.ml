@@ -1,8 +1,4 @@
-type host = {
-  wall_s : float;
-  kips : float;
-  phases : (string * float) list;
-}
+type host = { wall_s : float; kips : float }
 
 type record = {
   run_id : string;
@@ -18,13 +14,7 @@ type record = {
 }
 
 let host_to_json h =
-  Json.Obj
-    [
-      ("wall_s", Json.Float h.wall_s);
-      ("kips", Json.Float h.kips);
-      ( "phases",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) h.phases) );
-    ]
+  Json.Obj [ ("wall_s", Json.Float h.wall_s); ("kips", Json.Float h.kips) ]
 
 let record_to_json r =
   Json.Obj
@@ -119,7 +109,8 @@ let record_of_json j =
     | _ -> Error "field \"quantiles\": expected object"
   in
   (* [host] is optional: records written before host-cost tracking (or
-     with profiling off) simply lack it. *)
+     with profiling off) simply lack it.  Lines from older writers may
+     also carry a [phases] object; like any unknown key it is ignored. *)
   let* host =
     match Json.member "host" j with
     | None -> Ok None
@@ -132,22 +123,7 @@ let record_of_json j =
       in
       let* wall_s = hnum "wall_s" in
       let* kips = hnum "kips" in
-      let* phases =
-        match Json.member "phases" h with
-        | None -> Ok []
-        | Some (Json.Obj fields) ->
-          List.fold_left
-            (fun acc (k, v) ->
-              let* acc = acc in
-              match v with
-              | Json.Float f -> Ok ((k, f) :: acc)
-              | Json.Int i -> Ok ((k, float_of_int i) :: acc)
-              | _ -> Error (Printf.sprintf "host.phases.%s: expected number" k))
-            (Ok []) fields
-          |> Result.map List.rev
-        | Some _ -> Error "host.phases: expected object"
-      in
-      Ok (Some { wall_s; kips; phases })
+      Ok (Some { wall_s; kips })
   in
   Ok { run_id; commit; variant; bench; cycles; instrs; ipc; cpi; quantiles;
        host }

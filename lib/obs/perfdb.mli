@@ -15,8 +15,6 @@
 type host = {
   wall_s : float;  (** run wall-clock seconds *)
   kips : float;  (** simulated kilo-instructions per host second *)
-  phases : (string * float) list;
-      (** self-profiler phase -> host ns per simulated cycle *)
 }
 
 type record = {

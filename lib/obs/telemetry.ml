@@ -5,8 +5,8 @@
 
    Counters are emitted as deltas since the previous snapshot (nonzero
    only), occupancy/quiet state as cumulative summaries.  The [host]
-   section carries wall-clock and kips and is omitted in deterministic
-   mode, which the sweep uses so that per-cell streams are byte-identical
+   section carries wall-clock time and kilocycles per host second and is
+   omitted in deterministic mode, which the sweep uses so that per-cell streams are byte-identical
    for every --jobs value.
 
    Schema versioning policy: the [schema] field is "mi6.telemetry/N".
@@ -14,7 +14,7 @@
    re-typing a field bumps N.  Consumers must ignore unknown fields and
    reject unknown majors. *)
 
-let schema_version = "mi6.telemetry/1"
+let schema_version = "mi6.telemetry/2"
 
 type t = {
   enabled : bool;
@@ -79,7 +79,7 @@ let counter_deltas ~prev ~cur =
   in
   go prev cur []
 
-let emit t ~cycle ~instrs ~counters ~occupancy ~selfprof =
+let emit t ~cycle ~instrs ~counters ~occupancy =
   match t.oc with
   | None -> ()
   | Some oc ->
@@ -90,7 +90,7 @@ let emit t ~cycle ~instrs ~counters ~occupancy ~selfprof =
         let now = Unix.gettimeofday () in
         let dwall = now -. t.last_wall in
         let dcycles = cycle - t.last_cycle in
-        let kips =
+        let kcps =
           if dwall <= 0.0 then 0.0
           else float_of_int dcycles /. dwall /. 1000.0
         in
@@ -98,15 +98,11 @@ let emit t ~cycle ~instrs ~counters ~occupancy ~selfprof =
         [
           ( "host",
             Json.Obj
-              ([
-                 ("wall_s", Json.Float (now -. t.start_wall));
-                 ("dwall_s", Json.Float dwall);
-                 ("kips", Json.Float kips);
-               ]
-              @
-              if Selfprof.enabled selfprof then
-                [ ("selfprof", Selfprof.to_json selfprof) ]
-              else []) );
+              [
+                ("wall_s", Json.Float (now -. t.start_wall));
+                ("dwall_s", Json.Float dwall);
+                ("kcps", Json.Float kcps);
+              ] );
         ]
       end
     in
@@ -132,9 +128,9 @@ let emit t ~cycle ~instrs ~counters ~occupancy ~selfprof =
     t.last_instrs <- instrs;
     t.last_counters <- counters
 
-let maybe_emit t ~cycle ~instrs ~counters ~occupancy ~selfprof =
+let maybe_emit t ~cycle ~instrs ~counters ~occupancy =
   if t.enabled && cycle > 0 && cycle mod t.every = 0 then
-    emit t ~cycle ~instrs ~counters:(counters ()) ~occupancy ~selfprof
+    emit t ~cycle ~instrs ~counters:(counters ()) ~occupancy
 
 let close t = match t.oc with None -> () | Some oc -> close_out oc
 

@@ -3,12 +3,13 @@
     One schema-versioned JSON object per line, emitted every [every]
     machine cycles while a run is in progress: counter deltas since the
     previous snapshot, cumulative occupancy / quiet-cycle summaries, and
-    (unless deterministic) a [host] section with wall-clock, kips, and
-    the self-profiler's phase report.  [mi6_sim top] renders a live table
-    from the stream; [json_check --telemetry] validates one.
+    (unless deterministic) a [host] section with wall-clock time and
+    simulated kilocycles per host second ([kcps]).  [mi6_sim top]
+    renders a live table from the stream; [json_check --telemetry]
+    validates one.
 
     {b Schema version policy} ([schema] field, currently
-    ["mi6.telemetry/1"]): adding fields is backward-compatible and keeps
+    ["mi6.telemetry/2"]): adding fields is backward-compatible and keeps
     the version; removing or re-typing a field bumps it.  Consumers must
     ignore unknown fields and reject unknown versions.
 
@@ -43,7 +44,6 @@ val maybe_emit :
   instrs:int ->
   counters:(unit -> (string * int) list) ->
   occupancy:Occupancy.t ->
-  selfprof:Selfprof.t ->
   unit
 
 (** Flushes and closes the stream (no final snapshot). *)

@@ -144,7 +144,6 @@ type t = {
   mutable now : int;
   (* Observability *)
   trace : Trace.t;
-  selfprof : Selfprof.t;
   id : int; (* core index, for trace attribution *)
   mutable last_cpi : int; (* Cpistack category index of the last tick *)
   mutable purge_started : int;
@@ -222,8 +221,8 @@ let iq_create cap = { slots = Array.make cap 0; n = 0 }
 
 let fetch_queue_entries = 16
 
-let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
-    ~l1i ~l1d ~stream ~stats ~pt_base_line =
+let create ?(trace = Trace.null) ?(id = 0) cfg ~l1i ~l1d ~stream ~stats
+    ~pt_base_line =
   let tcache = Trans_cache.create ~entries_per_level:24 ~levels:2 in
   let phys_regs = cfg.Core_config.phys_regs in
   let free_list = Ring.create phys_regs in
@@ -296,7 +295,6 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
     committed = 0;
     now = 0;
     trace;
-    selfprof;
     id;
     last_cpi = 6;
     on_commit = ignore;
@@ -1130,46 +1128,29 @@ let tick t ~now =
   if now land 255 = 0 && Trace.active t.trace Trace.Core then
     Trace.emit t.trace ~now
       (Trace.Counter { core = t.id; name = "rob"; value = t.rob_count });
-  (* Host-cost attribution: the stages run strictly in sequence, so a
-     plain [switch] per stage suffices; [p0] (normally [harness]) is
-     restored on exit. *)
-  let sp = t.selfprof in
-  let p0 = Selfprof.switch sp Selfprof.ph_exec in
   run_events t;
   (match t.purge with
   | Pp_quiesce | Pp_flush _ ->
     (* The core idles while purging; only the drain machinery runs. *)
-    ignore (Selfprof.switch sp Selfprof.ph_mem);
     sb_stage t;
-    ignore (Selfprof.switch sp Selfprof.ph_ptw);
     Ptw.tick t.ptw ~issue:t.ptw_issue;
-    ignore (Selfprof.switch sp Selfprof.ph_commit);
     commit_stage t;
-    ignore (Selfprof.switch sp Selfprof.ph_purge);
     purge_stage t
   | Pp_none ->
     if t.purge_requested then begin
       t.purge_requested <- false;
-      ignore (Selfprof.switch sp Selfprof.ph_purge);
       begin_purge t Pk_external;
       purge_stage t
     end
     else begin
-      ignore (Selfprof.switch sp Selfprof.ph_commit);
       commit_stage t;
-      ignore (Selfprof.switch sp Selfprof.ph_issue);
       issue_stage t;
-      ignore (Selfprof.switch sp Selfprof.ph_mem);
       sb_stage t;
-      ignore (Selfprof.switch sp Selfprof.ph_ptw);
       Ptw.tick t.ptw ~issue:t.ptw_issue;
-      ignore (Selfprof.switch sp Selfprof.ph_rename);
       rename_stage t;
-      ignore (Selfprof.switch sp Selfprof.ph_fetch);
       fetch_stage t
     end);
-  attribute_cycle t ~committed_before;
-  Selfprof.restore sp p0
+  attribute_cycle t ~committed_before
 
 let mem_complete t ~now ~id =
   t.now <- max t.now now;

@@ -24,7 +24,6 @@ type t
 
 val create :
   ?trace:Trace.t ->
-  ?selfprof:Selfprof.t ->
   ?id:int ->
   Core_config.t ->
   l1i:L1.t ->

@@ -12,15 +12,13 @@ let check_bool = Alcotest.(check bool)
 let const_dram = Hierarchy.Const_dram { latency = 120; max_outstanding = 24 }
 
 let make ?(cores = 2) ?(security = Llc.baseline_security) ?(llc_mshrs = 16)
-    ?(mshr_banks = 1) ?(strict_bank_stall = false) ?(index = Index.flat ~set_bits:10)
-    () =
+    ?(mshr_banks = 1) ?(index = Index.flat ~set_bits:10) () =
   let stats = Stats.create () in
   let llc_cfg =
     {
       (Llc.default_config ~cores) with
       Llc.mshrs = llc_mshrs;
       mshr_banks;
-      strict_bank_stall;
       index;
     }
   in
@@ -185,9 +183,7 @@ let test_llc_mshr_exhaustion_stalls () =
   check_int "all core1 requests completed" 6 (List.length c1)
 
 let test_banked_mshr_strict_stall () =
-  let h, stats =
-    make ~cores:1 ~llc_mshrs:4 ~mshr_banks:4 ~strict_bank_stall:true ()
-  in
+  let h, stats = make ~cores:1 ~llc_mshrs:4 ~mshr_banks:4 () in
   (* All requests map to bank 0 (sets ≡ 0 mod 4): only 1 MSHR usable, and
      with strict stall any full bank freezes allocation. *)
   for k = 0 to 5 do

@@ -538,9 +538,7 @@ let test_perfdb_compare_runs () =
           ~new_run:[ sample_record ~run_id:"0004-abc" ~cycles:1100 () ]))
 
 let test_perfdb_host_roundtrip () =
-  let host =
-    { Perfdb.wall_s = 1.5; kips = 800.0; phases = [ ("fetch", 12.5) ] }
-  in
+  let host = { Perfdb.wall_s = 1.5; kips = 800.0 } in
   let r = sample_record ~host () in
   (match
      Perfdb.record_of_json
@@ -554,12 +552,24 @@ let test_perfdb_host_roundtrip () =
   let json = Json.to_string (Perfdb.record_to_json bare) in
   check_bool "no host field serialized" false
     (Json.member "host" (Json.of_string json) <> None);
-  match Perfdb.record_of_json (Json.of_string json) with
+  (match Perfdb.record_of_json (Json.of_string json) with
   | Ok r' -> check_bool "host is None" true (r'.Perfdb.host = None)
+  | Error msg -> Alcotest.fail msg);
+  (* History lines written before [host.phases] was dropped still load:
+     the key is ignored like any other unknown one. *)
+  let legacy =
+    {|{"run_id":"0001-abc","commit":"abc","variant":"BASE","bench":"gcc",|}
+    ^ {|"cycles":1000,"instrs":500,"ipc":0.5,|}
+    ^ {|"cpi":{"base":400,"llc_dram":600},|}
+    ^ {|"quantiles":{"core.0.load_latency":{"p50":3,"p95":40,"p99":130}},|}
+    ^ {|"host":{"wall_s":1.5,"kips":800,"phases":{"fetch":12.5}}}|}
+  in
+  match Perfdb.record_of_json (Json.of_string legacy) with
+  | Ok r' -> check_bool "legacy phases ignored" true (r' = r)
   | Error msg -> Alcotest.fail msg
 
 let test_perfdb_kips_gate () =
-  let host kips = { Perfdb.wall_s = 1.0; kips; phases = [] } in
+  let host kips = { Perfdb.wall_s = 1.0; kips } in
   let old_run = [ sample_record ~host:(host 1000.0) () ] in
   (* 60% host-speed drop crosses the (generous) 50% default. *)
   let slow =
@@ -619,56 +629,6 @@ let test_trace_drop_kinds () =
     (List.fold_left (fun acc (_, n) -> acc + n) 0 (Trace.dropped_by_kind t));
   Trace.reset t;
   check_bool "reset clears breakdown" true (Trace.dropped_by_kind t = [])
-
-(* ------------------------------------------------------------------ *)
-(* Selfprof                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_selfprof_phases_sum_to_wall () =
-  let sp = Selfprof.create () in
-  check_bool "enabled" true (Selfprof.enabled sp);
-  Selfprof.run_begin sp;
-  (* Charge some real work to two phases; everything else lands in
-     harness. *)
-  let spin () =
-    let x = ref 0 in
-    for i = 1 to 200_000 do x := !x + i done;
-    ignore !x
-  in
-  let p = Selfprof.switch sp Selfprof.ph_fetch in
-  spin ();
-  ignore (Selfprof.switch sp Selfprof.ph_llc);
-  spin ();
-  Selfprof.restore sp p;
-  spin ();
-  Selfprof.run_end sp ~cycles:1000 ~instrs:500;
-  let wall = Selfprof.wall_seconds sp in
-  check_bool "wall positive" true (wall > 0.0);
-  check_int "cycles recorded" 1000 (Selfprof.cycles sp);
-  let report = Selfprof.report sp in
-  check_int "one row per phase" Selfprof.n_phases (List.length report);
-  (* The attribution invariant: between run_begin and run_end every
-     instant belongs to exactly one phase, so phase seconds sum to the
-     wall time (up to clock rounding). *)
-  let sum = List.fold_left (fun acc (_, s, _, _) -> acc +. s) 0.0 report in
-  check_bool "phases sum to wall" true (abs_float (sum -. wall) < 0.05 *. wall +. 1e-6);
-  check_bool "fetch charged" true (Selfprof.phase_seconds sp Selfprof.ph_fetch > 0.0);
-  check_bool "llc charged" true (Selfprof.phase_seconds sp Selfprof.ph_llc > 0.0);
-  check_bool "harness charged" true
-    (Selfprof.phase_seconds sp Selfprof.ph_harness > 0.0);
-  check_bool "kips positive" true (Selfprof.overall_kcps sp > 0.0);
-  check_bool "series has the run point" true (Selfprof.kips_series sp <> [])
-
-let test_selfprof_null_disabled () =
-  let sp = Selfprof.null in
-  check_bool "disabled" false (Selfprof.enabled sp);
-  Selfprof.run_begin sp;
-  let p = Selfprof.switch sp Selfprof.ph_dram in
-  Selfprof.restore sp p;
-  Selfprof.sample sp ~cycles:10 ~instrs:5;
-  Selfprof.run_end sp ~cycles:10 ~instrs:5;
-  Alcotest.(check (float 0.0)) "no wall" 0.0 (Selfprof.wall_seconds sp);
-  check_int "no cycles" 0 (Selfprof.cycles sp)
 
 (* ------------------------------------------------------------------ *)
 (* Occupancy / quiet-cycle detector                                    *)
@@ -731,7 +691,7 @@ let drive_stream ?deterministic ~every ~upto path =
   for cycle = 1 to upto do
     Telemetry.maybe_emit t ~cycle ~instrs:(cycle / 2)
       ~counters:(fun () -> [ ("core.cycles", cycle); ("zero", 0) ])
-      ~occupancy:Occupancy.null ~selfprof:Selfprof.null
+      ~occupancy:Occupancy.null
   done;
   let n = Telemetry.snapshots t in
   Telemetry.close t;
@@ -777,17 +737,32 @@ let test_telemetry_deterministic_streams_identical () =
      in
      find 0)
 
+(* A live (non-deterministic) snapshot reports host speed as [kcps],
+   simulated kilocycles per host second, and nothing else in [host]. *)
+let test_telemetry_host_section () =
+  with_temp_file @@ fun path ->
+  ignore (drive_stream ~every:10 ~upto:10 path);
+  let ic = open_in path in
+  let line = input_line ic in
+  close_in ic;
+  match Json.member "host" (Json.of_string line) with
+  | Some (Json.Obj fields) ->
+    check_bool "kcps present" true (List.mem_assoc "kcps" fields);
+    check_bool "no kips" false (List.mem_assoc "kips" fields);
+    check_bool "no selfprof" false (List.mem_assoc "selfprof" fields)
+  | _ -> Alcotest.fail "live snapshot must carry a host object"
+
 let test_telemetry_counter_deltas () =
   with_temp_file @@ fun path ->
   let t = Telemetry.create ~deterministic:true ~every:10 ~path () in
   let counters = ref [ ("a", 5) ] in
   Telemetry.maybe_emit t ~cycle:10 ~instrs:1
     ~counters:(fun () -> !counters)
-    ~occupancy:Occupancy.null ~selfprof:Selfprof.null;
+    ~occupancy:Occupancy.null;
   counters := [ ("a", 12); ("b", 3) ];
   Telemetry.maybe_emit t ~cycle:20 ~instrs:2
     ~counters:(fun () -> !counters)
-    ~occupancy:Occupancy.null ~selfprof:Selfprof.null;
+    ~occupancy:Occupancy.null;
   Telemetry.close t;
   let ic = open_in path in
   let l1 = input_line ic in
@@ -837,13 +812,6 @@ let () =
           Alcotest.test_case "per-kind drop breakdown" `Quick
             test_trace_drop_kinds;
         ] );
-      ( "selfprof",
-        [
-          Alcotest.test_case "phases sum to wall" `Quick
-            test_selfprof_phases_sum_to_wall;
-          Alcotest.test_case "null profiler disabled" `Quick
-            test_selfprof_null_disabled;
-        ] );
       ( "occupancy",
         [
           Alcotest.test_case "quiet-cycle detection" `Quick
@@ -859,6 +827,8 @@ let () =
             test_telemetry_deterministic_streams_identical;
           Alcotest.test_case "counter deltas" `Quick
             test_telemetry_counter_deltas;
+          Alcotest.test_case "host section is kcps" `Quick
+            test_telemetry_host_section;
         ] );
       ( "cpistack",
         [
