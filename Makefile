@@ -33,42 +33,53 @@ audit-smoke:
 	dune exec bin/mi6_sim.exe -- audit --jobs 2 --json audit-j2.json > /dev/null
 	cmp audit.json audit-j2.json
 
-# Domain-parallel sweep determinism gate: the --stats-json snapshot must
-# be byte-identical no matter how many domains ran the cells.
+# Domain-parallel sweep gate, the only one: a serial and a parallel
+# sweep of the same 2x2x2 (bench x variant x seed) grid, each streaming
+# per-cell telemetry every 1000 cycles and appending to
+# SWEEP_history.jsonl, must write byte-identical --stats-json snapshots
+# and telemetry streams; every stream and the history must validate.
+# Each sweep's stdout goes to a log (the sweep-wall line CI's speedup
+# check reads) without hiding its exit status.  A non-positive --seeds
+# or --telemetry-every must exit 2.
 sweep-smoke:
+	dune build bin/mi6_sim.exe bench/json_check.exe
+	sh -c 'dune exec bin/mi6_sim.exe -- sweep -b gcc -v base --warmup 100 \
+		--measure 100 --seeds 0 > /dev/null 2>&1; test $$? -eq 2'
+	sh -c 'dune exec bin/mi6_sim.exe -- sweep -b gcc -v base --warmup 100 \
+		--measure 100 --telemetry-every 0 > /dev/null 2>&1; test $$? -eq 2'
 	dune exec bin/mi6_sim.exe -- sweep -b gcc,mcf -v base,f+p+m+a --seeds 2 \
-		--warmup 2000 --measure 5000 --jobs 1 --stats-json sweep-serial.json
+		--warmup 2000 --measure 5000 --jobs 1 --telemetry tel-serial \
+		--telemetry-every 1000 --stats-json sweep-serial.json \
+		--history SWEEP_history.jsonl > sweep-serial.log
+	cat sweep-serial.log
 	dune exec bin/mi6_sim.exe -- sweep -b gcc,mcf -v base,f+p+m+a --seeds 2 \
-		--warmup 2000 --measure 5000 --jobs 2 --stats-json sweep-parallel.json
+		--warmup 2000 --measure 5000 --jobs 2 --telemetry tel-parallel \
+		--telemetry-every 1000 --stats-json sweep-parallel.json \
+		--history SWEEP_history.jsonl > sweep-parallel.log
+	cat sweep-parallel.log
 	cmp sweep-serial.json sweep-parallel.json
+	for f in tel-serial#*; do \
+		cmp "$$f" "tel-parallel#$${f#tel-serial\#}" || exit 1; \
+		dune exec bench/json_check.exe -- --telemetry "$$f" || exit 1; \
+	done
+	dune exec bench/json_check.exe -- --history SWEEP_history.jsonl
 
 # Telemetry gate: a run streaming JSONL snapshots every 1000 cycles must
 # produce a stream that validates (schema, dense seq, increasing cycles)
-# with a plausible snapshot count, and the per-cell streams of a sweep
-# must be byte-identical between serial and parallel execution.
+# with a plausible snapshot count; a non-positive --telemetry-every must
+# exit 2.  sweep-smoke checks the per-cell sweep streams.
 telemetry-smoke:
+	dune build bin/mi6_sim.exe bench/json_check.exe
+	sh -c 'dune exec bin/mi6_sim.exe -- run -b gcc -v base --warmup 100 \
+		--measure 100 --telemetry-every 0 > /dev/null 2>&1; test $$? -eq 2'
 	dune exec bin/mi6_sim.exe -- run -b gcc -v base --warmup 2000 \
 		--measure 20000 --telemetry telemetry.jsonl --telemetry-every 1000
 	dune exec bench/json_check.exe -- --telemetry telemetry.jsonl \
 		--min-snapshots 20
-	dune exec bin/mi6_sim.exe -- sweep -b gcc,mcf -v base,f+p+m+a \
-		--warmup 2000 --measure 5000 --jobs 1 --telemetry tel-serial \
-		--telemetry-every 1000 > /dev/null
-	dune exec bin/mi6_sim.exe -- sweep -b gcc,mcf -v base,f+p+m+a \
-		--warmup 2000 --measure 5000 --jobs 2 --telemetry tel-parallel \
-		--telemetry-every 1000 > /dev/null
-	for f in tel-serial#*; do \
-		cmp "$$f" "tel-parallel#$${f#tel-serial\#}" || exit 1; \
-	done
-	for f in tel-serial#*; do \
-		dune exec bench/json_check.exe -- --telemetry "$$f"; \
-	done
 
-# The live-view subcommand must render the latest snapshot of a fresh
-# stream in --once (CI) mode.
-top-smoke:
-	dune exec bin/mi6_sim.exe -- run -b gcc -v base --warmup 2000 \
-		--measure 20000 --telemetry telemetry.jsonl --telemetry-every 1000
+# The live-view subcommand must render the latest snapshot of
+# telemetry-smoke's stream in --once (CI) mode.
+top-smoke: telemetry-smoke
 	dune exec bin/mi6_sim.exe -- top --once telemetry.jsonl
 
 # Bisection gate: run the known BASE leak (spectre-v1 on BASE vs the
@@ -167,9 +178,12 @@ perf-compare:
 #     runs;
 #   - every committed hex example must get its expected verdict with
 #     channel lowering on (ct_* clean, everything else flagged); its
-#     examples/lint/*-channels.json report is kept for inspection.
+#     examples/lint/*-channels.json report is kept for inspection;
+#   - a non-positive --cores must exit 2.
 lint-channels:
 	dune build bin/mi6_sim.exe bench/json_check.exe
+	sh -c 'dune exec bin/mi6_sim.exe -- lint --machine mi6 --cores 0 \
+		> /dev/null 2>&1; test $$? -eq 2'
 	dune exec bin/mi6_sim.exe -- lint --machine mi6 --json lint-mi6.json
 	sh -c 'dune exec bin/mi6_sim.exe -- lint --machine base --json lint-base.json; test $$? -eq 1'
 	sh -c 'dune exec bin/mi6_sim.exe -- lint --witness all --speculative 32 \
@@ -210,4 +224,5 @@ clean:
 		bisect.json bisect-secret.json BISECT_history.jsonl \
 		ni-fpma.json ni-base.json ni-base-j2.json ni-falsified.sched \
 		telemetry.jsonl tel-serial\#* tel-parallel\#* SWEEP_history.jsonl \
+		sweep-serial.log sweep-parallel.log \
 		profile.json profile.folded profile-self.json profile-self.txt

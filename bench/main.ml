@@ -5,10 +5,15 @@
    Usage:
      bench/main.exe                 all figures, full length
      bench/main.exe --fast          shorter runs (CI)
+     bench/main.exe --jobs N        simulate the figure cells on N domains
      bench/main.exe fig5 fig9 area  a subset (an unknown name exits 2
                                     before anything runs)
      bench/main.exe micro           Bechamel microbenchmarks of the
                                     simulator's core data structures
+
+   Every (variant, bench) cell the requested figures read is simulated
+   once, by one [Sweep.run] before any figure prints; the figures only
+   look results up.  Tables are identical for every --jobs value.
 
    Absolute slowdowns depend on the substrate (our cycle-level model vs
    the authors' FPGA), so the claims to check are the *shapes*: who wins,
@@ -17,106 +22,85 @@
 
 open Mi6_util
 open Mi6_core
+module Sweep = Mi6_exec.Sweep
 
 let benches = Mi6_workload.Spec.all
 let bench_name = Mi6_workload.Spec.name
 
 (* ------------------------------------------------------------------ *)
-(* Shared run cache                                                    *)
+(* Figure cells                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let warmup = ref 200_000
 let measure = ref 500_000
 
-let cache : (Config.variant * Mi6_workload.Spec.bench, Tmachine.result) Hashtbl.t =
-  Hashtbl.create 64
+(* The benchmarks of the ablation's three tables. *)
+let coloring_benches = Mi6_workload.Spec.[ Gcc; Gobmk; Xalancbmk ]
+let save_restore_benches = Mi6_workload.Spec.[ Astar; Xalancbmk; Gcc ]
+let prefetch_benches = Mi6_workload.Spec.[ Libquantum; Gcc; Bzip2 ]
 
-(* Host-side cost of each cached run (wall time and simulated
-   kilo-instructions per host second), recorded unconditionally so
-   BENCH_run.json and the history always carry host fields.  Runs are
-   timed with a plain wall clock; where the host time goes, layer by
-   layer, is what [mi6_sim profile --self] samples. *)
-let hosts : (Config.variant * Mi6_workload.Spec.bench, Mi6_obs.Perfdb.host) Hashtbl.t =
-  Hashtbl.create 64
-
-let timed_run variant bench =
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Tmachine.run_spec ~variant ~bench ~warmup:!warmup ~measure:!measure ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  (* The run commits its whole stream: warmup plus measured µops. *)
-  let instrs = float_of_int (!warmup + !measure) in
-  ( r,
-    {
-      Mi6_obs.Perfdb.wall_s = wall;
-      kips = (if wall <= 0.0 then 0.0 else instrs /. wall /. 1000.0);
-    } )
-
-let result variant bench =
-  match Hashtbl.find_opt cache (variant, bench) with
-  | Some r -> r
-  | None ->
-    Printf.eprintf "  [run] %-10s %-8s\r%!" (bench_name bench)
-      (Config.variant_name variant);
-    let r, host = timed_run variant bench in
-    Hashtbl.add cache (variant, bench) r;
-    Hashtbl.add hosts (variant, bench) host;
-    r
-
-(* The exact (variant, bench) cells a figure resolves through the run
-   cache.  --jobs prefills these on a domain pool before the figures
-   print; the enumeration must not over-approximate, or a parallel run's
-   cache (and so BENCH_run.json / the history) would hold entries a
-   serial run never computes. *)
+(* The exact cells a figure reads through [result].  [run_cells]
+   simulates the union for the requested figures, so this must not
+   over-approximate (BENCH_run.json and the history would record runs
+   no figure reads); a cell it leaves out fails the figure that reads
+   it. *)
 let fig_cells name =
-  let grid vs =
-    List.concat_map (fun v -> List.map (fun b -> (v, b)) benches) vs
+  let vs_base ?(benches = benches) variant =
+    Sweep.cells ~variants:[ Config.Base; variant ] ~benches ()
   in
   match name with
-  | "fig5" | "fig7" -> grid [ Config.Base; Config.Flush ]
-  | "fig6" -> grid [ Config.Flush ]
-  | "fig8" | "fig9" -> grid [ Config.Base; Config.Part ]
-  | "fig10" -> grid [ Config.Base; Config.Miss ]
-  | "fig11" -> grid [ Config.Base; Config.Arb ]
-  | "fig12" -> grid [ Config.Base; Config.Nonspec ]
-  | "fig13" -> grid [ Config.Base; Config.Fpma ]
+  | "fig5" | "fig7" -> vs_base Config.Flush
+  | "fig6" -> Sweep.cells ~variants:[ Config.Flush ] ~benches ()
+  | "fig8" | "fig9" -> vs_base Config.Part
+  | "fig10" -> vs_base Config.Miss
+  | "fig11" -> vs_base Config.Arb
+  | "fig12" -> vs_base Config.Nonspec
+  | "fig13" -> vs_base Config.Fpma
   | "ablation" ->
-    List.map
-      (fun b -> (Config.Base, b))
-      [ Mi6_workload.Spec.Astar; Mi6_workload.Spec.Xalancbmk;
-        Mi6_workload.Spec.Gcc ]
+    vs_base ~benches:coloring_benches Config.Part
+    @ vs_base ~benches:save_restore_benches Config.Flush
+    @ vs_base ~benches:prefetch_benches Config.Miss
   | _ -> []
 
-let prefill ~jobs fig_names =
-  let cells =
-    List.sort_uniq compare (List.concat_map fig_cells fig_names)
-    |> List.filter (fun cell -> not (Hashtbl.mem cache cell))
+(* Simulates the union of the named figures' cells, sorted by bench
+   then variant name, in one [Sweep.run] on [jobs] domains. *)
+let run_cells ~jobs names =
+  let key (c : Sweep.cell) =
+    (bench_name c.bench, Config.variant_name c.variant)
   in
-  if jobs > 1 && cells <> [] then begin
-    Printf.eprintf "  [prefill] %d runs on %d domains\n%!" (List.length cells)
-      jobs;
-    let pool = Mi6_exec.Pool.create ~domains:jobs in
-    Fun.protect
-      ~finally:(fun () -> Mi6_exec.Pool.shutdown pool)
-      (fun () ->
-        let results =
-          Mi6_exec.Pool.run_list pool cells (fun (variant, bench) ->
-              timed_run variant bench)
-        in
-        List.iter2
-          (fun cell (r, host) ->
-            Hashtbl.add cache cell r;
-            Hashtbl.add hosts cell host)
-          cells results)
-  end
+  let cells =
+    List.sort_uniq
+      (fun a b -> compare (key a) (key b))
+      (List.concat_map fig_cells names)
+  in
+  Printf.eprintf "  [sweep] %d cells, --jobs %d\n%!" (List.length cells) jobs;
+  let pool = Mi6_exec.Pool.create ~domains:jobs in
+  Fun.protect
+    ~finally:(fun () -> Mi6_exec.Pool.shutdown pool)
+    (fun () -> Sweep.run pool ~warmup:!warmup ~measure:!measure cells)
+
+(* The outcomes of the printing figure's own cells. *)
+let readable : Sweep.outcome list ref = ref []
+
+let result variant bench =
+  match
+    List.find_opt
+      (fun (o : Sweep.outcome) ->
+        o.cell.variant = variant && o.cell.bench = bench)
+      !readable
+  with
+  | Some o -> o.result
+  | None ->
+    invalid_arg
+      (Printf.sprintf "bench: %s/%s is not one of the figure's cells"
+         (bench_name bench) (Config.variant_name variant))
+
+let pct ~base cycles =
+  100.0 *. float_of_int (cycles - base) /. float_of_int base
 
 let overhead variant bench =
-  let base = result Config.Base bench in
-  let v = result variant bench in
-  100.0
-  *. (float_of_int v.Tmachine.cycles -. float_of_int base.Tmachine.cycles)
-  /. float_of_int base.Tmachine.cycles
+  pct ~base:(result Config.Base bench).Tmachine.cycles
+    (result variant bench).Tmachine.cycles
 
 let average xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
@@ -142,6 +126,37 @@ let overhead_figure ~title ~variant ~paper_avg ~paper_max ~paper_max_bench =
   in
   Table.add_row t "AVERAGE"
     [ Table.cell_pct (average ovs); Printf.sprintf "%.1f%%" paper_avg ];
+  Table.print t;
+  print_newline ()
+
+(* One per-kilo-instruction figure: [counter] on BASE and on [variant]
+   per benchmark + average, with the paper's note on [note_bench] and its
+   reported averages alongside. *)
+let mpki_figure ~title ~variant ~counter ~note_bench ~note ~paper_avg =
+  let t =
+    Table.create ~title
+      ~columns:[ "BASE"; Config.variant_name variant; "paper" ]
+  in
+  let pairs =
+    List.map
+      (fun b ->
+        let base = Tmachine.mpki (result Config.Base b) counter in
+        let v = Tmachine.mpki (result variant b) counter in
+        Table.add_row t (bench_name b)
+          [
+            Table.cell_f base;
+            Table.cell_f v;
+            (if bench_name b = note_bench then note else "");
+          ];
+        (base, v))
+      benches
+  in
+  Table.add_row t "AVERAGE"
+    [
+      Table.cell_f (average (List.map fst pairs));
+      Table.cell_f (average (List.map snd pairs));
+      paper_avg;
+    ];
   Table.print t;
   print_newline ()
 
@@ -204,33 +219,11 @@ let fig6 () =
   print_newline ()
 
 let fig7 () =
-  let t =
-    Table.create
-      ~title:
-        "Figure 7: branch mispredictions per kilo-instruction, BASE vs FLUSH"
-      ~columns:[ "BASE"; "FLUSH"; "paper" ]
-  in
-  let pairs =
-    List.map
-      (fun b ->
-        let base = Tmachine.mpki (result Config.Base b) "core.mispredicts" in
-        let flush = Tmachine.mpki (result Config.Flush b) "core.mispredicts" in
-        let note =
-          if bench_name b = "astar" then "astar: 30.1 -> 46.2" else ""
-        in
-        Table.add_row t (bench_name b)
-          [ Table.cell_f base; Table.cell_f flush; note ];
-        (base, flush))
-      benches
-  in
-  Table.add_row t "AVERAGE"
-    [
-      Table.cell_f (average (List.map fst pairs));
-      Table.cell_f (average (List.map snd pairs));
-      "18.3 -> 24.3";
-    ];
-  Table.print t;
-  print_newline ()
+  mpki_figure
+    ~title:
+      "Figure 7: branch mispredictions per kilo-instruction, BASE vs FLUSH"
+    ~variant:Config.Flush ~counter:"core.mispredicts" ~note_bench:"astar"
+    ~note:"astar: 30.1 -> 46.2" ~paper_avg:"18.3 -> 24.3"
 
 let fig8 () =
   overhead_figure
@@ -240,30 +233,9 @@ let fig8 () =
     ~variant:Config.Part ~paper_avg:7.4 ~paper_max:21.6 ~paper_max_bench:"gcc"
 
 let fig9 () =
-  let t =
-    Table.create
-      ~title:"Figure 9: LLC misses per kilo-instruction, BASE vs PART"
-      ~columns:[ "BASE"; "PART"; "paper" ]
-  in
-  let pairs =
-    List.map
-      (fun b ->
-        let base = Tmachine.mpki (result Config.Base b) "llc.misses" in
-        let part = Tmachine.mpki (result Config.Part b) "llc.misses" in
-        let note = if bench_name b = "gcc" then "gcc misses double" else "" in
-        Table.add_row t (bench_name b)
-          [ Table.cell_f base; Table.cell_f part; note ];
-        (base, part))
-      benches
-  in
-  Table.add_row t "AVERAGE"
-    [
-      Table.cell_f (average (List.map fst pairs));
-      Table.cell_f (average (List.map snd pairs));
-      "17.4 -> 19.6";
-    ];
-  Table.print t;
-  print_newline ()
+  mpki_figure ~title:"Figure 9: LLC misses per kilo-instruction, BASE vs PART"
+    ~variant:Config.Part ~counter:"llc.misses" ~note_bench:"gcc"
+    ~note:"gcc misses double" ~paper_avg:"17.4 -> 19.6"
 
 let fig10 () =
   overhead_figure
@@ -334,22 +306,26 @@ let noninterference () =
 (* Ablation: OS page coloring vs sequential allocation under PART      *)
 (* ------------------------------------------------------------------ *)
 
+(* [bench]'s core-0 stream, the one its figure cells run. *)
+let spec_stream bench =
+  Tmachine.spec_stream ~core:0 ~bench ~limit:(!warmup + !measure) ()
+
+(* An ablation run on a modified machine or stream, so not a figure
+   cell. *)
+let cycles_of timing stream =
+  (Tmachine.run_stream ~timing ~stream ~warmup:!warmup ()).Tmachine.cycles
+
 (* The paper's conclusion proposes reducing the cache-indexing overhead
    "by modifying the OS": with the partitioned index {R[1:0], A[7:0]}, an
    enclave owning four regions with distinct R[1:0] recovers the full set
    space if the OS colors pages across its regions instead of allocating
    them sequentially.  We emulate a coloring allocator by remapping the
-   workload's data pages round-robin over regions 8..11 (whose R[1:0]
-   cover all four values). *)
-let colored_stream bench ~limit =
+   workload's data pages (region 2) round-robin over regions 8..11
+   (whose R[1:0] cover all four values). *)
+let colored_stream bench =
   let geometry = Mi6_mem.Addr.default_regions in
   let data_base = Mi6_mem.Addr.region_base geometry 2 in
   let data_end = data_base + geometry.Mi6_mem.Addr.region_bytes in
-  let gen =
-    Mi6_workload.Synth.for_bench bench ~data_base
-      ~code_base:(Mi6_mem.Addr.region_base geometry 1)
-      ~kernel_base:(Mi6_mem.Addr.region_base geometry 4)
-  in
   let remap addr =
     if addr >= data_base && addr < data_end then begin
       let off = addr - data_base in
@@ -360,7 +336,7 @@ let colored_stream bench ~limit =
     end
     else addr
   in
-  let inner = Mi6_workload.Synth.stream gen ~limit in
+  let inner = spec_stream bench in
   fun () ->
     match inner () with
     | None -> None
@@ -382,40 +358,18 @@ let ablation () =
   in
   List.iter
     (fun b ->
-      let run variant colored =
-        let stream =
-          if colored then colored_stream b ~limit:(!warmup + !measure)
-          else
-            let geometry = Mi6_mem.Addr.default_regions in
-            let gen =
-              Mi6_workload.Synth.for_bench b
-                ~data_base:(Mi6_mem.Addr.region_base geometry 2)
-                ~code_base:(Mi6_mem.Addr.region_base geometry 1)
-                ~kernel_base:(Mi6_mem.Addr.region_base geometry 4)
-            in
-            Mi6_workload.Synth.stream gen ~limit:(!warmup + !measure)
-        in
-        Tmachine.run_stream
-          ~timing:(Config.timing ~cores:1 variant)
-          ~stream ~warmup:!warmup ~measure:!measure ()
+      let colored variant =
+        cycles_of (Config.timing ~cores:1 variant) (colored_stream b)
       in
-      let ov colored =
-        let base = run Config.Base colored in
-        let part = run Config.Part colored in
-        100.0
-        *. (float_of_int part.Tmachine.cycles
-           -. float_of_int base.Tmachine.cycles)
-        /. float_of_int base.Tmachine.cycles
-      in
-      let seq = ov false and col = ov true in
+      let seq = overhead Config.Part b in
+      let col = pct ~base:(colored Config.Base) (colored Config.Part) in
       Table.add_row t (bench_name b)
         [
           Table.cell_pct seq;
           Table.cell_pct col;
           (if col < seq then "coloring helps" else "");
         ])
-    [ Mi6_workload.Spec.Gcc; Mi6_workload.Spec.Gobmk;
-      Mi6_workload.Spec.Xalancbmk ];
+    coloring_benches;
   Table.print t;
   print_newline ();
   print_endline
@@ -423,35 +377,26 @@ let ablation () =
   let t2 = Table.create ~title:"" ~columns:[ "plain FLUSH"; "FLUSH + save/restore" ] in
   List.iter
     (fun b ->
-      let run cfg_mod =
-        let timing = Config.timing ~cores:1 Config.Flush in
-        let timing = { timing with Config.core = cfg_mod timing.Config.core } in
-        Tmachine.run_stream ~timing
-          ~stream:
-            (let geometry = Mi6_mem.Addr.default_regions in
-             let gen =
-               Mi6_workload.Synth.for_bench b
-                 ~data_base:(Mi6_mem.Addr.region_base geometry 2)
-                 ~code_base:(Mi6_mem.Addr.region_base geometry 1)
-                 ~kernel_base:(Mi6_mem.Addr.region_base geometry 4)
-             in
-             Mi6_workload.Synth.stream gen ~limit:(!warmup + !measure))
-          ~warmup:!warmup ~measure:!measure ()
-      in
-      let base = (result Config.Base b).Tmachine.cycles in
-      let ov r =
-        100.0 *. float_of_int (r.Tmachine.cycles - base) /. float_of_int base
-      in
-      let plain = ov (run (fun c -> c)) in
+      let timing = Config.timing ~cores:1 Config.Flush in
       let saved =
-        ov
-          (run (fun c ->
-               { c with Mi6_ooo.Core_config.save_restore_predictors = true }))
+        cycles_of
+          {
+            timing with
+            Config.core =
+              {
+                timing.Config.core with
+                Mi6_ooo.Core_config.save_restore_predictors = true;
+              };
+          }
+          (spec_stream b)
       in
       Table.add_row t2 (bench_name b)
-        [ Table.cell_pct plain; Table.cell_pct saved ])
-    [ Mi6_workload.Spec.Astar; Mi6_workload.Spec.Xalancbmk;
-      Mi6_workload.Spec.Gcc ];
+        [
+          Table.cell_pct (overhead Config.Flush b);
+          Table.cell_pct
+            (pct ~base:(result Config.Base b).Tmachine.cycles saved);
+        ])
+    save_restore_benches;
   Table.print t2;
   print_newline ();
   print_endline
@@ -464,40 +409,27 @@ let ablation () =
   in
   List.iter
     (fun b ->
-      let ov ~prefetch =
-        let mk variant =
-          let timing = Config.timing ~cores:1 variant in
-          let timing =
-            {
-              timing with
-              Config.l1 =
-                (if prefetch then
-                   { timing.Config.l1 with
-                     Mi6_cache.L1.prefetch_next_line = true;
-                     Mi6_cache.L1.mshrs = 16 }
-                 else timing.Config.l1);
-            }
-          in
-          (Tmachine.run_stream ~timing
-             ~stream:
-               (let geometry = Mi6_mem.Addr.default_regions in
-                let gen =
-                  Mi6_workload.Synth.for_bench b
-                    ~data_base:(Mi6_mem.Addr.region_base geometry 2)
-                    ~code_base:(Mi6_mem.Addr.region_base geometry 1)
-                    ~kernel_base:(Mi6_mem.Addr.region_base geometry 4)
-                in
-                Mi6_workload.Synth.stream gen ~limit:(!warmup + !measure))
-             ~warmup:!warmup ~measure:!measure ())
-            .Tmachine.cycles
-        in
-        let base = mk Config.Base and miss = mk Config.Miss in
-        100.0 *. float_of_int (miss - base) /. float_of_int base
+      let prefetching variant =
+        let timing = Config.timing ~cores:1 variant in
+        cycles_of
+          {
+            timing with
+            Config.l1 =
+              {
+                timing.Config.l1 with
+                Mi6_cache.L1.prefetch_next_line = true;
+                Mi6_cache.L1.mshrs = 16;
+              };
+          }
+          (spec_stream b)
       in
       Table.add_row t3 (bench_name b)
-        [ Table.cell_pct (ov ~prefetch:false); Table.cell_pct (ov ~prefetch:true) ])
-    [ Mi6_workload.Spec.Libquantum; Mi6_workload.Spec.Gcc;
-      Mi6_workload.Spec.Bzip2 ];
+        [
+          Table.cell_pct (overhead Config.Miss b);
+          Table.cell_pct
+            (pct ~base:(prefetching Config.Base) (prefetching Config.Miss));
+        ])
+    prefetch_benches;
   Table.print t3;
   print_newline ()
 
@@ -542,9 +474,7 @@ let multicore () =
           Tmachine.run_multi ~timing ~benches:[| b0; b1 |] ~warmup:mw
             ~measure:mm ()
         in
-        ( 100.0 *. float_of_int (r.(0).Tmachine.cycles - s0) /. float_of_int s0,
-          100.0 *. float_of_int (r.(1).Tmachine.cycles - s1) /. float_of_int s1
-        )
+        (pct ~base:s0 r.(0).Tmachine.cycles, pct ~base:s1 r.(1).Tmachine.cycles)
       in
       let base0, base1 = slowdowns (Config.timing ~cores:2 Config.Base) in
       let sec0, sec1 = slowdowns (Config.secure_multicore ~cores:2) in
@@ -639,43 +569,29 @@ let all_figs =
     ("multicore", multicore);
   ]
 
-(* Machine-readable record of every (variant, bench) run the harness
-   performed, for scripted regression checks on top of the printed
-   tables. *)
-let emit_run_json ~fast =
+(* Host cost of a figure cell: its wall time inside the pool job, over
+   the warmup and measured instructions it simulated. *)
+let host (o : Sweep.outcome) =
+  Mi6_obs.Perfdb.host ~wall_s:o.wall_s ~instrs:(!warmup + !measure)
+
+(* Machine-readable record of every figure cell the harness simulated,
+   for scripted regression checks on top of the printed tables. *)
+let emit_run_json ~fast outcomes =
   let open Mi6_obs in
-  let runs =
-    Hashtbl.fold
-      (fun (variant, bench) (r : Tmachine.result) acc ->
-        let host_fields =
-          match Hashtbl.find_opt hosts (variant, bench) with
-          | None -> []
-          | Some h ->
-            [
-              ("host_wall_s", Json.Float h.Perfdb.wall_s);
-              ("host_kips", Json.Float h.Perfdb.kips);
-            ]
-        in
-        Json.Obj
-          ([
-             ("bench", Json.String (bench_name bench));
-             ("variant", Json.String (Config.variant_name variant));
-             ("cycles", Json.Int r.Tmachine.cycles);
-             ("instrs", Json.Int r.Tmachine.instrs);
-             ("ipc", Json.Float (Tmachine.ipc r));
-             ("llc_mpki", Json.Float (Tmachine.mpki r "llc.misses"));
-           ]
-          @ host_fields)
-        :: acc)
-      cache []
+  let run (o : Sweep.outcome) =
+    let r = o.result and h = host o in
+    Json.Obj
+      [
+        ("bench", Json.String (bench_name o.cell.bench));
+        ("variant", Json.String (Config.variant_name o.cell.variant));
+        ("cycles", Json.Int r.Tmachine.cycles);
+        ("instrs", Json.Int r.Tmachine.instrs);
+        ("ipc", Json.Float (Tmachine.ipc r));
+        ("llc_mpki", Json.Float (Tmachine.mpki r "llc.misses"));
+        ("host_wall_s", Json.Float h.Perfdb.wall_s);
+        ("host_kips", Json.Float h.Perfdb.kips);
+      ]
   in
-  (* Hashtbl.fold order is unspecified: sort for a stable file. *)
-  let key = function
-    | Json.Obj (("bench", Json.String b) :: ("variant", Json.String v) :: _) ->
-      (b, v)
-    | _ -> ("", "")
-  in
-  let runs = List.sort (fun a b -> compare (key a) (key b)) runs in
   let doc =
     Json.Obj
       [
@@ -683,67 +599,31 @@ let emit_run_json ~fast =
         ("fast", Json.Bool fast);
         ("warmup", Json.Int !warmup);
         ("measure", Json.Int !measure);
-        ("runs", Json.List runs);
+        ("runs", Json.List (List.map run outcomes));
       ]
   in
   let oc = open_out "BENCH_run.json" in
   output_string oc (Json.to_string doc);
   close_out oc;
-  Printf.printf "\nwrote BENCH_run.json (%d runs)\n%!" (List.length runs)
+  Printf.printf "\nwrote BENCH_run.json (%d runs)\n%!" (List.length outcomes)
 
 (* Cross-run regression history: every harness invocation appends one
-   JSONL record per cached (variant, bench) run under a fresh run id, so
+   JSONL record per figure cell under a fresh run id, so
    bench/compare.exe can diff the latest two invocations and CI can fail
    on a cycle or IPC regression.  Records carry the CPI stack and key
    latency quantiles so a regression is attributable, not just
    detectable. *)
 let history_path = "BENCH_history.jsonl"
 
-let append_history () =
+let append_history outcomes =
   let open Mi6_obs in
   let commit = Perfdb.git_commit () in
   let run_id = Perfdb.next_run_id (Perfdb.load ~path:history_path) ~commit in
   let records =
-    Hashtbl.fold
-      (fun (variant, bench) (r : Tmachine.result) acc ->
-        let cpi =
-          List.filter_map
-            (fun cat ->
-              match Stats.get r.Tmachine.stats (Cpistack.counter_name cat) with
-              | 0 -> None
-              | c -> Some (cat, c))
-            Cpistack.categories
-        in
-        let quantiles =
-          List.filter_map
-            (fun (name, h) ->
-              if Histogram.count h = 0 then None
-              else
-                Some
-                  (name, (Histogram.p50 h, Histogram.p95 h, Histogram.p99 h)))
-            (Metrics.histograms r.Tmachine.metrics)
-        in
-        {
-          Perfdb.run_id;
-          commit;
-          variant = Config.variant_name variant;
-          bench = bench_name bench;
-          cycles = r.Tmachine.cycles;
-          instrs = r.Tmachine.instrs;
-          ipc = Tmachine.ipc r;
-          cpi;
-          quantiles;
-          host = Hashtbl.find_opt hosts (variant, bench);
-        }
-        :: acc)
-      cache []
-  in
-  let records =
-    List.sort
-      (fun a b ->
-        compare (a.Perfdb.bench, a.Perfdb.variant)
-          (b.Perfdb.bench, b.Perfdb.variant))
-      records
+    List.map2
+      (fun o r -> { r with Perfdb.host = Some (host o) })
+      outcomes
+      (Sweep.to_perfdb_records ~run_id ~commit outcomes)
   in
   Perfdb.append ~path:history_path records;
   Printf.printf "appended run %s (%d records) -> %s\n%!" run_id
@@ -798,8 +678,15 @@ let () =
       else
         List.map (fun name -> (name, List.assoc name all_figs)) wanted
     in
-    prefill ~jobs (List.map fst figs);
-    List.iter (fun (_, f) -> f ()) figs;
-    emit_run_json ~fast;
-    append_history ()
+    let outcomes = run_cells ~jobs (List.map fst figs) in
+    List.iter
+      (fun (name, f) ->
+        let cells = fig_cells name in
+        readable :=
+          List.filter (fun (o : Sweep.outcome) -> List.mem o.cell cells)
+            outcomes;
+        f ())
+      figs;
+    emit_run_json ~fast outcomes;
+    append_history outcomes
   end

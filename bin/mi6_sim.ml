@@ -47,6 +47,16 @@ let variant_conv =
   in
   Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (Config.variant_name v))
 
+(* Zero or a negative count is a usage error (exit 2), caught while the
+   arguments are parsed. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let warmup =
   Arg.(value & opt int 200_000 & info [ "warmup" ] ~doc:"Warmup µops (untimed).")
 
@@ -134,7 +144,7 @@ let telemetry_file =
                  $(b,mi6_sim top) $(docv).")
 
 let telemetry_every =
-  Arg.(value & opt int 10_000
+  Arg.(value & opt positive_int 10_000
        & info [ "telemetry-every" ] ~docv:"N"
            ~doc:"Cycles between telemetry snapshots.")
 
@@ -338,7 +348,7 @@ let sweep_cmd =
          & info [ "v"; "variant" ] ~doc:"Processor variants (comma separated).")
   in
   let seeds =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "seeds" ] ~docv:"K"
              ~doc:"Stream seeds per (variant, bench) pair: seed 0 is the \
                    canonical stream, higher seeds deterministic \
@@ -401,11 +411,6 @@ let sweep_cmd =
       let commit = Perfdb.git_commit () in
       let run_id = Perfdb.next_run_id (Perfdb.load ~path) ~commit in
       let records = Sweep.to_perfdb_records ~run_id ~commit outcomes in
-      let total_instrs =
-        List.fold_left
-          (fun acc (o : Sweep.outcome) -> acc + o.Sweep.result.Tmachine.instrs)
-          0 outcomes
-      in
       let wall_record =
         {
           Perfdb.run_id;
@@ -418,15 +423,12 @@ let sweep_cmd =
           cpi = [];
           quantiles = [];
           (* The bench name carries the job count, so the kips gate only
-             ever compares invocations with the same parallelism. *)
+             ever compares invocations with the same parallelism.  Every
+             cell simulates its warmup and its measured window. *)
           host =
             Some
-              {
-                Perfdb.wall_s = wall;
-                kips =
-                  (if wall <= 0.0 then 0.0
-                   else float_of_int total_instrs /. wall /. 1000.0);
-              };
+              (Perfdb.host ~wall_s:wall
+                 ~instrs:(List.length cells * (warmup + measure)));
         }
       in
       Perfdb.append ~path (records @ [ wall_record ]);
@@ -744,30 +746,25 @@ let profile_cmd =
   let run benches variants warmup measure folded_file json_file self jobs =
     guard_io @@ fun () ->
     let open Mi6_obs in
-    (* Prefill every (bench, variant) run on the pool; the serial report
-       below reads from this table, so its output does not depend on
-       --jobs. *)
-    let pairs =
-      List.concat_map
-        (fun bench -> List.map (fun variant -> (bench, variant)) variants)
-        benches
+    let module Sweep = Mi6_exec.Sweep in
+    (* Run every (bench, variant) cell in one sweep; the serial report
+       below looks them up, so its output does not depend on --jobs. *)
+    let cell bench variant = { Sweep.variant; bench; seed = 0 } in
+    let cells =
+      List.concat_map (fun b -> List.map (cell b) variants) benches
     in
     (* The sampler runs only while every pool domain is up: from after
        [Pool.create] has seen each one start until before the join. *)
-    let domains, wall_ns, results =
+    let domains, wall_ns, outcomes =
       with_pool ~jobs (fun pool ->
           if self then Prof.start ();
           let start = Prof.now_ns () in
-          let results =
-            Mi6_exec.Pool.run_list pool pairs (fun (bench, variant) ->
-                Tmachine.run_spec ~variant ~bench ~warmup ~measure ())
-          in
+          let outcomes = Sweep.run pool ~warmup ~measure cells in
           let wall_ns = Prof.now_ns () - start in
           if self then Prof.stop ();
-          (min (Mi6_exec.Pool.domains pool) (List.length pairs), wall_ns,
-           results))
+          (min (Mi6_exec.Pool.domains pool) (List.length cells), wall_ns,
+           outcomes))
     in
-    let table = List.combine pairs results in
     let folded = Buffer.create 256 in
     let all_stacks = ref [] in
     let failed = ref false in
@@ -777,7 +774,12 @@ let profile_cmd =
         let stacks =
           List.map
             (fun variant ->
-              let r = List.assoc (bench, variant) table in
+              let r =
+                (List.find
+                   (fun (o : Sweep.outcome) -> o.cell = cell bench variant)
+                   outcomes)
+                  .result
+              in
               let s =
                 Cpistack.of_counters
                   ~label:(Config.variant_name variant)
@@ -810,9 +812,11 @@ let profile_cmd =
           warmup measure (Cpistack.table stacks))
       benches;
     if self then
-      print_self_profile ~runs:(List.length results) ~domains ~wall_ns
+      print_self_profile ~runs:(List.length outcomes) ~domains ~wall_ns
         ~cycles:
-          (List.fold_left (fun n r -> n + r.Tmachine.ticked) 0 results);
+          (List.fold_left
+             (fun n (o : Sweep.outcome) -> n + o.result.Tmachine.ticked)
+             0 outcomes);
     (match folded_file with
     | Some path ->
       write_file path (Buffer.contents folded);
@@ -1210,14 +1214,7 @@ let bisect_cmd =
           (* kips here is lockstep scan speed (both machines ticked and
              compared, counted as side A's committed instructions), so
              compare.exe's kips gate bounds bisection speed regressions. *)
-          host =
-            Some
-              {
-                Perfdb.wall_s = wall;
-                kips =
-                  (if wall <= 0.0 then 0.0
-                   else float_of_int instrs /. wall /. 1000.0);
-              };
+          host = Some (Perfdb.host ~wall_s:wall ~instrs);
         }
       in
       Perfdb.append ~path [ record ];
@@ -1365,7 +1362,7 @@ let lint_cmd =
                    given, mi6 is linted.")
   in
   let cores =
-    Arg.(value & opt int 2
+    Arg.(value & opt positive_int 2
          & info [ "cores" ] ~docv:"N" ~doc:"Cores for $(b,--machine).")
   in
   let witnesses =

@@ -200,9 +200,7 @@ let mpki r counter =
   if r.instrs = 0 then 0.0
   else 1000.0 *. float_of_int (Stats.get r.stats counter) /. float_of_int r.instrs
 
-let run_stream ?trace ?occupancy ?telemetry ~timing ~stream ~warmup ~measure
-    () =
-  ignore measure;
+let run_stream ?trace ?occupancy ?telemetry ~timing ~stream ~warmup () =
   let stats = Stats.create () in
   let m =
     create ?trace ?occupancy ?telemetry timing ~streams:[| stream |] ~stats
@@ -254,7 +252,7 @@ let run_spec ?trace ?occupancy ?telemetry ?seed ~variant ~bench ~warmup
     ~measure () =
   let timing = Config.timing ~cores:1 variant in
   let stream = spec_stream ?seed ~core:0 ~bench ~limit:(warmup + measure) () in
-  run_stream ?trace ?occupancy ?telemetry ~timing ~stream ~warmup ~measure ()
+  run_stream ?trace ?occupancy ?telemetry ~timing ~stream ~warmup ()
 
 (* Multiprogrammed run: one SPEC model per core, each confined to its own
    region block — the multiprocessor methodology the paper could not fit

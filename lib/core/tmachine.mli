@@ -109,9 +109,10 @@ val spec_stream :
   unit ->
   Uop.t option
 
-(** [run_stream ~timing ~stream ~warmup ~measure] — same measurement
-    protocol for an arbitrary µop stream (ablations, tests).  [stream]
-    must end after [warmup + measure] µops. *)
+(** [run_stream ~timing ~stream ~warmup] — same measurement protocol
+    for an arbitrary µop stream (ablations, tests): [warmup] µops
+    untimed, then a measured window that the stream's own end closes
+    (a stream of [warmup + measure] µops measures [measure]). *)
 val run_stream :
   ?trace:Trace.t ->
   ?occupancy:Occupancy.t ->
@@ -119,7 +120,6 @@ val run_stream :
   timing:Config.timing ->
   stream:(unit -> Uop.t option) ->
   warmup:int ->
-  measure:int ->
   unit ->
   result
 

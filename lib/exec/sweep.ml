@@ -4,7 +4,7 @@ module Tmachine = Mi6_core.Tmachine
 open Mi6_obs
 
 type cell = { variant : Config.variant; bench : Spec.bench; seed : int }
-type outcome = { cell : cell; result : Tmachine.result }
+type outcome = { cell : cell; result : Tmachine.result; wall_s : float }
 
 let cells ?(seeds = 1) ~variants ~benches () =
   if seeds < 1 then invalid_arg "Sweep.cells: seeds must be >= 1";
@@ -42,6 +42,7 @@ let run pool ?telemetry ?(telemetry_every = 10_000) ~warmup ~measure cells =
       (* Everything a cell touches — stream generator, stats, metrics,
          caches, cores — is allocated inside this call; nothing mutable is
          shared with other cells. *)
+      let t0 = Unix.gettimeofday () in
       let tel =
         match telemetry with
         | None -> Telemetry.null
@@ -59,7 +60,7 @@ let run pool ?telemetry ?(telemetry_every = 10_000) ~warmup ~measure cells =
             Tmachine.run_spec ~telemetry:tel ~seed:cell.seed
               ~variant:cell.variant ~bench:cell.bench ~warmup ~measure ())
       in
-      { cell; result })
+      { cell; result; wall_s = Unix.gettimeofday () -. t0 })
 
 let merged_metrics outcomes =
   let acc = Metrics.create () in

@@ -15,7 +15,12 @@ module Spec = Mi6_workload.Spec
 
 type cell = { variant : Config.variant; bench : Spec.bench; seed : int }
 
-type outcome = { cell : cell; result : Mi6_core.Tmachine.result }
+(** [wall_s] is the host seconds the cell took inside its pool job. *)
+type outcome = {
+  cell : cell;
+  result : Mi6_core.Tmachine.result;
+  wall_s : float;
+}
 
 (** [cells ~variants ~benches ~seeds] is the full grid in canonical
     order: benches by {!Spec.name}, variants by {!Config.variant_name},
@@ -30,7 +35,7 @@ val cell_name : cell -> string
 
 (** [run pool ~warmup ~measure cells] runs every cell (in parallel when
     the pool has more than one domain) and returns outcomes in the given
-    cell order.
+    cell order.  [cells] may be any list, not only a {!cells} grid.
 
     [telemetry] (a base path) streams one deterministic-mode
     {!Mi6_obs.Telemetry} JSONL file per cell to
@@ -62,6 +67,8 @@ val merged_metrics : outcome list -> Mi6_obs.Metrics.t
 val to_json : warmup:int -> measure:int -> outcome list -> Mi6_obs.Json.t
 
 (** One {!Mi6_obs.Perfdb} record per outcome (bench names gain a
-    ["#seed"] suffix for nonzero seeds), for the cross-run history. *)
+    ["#seed"] suffix for nonzero seeds), for the cross-run history.
+    Records carry no host section: a cell's [wall_s] depends on the
+    pool size and host load; callers that want one attach it. *)
 val to_perfdb_records :
   run_id:string -> commit:string -> outcome list -> Mi6_obs.Perfdb.record list

@@ -1,5 +1,12 @@
 type host = { wall_s : float; kips : float }
 
+let host ~wall_s ~instrs =
+  {
+    wall_s;
+    kips =
+      (if wall_s <= 0.0 then 0.0 else float_of_int instrs /. wall_s /. 1000.0);
+  }
+
 type record = {
   run_id : string;
   commit : string;

@@ -17,6 +17,12 @@ type host = {
   kips : float;  (** simulated kilo-instructions per host second *)
 }
 
+(** [host ~wall_s ~instrs] — the host section of a run that simulated
+    [instrs] instructions in [wall_s] seconds; [kips] is 0 when [wall_s]
+    is not positive.  Count every instruction simulated, warmup
+    included. *)
+val host : wall_s:float -> instrs:int -> host
+
 type record = {
   run_id : string;  (** shared by every record of one harness invocation *)
   commit : string;  (** git HEAD at the time of the run, or ["unknown"] *)

@@ -10,6 +10,7 @@ module Json = Mi6_obs.Json
 module Perfdb = Mi6_obs.Perfdb
 module Stats = Mi6_util.Stats
 module Config = Mi6_core.Config
+module Tmachine = Mi6_core.Tmachine
 module Spec = Mi6_workload.Spec
 
 let with_pool ~domains f =
@@ -187,6 +188,37 @@ let test_sweep_perfdb_roundtrip () =
       | Error e -> Alcotest.fail ("record_of_json: " ^ e))
     records
 
+(* The figure harness hands [run] its own cell lists: not a grid, not in
+   canonical order.  Outcomes come back in input order, each the serial
+   [run_spec] of its own cell and timed. *)
+let test_sweep_any_cell_list () =
+  let cell variant bench = { Sweep.variant; bench; seed = 0 } in
+  let cells =
+    [
+      cell Config.Part Spec.Mcf; cell Config.Base Spec.Gcc;
+      cell Config.Flush Spec.Astar; cell Config.Base Spec.Mcf;
+    ]
+  in
+  let outcomes =
+    with_pool ~domains:2 (fun pool ->
+        Sweep.run pool ~warmup:200 ~measure:500 cells)
+  in
+  Alcotest.(check (list string))
+    "input order"
+    (List.map Sweep.cell_name cells)
+    (List.map (fun o -> Sweep.cell_name o.Sweep.cell) outcomes);
+  List.iter
+    (fun (o : Sweep.outcome) ->
+      let name = Sweep.cell_name o.cell in
+      let serial =
+        Tmachine.run_spec ~variant:o.cell.variant ~bench:o.cell.bench
+          ~warmup:200 ~measure:500 ()
+      in
+      Alcotest.(check int)
+        (name ^ " cycles") serial.Tmachine.cycles o.result.Tmachine.cycles;
+      Alcotest.(check bool) (name ^ " wall_s > 0") true (o.wall_s > 0.0))
+    outcomes
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -218,5 +250,7 @@ let () =
             test_sweep_deterministic_across_domains;
           Alcotest.test_case "perfdb records roundtrip" `Quick
             test_sweep_perfdb_roundtrip;
+          Alcotest.test_case "any cell list, input order" `Quick
+            test_sweep_any_cell_list;
         ] );
     ]

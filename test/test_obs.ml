@@ -594,6 +594,18 @@ let test_perfdb_kips_gate () =
        ()
     = [])
 
+(* The one kips formula every history writer uses: instructions
+   simulated per host millisecond, and 0 rather than a division by a
+   zero or negative wall time. *)
+let test_perfdb_host_constructor () =
+  let h = Perfdb.host ~wall_s:2.0 ~instrs:3_000_000 in
+  Alcotest.(check (float 1e-9)) "wall kept" 2.0 h.Perfdb.wall_s;
+  Alcotest.(check (float 1e-9)) "kips" 1500.0 h.Perfdb.kips;
+  Alcotest.(check (float 0.0))
+    "zero wall" 0.0 (Perfdb.host ~wall_s:0.0 ~instrs:1000).Perfdb.kips;
+  Alcotest.(check (float 0.0))
+    "negative wall" 0.0 (Perfdb.host ~wall_s:(-1.0) ~instrs:1000).Perfdb.kips
+
 (* ------------------------------------------------------------------ *)
 (* Trace drop-kind accounting                                          *)
 (* ------------------------------------------------------------------ *)
@@ -856,6 +868,8 @@ let () =
             test_perfdb_host_roundtrip;
           Alcotest.test_case "kips regression gate" `Quick
             test_perfdb_kips_gate;
+          Alcotest.test_case "host constructor" `Quick
+            test_perfdb_host_constructor;
         ] );
       ( "json",
         [
