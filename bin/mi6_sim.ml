@@ -308,24 +308,33 @@ let multi_cmd =
     guard_io @@ fun () ->
     let benches = Array.of_list benches in
     let cores = Array.length benches in
-    let timing =
-      if secure then Config.secure_multicore ~cores
-      else Config.timing ~cores Config.Base
-    in
-    let trace = make_trace ~trace_file ~trace_text_file ~trace_filter in
-    let rs = Tmachine.run_multi ~trace ~timing ~benches ~warmup ~measure () in
-    Array.iteri
-      (fun i r ->
-        Printf.printf "core %d: %-11s cycles=%-10d ipc=%.3f (%s machine)\n" i
-          (Mi6_workload.Spec.name benches.(i))
-          r.Tmachine.cycles (Tmachine.ipc r)
-          (if secure then "MI6" else "BASE"))
-      rs;
-    if tracing_wanted ~trace_file ~trace_text_file then
-      export_trace trace ~trace_file ~trace_text_file;
-    if Array.length rs > 0 then
-      export_metrics rs.(0).Tmachine.metrics ~stats_json_file ~stats_csv_file;
-    0
+    (* Each core takes two LLC ports (I and D); refuse before building
+       anything. *)
+    if 2 * cores > Mi6_llc.Llc.max_ports then begin
+      Printf.eprintf "mi6_sim: error: multi takes at most %d benchmarks, got %d\n%!"
+        (Mi6_llc.Llc.max_ports / 2) cores;
+      2
+    end
+    else begin
+      let timing =
+        if secure then Config.secure_multicore ~cores
+        else Config.timing ~cores Config.Base
+      in
+      let trace = make_trace ~trace_file ~trace_text_file ~trace_filter in
+      let rs = Tmachine.run_multi ~trace ~timing ~benches ~warmup ~measure () in
+      Array.iteri
+        (fun i r ->
+          Printf.printf "core %d: %-11s cycles=%-10d ipc=%.3f (%s machine)\n" i
+            (Mi6_workload.Spec.name benches.(i))
+            r.Tmachine.cycles (Tmachine.ipc r)
+            (if secure then "MI6" else "BASE"))
+        rs;
+      if tracing_wanted ~trace_file ~trace_text_file then
+        export_trace trace ~trace_file ~trace_text_file;
+      if Array.length rs > 0 then
+        export_metrics rs.(0).Tmachine.metrics ~stats_json_file ~stats_csv_file;
+      0
+    end
   in
   Cmd.v
     (Cmd.info "multi" ~exits ~doc:"multiprogrammed multicore run")

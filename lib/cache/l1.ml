@@ -11,15 +11,17 @@ let default_config =
   { sets = 64; ways = 8; mshrs = 8; hit_latency = 2; seed = 0x11;
     prefetch_next_line = false }
 
-type line_meta = { state : Msi.t }
-
+(* One preallocated record per MSHR slot; [m_live] false marks a free
+   slot, whose other fields are stale. *)
 type mshr = {
-  m_line : int;
-  m_to : Msi.t;
-  m_way : int; (* reserved way for the fill *)
-  m_set : int;
-  m_born : int; (* alloc cycle, for the miss-latency histogram *)
-  mutable m_waiters : int list; (* request ids, completion order *)
+  mutable m_live : bool;
+  mutable m_line : int;
+  mutable m_to : Msi.t;
+  mutable m_way : int; (* reserved way for the fill *)
+  mutable m_set : int;
+  mutable m_born : int; (* alloc cycle, for the miss-latency histogram *)
+  mutable m_waiters : int array; (* request ids, oldest first; doubles *)
+  mutable m_nwaiters : int;
 }
 
 (* Counter handles, resolved once per cache. *)
@@ -36,7 +38,8 @@ type counters = {
 
 type t = {
   cfg : config;
-  array : line_meta Sram.t;
+  array : Sram.t;
+  lstate : Msi.t array; (* per Sram slot: the state of a valid line *)
   repl : Replacement.t;
   link : Link.t;
   ctr : counters;
@@ -44,7 +47,8 @@ type t = {
   miss_lat : Histogram.t; (* demand-miss request-to-fill latency *)
   name : string;
   input : Ring.t; (* requests: line, store (0/1), id *)
-  mshrs : mshr option array;
+  mshrs : mshr array;
+  mutable live : int; (* live MSHRs *)
   completions : Ring.t; (* id, ready_at; grows when full *)
   mutable flushing : bool;
   mutable flush_cursor : int; (* line index being flushed: set * ways + way *)
@@ -55,6 +59,7 @@ let create ?(trace = Trace.null) cfg ~link ~stats ~name =
   {
     cfg;
     array = Sram.create ~sets:cfg.sets ~ways:cfg.ways;
+    lstate = Array.make (cfg.sets * cfg.ways) Msi.I;
     repl = Replacement.pseudo_random ~ways:cfg.ways ~sets:cfg.sets ~seed:cfg.seed;
     link;
     ctr =
@@ -72,14 +77,18 @@ let create ?(trace = Trace.null) cfg ~link ~stats ~name =
     miss_lat = Histogram.create ();
     name;
     input = Ring.create ~width:3 4;
-    mshrs = Array.make cfg.mshrs None;
+    mshrs =
+      Array.init cfg.mshrs (fun _ ->
+          { m_live = false; m_line = -1; m_to = Msi.I; m_way = -1; m_set = -1;
+            m_born = 0; m_waiters = Array.make 4 0; m_nwaiters = 0 });
+    live = 0;
     completions = Ring.create ~width:2 16;
     flushing = false;
     flush_cursor = 0;
   }
 
 let config t = t.cfg
-let can_accept t = (not (Ring.is_full t.input)) && not t.flushing
+let can_accept t = t.input.Ring.len < t.input.Ring.cap && not t.flushing
 
 let request t ~line ~store ~id =
   if not (can_accept t) then failwith "L1.request: not ready";
@@ -94,10 +103,13 @@ let complete_at t id at =
 (* L1s always use the flat (low-bits) index; sets is a power of two. *)
 let set_of t line = line land (t.cfg.sets - 1)
 
+(* The state of the valid line in [way] of [set]. *)
+let line_state t ~set ~way = t.lstate.(Sram.slot t.array ~set ~way)
+
 (* Lowest free MSHR index, or -1. *)
 let free_mshr t =
   let i = ref 0 in
-  while !i < Array.length t.mshrs && Option.is_some t.mshrs.(!i) do
+  while !i < Array.length t.mshrs && t.mshrs.(!i).m_live do
     incr i
   done;
   if !i < Array.length t.mshrs then !i else -1
@@ -106,29 +118,44 @@ let free_mshr t =
 let find_mshr t line =
   let found = ref (-1) and i = ref 0 in
   while !found < 0 && !i < Array.length t.mshrs do
-    (match t.mshrs.(!i) with
-    | Some m when m.m_line = line -> found := !i
-    | _ -> ());
+    let m = t.mshrs.(!i) in
+    if m.m_live && m.m_line = line then found := !i;
     incr i
   done;
   !found
 
-let mshr t idx =
-  match t.mshrs.(idx) with Some m -> m | None -> assert false
+(* Takes MSHR [idx] for a miss with no waiter yet. *)
+let alloc_mshr t idx ~line ~to_s ~set ~way ~now =
+  let m = t.mshrs.(idx) in
+  m.m_live <- true;
+  m.m_line <- line;
+  m.m_to <- to_s;
+  m.m_way <- way;
+  m.m_set <- set;
+  m.m_born <- now;
+  m.m_nwaiters <- 0;
+  t.live <- t.live + 1;
+  m
 
-let in_flight t =
-  Ring.length t.input
-  + Array.fold_left (fun n m -> n + match m with Some _ -> 1 | None -> 0) 0 t.mshrs
-  + Ring.length t.completions
+let add_waiter m id =
+  let n = m.m_nwaiters in
+  if n = Array.length m.m_waiters then begin
+    let grown = Array.make (2 * n) 0 in
+    Array.blit m.m_waiters 0 grown 0 n;
+    m.m_waiters <- grown
+  end;
+  m.m_waiters.(n) <- id;
+  m.m_nwaiters <- n + 1
+
+let in_flight t = Ring.length t.input + t.live + Ring.length t.completions
 
 (* A way already reserved as the fill target of an in-flight miss must not
    be picked by another miss in the same set. *)
 let way_reserved t set way =
   let found = ref false in
   for i = 0 to Array.length t.mshrs - 1 do
-    match t.mshrs.(i) with
-    | Some m when m.m_set = set && m.m_way = way -> found := true
-    | _ -> ()
+    let m = t.mshrs.(i) in
+    if m.m_live && m.m_set = set && m.m_way = way then found := true
   done;
   !found
 
@@ -139,7 +166,7 @@ let way_free t set way =
 let probe t ~line =
   let set = set_of t line in
   let way = Sram.find t.array ~set ~tag:line in
-  if way < 0 then Msi.I else (Sram.meta t.array ~set ~way).state
+  if way < 0 then Msi.I else line_state t ~set ~way
 
 let try_hit t ~line =
   if t.flushing then false
@@ -158,41 +185,45 @@ let try_hit t ~line =
 (* Handle one parent->child message if present.  Returns unit; leaves the
    message queued when output backpressure prevents progress. *)
 let process_parent t ~now =
-  match Fifo.peek_opt t.link.Link.p2c with
-  | None -> ()
-  | Some (Msg.Upgrade_resp { line; to_s }) ->
-    ignore (Fifo.deq t.link.Link.p2c);
-    let idx = find_mshr t line in
-    (* A response without an MSHR is a protocol violation. *)
-    assert (idx >= 0);
-    let m = mshr t idx in
-    Sram.fill t.array ~set:m.m_set ~way:m.m_way ~tag:line { state = to_s };
-    Replacement.touch t.repl ~set:m.m_set ~way:m.m_way;
-    if m.m_waiters <> [] then Histogram.add t.miss_lat (now - m.m_born);
-    if Trace.active t.trace Trace.L1 then
-      Trace.emit t.trace ~now (Trace.Cache_fill { cache = t.name; line });
-    List.iter
-      (fun id -> complete_at t id (now + t.cfg.hit_latency))
-      (List.rev m.m_waiters);
-    t.mshrs.(idx) <- None
-  | Some (Msg.Downgrade_req { line; to_s }) ->
-    if Fifo.can_enq t.link.Link.rs then begin
-      ignore (Fifo.deq t.link.Link.p2c);
+  let p2c = t.link.Link.p2c in
+  if p2c.Ring.len > 0 then begin
+    let line = Link.line p2c and to_s = Link.to_s p2c in
+    if not (Link.is_downgrade p2c) then begin
+      Ring.drop p2c;
+      let idx = find_mshr t line in
+      (* A response without an MSHR is a protocol violation. *)
+      assert (idx >= 0);
+      let m = t.mshrs.(idx) in
+      Sram.fill t.array ~set:m.m_set ~way:m.m_way ~tag:line;
+      t.lstate.(Sram.slot t.array ~set:m.m_set ~way:m.m_way) <- to_s;
+      Replacement.touch t.repl ~set:m.m_set ~way:m.m_way;
+      if m.m_nwaiters > 0 then Histogram.add t.miss_lat (now - m.m_born);
+      if Trace.active t.trace Trace.L1 then
+        Trace.emit t.trace ~now (Trace.Cache_fill { cache = t.name; line });
+      for i = 0 to m.m_nwaiters - 1 do
+        complete_at t m.m_waiters.(i) (now + t.cfg.hit_latency)
+      done;
+      m.m_live <- false;
+      t.live <- t.live - 1
+    end
+    else if Link.can_send t.link.Link.rs then begin
+      Ring.drop p2c;
       let set = set_of t line in
       let way = Sram.find t.array ~set ~tag:line in
-      let state = if way < 0 then Msi.I else (Sram.meta t.array ~set ~way).state in
+      let state = if way < 0 then Msi.I else line_state t ~set ~way in
       if Msi.lt to_s state then begin
         let dirty = state = Msi.M in
         if dirty then Stats.bump t.ctr.c_writebacks;
         if to_s = Msi.I then Sram.invalidate t.array ~set ~way
-        else Sram.update t.array ~set ~way { state = to_s };
-        Fifo.enq t.link.Link.rs { Msg.line; to_s; dirty }
+        else t.lstate.(Sram.slot t.array ~set ~way) <- to_s;
+        Link.send_resp t.link ~line ~to_s ~dirty
       end
       else
         (* Already at or below the requested state (e.g. a voluntary
            eviction raced with this request): null response. *)
-        Fifo.enq t.link.Link.rs { Msg.line; to_s; dirty = false }
+        Link.send_resp t.link ~line ~to_s ~dirty:false
     end
+  end
 
 (* Lowest way that holds no line and that no in-flight miss has claimed,
    or -1. *)
@@ -206,7 +237,7 @@ let unreserved_invalid_way t set =
 (* Replacement victim: the policy's pick, or the next way after it that
    no in-flight miss has claimed; -1 when every way is claimed. *)
 let unreserved_victim t set =
-  let pick = Replacement.victim t.repl ~set ~invalid_way:None in
+  let pick = Replacement.victim t.repl ~set ~invalid_way:(-1) in
   let way = ref (-1) and tries = ref 0 in
   while !way < 0 && !tries < t.cfg.ways do
     let w = (pick + !tries) mod t.cfg.ways in
@@ -222,30 +253,25 @@ let try_prefetch t ~now line =
   if
     Sram.find t.array ~set ~tag:line < 0
     && find_mshr t line < 0
-    && Fifo.can_enq t.link.Link.rq
+    && Link.can_send t.link.Link.rq
   then begin
     let idx = free_mshr t in
     (* Prefetches never evict: only fill truly free ways. *)
     let way = if idx < 0 then -1 else unreserved_invalid_way t set in
     if way >= 0 then begin
       Stats.bump t.ctr.c_prefetches;
-      t.mshrs.(idx) <-
-        Some
-          { m_line = line; m_to = Msi.S; m_way = way; m_set = set;
-            m_born = now; m_waiters = [] };
-      Fifo.enq t.link.Link.rq { Msg.line; from_s = Msi.I; to_s = Msi.S }
+      ignore (alloc_mshr t idx ~line ~to_s:Msi.S ~set ~way ~now);
+      Link.send_req t.link ~line ~from_s:Msi.I ~to_s:Msi.S
     end
   end
 
 (* Evict the valid line in [way] with a downgrade response (clean or
    dirty). *)
 let evict t ~set ~way =
-  let m = Sram.meta t.array ~set ~way in
-  let dirty = m.state = Msi.M in
+  let dirty = line_state t ~set ~way = Msi.M in
   if dirty then Stats.bump t.ctr.c_writebacks;
   Stats.bump t.ctr.c_evictions;
-  Fifo.enq t.link.Link.rs
-    { Msg.line = Sram.tag t.array ~set ~way; to_s = Msi.I; dirty };
+  Link.send_resp t.link ~line:(Sram.tag t.array ~set ~way) ~to_s:Msi.I ~dirty;
   Sram.invalidate t.array ~set ~way
 
 (* Allocate MSHR [idx] for a miss (or S->M upgrade when [present] is the
@@ -253,7 +279,7 @@ let evict t ~set ~way =
    when no way can be reserved this cycle. *)
 let start_miss t ~now ~idx ~present ~line ~set ~needed ~id =
   let from_s =
-    if present >= 0 then (Sram.meta t.array ~set ~way:present).state else Msi.I
+    if present >= 0 then line_state t ~set ~way:present else Msi.I
   in
   let way =
     if present >= 0 then present (* S->M upgrade in place *)
@@ -262,7 +288,7 @@ let start_miss t ~now ~idx ~present ~line ~set ~needed ~id =
       if w >= 0 then w
       else begin
         let w = unreserved_victim t set in
-        if w >= 0 && Fifo.can_enq t.link.Link.rs then begin
+        if w >= 0 && Link.can_send t.link.Link.rs then begin
           evict t ~set ~way:w;
           w
         end
@@ -275,23 +301,20 @@ let start_miss t ~now ~idx ~present ~line ~set ~needed ~id =
     Stats.bump t.ctr.c_misses;
     if Trace.active t.trace Trace.L1 then
       Trace.emit t.trace ~now (Trace.Cache_miss { cache = t.name; line });
-    t.mshrs.(idx) <-
-      Some
-        { m_line = line; m_to = needed; m_way = way; m_set = set; m_born = now;
-          m_waiters = [ id ] };
-    Fifo.enq t.link.Link.rq { Msg.line; from_s; to_s = needed };
+    add_waiter (alloc_mshr t idx ~line ~to_s:needed ~set ~way ~now) id;
+    Link.send_req t.link ~line ~from_s ~to_s:needed;
     if t.cfg.prefetch_next_line then try_prefetch t ~now (line + 1)
   end
 
 (* Try to start the request at the head of the input queue. *)
 let process_input t ~now =
-  if not (Ring.is_empty t.input) then begin
+  if t.input.Ring.len > 0 then begin
     let line = Ring.peek t.input 0 and id = Ring.peek t.input 2 in
     let store = Ring.peek t.input 1 = 1 in
     let set = set_of t line in
     let needed = Msi.needed_for ~store in
     let way = Sram.find t.array ~set ~tag:line in
-    if way >= 0 && Msi.leq needed (Sram.meta t.array ~set ~way).state then begin
+    if way >= 0 && Msi.leq needed (line_state t ~set ~way) then begin
       (* Hit. *)
       Ring.drop t.input;
       Stats.bump t.ctr.c_hits;
@@ -302,11 +325,11 @@ let process_input t ~now =
       (* Miss or upgrade. *)
       let midx = find_mshr t line in
       if midx >= 0 then begin
-        let m = mshr t midx in
+        let m = t.mshrs.(midx) in
         if Msi.leq needed m.m_to then begin
           Ring.drop t.input;
           Stats.bump t.ctr.c_mshr_merges;
-          m.m_waiters <- id :: m.m_waiters
+          add_waiter m id
         end
         (* else the in-flight grant is too weak (load MSHR, store
            arrives): wait for it to complete, then re-request.
@@ -315,7 +338,7 @@ let process_input t ~now =
       else begin
         let idx = free_mshr t in
         if idx < 0 then Stats.bump t.ctr.c_mshr_full_stalls
-        else if Fifo.can_enq t.link.Link.rq then
+        else if Link.can_send t.link.Link.rq then
           start_miss t ~now ~idx ~present:way ~line ~set ~needed ~id
       end
     end
@@ -323,7 +346,7 @@ let process_input t ~now =
 
 let deliver_completions t ~now ~complete =
   while
-    (not (Ring.is_empty t.completions)) && Ring.peek t.completions 1 <= now
+    t.completions.Ring.len > 0 && Ring.peek t.completions 1 <= now
   do
     let id = Ring.peek t.completions 0 in
     Ring.drop t.completions;
@@ -358,12 +381,12 @@ let flush_step t =
   if !cursor < total then begin
     (* The coherence protocol requires notifying the LLC even for clean
        invalidations (Section 7.1), so each line costs one rs message. *)
-    if Fifo.can_enq t.link.Link.rs then begin
+    if Link.can_send t.link.Link.rs then begin
       let set = !cursor / ways and way = !cursor mod ways in
-      let dirty = (Sram.meta t.array ~set ~way).state = Msi.M in
+      let dirty = line_state t ~set ~way = Msi.M in
       if dirty then Stats.bump t.ctr.c_writebacks;
-      Fifo.enq t.link.Link.rs
-        { Msg.line = Sram.tag t.array ~set ~way; to_s = Msi.I; dirty };
+      Link.send_resp t.link ~line:(Sram.tag t.array ~set ~way) ~to_s:Msi.I
+        ~dirty;
       Sram.invalidate t.array ~set ~way;
       t.flush_cursor <- !cursor + 1
     end;
@@ -381,9 +404,7 @@ let miss_latency t = t.miss_lat
 (* Structure state: the input queue, MSHRs, pending completions, and
    the flush cursor.  The data array and replacement metadata are
    excluded — they only change in cycles that also move an MSHR, a
-   queue, or the cursor. *)
-let msi_code = function Msi.M -> 2 | Msi.S -> 1 | Msi.I -> 0
-
+   queue, or the cursor.  Waiters fold newest first. *)
 let state t s =
   let open Statesig in
   lit s t.name;
@@ -397,16 +418,21 @@ let state t s =
   done;
   lit s "] mshrs[";
   Array.iter
-    (function
-      | None -> none s "-"
-      | Some m ->
+    (fun m ->
+      if not m.m_live then none s "-"
+      else begin
         int s "(" m.m_line;
-        int s "," (msi_code m.m_to);
+        int s "," (Msi.to_int m.m_to);
         int s "," m.m_way;
         int s "," m.m_set;
         int s "," m.m_born;
-        items s ",w=" m.m_waiters;
-        lit s ")")
+        lit s ",w=";
+        len s m.m_nwaiters;
+        for i = m.m_nwaiters - 1 downto 0 do
+          item s m.m_waiters.(i)
+        done;
+        lit s ")"
+      end)
     t.mshrs;
   int s "] comp=" (Ring.length t.completions);
   lit s "[";
@@ -417,3 +443,25 @@ let state t s =
   done;
   bool s "] flush=" t.flushing;
   int s "@" t.flush_cursor
+
+let check_invariants t =
+  let fail fmt = Printf.ksprintf (fun m -> Error (t.name ^ ": " ^ m)) fmt in
+  let live = ref 0 and clash = ref "" in
+  Array.iteri
+    (fun i m ->
+      if m.m_live then begin
+        incr live;
+        for j = i + 1 to Array.length t.mshrs - 1 do
+          let o = t.mshrs.(j) in
+          if o.m_live && o.m_line = m.m_line then
+            clash := Printf.sprintf "MSHRs %d and %d both track line %d" i j m.m_line
+          else if o.m_live && o.m_set = m.m_set && o.m_way = m.m_way then
+            clash :=
+              Printf.sprintf "MSHRs %d and %d both reserve set %d way %d" i j
+                m.m_set m.m_way
+        done
+      end)
+    t.mshrs;
+  if !live <> t.live then fail "live MSHR count %d, recount %d" t.live !live
+  else if !clash <> "" then Error (t.name ^ ": " ^ !clash)
+  else Ok ()

@@ -15,7 +15,11 @@
 
     Purge support: [begin_flush] / [flush_step] invalidate one line per
     cycle and scrub replacement state, modeling the per-cycle flush rates
-    of Section 7.1. *)
+    of Section 7.1.
+
+    State is flat, so a tick allocates nothing: one preallocated record
+    per MSHR slot with a live flag and an int array of waiter ids, and
+    each line's MSI state in an array indexed by its {!Sram.slot}. *)
 
 type config = {
   sets : int;
@@ -87,3 +91,9 @@ val miss_latency : t -> Histogram.t
     are excluded (they change only in cycles that also move the included
     state). *)
 val state : t -> Statesig.acc -> unit
+
+(** [check_invariants t] recounts the live MSHRs against the count kept
+    in step with them, and checks that no two live MSHRs track the same
+    line or reserve the same (set, way).  [Error] names the first broken
+    invariant.  For tests: it scans every MSHR. *)
+val check_invariants : t -> (unit, string) result

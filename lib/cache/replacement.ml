@@ -23,9 +23,8 @@ let[@inline] next_random r =
   Int64.logxor s (Int64.shift_left s 17)
 
 let victim t ~set ~invalid_way =
-  match invalid_way with
-  | Some w -> w
-  | None -> (
+  if invalid_way >= 0 then invalid_way
+  else
     match t with
     | Random r ->
       let s = next_random (get64 r.state 0) in
@@ -39,7 +38,7 @@ let victim t ~set ~invalid_way =
       for w = 1 to Array.length stamps - 1 do
         if stamps.(w) < stamps.(!best) then best := w
       done;
-      !best)
+      !best
 
 let touch t ~set ~way =
   match t with

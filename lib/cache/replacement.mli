@@ -15,9 +15,9 @@ type t
 val pseudo_random : ways:int -> sets:int -> seed:int -> t
 val lru : ways:int -> sets:int -> t
 
-(** [victim t ~set ~invalid_way] picks the way to replace: an invalid way
-    when one exists, otherwise by policy. *)
-val victim : t -> set:int -> invalid_way:int option -> int
+(** [victim t ~set ~invalid_way] picks the way to replace: [invalid_way]
+    when it is a way (non-negative), otherwise, for [-1], by policy. *)
+val victim : t -> set:int -> invalid_way:int -> int
 
 (** [touch t ~set ~way] records a use (LRU bookkeeping; no-op for random). *)
 val touch : t -> set:int -> way:int -> unit

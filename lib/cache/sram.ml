@@ -1,86 +1,48 @@
-type 'a t = {
-  nsets : int;
-  nways : int;
-  tags : int array array;
-  valid : bool array array;
-  meta : 'a option array array;
-}
+(* Every (set, way) tag in one flat array, slot [set * ways + way]; -1
+   marks an invalid way. *)
+type t = { nsets : int; nways : int; tags : int array }
 
 let create ~sets ~ways =
   if sets <= 0 || ways <= 0 then invalid_arg "Sram.create";
-  {
-    nsets = sets;
-    nways = ways;
-    tags = Array.make_matrix sets ways 0;
-    valid = Array.make_matrix sets ways false;
-    meta = Array.make_matrix sets ways None;
-  }
+  { nsets = sets; nways = ways; tags = Array.make (sets * ways) (-1) }
 
-let check t set way =
+let sets t = t.nsets
+
+let slot t ~set ~way =
   if set < 0 || set >= t.nsets || way < 0 || way >= t.nways then
-    invalid_arg "Sram: set/way out of range"
+    invalid_arg "Sram: set/way out of range";
+  (set * t.nways) + way
 
 let find t ~set ~tag =
   if set < 0 || set >= t.nsets then invalid_arg "Sram.find: set out of range";
-  let valid = t.valid.(set) and tags = t.tags.(set) in
+  let base = set * t.nways in
   let way = ref (-1) and w = ref 0 in
   while !way < 0 && !w < t.nways do
-    if valid.(!w) && tags.(!w) = tag then way := !w;
+    if t.tags.(base + !w) = tag then way := !w;
     incr w
   done;
   !way
 
-let valid t ~set ~way =
-  check t set way;
-  t.valid.(set).(way)
+let valid t ~set ~way = t.tags.(slot t ~set ~way) >= 0
 
 let tag t ~set ~way =
-  check t set way;
-  if not t.valid.(set).(way) then invalid_arg "Sram.tag: way is invalid";
-  t.tags.(set).(way)
+  let tag = t.tags.(slot t ~set ~way) in
+  if tag < 0 then invalid_arg "Sram.tag: way is invalid";
+  tag
 
-let meta t ~set ~way =
-  check t set way;
-  match t.meta.(set).(way) with
-  | Some m when t.valid.(set).(way) -> m
-  | _ -> invalid_arg "Sram.meta: way is invalid"
+let fill t ~set ~way ~tag =
+  if tag < 0 then invalid_arg "Sram.fill: negative tag";
+  t.tags.(slot t ~set ~way) <- tag
 
-let fill t ~set ~way ~tag m =
-  check t set way;
-  t.tags.(set).(way) <- tag;
-  t.valid.(set).(way) <- true;
-  t.meta.(set).(way) <- Some m
-
-let update t ~set ~way m =
-  check t set way;
-  if not t.valid.(set).(way) then
-    invalid_arg "Sram.update: way is invalid";
-  t.meta.(set).(way) <- Some m
-
-let invalidate t ~set ~way =
-  check t set way;
-  t.valid.(set).(way) <- false;
-  t.meta.(set).(way) <- None
+let invalidate t ~set ~way = t.tags.(slot t ~set ~way) <- -1
 
 let invalid_way t ~set =
-  let rec go w =
-    if w >= t.nways then None
-    else if not t.valid.(set).(w) then Some w
-    else go (w + 1)
-  in
-  go 0
+  let base = slot t ~set ~way:0 in
+  let w = ref 0 in
+  while !w < t.nways && t.tags.(base + !w) >= 0 do
+    incr w
+  done;
+  if !w < t.nways then !w else -1
 
 let count_valid t =
-  let n = ref 0 in
-  Array.iter (Array.iter (fun v -> if v then incr n)) t.valid;
-  !n
-
-let iter_valid f t =
-  for set = 0 to t.nsets - 1 do
-    for way = 0 to t.nways - 1 do
-      if t.valid.(set).(way) then
-        match t.meta.(set).(way) with
-        | Some m -> f set way t.tags.(set).(way) m
-        | None -> assert false
-    done
-  done
+  Array.fold_left (fun n tag -> if tag >= 0 then n + 1 else n) 0 t.tags

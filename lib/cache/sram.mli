@@ -1,39 +1,40 @@
-(** Generic set-associative tag/metadata array, shared by the L1s, the
-    LLC, and the TLBs.  Data contents are not modeled (the timing model
-    tracks state, not values); ['a] is the per-line metadata (MSI state,
-    directory sharer sets, dirty bits, ...). *)
+(** Set-associative tag array, shared by the L1s, the LLC, and the TLBs.
+    Data contents are not modeled (the timing model tracks state, not
+    values), and neither is per-line metadata: the tags of every (set,
+    way) sit in one flat int array at [slot = set * ways + way], and a
+    cache keeps its line state (MSI state, directory owner, sharers,
+    dirty bit) in arrays of its own indexed by the same slot.  Tags are
+    non-negative (line numbers, virtual pages); no call allocates or
+    returns an option. *)
 
-type 'a t
+type t
 
-val create : sets:int -> ways:int -> 'a t
+val create : sets:int -> ways:int -> t
+val sets : t -> int
+
+(** [slot t ~set ~way] is [set * ways + way], the index of the way in
+    the tag array and in its owner's line-state arrays.  Raises
+    [Invalid_argument] when [set] or [way] is out of range. *)
+val slot : t -> set:int -> way:int -> int
 
 (** [find t ~set ~tag] is the way holding a valid line tagged [tag], or
-    [-1].  Lookups allocate nothing; read the line with {!meta}. *)
-val find : 'a t -> set:int -> tag:int -> int
+    [-1]. *)
+val find : t -> set:int -> tag:int -> int
 
 (** [valid t ~set ~way] — the way holds a line. *)
-val valid : 'a t -> set:int -> way:int -> bool
+val valid : t -> set:int -> way:int -> bool
 
-(** [tag t ~set ~way] is the tag of a valid way. *)
-val tag : 'a t -> set:int -> way:int -> int
-
-(** [meta t ~set ~way] is the metadata of a valid way; raises
+(** [tag t ~set ~way] is the tag of a valid way; raises
     [Invalid_argument] if the way is invalid. *)
-val meta : 'a t -> set:int -> way:int -> 'a
+val tag : t -> set:int -> way:int -> int
 
-(** [fill t ~set ~way ~tag meta] installs a line (overwrites). *)
-val fill : 'a t -> set:int -> way:int -> tag:int -> 'a -> unit
+(** [fill t ~set ~way ~tag] installs a line (overwrites); raises
+    [Invalid_argument] on a negative tag. *)
+val fill : t -> set:int -> way:int -> tag:int -> unit
 
-(** [update t ~set ~way meta] changes the metadata of a valid line; raises
-    [Invalid_argument] if invalid. *)
-val update : 'a t -> set:int -> way:int -> 'a -> unit
+val invalidate : t -> set:int -> way:int -> unit
 
-val invalidate : 'a t -> set:int -> way:int -> unit
+(** [invalid_way t ~set] is the lowest invalid way, or [-1]. *)
+val invalid_way : t -> set:int -> int
 
-(** [invalid_way t ~set] is the lowest invalid way, if any. *)
-val invalid_way : 'a t -> set:int -> int option
-
-val count_valid : 'a t -> int
-
-(** [iter_valid f t] applies [f set way tag meta] to every valid line. *)
-val iter_valid : (int -> int -> int -> 'a -> unit) -> 'a t -> unit
+val count_valid : t -> int

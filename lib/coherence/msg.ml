@@ -4,16 +4,3 @@ type child_resp = { line : int; to_s : Msi.t; dirty : bool }
 type parent_msg =
   | Upgrade_resp of { line : int; to_s : Msi.t }
   | Downgrade_req of { line : int; to_s : Msi.t }
-
-let pp_child_req ppf { line; from_s; to_s } =
-  Format.fprintf ppf "CRq{line=%#x %a->%a}" line Msi.pp from_s Msi.pp to_s
-
-let pp_child_resp ppf { line; to_s; dirty } =
-  Format.fprintf ppf "CRs{line=%#x ->%a%s}" line Msi.pp to_s
-    (if dirty then " +data" else "")
-
-let pp_parent_msg ppf = function
-  | Upgrade_resp { line; to_s } ->
-    Format.fprintf ppf "PRs{line=%#x ->%a}" line Msi.pp to_s
-  | Downgrade_req { line; to_s } ->
-    Format.fprintf ppf "PRq{line=%#x ->%a}" line Msi.pp to_s

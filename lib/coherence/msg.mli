@@ -2,7 +2,11 @@
     (parent), matching the link structure of Figure 1: three independent
     FIFOs carrying (1) upgrade requests from the L1, (2) downgrade
     responses from the L1, and (3) upgrade responses and downgrade requests
-    from the LLC. *)
+    from the LLC.
+
+    The links carry these messages as int records ({!Link}); the types
+    are the shapes the LLC's state fold rebuilds and hashes, so the
+    quiet-cycle signature and the dump do not depend on that encoding. *)
 
 (** Child-to-parent upgrade request: acquire [to_s] for [line]. *)
 type child_req = { line : int; from_s : Msi.t; to_s : Msi.t }
@@ -15,7 +19,3 @@ type child_resp = { line : int; to_s : Msi.t; dirty : bool }
 type parent_msg =
   | Upgrade_resp of { line : int; to_s : Msi.t }
   | Downgrade_req of { line : int; to_s : Msi.t }
-
-val pp_child_req : Format.formatter -> child_req -> unit
-val pp_child_resp : Format.formatter -> child_resp -> unit
-val pp_parent_msg : Format.formatter -> parent_msg -> unit

@@ -1,8 +1,9 @@
 type t = I | S | M
 
-let rank = function I -> 0 | S -> 1 | M -> 2
-let leq a b = rank a <= rank b
-let lt a b = rank a < rank b
+let to_int = function I -> 0 | S -> 1 | M -> 2
+let of_int = function 0 -> I | 1 -> S | _ -> M
+let leq a b = to_int a <= to_int b
+let lt a b = to_int a < to_int b
 
 let compatible held requested =
   match (held, requested) with
@@ -11,6 +12,3 @@ let compatible held requested =
   | M, _ | _, M -> false
 
 let needed_for ~store = if store then M else S
-
-let to_string = function I -> "I" | S -> "S" | M -> "M"
-let pp ppf s = Format.pp_print_string ppf (to_string s)

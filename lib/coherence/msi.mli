@@ -6,6 +6,12 @@
 
 type t = I | S | M
 
+(** [to_int s] is the state's rank, 0 (I), 1 (S) or 2 (M): the code a
+    state takes in the links' int rings and in the state folds.
+    [of_int] inverts it. *)
+val to_int : t -> int
+
+val of_int : int -> t
 val leq : t -> t -> bool
 val lt : t -> t -> bool
 
@@ -16,6 +22,3 @@ val compatible : t -> t -> bool
 (** [needed_for ~store] is the minimum state for an access: S for loads,
     M for stores. *)
 val needed_for : store:bool -> t
-
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

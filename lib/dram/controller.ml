@@ -13,7 +13,7 @@ let can_accept = function
 
 let accept t ~now { read; line; tag } =
   match t with
-  | Const d -> Dram.accept d ~now { Dram.read; line; tag }
+  | Const d -> Dram.accept d ~now ~read ~line ~tag
   | Reorder d -> Fr_fcfs.accept d ~now { Fr_fcfs.read; line; tag }
 
 let tick t ~now ~respond =

@@ -1,14 +1,11 @@
-type req = { read : bool; line : int; tag : int }
-
-type inflight = { req : req; done_at : int }
-
 type t = {
   lat : int;
   max_outstanding : int;
   reads : Stats.counter;
   writes : Stats.counter;
   trace : Trace.t;
-  q : inflight Fifo.t;
+  q : Ring.t; (* in flight, oldest first: read (0/1), line, tag, done_at *)
+  mutable head_done : int; (* done_at of the oldest request; max_int: none *)
   mutable accepted_at : int; (* cycle of last accept, for 1/cycle limit *)
 }
 
@@ -20,54 +17,57 @@ let create ?(trace = Trace.null) ~latency ~max_outstanding ~stats () =
     reads = Stats.counter stats "dram.reads";
     writes = Stats.counter stats "dram.writes";
     trace;
-    q = Fifo.create ~capacity:max_outstanding;
+    q = Ring.create ~width:4 max_outstanding;
+    head_done = max_int;
     accepted_at = -1;
   }
 
-let outstanding t = Fifo.length t.q
+let outstanding t = Ring.length t.q
 
-let can_accept t = Fifo.length t.q < t.max_outstanding
+let can_accept t = t.q.Ring.len < t.max_outstanding
 
-let accept t ~now req =
+let accept t ~now ~read ~line ~tag =
   if not (can_accept t) then failwith "Dram.accept: backpressured";
   if t.accepted_at = now then failwith "Dram.accept: two requests in one cycle";
   t.accepted_at <- now;
-  Stats.bump (if req.read then t.reads else t.writes);
+  Stats.bump (if read then t.reads else t.writes);
   if Trace.active t.trace Trace.Dram then
     Trace.emit t.trace ~now
-      (Trace.Dram_cmd { bank = 0; read = req.read; row_hit = false; line = req.line });
-  Fifo.enq t.q { req; done_at = now + t.lat }
+      (Trace.Dram_cmd { bank = 0; read; row_hit = false; line });
+  Ring.push4 t.q (Bool.to_int read) line tag (now + t.lat);
+  if t.q.Ring.len = 1 then t.head_done <- now + t.lat
+
+let drop t =
+  Ring.drop t.q;
+  t.head_done <- (if t.q.Ring.len > 0 then Ring.peek t.q 3 else max_int)
 
 (* Constant latency + in-order acceptance means the head is always the
    next to complete. *)
-let rec drain_writes t ~now =
-  match Fifo.peek_opt t.q with
-  | Some { req = { read = false; _ }; done_at } when done_at <= now ->
-    ignore (Fifo.deq t.q);
-    drain_writes t ~now
-  | _ -> ()
+let drain_writes t ~now =
+  while t.head_done <= now && Ring.peek t.q 0 = 0 do
+    drop t
+  done
 
 let tick t ~now ~respond =
   drain_writes t ~now;
-  match Fifo.peek_opt t.q with
-  | Some { req = { read = true; line; tag }; done_at } when done_at <= now ->
-    ignore (Fifo.deq t.q);
+  if t.head_done <= now then begin
+    let line = Ring.peek t.q 1 and tag = Ring.peek t.q 2 in
+    drop t;
     respond ~tag ~line;
     drain_writes t ~now
-  | _ -> ()
+  end
 
 (* Structure state: the in-flight queue is the only cross-cycle mutable
-   state (accepted_at only changes when the queue does). *)
+   state (accepted_at and head_done only change when the queue does). *)
 let state t s =
   let open Statesig in
-  int s "dram.q=" (Fifo.length t.q);
+  int s "dram.q=" (Ring.length t.q);
   lit s "[";
-  Fifo.iter
-    (fun { req = { read; line; tag }; done_at } ->
-      bool s "(" read;
-      int s "," line;
-      int s "," tag;
-      int s "," done_at;
-      lit s ")")
-    t.q;
+  for i = 0 to Ring.length t.q - 1 do
+    bool s "(" (Ring.get t.q i 0 = 1);
+    int s "," (Ring.get t.q i 1);
+    int s "," (Ring.get t.q i 2);
+    int s "," (Ring.get t.q i 3);
+    lit s ")"
+  done;
   lit s "]"

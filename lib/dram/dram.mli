@@ -11,9 +11,10 @@
     complete silently.  Responses are delivered at most one per cycle, in
     completion order — and since acceptance is one per cycle and latency is
     constant, responses never bunch up; the DRAM-response port needs no
-    backpressure (Section 5.4.1). *)
+    backpressure (Section 5.4.1).
 
-type req = { read : bool; line : int; tag : int }
+    Requests in flight sit in an int {!Ring}, so accepting, completing
+    and responding allocate nothing. *)
 
 type t
 
@@ -24,9 +25,10 @@ val create :
     request was already accepted this cycle). *)
 val can_accept : t -> bool
 
-(** [accept t ~now req] takes ownership of a request.  Raises [Failure]
-    when [can_accept] is false. *)
-val accept : t -> now:int -> req -> unit
+(** [accept t ~now ~read ~line ~tag] takes a read (else a writeback) of
+    [line]; a read's response carries [tag].  Raises [Failure] when
+    [can_accept] is false. *)
+val accept : t -> now:int -> read:bool -> line:int -> tag:int -> unit
 
 (** [tick t ~now ~respond] must be called once per cycle {e after} any
     [accept] for that cycle; delivers at most one read response. *)

@@ -7,6 +7,9 @@ type t = {
   llc : Llc.t;
   mutable clock : int;
   completions : (int * int) list ref array; (* reversed *)
+  (* Per-core L1 completion sinks, built once: they stamp completions
+     with the current [clock]. *)
+  sinks : (int -> unit) array;
 }
 
 let create ?(trace = Trace.null) ?(l1 = L1.default_config) ~llc:llc_cfg
@@ -25,7 +28,15 @@ let create ?(trace = Trace.null) ?(l1 = L1.default_config) ~llc:llc_cfg
         L1.create ~trace l1 ~link:links.(i) ~stats
           ~name:(Printf.sprintf "l1.%d" i))
   in
-  { l1s; llc; clock = 0; completions = Array.init n (fun _ -> ref []) }
+  let t =
+    { l1s; llc; clock = 0; completions = Array.init n (fun _ -> ref []);
+      sinks = Array.make n ignore }
+  in
+  for core = 0 to n - 1 do
+    let out = t.completions.(core) in
+    t.sinks.(core) <- (fun id -> out := (id, t.clock) :: !out)
+  done;
+  t
 
 let now t = t.clock
 let l1 t ~core = t.l1s.(core)
@@ -37,11 +48,9 @@ let request t ~core ~line ~store ~id =
 
 let tick t =
   let now = t.clock in
-  Array.iteri
-    (fun core cache ->
-      L1.tick cache ~now ~complete:(fun id ->
-          t.completions.(core) := (id, now) :: !(t.completions.(core))))
-    t.l1s;
+  for core = 0 to Array.length t.l1s - 1 do
+    L1.tick t.l1s.(core) ~now ~complete:t.sinks.(core)
+  done;
   Llc.tick t.llc ~now;
   t.clock <- now + 1
 

@@ -45,41 +45,59 @@ let default_config ~cores =
     repl_seed = 0x22;
   }
 
-type line_meta = {
-  mutable dirty : bool;
-  mutable owner : int option;
-  sharers : Bitvec.t;
-}
+(* The int bitmasks of pending cores and of directory sharers give each
+   port one bit of a word, as a one-word [Bitvec] does. *)
+let max_ports = 62
 
-type dq_kind = Dq_read | Dq_wb
+(* MSHR phases, int-coded; the state fold shows these codes. *)
+let p_pipe = 0 (* traversing the cache-access pipeline *)
+let p_blocked = 1 (* same-line / same-way conflict; parked on another MSHR *)
+let p_wait_retry = 2 (* queued for pipeline re-entry *)
+let p_wait_downgrade = 3
+let p_wait_victim_downgrade = 4
+let p_in_dq = 5
+let p_wait_dram = 6
+let p_dram_arrived = 7 (* response buffered in the MSHR, awaiting pipeline *)
+let p_wait_uq = 8
 
-type phase =
-  | P_pipe  (** traversing the cache-access pipeline *)
-  | P_blocked  (** same-line / same-way conflict; parked on another MSHR *)
-  | P_wait_retry  (** queued for pipeline re-entry *)
-  | P_wait_downgrade of { victim : bool }
-  | P_in_dq
-  | P_wait_dram
-  | P_dram_arrived  (** response buffered in the MSHR, awaiting pipeline *)
-  | P_wait_uq
-
+(* One preallocated record per MSHR slot; [e_live] false marks a free
+   slot, whose other fields are stale. *)
 type entry = {
-  e_core : int;
-  e_line : int;
-  e_to : Msi.t;
-  mutable e_phase : phase;
+  mutable e_live : bool;
+  mutable e_core : int;
+  mutable e_line : int;
+  mutable e_to : Msi.t;
+  mutable e_phase : int;
   mutable e_set : int;
   mutable e_way : int; (* -1 until reserved *)
   mutable e_locks_way : bool;
   mutable e_needs_wb : bool;
   mutable e_wb_line : int;
   mutable e_retry : bool; (* MI6 retry bit (Figure 3) *)
-  mutable e_pending : Bitvec.t; (* cores still to answer a downgrade *)
-  mutable e_to_send : (int * int * Msi.t) list; (* core, line, to_s *)
-  mutable e_blocked : int list; (* MSHR idxs parked on this entry *)
-  mutable e_dq_kind : dq_kind;
+  mutable e_pending : int; (* bitmask: cores still to answer a downgrade *)
+  (* Downgrade requests still to send: to cores
+     [e_targets.(e_ts_next .. e_ts_end - 1)], each for [e_ts_line] to
+     [e_ts_to]. *)
+  e_targets : int array;
+  mutable e_ts_next : int;
+  mutable e_ts_end : int;
+  mutable e_ts_line : int;
+  mutable e_ts_to : Msi.t;
+  e_blocked : int array; (* MSHR idxs parked on this entry, oldest first *)
+  mutable e_nblocked : int;
+  mutable e_dq_wb : bool; (* DQ work: writeback (else DRAM read) *)
 }
 
+(* Pipeline records are [exit cycle; kind; argument; response]: the
+   argument is an MSHR index, or the responding core for [k_cresp], whose
+   downgrade response packs as [line lsl 3 lor to_s lsl 1 lor dirty]. *)
+let k_creq = 0
+let k_retry = 1
+let k_cresp = 2
+let k_dram = 3
+
+(* The message a pipeline record stands for: the state fold rebuilds and
+   hashes these values. *)
 type pipe_msg =
   | M_creq of int
   | M_retry of int
@@ -129,24 +147,29 @@ type t = {
   links : Link.t array;
   dram : Controller.t;
   ctr : counters;
-  array : line_meta Sram.t;
+  array : Sram.t;
+  (* Directory, per Sram slot of a valid line. *)
+  dirty : bool array;
+  owner : int array; (* -1: no owner *)
+  sharers : int array; (* bitmask of cores *)
   repl : Replacement.t;
-  entries : entry option array;
+  entries : entry array;
   (* Indices derived from [entries], kept in step with every phase change
      and allocation so arbitration never rescans the MSHR file. *)
-  arrived : int array; (* per core: entries in P_dram_arrived *)
+  mutable live : int; (* allocated MSHR entries *)
+  mutable sending : int; (* entries with downgrade requests still to send *)
+  arrived : int array; (* per core: entries in p_dram_arrived *)
   free : int array; (* per (MSHR partition, bank): unallocated entries *)
   respond : tag:int -> line:int -> unit; (* DRAM response sink *)
-  pipe : (int * pipe_msg) Fifo.t; (* exit cycle, message *)
-  retryq : int Fifo.t array; (* per core *)
-  uqs : int Fifo.t array; (* 1 (shared) or per core *)
-  dq : int Fifo.t;
+  pipe : Ring.t; (* see [k_creq] *)
+  retryq : Ring.t array; (* per core *)
+  uqs : Ring.t array; (* 1 (shared) or per core *)
+  dq : Ring.t;
   mutable dq_pending_read : int; (* baseline 2-cycle wb+read dequeue; -1 none *)
-  port_used : bool array; (* per-core outgoing port, per cycle *)
+  port_used : int array; (* per core: last cycle its outgoing port sent *)
   (* Observability *)
   trace : Trace.t;
   mutable tnow : int; (* current cycle, for probes deep in the pipeline *)
-  mutable live : int; (* allocated MSHR entries (avoids a per-tick scan) *)
   occ_hist : Histogram.t; (* MSHR occupancy, sampled once per tick *)
 }
 
@@ -164,24 +187,33 @@ let bank_of_set t set = set land (t.cfg.mshr_banks - 1)
 (* [free] slot counting the free entries of [core]'s partition in [bank]. *)
 let free_slot t ~core ~bank = (partition t core * t.cfg.mshr_banks) + bank
 
-(* Recompute the derived indices from the MSHR file. *)
+(* The derived indices, recounted from the MSHR file:
+   (live, sending, arrived, free). *)
 let recount t =
-  Array.fill t.arrived 0 (Array.length t.arrived) 0;
-  Array.fill t.free 0 (Array.length t.free) 0;
+  let arrived = Array.make t.cfg.cores 0
+  and free = Array.make (Array.length t.free) 0
+  and live = ref 0
+  and sending = ref 0 in
   Array.iteri
-    (fun i eo ->
-      match eo with
-      | Some e ->
-        if e.e_phase = P_dram_arrived then
-          t.arrived.(e.e_core) <- t.arrived.(e.e_core) + 1
-      | None ->
-        let k =
-          free_slot t ~core:(i / per_core_mshrs t) ~bank:(i mod t.cfg.mshr_banks)
-        in
-        t.free.(k) <- t.free.(k) + 1)
-    t.entries
+    (fun i e ->
+      if e.e_live then begin
+        incr live;
+        if e.e_ts_next < e.e_ts_end then incr sending;
+        if e.e_phase = p_dram_arrived then
+          arrived.(e.e_core) <- arrived.(e.e_core) + 1
+      end
+      else begin
+        let part = if t.sec.partitioned_mshrs then i / per_core_mshrs t else 0 in
+        let k = (part * t.cfg.mshr_banks) + (i mod t.cfg.mshr_banks) in
+        free.(k) <- free.(k) + 1
+      end)
+    t.entries;
+  (!live, !sending, arrived, free)
 
 let create ?(trace = Trace.null) cfg ~security ~links ~dram ~stats =
+  if cfg.cores > max_ports then
+    invalid_arg
+      (Printf.sprintf "Llc.create: %d ports, at most %d" cfg.cores max_ports);
   if Array.length links <> cfg.cores then
     invalid_arg "Llc.create: one link per core required";
   if cfg.mshrs mod cfg.mshr_banks <> 0 then
@@ -189,16 +221,39 @@ let create ?(trace = Trace.null) cfg ~security ~links ~dram ~stats =
   if security.partitioned_mshrs && cfg.mshrs mod cfg.cores <> 0 then
     invalid_arg "Llc.create: mshrs must divide evenly across cores";
   let sets = Index.sets cfg.index in
-  let entries = Array.make cfg.mshrs None in
+  let entries =
+    Array.init cfg.mshrs (fun _ ->
+        {
+          e_live = false;
+          e_core = 0;
+          e_line = -1;
+          e_to = Msi.I;
+          e_phase = p_pipe;
+          e_set = -1;
+          e_way = -1;
+          e_locks_way = false;
+          e_needs_wb = false;
+          e_wb_line = -1;
+          e_retry = false;
+          e_pending = 0;
+          e_targets = Array.make (cfg.cores + 1) 0;
+          e_ts_next = 0;
+          e_ts_end = 0;
+          e_ts_line = -1;
+          e_ts_to = Msi.I;
+          e_blocked = Array.make cfg.mshrs 0;
+          e_nblocked = 0;
+          e_dq_wb = false;
+        })
+  in
   let arrived = Array.make cfg.cores 0 in
   let respond ~tag ~line =
-    match entries.(tag) with
-    | Some e ->
-      assert (e.e_line = line);
-      (* No backpressure on the DRAM response: buffered in the MSHR. *)
-      e.e_phase <- P_dram_arrived;
-      arrived.(e.e_core) <- arrived.(e.e_core) + 1
-    | None -> failwith "Llc: dangling MSHR index"
+    let e = entries.(tag) in
+    if not e.e_live then failwith "Llc: dangling MSHR index";
+    assert (e.e_line = line);
+    (* No backpressure on the DRAM response: buffered in the MSHR. *)
+    e.e_phase <- p_dram_arrived;
+    arrived.(e.e_core) <- arrived.(e.e_core) + 1
   in
   let partitions = if security.partitioned_mshrs then cfg.cores else 1 in
   let t =
@@ -209,40 +264,39 @@ let create ?(trace = Trace.null) cfg ~security ~links ~dram ~stats =
       dram;
       ctr = counters stats;
       array = Sram.create ~sets ~ways:cfg.ways;
+      dirty = Array.make (sets * cfg.ways) false;
+      owner = Array.make (sets * cfg.ways) (-1);
+      sharers = Array.make (sets * cfg.ways) 0;
       repl =
         Replacement.pseudo_random ~ways:cfg.ways ~sets ~seed:cfg.repl_seed;
       entries;
+      live = 0;
+      sending = 0;
       arrived;
       free = Array.make (partitions * cfg.mshr_banks) 0;
       respond;
-      pipe = Fifo.create ~capacity:(cfg.pipeline_latency + 2);
-      retryq = Array.init cfg.cores (fun _ -> Fifo.create ~capacity:cfg.mshrs);
+      pipe = Ring.create ~width:4 (cfg.pipeline_latency + 2);
+      retryq = Array.init cfg.cores (fun _ -> Ring.create cfg.mshrs);
       uqs =
         (if security.split_uq then
-           Array.init cfg.cores (fun _ ->
-               Fifo.create ~capacity:(cfg.mshrs / cfg.cores))
-         else [| Fifo.create ~capacity:cfg.mshrs |]);
-      dq = Fifo.create ~capacity:cfg.mshrs;
+           Array.init cfg.cores (fun _ -> Ring.create (cfg.mshrs / cfg.cores))
+         else [| Ring.create cfg.mshrs |]);
+      dq = Ring.create cfg.mshrs;
       dq_pending_read = -1;
-      port_used = Array.make cfg.cores false;
+      port_used = Array.make cfg.cores (-1);
       trace;
       tnow = 0;
-      live = 0;
       occ_hist = Histogram.create ();
     }
   in
-  recount t;
+  let _, _, _, free = recount t in
+  Array.blit free 0 t.free 0 (Array.length free);
   t
 
 let mshr_occupancy t = t.occ_hist
 let live_mshrs t = t.live
-
-let entry t idx =
-  match t.entries.(idx) with
-  | Some e -> e
-  | None -> failwith "Llc: dangling MSHR index"
-
 let set_of t line = Index.index t.cfg.index ~line
+let slot t ~set ~way = Sram.slot t.array ~set ~way
 
 (* ------------------------------------------------------------------ *)
 (* MSHR allocation                                                     *)
@@ -260,8 +314,6 @@ let free_mshrs_for t ~core ~line =
   done;
   if !all_ok then free_in_bank t core bank else 0
 
-let is_free t i = match t.entries.(i) with None -> true | Some _ -> false
-
 (* Allocates the lowest free entry of the core's partition in the line's
    bank; -1 when none is available. *)
 let alloc_mshr t ~core ~line ~to_s =
@@ -269,29 +321,27 @@ let alloc_mshr t ~core ~line ~to_s =
   else begin
     let bank = bank_of_set t (set_of t line) in
     let i = ref (entry_lo t core) in
-    while not (is_free t !i && !i mod t.cfg.mshr_banks = bank) do
+    while t.entries.(!i).e_live || !i mod t.cfg.mshr_banks <> bank do
       incr i
     done;
     let i = !i in
-    let e =
-      {
-        e_core = core;
-        e_line = line;
-        e_to = to_s;
-        e_phase = P_pipe;
-        e_set = -1;
-        e_way = -1;
-        e_locks_way = false;
-        e_needs_wb = false;
-        e_wb_line = -1;
-        e_retry = false;
-        e_pending = Bitvec.create t.cfg.cores;
-        e_to_send = [];
-        e_blocked = [];
-        e_dq_kind = Dq_read;
-      }
-    in
-    t.entries.(i) <- Some e;
+    let e = t.entries.(i) in
+    e.e_live <- true;
+    e.e_core <- core;
+    e.e_line <- line;
+    e.e_to <- to_s;
+    e.e_phase <- p_pipe;
+    e.e_set <- -1;
+    e.e_way <- -1;
+    e.e_locks_way <- false;
+    e.e_needs_wb <- false;
+    e.e_wb_line <- -1;
+    e.e_retry <- false;
+    e.e_pending <- 0;
+    e.e_ts_next <- 0;
+    e.e_ts_end <- 0;
+    e.e_nblocked <- 0;
+    e.e_dq_wb <- false;
     t.live <- t.live + 1;
     let k = free_slot t ~core ~bank in
     t.free.(k) <- t.free.(k) - 1;
@@ -304,9 +354,8 @@ let alloc_mshr t ~core ~line ~to_s =
 let way_locker t set way =
   let found = ref (-1) in
   for i = 0 to Array.length t.entries - 1 do
-    match t.entries.(i) with
-    | Some e when e.e_locks_way && e.e_set = set && e.e_way = way -> found := i
-    | _ -> ()
+    let e = t.entries.(i) in
+    if e.e_live && e.e_locks_way && e.e_set = set && e.e_way = way then found := i
   done;
   !found
 
@@ -317,28 +366,36 @@ let way_locker t set way =
 let uq_for t core = if t.sec.split_uq then t.uqs.(core) else t.uqs.(0)
 
 let enqueue_uq t idx =
-  let e = entry t idx in
-  e.e_phase <- P_wait_uq;
-  Fifo.enq (uq_for t e.e_core) idx
+  let e = t.entries.(idx) in
+  e.e_phase <- p_wait_uq;
+  Ring.push (uq_for t e.e_core) idx
 
 let enqueue_retry t idx =
-  let e = entry t idx in
-  e.e_phase <- P_wait_retry;
-  Fifo.enq t.retryq.(e.e_core) idx
+  let e = t.entries.(idx) in
+  e.e_phase <- p_wait_retry;
+  Ring.push t.retryq.(e.e_core) idx
+
+let enqueue_dq t idx =
+  t.entries.(idx).e_phase <- p_in_dq;
+  Ring.push t.dq idx
 
 let park_on t ~blocker ~parked =
-  let b = entry t blocker in
-  let p = entry t parked in
-  p.e_phase <- P_blocked;
-  b.e_blocked <- parked :: b.e_blocked
+  let b = t.entries.(blocker) in
+  t.entries.(parked).e_phase <- p_blocked;
+  b.e_blocked.(b.e_nblocked) <- parked;
+  b.e_nblocked <- b.e_nblocked + 1
 
 let free_entry t idx =
-  let e = entry t idx in
-  List.iter (fun w -> enqueue_retry t w) e.e_blocked;
+  let e = t.entries.(idx) in
+  (* Parked entries retry newest first. *)
+  for k = e.e_nblocked - 1 downto 0 do
+    enqueue_retry t e.e_blocked.(k)
+  done;
   if Trace.active t.trace Trace.Llc then
     Trace.emit t.trace ~now:t.tnow
       (Trace.Mshr_free { core = e.e_core; idx });
-  t.entries.(idx) <- None;
+  if e.e_ts_next < e.e_ts_end then t.sending <- t.sending - 1;
+  e.e_live <- false;
   t.live <- t.live - 1;
   let k = free_slot t ~core:e.e_core ~bank:(idx mod t.cfg.mshr_banks) in
   t.free.(k) <- t.free.(k) + 1
@@ -347,69 +404,74 @@ let free_entry t idx =
 (* Directory / replacement bookkeeping                                 *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_meta t = { dirty = false; owner = None; sharers = Bitvec.create t.cfg.cores }
+let add_target e c =
+  e.e_targets.(e.e_ts_end) <- c;
+  e.e_ts_end <- e.e_ts_end + 1;
+  e.e_pending <- e.e_pending lor (1 lsl c)
 
-(* Targets that must be downgraded before granting [to_s] to [core]. *)
-let downgrade_targets t meta ~core ~to_s ~line =
-  ignore t;
-  match to_s with
+(* Sets [e]'s downgrade targets, the cores to downgrade before granting
+   [to_s] on [line], the line in directory slot [k], to [core]:
+   sharers in core order, then the owner.  Returns whether there is
+   any. *)
+let set_downgrade_targets t e k ~core ~to_s ~line =
+  if e.e_ts_next < e.e_ts_end then t.sending <- t.sending - 1;
+  e.e_ts_next <- 0;
+  e.e_ts_end <- 0;
+  let owner = t.owner.(k) in
+  (match to_s with
   | Msi.M ->
-    let acc = ref [] in
-    Bitvec.iter_set
-      (fun c -> if c <> core then acc := (c, line, Msi.I) :: !acc)
-      meta.sharers;
-    (match meta.owner with
-    | Some c when c <> core -> acc := (c, line, Msi.I) :: !acc
-    | _ -> ());
-    List.rev !acc
-  | Msi.S -> (
-    match meta.owner with
-    | Some c when c <> core -> [ (c, line, Msi.S) ]
-    | _ -> [])
-  | Msi.I -> []
+    let sharers = t.sharers.(k) in
+    for c = 0 to t.cfg.cores - 1 do
+      if c <> core && sharers land (1 lsl c) <> 0 then add_target e c
+    done;
+    if owner >= 0 && owner <> core then add_target e owner;
+    e.e_ts_to <- Msi.I
+  | Msi.S ->
+    if owner >= 0 && owner <> core then add_target e owner;
+    e.e_ts_to <- Msi.S
+  | Msi.I -> ());
+  e.e_ts_line <- line;
+  if e.e_ts_end > 0 then t.sending <- t.sending + 1;
+  e.e_ts_end > 0
 
-let owned_by meta core = match meta.owner with Some c -> c = core | None -> false
-
-let apply_cresp_to_directory t core (resp : Msg.child_resp) =
-  let set = set_of t resp.Msg.line in
-  let way = Sram.find t.array ~set ~tag:resp.Msg.line in
+let apply_cresp_to_directory t core ~line ~to_s ~dirty =
+  let set = set_of t line in
+  let way = Sram.find t.array ~set ~tag:line in
   if way >= 0 then begin
-    let meta = Sram.meta t.array ~set ~way in
-    if resp.Msg.dirty then meta.dirty <- true;
-    match resp.Msg.to_s with
+    let k = slot t ~set ~way in
+    if dirty then t.dirty.(k) <- true;
+    match to_s with
     | Msi.I ->
-      if owned_by meta core then meta.owner <- None;
-      if Bitvec.get meta.sharers core then Bitvec.clear meta.sharers core
+      if t.owner.(k) = core then t.owner.(k) <- -1;
+      t.sharers.(k) <- t.sharers.(k) land lnot (1 lsl core)
     | Msi.S ->
-      if owned_by meta core then meta.owner <- None;
-      Bitvec.set meta.sharers core
+      if t.owner.(k) = core then t.owner.(k) <- -1;
+      t.sharers.(k) <- t.sharers.(k) lor (1 lsl core)
     | Msi.M -> ()
   end
 
 (* Replacement completed: victim gone, line slot reserved for the miss. *)
 let complete_replacement t idx ~victim_dirty =
-  let e = entry t idx in
+  let e = t.entries.(idx) in
   Sram.invalidate t.array ~set:e.e_set ~way:e.e_way;
   e.e_needs_wb <- victim_dirty;
-  e.e_dq_kind <- (if victim_dirty then Dq_wb else Dq_read);
+  e.e_dq_wb <- victim_dirty;
   if victim_dirty then Stats.bump t.ctr.c_writebacks;
-  e.e_phase <- P_in_dq;
-  Fifo.enq t.dq idx
+  enqueue_dq t idx
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline-exit processing                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* An active transaction on [line] other than [idx], or -1.  Parked
-   (P_blocked) entries are passive and must not themselves act as
+   (p_blocked) entries are passive and must not themselves act as
    blockers, or two same-line entries could park on each other. *)
 let same_line_blocker t idx line =
   let found = ref (-1) and i = ref 0 in
   while !found < 0 && !i < Array.length t.entries do
-    (match t.entries.(!i) with
-    | Some o when !i <> idx && o.e_line = line -> (
-      match o.e_phase with P_blocked -> () | _ -> found := !i)
-    | _ -> ());
+    let o = t.entries.(!i) in
+    if o.e_live && !i <> idx && o.e_line = line && o.e_phase <> p_blocked then
+      found := !i;
     incr i
   done;
   !found
@@ -428,7 +490,7 @@ let unlocked_invalid_way t set =
 (* The policy's victim, or the next way after it that no transaction
    locks; -1 when every way is locked. *)
 let unlocked_victim t set =
-  let pick = Replacement.victim t.repl ~set ~invalid_way:None in
+  let pick = Replacement.victim t.repl ~set ~invalid_way:(-1) in
   let way = ref (-1) and tries = ref 0 in
   while !way < 0 && !tries < t.cfg.ways do
     let w = (pick + !tries) mod t.cfg.ways in
@@ -441,16 +503,14 @@ let request_hit t idx e ~set ~way =
   Stats.bump t.ctr.c_hits;
   e.e_way <- way;
   Replacement.touch t.repl ~set ~way;
-  match
-    downgrade_targets t (Sram.meta t.array ~set ~way) ~core:e.e_core ~to_s:e.e_to
+  if
+    set_downgrade_targets t e (slot t ~set ~way) ~core:e.e_core ~to_s:e.e_to
       ~line:e.e_line
-  with
-  | [] -> enqueue_uq t idx
-  | targets ->
+  then begin
     e.e_locks_way <- true;
-    List.iter (fun (c, _, _) -> Bitvec.set e.e_pending c) targets;
-    e.e_to_send <- targets;
-    e.e_phase <- P_wait_downgrade { victim = false }
+    e.e_phase <- p_wait_downgrade
+  end
+  else enqueue_uq t idx
 
 let request_miss t idx e ~set =
   Stats.bump t.ctr.c_misses;
@@ -460,9 +520,8 @@ let request_miss t idx e ~set =
   if way >= 0 then begin
     e.e_way <- way;
     e.e_locks_way <- true;
-    e.e_dq_kind <- Dq_read;
-    e.e_phase <- P_in_dq;
-    Fifo.enq t.dq idx
+    e.e_dq_wb <- false;
+    enqueue_dq t idx
   end
   else begin
     let way = unlocked_victim t set in
@@ -472,33 +531,28 @@ let request_miss t idx e ~set =
       enqueue_retry t idx
     end
     else begin
-      let victim_tag = Sram.tag t.array ~set ~way
-      and vmeta = Sram.meta t.array ~set ~way in
+      let victim_tag = Sram.tag t.array ~set ~way and k = slot t ~set ~way in
       Stats.bump t.ctr.c_replacements;
       e.e_way <- way;
       e.e_locks_way <- true;
       e.e_wb_line <- victim_tag;
-      match
-        downgrade_targets t vmeta ~core:(-1) ~to_s:Msi.M ~line:victim_tag
-      with
-      | [] -> complete_replacement t idx ~victim_dirty:vmeta.dirty
-      | targets ->
-        e.e_needs_wb <- vmeta.dirty;
-        List.iter (fun (c, _, _) -> Bitvec.set e.e_pending c) targets;
-        e.e_to_send <- targets;
-        e.e_phase <- P_wait_downgrade { victim = true }
+      if set_downgrade_targets t e k ~core:(-1) ~to_s:Msi.M ~line:victim_tag
+      then begin
+        e.e_needs_wb <- t.dirty.(k);
+        e.e_phase <- p_wait_victim_downgrade
+      end
+      else complete_replacement t idx ~victim_dirty:t.dirty.(k)
     end
   end
 
 let process_request t idx =
-  let e = entry t idx in
+  let e = t.entries.(idx) in
   if e.e_retry then begin
     (* MI6 retry pass: the writeback already went out; this is now a pure
        miss that re-enters DQ for the DRAM read (Figure 3). *)
     e.e_retry <- false;
-    e.e_dq_kind <- Dq_read;
-    e.e_phase <- P_in_dq;
-    Fifo.enq t.dq idx
+    e.e_dq_wb <- false;
+    enqueue_dq t idx
   end
   else begin
     let set = set_of t e.e_line in
@@ -517,53 +571,57 @@ let process_request t idx =
     end
   end
 
-(* The first entry waiting on [core]'s downgrade response for
-   [resp]'s line consumes it; -1 when none does. *)
-let cresp_claimant t core (resp : Msg.child_resp) =
+(* The first entry waiting on [core]'s downgrade response for [line]
+   consumes it; -1 when none does. *)
+let cresp_claimant t core line =
   let found = ref (-1) and i = ref 0 in
   while !found < 0 && !i < Array.length t.entries do
-    (match t.entries.(!i) with
-    | Some ({ e_phase = P_wait_downgrade { victim }; _ } as e) ->
-      let wanted_line = if victim then e.e_wb_line else e.e_line in
-      if wanted_line = resp.Msg.line && Bitvec.get e.e_pending core then
+    let e = t.entries.(!i) in
+    if
+      e.e_live
+      && (e.e_phase = p_wait_downgrade || e.e_phase = p_wait_victim_downgrade)
+    then begin
+      let wanted_line =
+        if e.e_phase = p_wait_victim_downgrade then e.e_wb_line else e.e_line
+      in
+      if wanted_line = line && e.e_pending land (1 lsl core) <> 0 then
         found := !i
-    | _ -> ());
+    end;
     incr i
   done;
   !found
 
-let process_cresp t core (resp : Msg.child_resp) =
+let process_cresp t core ~line ~to_s ~dirty =
   (* A waiting MSHR consumes the response first (so it can account the
      dirty bit into the replacement), then the directory is updated. *)
-  let idx = cresp_claimant t core resp in
-  if idx < 0 then apply_cresp_to_directory t core resp
+  let idx = cresp_claimant t core line in
+  if idx < 0 then apply_cresp_to_directory t core ~line ~to_s ~dirty
   else begin
-    let e = entry t idx in
-    Bitvec.clear e.e_pending core;
-    apply_cresp_to_directory t core resp;
-    if Bitvec.is_empty e.e_pending then
-      match e.e_phase with
-      | P_wait_downgrade { victim = true } ->
+    let e = t.entries.(idx) in
+    e.e_pending <- e.e_pending land lnot (1 lsl core);
+    apply_cresp_to_directory t core ~line ~to_s ~dirty;
+    if e.e_pending = 0 then
+      if e.e_phase = p_wait_victim_downgrade then begin
         let vdirty =
           e.e_needs_wb
           ||
           let way = Sram.find t.array ~set:e.e_set ~tag:e.e_wb_line in
-          way >= 0 && (Sram.meta t.array ~set:e.e_set ~way).dirty
+          way >= 0 && t.dirty.(slot t ~set:e.e_set ~way)
         in
         complete_replacement t idx ~victim_dirty:vdirty
-      | _ -> enqueue_uq t idx
+      end
+      else enqueue_uq t idx
   end
 
 let process_dram t idx =
-  let e = entry t idx in
-  Sram.fill t.array ~set:e.e_set ~way:e.e_way ~tag:e.e_line (fresh_meta t);
+  let e = t.entries.(idx) in
+  Sram.fill t.array ~set:e.e_set ~way:e.e_way ~tag:e.e_line;
+  let k = slot t ~set:e.e_set ~way:e.e_way in
+  t.dirty.(k) <- false;
+  t.owner.(k) <- -1;
+  t.sharers.(k) <- 0;
   Replacement.touch t.repl ~set:e.e_set ~way:e.e_way;
   enqueue_uq t idx
-
-let process_exit t = function
-  | M_creq idx | M_retry idx -> process_request t idx
-  | M_cresp (core, resp) -> process_cresp t core resp
-  | M_dram idx -> process_dram t idx
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline entry arbitration                                          *)
@@ -576,30 +634,24 @@ let dram_arrived_for t core =
   else begin
     let found = ref (-1) and i = ref 0 in
     while !found < 0 && !i < Array.length t.entries do
-      (match t.entries.(!i) with
-      | Some { e_phase = P_dram_arrived; e_core; _ } when e_core = core ->
-        found := !i
-      | _ -> ());
+      let e = t.entries.(!i) in
+      if e.e_live && e.e_phase = p_dram_arrived && e.e_core = core then
+        found := !i;
       incr i
     done;
     !found
   end
 
-let msg_kind = function
-  | M_creq _ -> "req"
-  | M_retry _ -> "retry"
-  | M_cresp _ -> "resp"
-  | M_dram _ -> "dram"
+let kind_name kind =
+  if kind = k_creq then "req"
+  else if kind = k_retry then "retry"
+  else if kind = k_cresp then "resp"
+  else "dram"
 
-let msg_core t = function
-  | M_creq idx | M_retry idx | M_dram idx -> (entry t idx).e_core
-  | M_cresp (c, _) -> c
-
-let admit t ~now msg =
+let admit t ~now ~core ~kind ~arg ~resp =
   if Trace.active t.trace Trace.Llc then
-    Trace.emit t.trace ~now
-      (Trace.Arb_grant { core = msg_core t msg; kind = msg_kind msg });
-  Fifo.enq t.pipe (now + t.cfg.pipeline_latency, msg)
+    Trace.emit t.trace ~now (Trace.Arb_grant { core; kind = kind_name kind });
+  Ring.push4 t.pipe (now + t.cfg.pipeline_latency) kind arg resp
 
 (* One admission attempt per message class for [core]: each dequeues and
    admits its message and returns [true], or returns [false]. *)
@@ -607,49 +659,69 @@ let admit_dram t ~now core =
   let idx = dram_arrived_for t core in
   idx >= 0
   && begin
-    (entry t idx).e_phase <- P_pipe;
+    t.entries.(idx).e_phase <- p_pipe;
     t.arrived.(core) <- t.arrived.(core) - 1;
-    admit t ~now (M_dram idx);
+    admit t ~now ~core ~kind:k_dram ~arg:idx ~resp:0;
     true
   end
 
 let admit_retry t ~now core =
-  Fifo.can_deq t.retryq.(core)
+  t.retryq.(core).Ring.len > 0
   && begin
-    let idx = Fifo.deq t.retryq.(core) in
-    (entry t idx).e_phase <- P_pipe;
-    admit t ~now (M_retry idx);
+    let idx = Ring.pop t.retryq.(core) in
+    t.entries.(idx).e_phase <- p_pipe;
+    admit t ~now ~core ~kind:k_retry ~arg:idx ~resp:0;
     true
   end
 
 let admit_cresp t ~now core =
   let rs = t.links.(core).Link.rs in
-  Fifo.can_deq rs
+  rs.Ring.len > 0
   && begin
-    admit t ~now (M_cresp (core, Fifo.deq rs));
+    let resp =
+      (Link.line rs lsl 3)
+      lor (Msi.to_int (Link.to_s rs) lsl 1)
+      lor Bool.to_int (Link.dirty rs)
+    in
+    Ring.drop rs;
+    admit t ~now ~core ~kind:k_cresp ~arg:core ~resp;
     true
   end
 
 (* Upgrade requests need an MSHR. *)
 let admit_creq t ~now core =
-  match Fifo.peek_opt t.links.(core).Link.rq with
-  | None -> false
-  | Some req ->
-    let idx = alloc_mshr t ~core ~line:req.Msg.line ~to_s:req.Msg.to_s in
-    if idx >= 0 then begin
-      ignore (Fifo.deq t.links.(core).Link.rq);
-      Stats.bump t.ctr.c_requests;
-      admit t ~now (M_creq idx);
-      true
-    end
-    else begin
-      Stats.bump t.ctr.c_mshr_alloc_stalls;
-      false
-    end
+  let rq = t.links.(core).Link.rq in
+  rq.Ring.len > 0
+  &&
+  let idx = alloc_mshr t ~core ~line:(Link.line rq) ~to_s:(Link.to_s rq) in
+  if idx >= 0 then begin
+    Ring.drop rq;
+    Stats.bump t.ctr.c_requests;
+    admit t ~now ~core ~kind:k_creq ~arg:idx ~resp:0;
+    true
+  end
+  else begin
+    Stats.bump t.ctr.c_mshr_alloc_stalls;
+    false
+  end
 
-(* [admit_class] on cores [c], [c + 1], ... until one admits. *)
-let rec first_core t ~now admit_class c =
-  c < t.cfg.cores && (admit_class t ~now c || first_core t ~now admit_class (c + 1))
+(* Message classes in the baseline mux's priority order: DRAM responses,
+   downgrade responses, retries, upgrade requests.  [waiting] reads
+   fields only, so the mux calls an admission function only when there
+   is a message to admit. *)
+let[@inline] waiting t cls core =
+  match cls with
+  | 0 -> t.arrived.(core) > 0
+  | 1 -> t.links.(core).Link.rs.Ring.len > 0
+  | 2 -> t.retryq.(core).Ring.len > 0
+  | _ -> t.links.(core).Link.rq.Ring.len > 0
+
+let admit_class t ~now cls core =
+  match cls with
+  | 0 -> admit_dram t ~now core
+  | 1 -> admit_cresp t ~now core
+  | 2 -> admit_retry t ~now core
+  | _ -> admit_creq t ~now core
 
 let enter_pipeline t ~now =
   if t.sec.round_robin_arbiter then begin
@@ -666,22 +738,32 @@ let enter_pipeline t ~now =
         Trace.emit t.trace ~now (Trace.Arb_idle { core })
     end
   end
-  else
-    (* Baseline two-level mux: message-type priority (DRAM responses,
-       downgrade responses, retries, upgrade requests), then core
-       index. *)
-    ignore
-      (first_core t ~now admit_dram 0
-      || first_core t ~now admit_cresp 0
-      || first_core t ~now admit_retry 0
-      || first_core t ~now admit_creq 0)
+  else begin
+    (* Baseline two-level mux: message-type priority, then core index. *)
+    let admitted = ref false and cls = ref 0 in
+    while (not !admitted) && !cls < 4 do
+      let core = ref 0 in
+      while (not !admitted) && !core < t.cfg.cores do
+        admitted := waiting t !cls !core && admit_class t ~now !cls !core;
+        incr core
+      done;
+      incr cls
+    done
+  end
 
 let advance_pipeline t ~now =
-  match Fifo.peek_opt t.pipe with
-  | Some (exit_at, msg) when exit_at <= now ->
-    ignore (Fifo.deq t.pipe);
-    process_exit t msg
-  | _ -> ()
+  if t.pipe.Ring.len > 0 && Ring.peek t.pipe 0 <= now then begin
+    let kind = Ring.peek t.pipe 1
+    and arg = Ring.peek t.pipe 2
+    and resp = Ring.peek t.pipe 3 in
+    Ring.drop t.pipe;
+    if kind = k_cresp then
+      process_cresp t arg ~line:(resp lsr 3)
+        ~to_s:(Msi.of_int ((resp lsr 1) land 3))
+        ~dirty:(resp land 1 = 1)
+    else if kind = k_dram then process_dram t arg
+    else process_request t arg
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Downgrade-L1 logic                                                  *)
@@ -692,22 +774,19 @@ let downgrade_scan t ~lo ~hi =
   let sent = ref false in
   let i = ref lo in
   while (not !sent) && !i < hi do
-    (match t.entries.(!i) with
-    | Some e -> (
-      match e.e_to_send with
-      | (target, line, to_s) :: rest ->
-        if
-          (not t.port_used.(target))
-          && Fifo.can_enq t.links.(target).Link.p2c
-        then begin
-          Fifo.enq t.links.(target).Link.p2c (Msg.Downgrade_req { line; to_s });
-          Stats.bump t.ctr.c_downgrades_sent;
-          t.port_used.(target) <- true;
-          e.e_to_send <- rest;
-          sent := true
-        end
-      | [] -> ())
-    | None -> ());
+    let e = t.entries.(!i) in
+    if e.e_live && e.e_ts_next < e.e_ts_end then begin
+      let target = e.e_targets.(e.e_ts_next) in
+      let link = t.links.(target) in
+      if t.port_used.(target) <> t.tnow && Link.can_send link.Link.p2c then begin
+        Link.send_parent link ~downgrade:true ~line:e.e_ts_line ~to_s:e.e_ts_to;
+        Stats.bump t.ctr.c_downgrades_sent;
+        t.port_used.(target) <- t.tnow;
+        e.e_ts_next <- e.e_ts_next + 1;
+        if e.e_ts_next = e.e_ts_end then t.sending <- t.sending - 1;
+        sent := true
+      end
+    end;
     incr i
   done
 
@@ -723,27 +802,28 @@ let downgrade_logic t =
 (* ------------------------------------------------------------------ *)
 
 let grant_directory t idx =
-  let e = entry t idx in
-  let meta = Sram.meta t.array ~set:e.e_set ~way:e.e_way in
+  let e = t.entries.(idx) in
+  if not (Sram.valid t.array ~set:e.e_set ~way:e.e_way) then
+    invalid_arg "Llc: grant on an invalid way";
+  let k = slot t ~set:e.e_set ~way:e.e_way in
   match e.e_to with
   | Msi.M ->
-    meta.owner <- Some e.e_core;
-    Bitvec.clear meta.sharers e.e_core
-  | Msi.S -> Bitvec.set meta.sharers e.e_core
+    t.owner.(k) <- e.e_core;
+    t.sharers.(k) <- t.sharers.(k) land lnot (1 lsl e.e_core)
+  | Msi.S -> t.sharers.(k) <- t.sharers.(k) lor (1 lsl e.e_core)
   | Msi.I -> ()
 
 let try_send_response t idx =
-  let e = entry t idx in
+  let e = t.entries.(idx) in
   let c = e.e_core in
-  if (not t.port_used.(c)) && Fifo.can_enq t.links.(c).Link.p2c then begin
+  if t.port_used.(c) <> t.tnow && Link.can_send t.links.(c).Link.p2c then begin
     grant_directory t idx;
-    Fifo.enq t.links.(c).Link.p2c
-      (Msg.Upgrade_resp { line = e.e_line; to_s = e.e_to });
+    Link.send_parent t.links.(c) ~downgrade:false ~line:e.e_line ~to_s:e.e_to;
     Stats.bump t.ctr.c_responses_sent;
     if Trace.active t.trace Trace.Llc then
       Trace.emit t.trace ~now:t.tnow
         (Trace.Uq_send { core = c; line = e.e_line });
-    t.port_used.(c) <- true;
+    t.port_used.(c) <- t.tnow;
     e.e_locks_way <- false;
     free_entry t idx;
     true
@@ -753,16 +833,15 @@ let try_send_response t idx =
 let uq_dequeue t =
   if t.sec.split_uq then
     for c = 0 to Array.length t.uqs - 1 do
-      match Fifo.peek_opt t.uqs.(c) with
-      | Some idx -> if try_send_response t idx then ignore (Fifo.deq t.uqs.(c))
-      | None -> ()
+      let q = t.uqs.(c) in
+      if q.Ring.len > 0 && try_send_response t (Ring.peek q 0) then
+        Ring.drop q
     done
   else
-    match Fifo.peek_opt t.uqs.(0) with
-    | Some idx ->
-      if try_send_response t idx then ignore (Fifo.deq t.uqs.(0))
+    let q = t.uqs.(0) in
+    if q.Ring.len > 0 then
+      if try_send_response t (Ring.peek q 0) then Ring.drop q
       else Stats.bump t.ctr.c_uq_hol_blocks
-    | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* DQ dequeue                                                          *)
@@ -774,50 +853,44 @@ let dq_dequeue t ~now =
        DRAM read of a writeback+read pair (the Section 5.4.2 leak). *)
     if Controller.can_accept t.dram then begin
       let idx = t.dq_pending_read in
-      let e = entry t idx in
+      let e = t.entries.(idx) in
       Controller.accept t.dram ~now
         { Controller.read = true; line = e.e_line; tag = idx };
-      e.e_phase <- P_wait_dram;
+      e.e_phase <- p_wait_dram;
       t.dq_pending_read <- -1
     end
     else Stats.bump t.ctr.c_dram_backpressure_stalls
   end
-  else begin
-    match Fifo.peek_opt t.dq with
-    | None -> ()
-    | Some idx -> (
-      let e = entry t idx in
-      match e.e_dq_kind with
-      | Dq_read ->
-        if Controller.can_accept t.dram then begin
-          ignore (Fifo.deq t.dq);
-          Controller.accept t.dram ~now
-            { Controller.read = true; line = e.e_line; tag = idx };
-          e.e_phase <- P_wait_dram
-        end
-        else Stats.bump t.ctr.c_dram_backpressure_stalls
-      | Dq_wb ->
-        if Controller.can_accept t.dram then begin
-          ignore (Fifo.deq t.dq);
-          Controller.accept t.dram ~now
-            { Controller.read = false; line = e.e_wb_line; tag = idx };
-          if t.sec.dq_retry then begin
-            (* One-cycle dequeue: set the retry bit and re-enter the
-               pipeline as a pure miss (Figure 3). *)
-            e.e_retry <- true;
-            Stats.bump t.ctr.c_dq_retries;
-            if Trace.active t.trace Trace.Llc then
-              Trace.emit t.trace ~now
-                (Trace.Dq_retry { core = e.e_core; idx });
-            enqueue_retry t idx
-          end
-          else begin
-            (* Baseline: block the DQ port next cycle for the read. *)
-            t.dq_pending_read <- idx;
-            Stats.bump t.ctr.c_dq_double_dequeues
-          end
-        end
-        else Stats.bump t.ctr.c_dram_backpressure_stalls)
+  else if t.dq.Ring.len > 0 then begin
+    let idx = Ring.peek t.dq 0 in
+    let e = t.entries.(idx) in
+    if not (Controller.can_accept t.dram) then
+      Stats.bump t.ctr.c_dram_backpressure_stalls
+    else if not e.e_dq_wb then begin
+      Ring.drop t.dq;
+      Controller.accept t.dram ~now
+        { Controller.read = true; line = e.e_line; tag = idx };
+      e.e_phase <- p_wait_dram
+    end
+    else begin
+      Ring.drop t.dq;
+      Controller.accept t.dram ~now
+        { Controller.read = false; line = e.e_wb_line; tag = idx };
+      if t.sec.dq_retry then begin
+        (* One-cycle dequeue: set the retry bit and re-enter the
+           pipeline as a pure miss (Figure 3). *)
+        e.e_retry <- true;
+        Stats.bump t.ctr.c_dq_retries;
+        if Trace.active t.trace Trace.Llc then
+          Trace.emit t.trace ~now (Trace.Dq_retry { core = e.e_core; idx });
+        enqueue_retry t idx
+      end
+      else begin
+        (* Baseline: block the DQ port next cycle for the read. *)
+        t.dq_pending_read <- idx;
+        Stats.bump t.ctr.c_dq_double_dequeues
+      end
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -830,8 +903,7 @@ let tick t ~now =
   (* Downgrades, responses and the DQ all belong to allocated MSHRs;
      with none allocated there is nothing for them to do. *)
   if t.live > 0 then begin
-    Array.fill t.port_used 0 (Array.length t.port_used) false;
-    downgrade_logic t;
+    if t.sending > 0 then downgrade_logic t;
     uq_dequeue t
   end;
   advance_pipeline t ~now;
@@ -840,27 +912,38 @@ let tick t ~now =
   Controller.tick t.dram ~now ~respond:t.respond
 
 let busy t =
-  Array.exists (fun e -> e <> None) t.entries
-  || Fifo.length t.pipe > 0
+  t.live > 0
+  || (not (Ring.is_empty t.pipe))
   || Controller.outstanding t.dram > 0
-  || Array.exists (fun l -> Fifo.length l.Link.rq > 0 || Fifo.length l.Link.rs > 0) t.links
+  || Array.exists
+       (fun l -> not (Ring.is_empty l.Link.rq && Ring.is_empty l.Link.rs))
+       t.links
 
 let probe t ~line = Sram.find t.array ~set:(set_of t line) ~tag:line >= 0
 
 let invalidate_region t ~geometry ~region =
   if busy t then failwith "Llc.invalidate_region: LLC not quiescent";
-  let to_drop = ref [] in
-  Sram.iter_valid
-    (fun set way tag meta ->
-      if Addr.region_of geometry (tag * Addr.line_bytes) = region then begin
-        (* The monitor descheduled and purged the domain's cores first, so
-           no L1 may still hold the line. *)
-        if meta.owner <> None || not (Bitvec.is_empty meta.sharers) then
-          failwith "Llc.invalidate_region: line still shared by an L1";
-        to_drop := (set, way) :: !to_drop
-      end)
-    t.array;
-  List.iter (fun (set, way) -> Sram.invalidate t.array ~set ~way) !to_drop
+  let in_region set way =
+    Sram.valid t.array ~set ~way
+    && Addr.region_of geometry (Sram.tag t.array ~set ~way * Addr.line_bytes)
+       = region
+  in
+  let sets = Sram.sets t.array in
+  (* Check every line before dropping any. *)
+  for set = 0 to sets - 1 do
+    for way = 0 to t.cfg.ways - 1 do
+      let k = slot t ~set ~way in
+      (* The monitor descheduled and purged the domain's cores first, so
+         no L1 may still hold the line. *)
+      if in_region set way && (t.owner.(k) >= 0 || t.sharers.(k) <> 0) then
+        failwith "Llc.invalidate_region: line still shared by an L1"
+    done
+  done;
+  for set = 0 to sets - 1 do
+    for way = 0 to t.cfg.ways - 1 do
+      if in_region set way then Sram.invalidate t.array ~set ~way
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Structure state (quiet-cycle signature and labelled dump)           *)
@@ -869,65 +952,80 @@ let invalidate_region t ~geometry ~region =
 (* MSHRs, every queue (pipeline, retry, UQ, DQ), the child links, and
    the DRAM controller.  The cache array, directory metadata, and
    replacement state are excluded: they only change in cycles that also
-   move an MSHR or a queue.  [port_used] is per-cycle scratch refilled
-   each tick before use and is likewise excluded. *)
+   move an MSHR or a queue.  [port_used] only compares with the current
+   cycle and is likewise excluded.  The fold hashes the pending cores as
+   a [Bitvec], each downgrade still to send as a (core, line, state)
+   triple and each pipeline record as a [pipe_msg], so the signature and
+   the dump do not depend on the int encodings; parked entries fold
+   newest first. *)
 
-let phase_code = function
-  | P_pipe -> 0
-  | P_blocked -> 1
-  | P_wait_retry -> 2
-  | P_wait_downgrade { victim } -> if victim then 4 else 3
-  | P_in_dq -> 5
-  | P_wait_dram -> 6
-  | P_dram_arrived -> 7
-  | P_wait_uq -> 8
+let pending_bitvec t e =
+  let v = Bitvec.create t.cfg.cores in
+  for c = 0 to t.cfg.cores - 1 do
+    if e.e_pending land (1 lsl c) <> 0 then Bitvec.set v c
+  done;
+  v
 
-let sig_msi = function Msi.M -> 2 | Msi.S -> 1 | Msi.I -> 0
+let pipe_msg t i =
+  let kind = Ring.get t.pipe i 1 and arg = Ring.get t.pipe i 2 in
+  if kind = k_creq then M_creq arg
+  else if kind = k_retry then M_retry arg
+  else if kind = k_dram then M_dram arg
+  else
+    let resp = Ring.get t.pipe i 3 in
+    M_cresp
+      ( arg,
+        { Msg.line = resp lsr 3; to_s = Msi.of_int ((resp lsr 1) land 3);
+          dirty = resp land 1 = 1 } )
 
 let state t s =
   let open Statesig in
   (* Queues render as "x;" runs; their lengths reach the hash through
      [len]. *)
   let ints q =
-    len s (Fifo.length q);
-    Fifo.iter (item s) q
-  in
-  let msgs q =
-    len s (Fifo.length q);
-    Fifo.iter (fun m -> item s (Hashtbl.hash m)) q
+    len s (Ring.length q);
+    for i = 0 to Ring.length q - 1 do
+      item s (Ring.get q i 0)
+    done
   in
   int s "llc.live=" t.live;
   lit s " entries[";
   Array.iter
-    (function
-      | None -> none s "-"
-      | Some e ->
-        int s "(ph=" (phase_code e.e_phase);
+    (fun e ->
+      if not e.e_live then none s "-"
+      else begin
+        int s "(ph=" e.e_phase;
         int s " c=" e.e_core;
         int s " l=" e.e_line;
-        int s " to=" (sig_msi e.e_to);
+        int s " to=" (Msi.to_int e.e_to);
         int s " s=" e.e_set;
         int s " w=" e.e_way;
         bool s " lk=" e.e_locks_way;
         bool s " wb=" e.e_needs_wb;
         int s "@" e.e_wb_line;
         bool s " r=" e.e_retry;
-        int s " p=" (Hashtbl.hash e.e_pending);
-        int s " ts=" (List.length e.e_to_send);
+        int s " p=" (Hashtbl.hash (pending_bitvec t e));
+        int s " ts=" (e.e_ts_end - e.e_ts_next);
         lit s "[";
-        List.iter (fun x -> item s (Hashtbl.hash x)) e.e_to_send;
-        items s "] blk[" e.e_blocked;
-        int s "] dq=" (match e.e_dq_kind with Dq_read -> 0 | Dq_wb -> 1);
-        lit s ")")
+        for k = e.e_ts_next to e.e_ts_end - 1 do
+          item s (Hashtbl.hash (e.e_targets.(k), e.e_ts_line, e.e_ts_to))
+        done;
+        lit s "] blk[";
+        len s e.e_nblocked;
+        for k = e.e_nblocked - 1 downto 0 do
+          item s e.e_blocked.(k)
+        done;
+        int s "] dq=" (Bool.to_int e.e_dq_wb);
+        lit s ")"
+      end)
     t.entries;
-  int s "] pipe=" (Fifo.length t.pipe);
+  int s "] pipe=" (Ring.length t.pipe);
   lit s "[";
-  Fifo.iter
-    (fun (exit_at, msg) ->
-      int s "(" exit_at;
-      int s "," (Hashtbl.hash msg);
-      lit s ")")
-    t.pipe;
+  for i = 0 to Ring.length t.pipe - 1 do
+    int s "(" (Ring.get t.pipe i 0);
+    int s "," (Hashtbl.hash (pipe_msg t i));
+    lit s ")"
+  done;
   lit s "] retryq[";
   Array.iter
     (fun q ->
@@ -945,15 +1043,69 @@ let state t s =
   lit s "] dqp=";
   if t.dq_pending_read < 0 then none s "-" else int s "" t.dq_pending_read;
   lit s " links[";
-  Array.iter
-    (fun l ->
-      lit s "rq=";
-      msgs l.Link.rq;
-      lit s " rs=";
-      msgs l.Link.rs;
-      lit s " p2c=";
-      msgs l.Link.p2c;
-      lit s "|")
-    t.links;
+  Array.iter (fun l -> Link.state l s) t.links;
   lit s "] dram=";
   Controller.state t.dram s
+
+(* ------------------------------------------------------------------ *)
+(* Bookkeeping checker                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let check_invariants t =
+  let err = ref None in
+  let fail fmt =
+    Printf.ksprintf (fun m -> if !err = None then err := Some ("llc: " ^ m)) fmt
+  in
+  let live, sending, arrived, free = recount t in
+  if live <> t.live then fail "live %d, recount %d" t.live live;
+  if sending <> t.sending then fail "sending %d, recount %d" t.sending sending;
+  Array.iteri
+    (fun c n ->
+      if n <> t.arrived.(c) then
+        fail "arrived.(%d) %d, recount %d" c t.arrived.(c) n)
+    arrived;
+  Array.iteri
+    (fun k n ->
+      if n <> t.free.(k) then fail "free.(%d) %d, recount %d" k t.free.(k) n)
+    free;
+  (* Every queued index names a live entry in its queue's phase. *)
+  let queued what ~core ~phase idx =
+    let e = t.entries.(idx) in
+    if not e.e_live then fail "%s holds free MSHR %d" what idx
+    else if e.e_phase <> phase then
+      fail "%s holds MSHR %d in phase %d" what idx e.e_phase
+    else if core >= 0 && e.e_core <> core then
+      fail "%s holds core %d's MSHR %d" what e.e_core idx
+  in
+  let ring what ~core ~phase q =
+    for i = 0 to Ring.length q - 1 do
+      queued what ~core ~phase (Ring.get q i 0)
+    done
+  in
+  for i = 0 to Ring.length t.pipe - 1 do
+    if Ring.get t.pipe i 1 <> k_cresp then
+      queued "pipe" ~core:(-1) ~phase:p_pipe (Ring.get t.pipe i 2)
+  done;
+  Array.iteri
+    (fun c q -> ring (Printf.sprintf "retryq.(%d)" c) ~core:c ~phase:p_wait_retry q)
+    t.retryq;
+  Array.iteri
+    (fun c q ->
+      let core = if t.sec.split_uq then c else -1 in
+      ring (Printf.sprintf "uq.(%d)" c) ~core ~phase:p_wait_uq q)
+    t.uqs;
+  ring "dq" ~core:(-1) ~phase:p_in_dq t.dq;
+  if t.dq_pending_read >= 0 then
+    queued "dq_pending_read" ~core:(-1) ~phase:p_in_dq t.dq_pending_read;
+  (* No (set, way) is locked twice. *)
+  let locks e = e.e_live && e.e_locks_way in
+  Array.iteri
+    (fun i e ->
+      if locks e then
+        for j = i + 1 to Array.length t.entries - 1 do
+          let o = t.entries.(j) in
+          if locks o && o.e_set = e.e_set && o.e_way = e.e_way then
+            fail "MSHRs %d and %d both lock set %d way %d" i j e.e_set e.e_way
+        done)
+    t.entries;
+  match !err with None -> Ok () | Some m -> Error m

@@ -27,7 +27,15 @@
     The MSHR file may additionally be sliced into banks by low set-index
     bits (the MISS experiment, Section 7.3), following the paper's
     pessimistic FPGA model in which one full bank stalls all
-    allocation. *)
+    allocation.
+
+    State is flat, so a tick allocates nothing: one preallocated record
+    per MSHR slot (int phase codes, an int bitmask of the cores still to
+    answer a downgrade, fixed int arrays of downgrade targets and parked
+    entries), int {!Ring}s for the pipeline and the retry, UQ and DQ
+    queues, and the directory (dirty bit, owner, sharer bitmask) in
+    arrays indexed by the line's {!Sram.slot}.  The only allocation on
+    the miss path is the {!Controller.req} each DRAM command passes. *)
 
 type security = {
   partitioned_mshrs : bool;
@@ -54,8 +62,18 @@ type config = {
     pipeline, per Figure 4. *)
 val default_config : cores:int -> config
 
+(** The most ports (cores of the config) an LLC serves, 62: the cores
+    still to answer a downgrade and a line's sharers are int bitmasks,
+    one bit per port. *)
+val max_ports : int
+
 type t
 
+(** [create cfg ~security ~links ~dram ~stats] builds an idle LLC over one
+    link per port.  Raises [Invalid_argument] when [cfg.cores] exceeds
+    {!max_ports}, when the links do not match the ports, or when the
+    MSHRs do not divide evenly into banks (or, partitioned, across
+    ports). *)
 val create :
   ?trace:Trace.t ->
   config ->
@@ -96,3 +114,13 @@ val state : t -> Statesig.acc -> unit
     before reallocation (Section 6: L2 sets need only be scrubbed when
     reallocating physical memory).  Requires [not (busy t)]. *)
 val invalidate_region : t -> geometry:Addr.regions -> region:int -> unit
+
+(** [check_invariants t] checks the bookkeeping the flat MSHR file keeps
+    in step: every derived count (live entries, free entries per
+    partition and bank, DRAM-arrived entries per core, entries with
+    downgrades still to send) equals a recount of the slots; every index
+    queued in the pipeline, a retry queue, a UQ, the DQ or the pending
+    baseline read names a live entry in the phase that queue implies;
+    and no (set, way) is locked by two live entries.  [Error] names the
+    first broken invariant.  For tests: it scans every slot. *)
+val check_invariants : t -> (unit, string) result

@@ -5,7 +5,7 @@ let l2_config = { sets = 256; ways = 4 }
 
 type t = {
   cfg : config;
-  array : unit Sram.t;
+  array : Sram.t;
   repl : Replacement.t;
 }
 
@@ -37,7 +37,7 @@ let insert t ~vpage =
       Replacement.victim t.repl ~set
         ~invalid_way:(Sram.invalid_way t.array ~set)
     in
-    Sram.fill t.array ~set ~way ~tag:vpage ();
+    Sram.fill t.array ~set ~way ~tag:vpage;
     Replacement.touch t.repl ~set ~way
   end
 

@@ -45,6 +45,13 @@ let push3 r a b c =
   r.buf.(o + 1) <- b;
   r.buf.(o + 2) <- c
 
+let push4 r a b c d =
+  let o = reserve r in
+  r.buf.(o) <- a;
+  r.buf.(o + 1) <- b;
+  r.buf.(o + 2) <- c;
+  r.buf.(o + 3) <- d
+
 let drop r =
   if r.len = 0 then failwith "Ring.drop: empty";
   r.head <- (if r.head + 1 = r.cap then 0 else r.head + 1);

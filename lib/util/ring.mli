@@ -1,12 +1,25 @@
 (** FIFO queues of fixed-width int records in one circular int array.
 
-    The per-cycle queues of the core and the L1s (free list, store-buffer
-    drain order, cache input and completions) hold a few ints per entry.
+    The per-cycle queues of the core, the L1s, the links, the LLC and the
+    DRAM controller (free list, store-buffer drain order, cache input and
+    completions, coherence messages, the LLC pipeline and its retry, UQ
+    and DQ queues, DRAM requests in flight) hold a few ints per entry.
     Storing them flat makes [push] and [pop] allocation-free, unlike
     [Queue] cells or [Fifo] slots holding records.  Record [i] counts from
     the oldest ([i = 0]); field [k] is in [0, width). *)
 
-type t
+(** The record is exposed read-only so that a per-cycle test of a ring's
+    length compiles to a field load ([q.Ring.len = 0]): the build's dev
+    profile passes [-opaque], which keeps every call across modules,
+    {!is_empty} included, out of line.  [buf] holds [cap] records of
+    [width] ints, the oldest at record slot [head]. *)
+type t = private {
+  width : int;
+  mutable buf : int array;
+  mutable cap : int;
+  mutable head : int;
+  mutable len : int;
+}
 
 (** [create ?width capacity] is an empty ring of [capacity] records of
     [width] ints each (default 1).  Raises [Invalid_argument] unless both
@@ -24,13 +37,14 @@ val get : t -> int -> int -> int
     the ring is empty. *)
 val peek : t -> int -> int
 
-(** [push r a] appends the one-field record [a]; [push2] and [push3]
-    append two- and three-field records.  Raise [Failure] when the ring is
-    full. *)
+(** [push r a] appends the one-field record [a]; [push2], [push3] and
+    [push4] append two-, three- and four-field records.  Raise [Failure]
+    when the ring is full. *)
 val push : t -> int -> unit
 
 val push2 : t -> int -> int -> unit
 val push3 : t -> int -> int -> int -> unit
+val push4 : t -> int -> int -> int -> int -> unit
 
 (** [drop r] removes the oldest record.  Raises [Failure] when empty. *)
 val drop : t -> unit

@@ -257,6 +257,21 @@ let test_invalidate_region () =
   check_bool "region-0 line gone" false (Llc.probe llc ~line:5);
   check_bool "region-1 line kept" true (Llc.probe llc ~line:(region_lines + 5))
 
+(* Pending cores and sharers are int bitmasks, one bit per port: 62
+   ports fit, 63 do not. *)
+let test_port_limit () =
+  let build cores =
+    let stats = Stats.create () in
+    let cfg = { (Llc.default_config ~cores) with Llc.mshrs = 2 * cores } in
+    let links = Array.init cores (fun _ -> Link.create ~depth:4) in
+    let dram = Mi6_dram.Controller.constant ~latency:120 ~max_outstanding:24 ~stats () in
+    ignore (Llc.create cfg ~security:Llc.mi6_security ~links ~dram ~stats)
+  in
+  build Llc.max_ports;
+  Alcotest.check_raises "63 ports"
+    (Invalid_argument "Llc.create: 63 ports, at most 62")
+    (fun () -> build (Llc.max_ports + 1))
+
 let test_determinism () =
   let run () =
     let h, _ = make ~security:Llc.mi6_security () in
@@ -387,6 +402,61 @@ let prop_msi_invariant =
       done;
       !ok)
 
+(* The flat MSHR files keep derived counts, queue contents and way locks
+   in step by hand; [check_invariants] recounts them.  Random two-core
+   traffic on a small line pool (two LLC sets' worth of conflicting
+   lines, all in one L1 set) provokes replacements, parked entries,
+   downgrades and retries; both checkers run at random stop cycles, while
+   requests arrive and while the hierarchy drains, and once it has. *)
+let bookkeeping_configs =
+  [|
+    ("BASE", fun () -> make ());
+    ("MI6", fun () -> make ~security:Llc.mi6_security ());
+    ("MISS banks", fun () -> make ~llc_mshrs:12 ~mshr_banks:4 ());
+  |]
+
+let check_bookkeeping h ~config =
+  let check = function
+    | Ok () -> ()
+    | Error msg ->
+      QCheck.Test.fail_reportf "%s, cycle %d: %s" config (Hierarchy.now h) msg
+  in
+  check (Llc.check_invariants (Hierarchy.llc h));
+  check (L1.check_invariants (Hierarchy.l1 h ~core:0));
+  check (L1.check_invariants (Hierarchy.l1 h ~core:1))
+
+let prop_bookkeeping =
+  QCheck.Test.make ~name:"MSHR bookkeeping matches a recount" ~count:30
+    QCheck.(triple (int_range 0 2) int (int_range 50 800))
+    (fun (cfg, seed, ticks) ->
+      let config, make_h = bookkeeping_configs.(cfg) in
+      let h, _ = make_h () in
+      let rng = Rng.of_int seed in
+      let id = ref 0 in
+      let tick () =
+        Hierarchy.tick h;
+        if Rng.bool rng ~p:0.25 then check_bookkeeping h ~config
+      in
+      for _ = 1 to ticks do
+        for core = 0 to 1 do
+          if Hierarchy.can_accept h ~core && Rng.bool rng ~p:0.5 then begin
+            Hierarchy.request h ~core
+              ~line:((Rng.int rng 40 * 1024) + Rng.int rng 4)
+              ~store:(Rng.bool rng ~p:0.4) ~id:!id;
+            incr id
+          end
+        done;
+        tick ()
+      done;
+      let drain = ref 100_000 in
+      while not (Hierarchy.quiescent h) do
+        if !drain = 0 then QCheck.Test.fail_reportf "%s: no quiescence" config;
+        decr drain;
+        tick ()
+      done;
+      check_bookkeeping h ~config;
+      true)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 (* ------------------------------------------------------------------ *)
@@ -430,6 +500,17 @@ let test_idle_ticks_allocate_nothing (name, timing) () =
   let w2 = Gc.minor_words () in
   Alcotest.(check (float 0.)) (name ^ ": idle Llc.tick words") 0. (w1 -. w0);
   Alcotest.(check (float 0.)) (name ^ ": idle L1.tick words") 0. (w2 -. w1)
+
+(* A whole idle hierarchy too: the L1 completion sinks are built once,
+   not per tick. *)
+let test_idle_hierarchy_allocates_nothing () =
+  let h, _ = make ~security:Llc.mi6_security () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to idle_ticks do
+    Hierarchy.tick h
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "idle Hierarchy.tick words" 0. (w1 -. w0)
 
 let alloc_configs =
   [
@@ -488,6 +569,61 @@ let test_busy_ticks_allocate_nothing variant () =
   check_bool (name ^ ": loop commits") true (Tmachine.committed m - c0 > idle_ticks / 2);
   Alcotest.(check (float 0.)) (name ^ ": busy Tmachine.tick words") 0. (w1 -. w0)
 
+(* The miss path allocates only the request record each DRAM command
+   passes to [Controller.accept].  A warmed one-core machine runs a loop
+   of independent loads, from µops built once, over a 2 MB line window:
+   twice the LLC, so the LLC keeps missing, yet half the L2 TLB's reach
+   (256 sets x 4 ways of 4 KB pages), so after the warm-up pass no page
+   walk runs. *)
+let miss_window_lines = 2 * 1024 * 1024 / 64
+let loads_per_iter = 8
+
+let miss_loop () =
+  let code = 0x10000 and data = 0x400000 in
+  let pc i = code + (4 * i) in
+  Array.concat
+    (List.init (miss_window_lines / loads_per_iter) (fun k ->
+         Array.append
+           (Array.init loads_per_iter (fun j ->
+                Uop.load ~pc:(pc j)
+                  ~addr:(data + (64 * ((k * loads_per_iter) + j)))
+                  ~dst:(5 + j) ~srcs:[ 20 ] ()))
+           [| Uop.branch ~pc:(pc loads_per_iter) ~taken:true ~target:(pc 0)
+                ~srcs:[] () |]))
+
+let test_miss_path_allocation variant () =
+  let uops = Array.map Option.some (miss_loop ()) in
+  let next = ref 0 in
+  let stream () =
+    let u = uops.(!next) in
+    next := (!next + 1) mod Array.length uops;
+    u
+  in
+  let stats = Stats.create () in
+  let m =
+    Tmachine.create (Config.timing ~cores:1 variant) ~streams:[| stream |] ~stats
+  in
+  (* One pass fills the TLBs; the measured window starts in the second. *)
+  while Tmachine.committed m < Array.length uops + 1000 do
+    Tmachine.tick m
+  done;
+  let base = Stats.copy stats in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    Tmachine.tick m
+  done;
+  let w1 = Gc.minor_words () in
+  let d = Stats.diff stats ~baseline:base in
+  let get = Stats.get d in
+  let name = Config.variant_name variant in
+  let commands = get "dram.reads" + get "dram.writes" in
+  check_bool (name ^ ": the LLC misses") true (get "llc.misses" > 0);
+  check_bool
+    (Printf.sprintf "%s: %.0f words for %d DRAM commands (at most 4 each)" name
+       (w1 -. w0) commands)
+    true
+    (w1 -. w0 <= 4. *. float_of_int commands)
+
 (* Only the constant-latency controller describes its state; the
    reordering one (the DRAM-bank channel demonstration) refuses rather
    than hand back state it does not capture. *)
@@ -545,11 +681,16 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "reordering controller refuses state" `Quick
             test_reordering_controller_refuses_state;
+          Alcotest.test_case "port limit" `Quick test_port_limit;
         ] );
       ( "properties",
         qsuite
-          [ prop_random_traffic_completes; prop_msi_invariant; prop_inclusion ]
-      );
+          [
+            prop_random_traffic_completes;
+            prop_msi_invariant;
+            prop_inclusion;
+            prop_bookkeeping;
+          ] );
       ( "alloc",
         List.map
           (fun ((name, _) as cfg) ->
@@ -563,5 +704,17 @@ let () =
                 ^ Config.variant_name variant)
                 `Quick
                 (test_busy_ticks_allocate_nothing variant))
+            [ Config.Base; Config.Fpma ]
+        @ [
+            Alcotest.test_case "idle Hierarchy ticks allocate nothing" `Quick
+              test_idle_hierarchy_allocates_nothing;
+          ]
+        @ List.map
+            (fun variant ->
+              Alcotest.test_case
+                ("LLC miss path allocates one request per DRAM command: "
+                ^ Config.variant_name variant)
+                `Quick
+                (test_miss_path_allocation variant))
             [ Config.Base; Config.Fpma ] );
     ]
