@@ -1,14 +1,21 @@
-# Convenience wrapper around dune; `make ci` is what the CI workflow runs.
+# Convenience wrapper around dune; `make ci` runs every gate of the CI
+# workflow, whose steps each call one of these targets.
 
-.PHONY: all build test soak bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke perf-smoke profile-smoke lint-channels perf-compare ci clean
+.PHONY: all build test soak bench-smoke perf-compare trace-smoke audit-smoke sweep-smoke sweep-speedup telemetry-smoke top-smoke bisect-smoke ni-smoke perf-smoke profile-smoke lint-channels ci clean
 
 all: build
 
 build:
 	dune build @all
 
+# Unit and property tests at the qcheck seed CI pins, so a failing
+# property reproduces straight from the log; set QCHECK_SEED to run
+# another (ROADMAP lists the seeds that fail today).
+QCHECK_SEED ?= 20260808
+
 test:
-	dune runtest
+	@echo "qcheck seed: $(QCHECK_SEED)"
+	QCHECK_SEED=$(QCHECK_SEED) dune runtest
 
 # Seed soak: every property of the suites that drive the memory
 # hierarchy must hold for QCHECK_SEED=1..20, not only the seed CI pins.
@@ -38,6 +45,21 @@ bench-smoke:
 	dune exec bench/main.exe -- --fast fig5
 	dune exec bench/json_check.exe -- --require runs BENCH_run.json
 	dune exec bench/json_check.exe -- --history BENCH_history.jsonl
+
+# Perf regression check: a second fig5 --fast run must not regress
+# against the previous record in BENCH_history.jsonl (bench-smoke's, in
+# make ci) past compare.exe's default 5% cycle and IPC thresholds.
+perf-compare:
+	dune exec bench/main.exe -- --fast fig5
+	dune exec bench/compare.exe
+
+# Trace export gate: a traced run's Chrome trace and --stats-json
+# metrics must validate.
+trace-smoke:
+	dune build bin/mi6_sim.exe bench/json_check.exe
+	dune exec bin/mi6_sim.exe -- run -b gcc --warmup 20000 --measure 60000 \
+		--trace trace.json --stats-json metrics.json
+	dune exec bench/json_check.exe -- --chrome-trace trace.json metrics.json
 
 # Leakage gates, each exiting nonzero unless both halves of the claim
 # hold: `attack` needs every insecure channel to leak and every MI6 one
@@ -81,6 +103,19 @@ sweep-smoke:
 		dune exec bench/json_check.exe -- --telemetry "$$f" || exit 1; \
 	done
 	dune exec bench/json_check.exe -- --history SWEEP_history.jsonl
+
+# Sweep speedup gate: on a host with at least two hardware threads, the
+# --jobs 2 sweep of sweep-smoke (which writes both logs) must be at
+# least 1.7x as fast as the serial one.
+sweep-speedup:
+	if [ "$$(nproc)" -ge 2 ]; then \
+		t1=$$(sed -n 's/^sweep-wall jobs=1 cells=[0-9]* seconds=//p' sweep-serial.log); \
+		t2=$$(sed -n 's/^sweep-wall jobs=2 cells=[0-9]* seconds=//p' sweep-parallel.log); \
+		awk -v a="$$t1" -v b="$$t2" \
+			'BEGIN { s = a / b; printf "sweep speedup at --jobs 2: %.2fx\n", s; exit (s >= 1.7 ? 0 : 1) }'; \
+	else \
+		echo "single hardware thread: skipping speedup gate"; \
+	fi
 
 # Telemetry gate: a run streaming JSONL snapshots every 1000 cycles must
 # produce a stream that validates (schema, dense seq, increasing cycles)
@@ -177,11 +212,6 @@ profile-smoke:
 	cmp profile.json profile-self.json
 	grep -q 'sampler overhead: .*% of wall' profile-self.txt
 
-# Diff the two most recent bench runs in BENCH_history.jsonl; exits
-# nonzero on a cycle or IPC regression past the default 5% thresholds.
-perf-compare:
-	dune exec bench/compare.exe
-
 # Static lint gate: constant-time / hardware-invariant verdicts and
 # channel inference (mi6.lint/2 reports; exit codes: 0 = clean,
 # 1 = findings, 2 = usage/IO error), one pass over the corpus:
@@ -231,7 +261,7 @@ lint-channels:
 			|| exit 1; \
 	done
 
-ci: build test soak bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke perf-smoke profile-smoke lint-channels
+ci: build test soak bench-smoke trace-smoke audit-smoke lint-channels profile-smoke telemetry-smoke top-smoke sweep-smoke sweep-speedup bisect-smoke ni-smoke perf-smoke perf-compare
 
 clean:
 	dune clean
@@ -243,4 +273,5 @@ clean:
 		ni-fpma.json ni-base.json ni-base-j2.json ni-falsified.sched \
 		telemetry.jsonl tel-serial\#* tel-parallel\#* SWEEP_history.jsonl \
 		sweep-serial.log sweep-parallel.log \
-		profile.json profile.folded profile-self.json profile-self.txt soak.log
+		profile.json profile.folded profile-self.json profile-self.txt soak.log \
+		trace.json metrics.json

@@ -493,15 +493,15 @@ let multicore () =
 let micro () =
   let open Bechamel in
   let open Bechamel.Toolkit in
-  let fifo_test =
-    Test.make ~name:"fifo enq/deq x16"
+  let ring_test =
+    Test.make ~name:"ring push/pop x16"
       (Staged.stage (fun () ->
-           let q = Fifo.create ~capacity:16 in
+           let q = Ring.create 16 in
            for i = 0 to 15 do
-             Fifo.enq q i
+             Ring.push q i
            done;
            for _ = 0 to 15 do
-             ignore (Fifo.deq q)
+             ignore (Ring.pop q)
            done))
   in
   let sha_test =
@@ -538,7 +538,7 @@ let micro () =
   in
   let grouped =
     Test.make_grouped ~name:"mi6"
-      [ fifo_test; sha_test; predictor_test; llc_tick_test ]
+      [ ring_test; sha_test; predictor_test; llc_tick_test ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in

@@ -308,11 +308,11 @@ let multi_cmd =
     guard_io @@ fun () ->
     let benches = Array.of_list benches in
     let cores = Array.length benches in
-    (* Each core takes two LLC ports (I and D); refuse before building
-       anything. *)
-    if 2 * cores > Mi6_llc.Llc.max_ports then begin
+    (* Each core takes its own block of DRAM regions; refuse before
+       building anything. *)
+    if cores > Tmachine.max_cores then begin
       Printf.eprintf "mi6_sim: error: multi takes at most %d benchmarks, got %d\n%!"
-        (Mi6_llc.Llc.max_ports / 2) cores;
+        Tmachine.max_cores cores;
       2
     end
     else begin
@@ -1473,6 +1473,7 @@ let lint_cmd =
         | Some (M_variant v) -> Config.timing ~cores v
         | None -> Config.timing ~cores Config.Base
       in
+      let open_here = Channel.open_channels ~timing:channel_timing in
       let channel_note f =
         if not channels then ""
         else
@@ -1482,7 +1483,7 @@ let lint_cmd =
           in
           Printf.sprintf "\n      channels: %s; open here: %s"
             (names (Channel.infer ~timing:channel_timing f))
-            (names (Channel.open_channels ~timing:channel_timing f))
+            (names (open_here f))
       in
       let analyze_one ~name ~secret ~shared program =
         let shared = shared @ shared_ranges in
@@ -1619,8 +1620,7 @@ let lint_cmd =
                 ( "channels",
                   Channel.to_json (Channel.infer ~timing:channel_timing f) );
                 ( "open_channels",
-                  Channel.to_json
-                    (Channel.open_channels ~timing:channel_timing f) );
+                  Channel.to_json (open_here f) );
               ]
         in
         let config_finding_json (f : Hwlint.finding) =

@@ -82,37 +82,58 @@ let infer ~(timing : Config.timing) (f : Taint.finding) =
   in
   norm (if f.Taint.rsb then Rsb :: base else base)
 
-let closes ~(timing : Config.timing) ch =
-  let sec = timing.Config.llc_security in
-  let llc = timing.Config.llc in
-  let core = timing.Config.core in
-  let cache_closed () =
-    (* Probe the index function: two lines with equal flat index in
-       different DRAM regions land in different sets iff the index is
-       region-partitioned (Section 7.2). *)
-    let lines_per_region =
-      Addr.region_base Addr.default_regions 1 / Addr.line_bytes
-    in
-    Index.index llc.Llc.index ~line:0
-    <> Index.index llc.Llc.index ~line:lines_per_region
-  in
-  let dram_closed () = 2 * llc.Llc.mshrs <= timing.Config.dram_outstanding in
-  match ch with
-  | Cache -> cache_closed ()
-  | Mshr -> sec.Llc.partitioned_mshrs
-  | Arbiter -> sec.Llc.round_robin_arbiter
-  | Uq_dq -> sec.Llc.split_uq && sec.Llc.dq_retry
-  | Dram -> dram_closed ()
-  | Walk ->
-    (* Walker traffic is ordinary cached memory traffic; it is isolated
-       exactly when the set index and the DRAM path are. *)
-    cache_closed () && dram_closed ()
-  | Purge | Btb | Rsb ->
-    (* Flush-on-trap resets predictors and timing state at every domain
-       crossing (Section 6). *)
-    core.Core_config.flush_on_trap
+let of_lint_check = function
+  | "llc-mshr-sharing" | "mshr-partitioning" | "mshr-banking" -> Some Mshr
+  | "llc-arbiter" -> Some Arbiter
+  | "llc-shared-uq" | "llc-dq-port" | "llc-shared-downgrade" -> Some Uq_dq
+  | "mshr-vs-dram" -> Some Dram
+  | "llc-partition" -> Some Cache
+  | "purge-on-trap" | "purge-floor" -> Some Purge
+  | "monitor-region" | "region-coverage" | "region-overlap"
+  | "region-mask-width" | "shared-monitor-region" | "shared-owner" ->
+    (* Ownership/ledger violations expose cross-domain DRAM placement. *)
+    Some Dram
+  | _ -> None
 
-let open_channels ~timing (f : Taint.finding) =
+(* The linter decides every channel one of [lint_timing]'s checks maps
+   to ({!of_lint_check}): a flagged channel is open.  Two verdicts it
+   has no check for come from the configuration itself: the set-index
+   probe and flush-on-trap.  The lint pass runs once, when [~timing] is
+   applied. *)
+let closes ~(timing : Config.timing) =
+  let flagged =
+    List.filter_map
+      (fun (f : Lint.finding) -> of_lint_check f.Lint.check)
+      (Lint.lint_timing ~name:"channel" timing)
+  in
+  let index = timing.Config.llc.Llc.index in
+  let rec closes ch =
+    (not (List.mem ch flagged))
+    &&
+    match ch with
+    | Cache ->
+      (* The linter checks that the index is a partition; the probe
+         checks that two lines with equal flat index in adjacent DRAM
+         regions land in different sets (Section 7.2). *)
+      let lines_per_region =
+        Addr.region_base Addr.default_regions 1 / Addr.line_bytes
+      in
+      Index.index index ~line:0 <> Index.index index ~line:lines_per_region
+    | Walk ->
+      (* Walker traffic is ordinary cached memory traffic; it is isolated
+         exactly when the set index and the DRAM path are. *)
+      closes Cache && closes Dram
+    | Btb | Rsb ->
+      (* Flush-on-trap resets the predictors at every domain crossing
+         (Section 6). *)
+      timing.Config.core.Core_config.flush_on_trap
+    | Arbiter | Mshr | Uq_dq | Dram | Purge -> true
+  in
+  closes
+
+let open_channels ~timing =
+  let closes = closes ~timing in
+  fun (f : Taint.finding) ->
   let mem_kind =
     match f.Taint.kind with
     | Taint.Load_address | Taint.Store_address | Taint.Shared_read
@@ -127,19 +148,6 @@ let open_channels ~timing (f : Taint.finding) =
     (* NONSPEC renames memory only at an empty ROB: a wrong-path memory
        access never issues, so the transient transmitter is gone. *)
     []
-  else List.filter (fun ch -> not (closes ~timing ch)) (infer ~timing f)
-
-let of_lint_check = function
-  | "llc-mshr-sharing" | "mshr-partitioning" | "mshr-banking" -> Some Mshr
-  | "llc-arbiter" -> Some Arbiter
-  | "llc-shared-uq" | "llc-dq-port" | "llc-shared-downgrade" -> Some Uq_dq
-  | "mshr-vs-dram" -> Some Dram
-  | "llc-partition" -> Some Cache
-  | "purge-on-trap" | "purge-floor" -> Some Purge
-  | "monitor-region" | "region-coverage" | "region-overlap"
-  | "region-mask-width" | "shared-monitor-region" | "shared-owner" ->
-    (* Ownership/ledger violations expose cross-domain DRAM placement. *)
-    Some Dram
-  | _ -> None
+  else List.filter (fun ch -> not (closes ch)) (infer ~timing f)
 
 let to_json chs = Json.List (List.map (fun ch -> Json.String (name ch)) chs)

@@ -9,11 +9,11 @@
     signal through the set index, one confined to a single page cannot
     signal through the walker.  {!closes} answers "does {e this}
     configuration close that channel" from the same {!Mi6_core.Config}
-    the dynamic machine runs — partitioned index, partitioned MSHRs,
-    round-robin arbiter, MSHR-vs-DRAM sizing, flush-on-trap — and
-    {!open_channels} combines the two (a speculative memory finding
-    dies entirely under NONSPEC, which never issues a wrong-path memory
-    access).
+    the dynamic machine runs: a channel that a {!Lint.lint_timing}
+    finding leaves open ({!of_lint_check}) is open, and the set-index
+    probe and flush-on-trap decide the rest.  {!open_channels} combines
+    the two (a speculative memory finding dies entirely under NONSPEC,
+    which never issues a wrong-path memory access).
 
     The type extends the Audit vocabulary with the two front-end
     predictor channels ([Btb], [Rsb]) that the dynamic audit cannot
@@ -48,11 +48,15 @@ val to_audit : t -> Audit.channel option
     can localize this leak to. *)
 val infer : timing:Config.timing -> Taint.finding -> t list
 
-(** [closes ~timing ch] — does this configuration shut channel [ch]? *)
+(** [closes ~timing ch] — does this configuration shut channel [ch]?
+    Never for a channel a {!Lint.lint_timing} finding maps to.  Applying
+    [~timing] runs the linter once (a few milliseconds), so apply it once
+    and ask about many channels. *)
 val closes : timing:Config.timing -> t -> bool
 
 (** [infer] minus the channels [timing] closes; empty for speculative
-    memory findings when [nonspec_mem] is set. *)
+    memory findings when [nonspec_mem] is set.  Like {!closes}, apply
+    [~timing] once and reuse the function for every finding. *)
 val open_channels : timing:Config.timing -> Taint.finding -> t list
 
 (** Map a hardware-lint check identifier ({!Lint.finding}[.check]) to

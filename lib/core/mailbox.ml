@@ -1,16 +1,18 @@
 type endpoint = To_os | To_enclave of int
 
-type t = { q : (endpoint * string) Fifo.t }
+type t = { q : (endpoint * string) Queue.t; capacity : int }
 
-let create ?(capacity = 8) () = { q = Fifo.create ~capacity }
+let create ?(capacity = 8) () =
+  if capacity <= 0 then invalid_arg "Mailbox.create: capacity must be positive";
+  { q = Queue.create (); capacity }
 
 let send t ~from_ msg =
-  if Fifo.can_enq t.q then begin
-    Fifo.enq t.q (from_, msg);
+  if Queue.length t.q < t.capacity then begin
+    Queue.push (from_, msg) t.q;
     true
   end
   else false
 
-let recv t = if Fifo.can_deq t.q then Some (Fifo.deq t.q) else None
-let pending t = Fifo.length t.q
-let clear t = Fifo.clear t.q
+let recv t = Queue.take_opt t.q
+let pending t = Queue.length t.q
+let clear t = Queue.clear t.q

@@ -19,8 +19,15 @@ type t = {
    8i+1..8i+7 (region 0 stays the monitor's).  Within the block: code,
    data, kernel, and page tables each get their own region, so domains
    are fully disjoint — including the page-table lines the walkers
-   touch. *)
-let region_block core = (8 * core) + 1
+   touch.  The default geometry's 64 regions hold 8 blocks. *)
+let max_cores = Addr.default_regions.Addr.region_count / 8
+
+let region_block core =
+  if core >= max_cores then
+    invalid_arg
+      (Printf.sprintf "Tmachine: core %d has no region block (at most %d cores)"
+         core max_cores);
+  (8 * core) + 1
 
 let code_base ~core = Addr.region_base Addr.default_regions (region_block core)
 let data_base ~core = Addr.region_base Addr.default_regions (region_block core + 1)

@@ -10,8 +10,14 @@
 
 type t
 
+(** Cores a machine can have: core [i] owns its own block of DRAM
+    regions ([8i+1] to [8i+7] of {!Mi6_mem.Addr.default_regions}), and
+    the 64 default regions hold 8 blocks. *)
+val max_cores : int
+
 (** [create ?trace timing ~streams ~stats] builds a machine with one core
     per stream; core [i] pulls its µops straight from [streams.(i)].
+    Raises [Invalid_argument] with more than {!max_cores} streams.
     Nothing rewinds a machine: the simulator is deterministic, so a run
     is reproduced by building a fresh machine from the same inputs.
     [trace] (default {!Trace.null}) is shared by every
@@ -98,7 +104,8 @@ val run_spec :
 
 (** [spec_stream ?seed ~core ~bench ~limit ()] — the µop stream
     [run_spec] drives: [bench]'s synthetic model confined to [core]'s
-    region block, ending after [limit] µops.  Exposed for tests that
+    region block, ending after [limit] µops; raises [Invalid_argument]
+    when [core >= max_cores].  Exposed for tests that
     need to drive {!create}/{!tick} directly. *)
 val spec_stream :
   ?seed:int ->

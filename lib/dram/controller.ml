@@ -1,4 +1,4 @@
-type req = { read : bool; line : int; tag : int }
+type req = Fr_fcfs.req = { read : bool; line : int; tag : int }
 
 type t = Const of Dram.t | Reorder of Fr_fcfs.t
 
@@ -11,10 +11,10 @@ let can_accept = function
   | Const d -> Dram.can_accept d
   | Reorder d -> Fr_fcfs.can_accept d
 
-let accept t ~now { read; line; tag } =
+let accept t ~now req =
   match t with
-  | Const d -> Dram.accept d ~now ~read ~line ~tag
-  | Reorder d -> Fr_fcfs.accept d ~now { Fr_fcfs.read; line; tag }
+  | Const d -> Dram.accept d ~now ~read:req.read ~line:req.line ~tag:req.tag
+  | Reorder d -> Fr_fcfs.accept d ~now req
 
 let tick t ~now ~respond =
   match t with

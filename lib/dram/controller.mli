@@ -1,7 +1,8 @@
 (** Uniform front for the two DRAM controller models, so the LLC is
     agnostic to which one is plugged in. *)
 
-type req = { read : bool; line : int; tag : int }
+(** One DRAM command; the FR-FCFS controller queues this record as is. *)
+type req = Fr_fcfs.req = { read : bool; line : int; tag : int }
 
 type t
 

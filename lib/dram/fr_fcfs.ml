@@ -36,7 +36,7 @@ type t = {
   mutable queue : waiting list; (* arrival order, oldest first *)
   mutable seq : int;
   mutable accepted_at : int;
-  ready : (int * req) Fifo.t; (* done_at, req — completed, pending respond *)
+  ready : Ring.t; (* (line, tag) of completed reads, pending respond *)
 }
 
 let create ?(trace = Trace.null) cfg ~stats =
@@ -53,7 +53,7 @@ let create ?(trace = Trace.null) cfg ~stats =
     queue = [];
     seq = 0;
     accepted_at = -1;
-    ready = Fifo.create ~capacity:cfg.max_outstanding;
+    ready = Ring.create ~width:2 cfg.max_outstanding;
   }
 
 let bank_of (cfg : config) ~line = line land (cfg.banks - 1)
@@ -64,7 +64,7 @@ let outstanding t =
   + Array.fold_left
       (fun n b -> n + match b.current with Some _ -> 1 | None -> 0)
       0 t.banks
-  + Fifo.length t.ready
+  + Ring.length t.ready
 
 let can_accept t = outstanding t < t.cfg.max_outstanding
 
@@ -119,12 +119,12 @@ let tick t ~now ~respond =
     | Some (req, done_at) when done_at <= now ->
       bank.current <- None;
       bank.busy_until <- now;
-      if req.read then Fifo.enq t.ready (done_at, req)
+      if req.read then Ring.push2 t.ready req.line req.tag
     | _ -> ()
   done;
   (* One response per cycle on the shared data bus. *)
-  match Fifo.peek_opt t.ready with
-  | Some (_, req) ->
-    ignore (Fifo.deq t.ready);
-    respond ~tag:req.tag ~line:req.line
-  | None -> ()
+  if not (Ring.is_empty t.ready) then begin
+    let line = Ring.peek t.ready 0 and tag = Ring.peek t.ready 1 in
+    Ring.drop t.ready;
+    respond ~tag ~line
+  end

@@ -1,12 +1,17 @@
-(** FIFO queues of fixed-width int records in one circular int array.
+(** Bounded FIFO queues of fixed-width int records in one circular int
+    array: the one queue type of the cycle models.
 
-    The per-cycle queues of the core, the L1s, the links, the LLC and the
-    DRAM controller (free list, store-buffer drain order, cache input and
-    completions, coherence messages, the LLC pipeline and its retry, UQ
-    and DQ queues, DRAM requests in flight) hold a few ints per entry.
-    Storing them flat makes [push] and [pop] allocation-free, unlike
-    [Queue] cells or [Fifo] slots holding records.  Record [i] counts from
-    the oldest ([i = 0]); field [k] is in [0, width). *)
+    Every hardware queue the simulator keeps holds a few ints per entry:
+    the three FIFOs of a core-to-LLC link (Figure 1), the LLC's pipeline
+    and its retry, UQ and DQ queues (Figure 3), the constant-latency DRAM
+    controller's requests in flight, the FR-FCFS controller's responses,
+    the L1s' input and completions, and the core's free list and
+    store-buffer drain order.  Storing them flat makes [push] and [pop]
+    allocation-free, unlike [Queue] cells holding records.  Pushing onto
+    a full ring or dropping from an empty one raises: hardware never
+    fires such a rule, so callers test the length first, which is how
+    the cycle models express backpressure.  Record [i] counts from the
+    oldest ([i = 0]); field [k] is in [0, width). *)
 
 (** The record is exposed read-only so that a per-cycle test of a ring's
     length compiles to a field load ([q.Ring.len = 0]): the build's dev

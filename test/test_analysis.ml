@@ -602,6 +602,54 @@ let test_lint_ledger_sharing () =
   Alcotest.(check bool) "grants revoked by transfer" true
     (Region.readers ledger 2 = [])
 
+(* [Channel.closes] never calls a channel closed that one of the
+   linter's findings leaves open, on every variant, the MI6 machine, and
+   three single-field breaks of the MI6 machine that only the linter's
+   checks see. *)
+let test_closes_agrees_with_lint () =
+  let mi6 = Config.secure_multicore ~cores:1 in
+  let breaks =
+    [
+      ( "mi6 with a shared downgrade scanner", "llc-shared-downgrade",
+        { mi6 with
+          Config.llc_security =
+            { mi6.Config.llc_security with
+              Llc.per_partition_downgrade = false } } );
+      ( "mi6 with purge_floor 100", "purge-floor",
+        { mi6 with
+          Config.core = { mi6.Config.core with Core_config.purge_floor = 100 } }
+      );
+      ( "mi6 with 7 MSHRs", "mshr-partitioning",
+        { mi6 with Config.llc = { mi6.Config.llc with Llc.mshrs = 7 } } );
+    ]
+  in
+  List.iter
+    (fun (name, check, timing) ->
+      Alcotest.(check bool) (name ^ " flags " ^ check) true
+        (has_check (Lint.lint_timing ~name timing) check))
+    breaks;
+  let configs =
+    List.map
+      (fun v -> (Config.variant_name v, Config.timing ~cores:1 v))
+      Config.all_variants
+    @ [ ("mi6", mi6) ]
+    @ List.map (fun (name, _, timing) -> (name, timing)) breaks
+  in
+  List.iter
+    (fun (name, timing) ->
+      let closes = Channel.closes ~timing in
+      List.iter
+        (fun (f : Lint.finding) ->
+          match Channel.of_lint_check f.Lint.check with
+          | None -> ()
+          | Some ch ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s leaves %s open" name f.Lint.check
+                 (Channel.name ch))
+              false (closes ch))
+        (Lint.lint_timing ~name timing))
+    configs
+
 (* ------------------------------------------------------------------ *)
 (* Bisection over witness programs                                     *)
 (* ------------------------------------------------------------------ *)
@@ -784,6 +832,8 @@ let () =
           Alcotest.test_case "ownership ledger" `Quick test_lint_ledger;
           Alcotest.test_case "ledger read sharing" `Quick
             test_lint_ledger_sharing;
+          Alcotest.test_case "closes agrees with findings" `Quick
+            test_closes_agrees_with_lint;
         ] );
       ( "bisect",
         [

@@ -7,112 +7,129 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
 (* ------------------------------------------------------------------ *)
-(* Fifo                                                                *)
+(* Ring at a fixed capacity: the bounded queue of the cycle models      *)
 (* ------------------------------------------------------------------ *)
 
+(* Field [k] of every record, oldest first. *)
+let ring_fields q k = List.init (Ring.length q) (fun i -> Ring.get q i k)
+
 let test_fifo_basic () =
-  let q = Fifo.create ~capacity:3 in
-  check_bool "fresh queue empty" true (Fifo.is_empty q);
-  check_bool "fresh queue can enq" true (Fifo.can_enq q);
-  Fifo.enq q 1;
-  Fifo.enq q 2;
-  Fifo.enq q 3;
-  check_bool "full after capacity enqs" true (Fifo.is_full q);
-  check_bool "cannot enq when full" false (Fifo.can_enq q);
-  check_int "fifo order 1" 1 (Fifo.deq q);
-  check_int "fifo order 2" 2 (Fifo.deq q);
-  Fifo.enq q 4;
-  check_int "fifo order 3" 3 (Fifo.deq q);
-  check_int "fifo order 4" 4 (Fifo.deq q);
-  check_bool "empty at end" true (Fifo.is_empty q)
+  let q = Ring.create 3 in
+  check_bool "fresh ring empty" true (Ring.is_empty q);
+  check_bool "fresh ring not full" false (Ring.is_full q);
+  Ring.push q 1;
+  Ring.push q 2;
+  Ring.push q 3;
+  check_bool "full after capacity pushes" true (Ring.is_full q);
+  check_int "fifo order 1" 1 (Ring.pop q);
+  check_int "fifo order 2" 2 (Ring.pop q);
+  check_bool "not full after a pop" false (Ring.is_full q);
+  Ring.push q 4;
+  check_int "fifo order 3" 3 (Ring.pop q);
+  check_int "fifo order 4" 4 (Ring.pop q);
+  check_bool "empty at end" true (Ring.is_empty q)
 
 let test_fifo_peek_clear () =
-  let q = Fifo.create ~capacity:2 in
-  Alcotest.check_raises "deq empty" (Failure "Fifo.deq: empty") (fun () ->
-      ignore (Fifo.deq q));
-  Fifo.enq q 7;
-  check_int "peek does not remove" 7 (Fifo.peek q);
-  check_int "length after peek" 1 (Fifo.length q);
-  Fifo.clear q;
-  check_bool "clear empties" true (Fifo.is_empty q);
-  Alcotest.(check (option int)) "peek_opt empty" None (Fifo.peek_opt q)
+  let q = Ring.create ~width:2 2 in
+  Ring.push2 q 7 70;
+  Ring.push2 q 8 80;
+  check_int "peek field 0" 7 (Ring.peek q 0);
+  check_int "peek field 1" 70 (Ring.peek q 1);
+  check_int "length after peek" 2 (Ring.length q);
+  Ring.drop q;
+  check_int "peek after drop" 8 (Ring.peek q 0);
+  Ring.drop q;
+  check_bool "drops empty the ring" true (Ring.is_empty q)
 
 let test_fifo_enq_full () =
-  let q = Fifo.create ~capacity:1 in
-  Fifo.enq q 0;
-  Alcotest.check_raises "enq full" (Failure "Fifo.enq: full") (fun () ->
-      Fifo.enq q 1)
+  let q = Ring.create 1 in
+  Alcotest.check_raises "drop empty" (Failure "Ring.drop: empty") (fun () ->
+      Ring.drop q);
+  Alcotest.check_raises "peek empty" (Failure "Ring.peek: empty") (fun () ->
+      ignore (Ring.peek q 0));
+  Ring.push q 0;
+  Alcotest.check_raises "push full" (Failure "Ring.push: full") (fun () ->
+      Ring.push q 1);
+  check_int "full ring keeps its record" 0 (Ring.pop q);
+  Alcotest.check_raises "pop empty" (Failure "Ring.peek: empty") (fun () ->
+      ignore (Ring.pop q))
 
 let test_fifo_wraparound_iter () =
-  let q = Fifo.create ~capacity:4 in
-  List.iter (Fifo.enq q) [ 1; 2; 3; 4 ];
-  ignore (Fifo.deq q);
-  ignore (Fifo.deq q);
-  Fifo.enq q 5;
-  Fifo.enq q 6;
-  Alcotest.(check (list int)) "to_list oldest first" [ 3; 4; 5; 6 ] (Fifo.to_list q)
+  let q = Ring.create ~width:2 4 in
+  List.iter (fun x -> Ring.push2 q x (10 * x)) [ 1; 2; 3; 4 ];
+  Ring.drop q;
+  Ring.drop q;
+  Ring.push2 q 5 50;
+  Ring.push2 q 6 60;
+  Alcotest.(check (list int)) "field 0 oldest first" [ 3; 4; 5; 6 ]
+    (ring_fields q 0);
+  Alcotest.(check (list int)) "field 1 oldest first" [ 30; 40; 50; 60 ]
+    (ring_fields q 1)
 
-(* A FIFO behaves like a list queue under any valid op sequence. *)
+(* A ring of two-field records at a fixed capacity behaves like a list
+   queue under any push/drop sequence; a push onto a full ring raises and
+   leaves it unchanged. *)
 let prop_fifo_model =
   QCheck.Test.make ~name:"fifo matches list model" ~count:300
     QCheck.(pair (int_range 1 8) (small_list (option small_int)))
     (fun (cap, ops) ->
-      let q = Fifo.create ~capacity:cap in
+      let q = Ring.create ~width:2 cap in
       let model = ref [] in
+      let agrees () =
+        ring_fields q 0 = List.map fst !model
+        && ring_fields q 1 = List.map snd !model
+        && Ring.is_full q = (List.length !model = cap)
+      in
       List.for_all
         (fun op ->
-          match op with
-          | Some x ->
-            if Fifo.can_enq q then begin
-              Fifo.enq q x;
-              model := !model @ [ x ];
-              Fifo.to_list q = !model
-            end
-            else List.length !model = cap
-          | None ->
-            if Fifo.can_deq q then begin
-              match !model with
-              | [] -> false
-              | m :: rest ->
-                let got = Fifo.deq q in
-                model := rest;
-                got = m && Fifo.to_list q = !model
-            end
-            else !model = [])
+          match (op, !model) with
+          | Some x, _ when List.length !model = cap ->
+            (match Ring.push2 q x (-x) with
+            | () -> false
+            | exception Failure _ -> agrees ())
+          | Some x, _ ->
+            Ring.push2 q x (-x);
+            model := !model @ [ (x, -x) ];
+            agrees ()
+          | None, [] -> Ring.is_empty q
+          | None, (x, _) :: rest ->
+            let got = Ring.pop q in
+            model := rest;
+            got = x && agrees ())
         ops)
 
 (* Forced fill/drain rounds march head and tail across the circular
-   boundary many times; the queue must track the list model at every
+   boundary many times; the ring must track the list model at every
    step, including peek and the full/empty flags at the extremes. *)
 let prop_fifo_wraparound =
   QCheck.Test.make ~name:"fifo wraparound fill/drain rounds" ~count:200
     QCheck.(pair (int_range 1 8) (small_list (int_range 0 8)))
     (fun (cap, rounds) ->
-      let q = Fifo.create ~capacity:cap in
+      let q = Ring.create cap in
       let model = ref [] in
       let tick = ref 0 in
       List.for_all
         (fun k ->
-          let enqs = min k (cap - Fifo.length q) in
-          for _ = 1 to enqs do
+          let pushes = min k (cap - Ring.length q) in
+          for _ = 1 to pushes do
             incr tick;
-            Fifo.enq q !tick;
+            Ring.push q !tick;
             model := !model @ [ !tick ]
           done;
-          let full_ok = Fifo.is_full q = (List.length !model = cap) in
-          let deqs = min k (Fifo.length q) in
-          let deq_ok = ref true in
-          for _ = 1 to deqs do
-            (match !model with
+          let full_ok = Ring.is_full q = (List.length !model = cap) in
+          let pops = min k (Ring.length q) in
+          let pop_ok = ref true in
+          for _ = 1 to pops do
+            match !model with
             | m :: rest ->
-              deq_ok := !deq_ok && Fifo.peek q = m && Fifo.deq q = m;
+              pop_ok := !pop_ok && Ring.peek q 0 = m && Ring.pop q = m;
               model := rest
-            | [] -> deq_ok := false)
+            | [] -> pop_ok := false
           done;
-          full_ok && !deq_ok
-          && Fifo.to_list q = !model
-          && Fifo.is_empty q = (!model = [])
-          && Fifo.length q = List.length !model)
+          full_ok && !pop_ok
+          && ring_fields q 0 = !model
+          && Ring.is_empty q = (!model = [])
+          && Ring.length q = List.length !model)
         rounds)
 
 (* ------------------------------------------------------------------ *)
