@@ -8,8 +8,6 @@
      bench/main.exe --jobs N        simulate the figure cells on N domains
      bench/main.exe fig5 fig9 area  a subset (an unknown name exits 2
                                     before anything runs)
-     bench/main.exe micro           Bechamel microbenchmarks of the
-                                    simulator's core data structures
 
    Every (variant, bench) cell the requested figures read is simulated
    once, by one [Sweep.run] before any figure prints; the figures only
@@ -487,76 +485,6 @@ let multicore () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of simulator primitives                    *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let ring_test =
-    Test.make ~name:"ring push/pop x16"
-      (Staged.stage (fun () ->
-           let q = Ring.create 16 in
-           for i = 0 to 15 do
-             Ring.push q i
-           done;
-           for _ = 0 to 15 do
-             ignore (Ring.pop q)
-           done))
-  in
-  let sha_test =
-    let data = String.make 4096 'x' in
-    Test.make ~name:"sha256 4KB page (measurement)"
-      (Staged.stage (fun () -> ignore (Sha256.digest data)))
-  in
-  let predictor_test =
-    let p = Mi6_ooo.Tournament.create () in
-    Test.make ~name:"tournament predict+update x64"
-      (Staged.stage (fun () ->
-           for i = 0 to 63 do
-             let pc = 0x1000 + (i * 4) in
-             ignore (Mi6_ooo.Tournament.predict p ~pc);
-             Mi6_ooo.Tournament.update p ~pc ~taken:(i land 1 = 0)
-           done))
-  in
-  let llc_tick_test =
-    let stats = Stats.create () in
-    let links = [| Mi6_coherence.Link.create ~depth:4 |] in
-    let dram =
-      Mi6_dram.Controller.constant ~latency:120 ~max_outstanding:24 ~stats ()
-    in
-    let llc =
-      Mi6_llc.Llc.create
-        { (Mi6_llc.Llc.default_config ~cores:1) with Mi6_llc.Llc.mshrs = 4 }
-        ~security:Mi6_llc.Llc.mi6_security ~links ~dram ~stats
-    in
-    let now = ref 0 in
-    Test.make ~name:"idle MI6 LLC tick"
-      (Staged.stage (fun () ->
-           incr now;
-           Mi6_llc.Llc.tick llc ~now:!now))
-  in
-  let grouped =
-    Test.make_grouped ~name:"mi6"
-      [ ring_test; sha_test; predictor_test; llc_tick_test ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  print_endline "Bechamel microbenchmarks (monotonic clock, ns/run):";
-  let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
-  List.iter
-    (fun (name, o) ->
-      match Analyze.OLS.estimates o with
-      | Some (est :: _) -> Printf.printf "  %-38s %12.1f ns/run\n" name est
-      | _ -> Printf.printf "  %-38s (no estimate)\n" name)
-    (List.sort compare rows);
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -654,16 +582,12 @@ let () =
   in
   let wanted = List.filter (fun a -> a <> "--fast") args in
   (* Every name is checked before anything runs or is written. *)
-  (match
-     List.filter
-       (fun name -> name <> "micro" && not (List.mem_assoc name all_figs))
-       wanted
-   with
+  (match List.filter (fun name -> not (List.mem_assoc name all_figs)) wanted with
   | [] -> ()
   | unknown ->
     List.iter
       (fun name ->
-        Printf.eprintf "bench: unknown figure %S (have: %s, micro)\n" name
+        Printf.eprintf "bench: unknown figure %S (have: %s)\n" name
           (String.concat ", " (List.map fst all_figs)))
       unknown;
     exit 2);
@@ -671,22 +595,17 @@ let () =
     "MI6 evaluation harness: %d SPEC CINT2006 models x 7 processor variants \
      (warmup %d, measure %d instructions)\n\n"
     (List.length benches) !warmup !measure;
-  if List.mem "micro" wanted then micro ()
-  else begin
-    let figs =
-      if wanted = [] then all_figs
-      else
-        List.map (fun name -> (name, List.assoc name all_figs)) wanted
-    in
-    let outcomes = run_cells ~jobs (List.map fst figs) in
-    List.iter
-      (fun (name, f) ->
-        let cells = fig_cells name in
-        readable :=
-          List.filter (fun (o : Sweep.outcome) -> List.mem o.cell cells)
-            outcomes;
-        f ())
-      figs;
-    emit_run_json ~fast outcomes;
-    append_history outcomes
-  end
+  let figs =
+    if wanted = [] then all_figs
+    else List.map (fun name -> (name, List.assoc name all_figs)) wanted
+  in
+  let outcomes = run_cells ~jobs (List.map fst figs) in
+  List.iter
+    (fun (name, f) ->
+      let cells = fig_cells name in
+      readable :=
+        List.filter (fun (o : Sweep.outcome) -> List.mem o.cell cells) outcomes;
+      f ())
+    figs;
+  emit_run_json ~fast outcomes;
+  append_history outcomes

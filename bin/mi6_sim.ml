@@ -1,24 +1,27 @@
 (* Command-line front end for the simulator.
 
    Subcommands:
-     run     run SPEC models on processor variants (default)
+     run     run SPEC models on processor variants
      multi   multiprogrammed multicore run (BASE vs secure MI6 machine)
      sweep   domain-parallel (variant x bench x seed) grid with
              deterministic merge (--jobs N)
      attack  side-channel verdicts (prime+probe, MSHR, DRAM banks)
      audit   leakage audit: victim event streams diffed across attackers
      profile CPI-stack attribution of a run, per variant
-     area    structural area model
-     lint    static secret-taint / constant-time analysis of programs and
-             hardware-invariant linting of machine configurations
-
+     top     live table over a telemetry JSONL stream
      bisect  run two configurations in lockstep, compare them every
              cycle, and print a causal slice report at the first
              divergent cycle
+     area    structural area model
+     lint    static secret-taint / constant-time analysis of programs and
+             hardware-invariant linting of machine configurations
+     ni      adversarial interrupt-schedule noninterference on the full
+             machine, with replayable counterexample strings
 
    Exit codes are uniform across subcommands: 0 = clean, 1 = findings
    (lint violations, leakage divergence, attribution residual, a
-   bisection divergence), 2 = usage or I/O error. *)
+   bisection divergence, a falsified ni schedule), 2 = usage or I/O
+   error. *)
 
 open Cmdliner
 open Mi6_core
@@ -87,7 +90,8 @@ let exits =
     Cmd.Exit.info 1
       ~doc:
         "when the command produced findings: lint violations, leakage \
-         divergence, a CPI-stack attribution residual.";
+         divergence, a CPI-stack attribution residual, a bisection \
+         divergence, a falsified ni schedule.";
     Cmd.Exit.info 2 ~doc:"on usage or I/O errors.";
   ]
 
@@ -1110,16 +1114,9 @@ let bisect_cmd =
     let trace_a = Trace.create ~capacity:(1 lsl 16) ()
     and trace_b = Trace.create ~capacity:(1 lsl 16) () in
     let machine_of_uops ~trace ~variant uops =
-      let remaining = ref uops in
-      let stream () =
-        match !remaining with
-        | [] -> None
-        | u :: tl ->
-          remaining := tl;
-          Some u
-      in
       Tmachine.create ~trace (Config.timing ~cores:1 variant)
-        ~streams:[| stream |] ~stats:(Mi6_util.Stats.create ())
+        ~streams:[| Seq.to_dispenser (List.to_seq uops) |]
+        ~stats:(Mi6_util.Stats.create ())
     in
     let secret_pair = secret_a <> None || secret_b <> None in
     if secret_pair && (secret_a = None || secret_b = None) then

@@ -14,11 +14,10 @@ open Mi6_isa
 open Mi6_mem
 open Mi6_func
 open Mi6_util
-open Mi6_coherence
 open Mi6_cache
-open Mi6_dram
 open Mi6_llc
 open Mi6_ooo
+open Mi6_core
 
 let () =
   print_endline "[1] purge at the ISA level";
@@ -44,15 +43,14 @@ let () =
     "trivially added to any ISA as the paper argues";
 
   print_endline "\n[2] purge on the out-of-order core";
-  let stats = Stats.create () in
-  let links = [| Link.create ~depth:4; Link.create ~depth:4 |] in
-  let dram = Controller.constant ~latency:120 ~max_outstanding:24 ~stats () in
-  let llc =
-    Llc.create (Llc.default_config ~cores:2) ~security:Llc.mi6_security ~links
-      ~dram ~stats
+  (* One core on the BASE memory side with MI6's LLC structures. *)
+  let timing =
+    { (Config.timing ~cores:1 Config.Base) with
+      Config.llc_security = Llc.mi6_security }
   in
-  let l1d = L1.create L1.default_config ~link:links.(0) ~stats ~name:"l1d" in
-  let l1i = L1.create L1.default_config ~link:links.(1) ~stats ~name:"l1i" in
+  let stats = Stats.create () in
+  let mem = Hierarchy.create timing ~stats in
+  let l1d = Hierarchy.l1 mem ~core:0 and l1i = Hierarchy.l1 mem ~core:1 in
   (* A workload that dirties everything: branches train the predictors,
      loads fill the D-cache and TLBs. *)
   let rng = Rng.of_int 7 in
@@ -77,14 +75,12 @@ let () =
     Core.create Core_config.default ~l1i ~l1d ~stream ~stats
       ~pt_base_line:(Addr.region_base Addr.default_regions 5 / 64)
   in
-  let cycle = ref 0 in
+  Hierarchy.connect mem ~core:0 (fun id ->
+      Core.mem_complete ooo ~now:(Hierarchy.now mem) ~id);
+  Hierarchy.connect mem ~core:1 (fun id -> Core.icache_complete ooo ~id);
   let step () =
-    Core.tick ooo ~now:!cycle;
-    L1.tick l1d ~now:!cycle ~complete:(fun id ->
-        Core.mem_complete ooo ~now:!cycle ~id);
-    L1.tick l1i ~now:!cycle ~complete:(fun id -> Core.icache_complete ooo ~id);
-    Llc.tick llc ~now:!cycle;
-    incr cycle
+    Core.tick ooo ~now:(Hierarchy.now mem);
+    Hierarchy.tick mem
   in
   while not (Core.finished ooo) do
     step ()
@@ -93,24 +89,23 @@ let () =
                  signature 0x%x\n"
     (L1.valid_lines l1d) (Core.predictor_signature ooo land 0xFFFFFF);
   (* The security monitor deschedules the domain: purge. *)
-  let before = !cycle in
+  let before = Hierarchy.now mem in
   Core.request_purge ooo;
   while Core.purging ooo || not (Core.finished ooo) do
     step ()
   done;
   let fresh_sig =
     let s2 = Stats.create () in
-    let links2 = [| Link.create ~depth:4; Link.create ~depth:4 |] in
-    let a = L1.create L1.default_config ~link:links2.(0) ~stats:s2 ~name:"a" in
-    let b = L1.create L1.default_config ~link:links2.(1) ~stats:s2 ~name:"b" in
+    let mem2 = Hierarchy.create timing ~stats:s2 in
     Core.predictor_signature
-      (Core.create Core_config.default ~l1i:a ~l1d:b
+      (Core.create Core_config.default ~l1i:(Hierarchy.l1 mem2 ~core:1)
+         ~l1d:(Hierarchy.l1 mem2 ~core:0)
          ~stream:(fun () -> None)
          ~stats:s2 ~pt_base_line:0)
   in
   Printf.printf "  purge took %d cycles (>= 512 floor: one L1 line/cycle, \
                  one L2-TLB set/cycle, 8 predictor entries/cycle)\n"
-    (!cycle - before);
+    (Hierarchy.now mem - before);
   Printf.printf "  after purge: L1D %d lines, L1I %d lines, predictor \
                  signature %s fresh core's\n"
     (L1.valid_lines l1d) (L1.valid_lines l1i)

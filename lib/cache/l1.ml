@@ -88,6 +88,7 @@ let create ?(trace = Trace.null) cfg ~link ~stats ~name =
   }
 
 let config t = t.cfg
+let name t = t.name
 let can_accept t = t.input.Ring.len < t.input.Ring.cap && not t.flushing
 
 let request t ~line ~store ~id =

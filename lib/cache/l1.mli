@@ -42,6 +42,9 @@ val create :
   ?trace:Trace.t -> config -> link:Link.t -> stats:Stats.t -> name:string -> t
 val config : t -> config
 
+(** The name given to {!create}: its counters' and trace events' prefix. *)
+val name : t -> string
+
 (** [can_accept t] — the core may issue a request this cycle. *)
 val can_accept : t -> bool
 

@@ -171,17 +171,11 @@ let to_uops run ~func_code_base ~func_data_base =
 type ooo_run = { committed : Uop.t list; cycles : int }
 
 let run_ooo ?trace ~variant uops =
-  let stats = Stats.create () in
-  let timing = Config.timing ~cores:1 variant in
-  let remaining = ref uops in
-  let stream () =
-    match !remaining with
-    | [] -> None
-    | u :: tl ->
-      remaining := tl;
-      Some u
+  let m =
+    Tmachine.create ?trace (Config.timing ~cores:1 variant)
+      ~streams:[| Seq.to_dispenser (List.to_seq uops) |]
+      ~stats:(Stats.create ())
   in
-  let m = Tmachine.create ?trace timing ~streams:[| stream |] ~stats in
   let committed = ref [] in
   Core.set_on_commit (Tmachine.core m 0) (fun u -> committed := u :: !committed);
   let cycles = Tmachine.run m ~max_cycles:4_000_000 in

@@ -12,20 +12,6 @@ let victim_core = 0
 let attacker_base_line = Addr.region_base geometry 2 / Addr.line_bytes
 let victim_base_line = Addr.region_base geometry 3 / Addr.line_bytes
 
-let const_dram (timing : Config.timing) =
-  Hierarchy.Const_dram
-    {
-      latency = timing.Config.dram_latency;
-      max_outstanding = timing.Config.dram_outstanding;
-    }
-
-(* One core's two LLC ports (I and D) carry the two agents. *)
-let make_hierarchy ?trace ?dram (timing : Config.timing) =
-  Hierarchy.create ?trace ~l1:timing.Config.l1 ~llc:timing.Config.llc
-    ~security:timing.Config.llc_security
-    ~dram:(Option.value dram ~default:(const_dram timing))
-    ~stats:(Stats.create ()) ()
-
 (* Serially access [line] from [core] and return the completion latency.
    [while_waiting] runs every cycle (drives the concurrent victim). *)
 let timed_access ?(while_waiting = fun () -> ()) h ~core ~line =
@@ -60,7 +46,7 @@ let plain_access h ~core ~line =
 (* ------------------------------------------------------------------ *)
 
 let prime_probe timing ~secret =
-  let h = make_hierarchy timing in
+  let h = Hierarchy.create timing ~stats:(Stats.create ()) in
   (* Lines of the attacker that share one index-set under the FLAT
      function; under the partitioned function they stay inside the
      attacker's slice either way. *)
@@ -91,7 +77,7 @@ let prime_probe timing ~secret =
 (* ------------------------------------------------------------------ *)
 
 let mshr_channel timing ~victim_floods =
-  let h = make_hierarchy timing in
+  let h = Hierarchy.create timing ~stats:(Stats.create ()) in
   (* The victim keeps as many misses in flight as its L1 allows, to
      fresh lines so every one reaches the LLC and DRAM. *)
   let next_victim = ref 0 in
@@ -114,11 +100,11 @@ let mshr_channel timing ~victim_floods =
 (* ------------------------------------------------------------------ *)
 
 let dram_bank_channel ~reordering ~victim_same_bank =
-  let dram =
-    if reordering then Some (Hierarchy.Reorder_dram Fr_fcfs.default_config)
-    else None
+  let reorder = if reordering then Some Fr_fcfs.default_config else None in
+  let h =
+    Hierarchy.create ?reorder (Config.secure_multicore ~cores:1)
+      ~stats:(Stats.create ())
   in
-  let h = make_hierarchy ?dram (Config.secure_multicore ~cores:1) in
   let banks = Fr_fcfs.default_config.Fr_fcfs.banks in
   (* Attacker misses always target bank 0 (line multiple of #banks). *)
   let attacker_line k = attacker_base_line + (k * 129 * banks) in
@@ -175,7 +161,7 @@ let victim_observation timing ~attacker =
   let trace =
     Trace.create ~capacity:(1 lsl 16) ~filter:[ Trace.Llc; Trace.Dram ] ()
   in
-  let h = make_hierarchy ~trace timing in
+  let h = Hierarchy.create ~trace timing ~stats:(Stats.create ()) in
   (* Roles swapped relative to the other experiments: the victim sits on
      the HIGHER core index, where the baseline mux's lower-core-first
      unfairness can starve it whenever the attacker is busy.  MI6's

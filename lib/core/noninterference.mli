@@ -1,12 +1,13 @@
 (** Side-channel experiments and the non-interference property.
 
     Each experiment runs an attacker agent and a victim agent on the two
-    LLC ports of a one-core {!Config.timing} (the I and D ports, each
-    with its own L1), with disjoint DRAM regions (architectural isolation
-    holds by construction — the question is exactly the paper's: does
-    the {e timing} the attacker observes depend on the victim?).  The
-    insecure configuration is [Config.timing ~cores:1 Base]; the MI6 one
-    is [Config.secure_multicore ~cores:1], which gives each agent its
+    ports of a {!Hierarchy} built from a one-core {!Config.timing} (the
+    D and I ports, each with its own L1), with disjoint DRAM regions
+    (architectural isolation holds by construction — the question is
+    exactly the paper's: does the {e timing} the attacker observes
+    depend on the victim?).  The insecure configuration is
+    [Config.timing ~cores:1 Base]; the MI6 one is
+    [Config.secure_multicore ~cores:1], which gives each agent its
     port's 3-MSHR partition.  The attacker's observation is the list of
     latencies of its own timed accesses.  A configuration provides strong
     timing independence for an experiment when the observation is

@@ -1,18 +1,11 @@
 type t = {
   cores : Core.t array;
-  l1ds : L1.t array;
-  l1is : L1.t array;
-  llc : Llc.t;
+  mem : Hierarchy.t; (* core i on ports 2i (D) and 2i + 1 (I) *)
   stats : Stats.t;
   trace : Trace.t;
   occupancy : Occupancy.t;
   telemetry : Telemetry.t;
   sections : (string * (Statesig.acc -> unit)) list;
-  mutable clock : int;
-  (* Per-core L1 completion sinks, built once: D-side completions carry
-     the current [clock]. *)
-  complete_d : (int -> unit) array;
-  complete_i : (int -> unit) array;
 }
 
 (* Per-core protection-domain region block: core i owns regions
@@ -40,61 +33,35 @@ let pt_base_line ~core =
 let create ?(trace = Trace.null) ?(occupancy = Occupancy.null)
     ?(telemetry = Telemetry.null) (timing : Config.timing) ~streams ~stats =
   let n = Array.length streams in
-  let ports = 2 * n in
-  if timing.Config.llc.Llc.cores <> ports then
+  if timing.Config.llc.Llc.cores <> 2 * n then
     invalid_arg "Tmachine.create: llc config port count mismatch";
-  let links = Array.init ports (fun _ -> Link.create ~depth:4) in
-  let dram =
-    Controller.constant ~trace ~latency:timing.Config.dram_latency
-      ~max_outstanding:timing.Config.dram_outstanding ~stats ()
-  in
-  let llc =
-    Llc.create ~trace timing.Config.llc
-      ~security:timing.Config.llc_security ~links ~dram ~stats
-  in
-  let l1ds =
-    Array.init n (fun i ->
-        L1.create ~trace timing.Config.l1 ~link:links.(2 * i) ~stats
-          ~name:(Printf.sprintf "l1d.%d" i))
-  in
-  let l1is =
-    Array.init n (fun i ->
-        L1.create ~trace timing.Config.l1
-          ~link:links.((2 * i) + 1)
-          ~stats
-          ~name:(Printf.sprintf "l1i.%d" i))
-  in
+  let mem = Hierarchy.create ~trace timing ~stats in
+  let l1 i port = Hierarchy.l1 mem ~core:((2 * i) + port) in
   let cores =
     Array.init n (fun i ->
-        Core.create ~trace ~id:i timing.Config.core ~l1i:l1is.(i)
-          ~l1d:l1ds.(i)
+        Core.create ~trace ~id:i timing.Config.core ~l1i:(l1 i 1) ~l1d:(l1 i 0)
           ~stream:streams.(i)
           ~stats
           ~pt_base_line:(pt_base_line ~core:i))
   in
-  (* One labelled state fold per component: the cores (each covering its
-     own walker), both L1s per core, and the LLC (which also folds the
-     links and the DRAM controller). *)
-  let section fmt fold xs =
-    Array.to_list (Array.mapi (fun i x -> (Printf.sprintf fmt i, fold x)) xs)
-  in
-  let sections =
-    section "core%d" Core.state cores
-    @ section "l1d.%d" L1.state l1ds
-    @ section "l1i.%d" L1.state l1is
-    @ [ ("llc", Llc.state llc) ]
-  in
-  let t =
-    { cores; l1ds; l1is; llc; stats; trace; occupancy; telemetry; sections;
-      clock = 0; complete_d = Array.make n ignore;
-      complete_i = Array.make n ignore }
-  in
   Array.iteri
     (fun i core ->
-      t.complete_d.(i) <- (fun id -> Core.mem_complete core ~now:t.clock ~id);
-      t.complete_i.(i) <- (fun id -> Core.icache_complete core ~id))
+      Hierarchy.connect mem ~core:(2 * i) (fun id ->
+          Core.mem_complete core ~now:(Hierarchy.now mem) ~id);
+      Hierarchy.connect mem ~core:((2 * i) + 1) (fun id ->
+          Core.icache_complete core ~id))
     cores;
-  t
+  (* One labelled state fold per component: the cores (each covering its
+     own walker), the data then the instruction L1s, and the LLC (which
+     also folds the links and the DRAM controller). *)
+  let l1s port = List.init n (fun i -> l1 i port) in
+  let sections =
+    List.mapi (fun i c -> (Printf.sprintf "core%d" i, Core.state c))
+      (Array.to_list cores)
+    @ List.map (fun l -> (L1.name l, L1.state l)) (l1s 0 @ l1s 1)
+    @ [ ("llc", Llc.state (Hierarchy.llc mem)) ]
+  in
+  { cores; mem; stats; trace; occupancy; telemetry; sections }
 
 (* Registry over every component's counters and distributions; values are
    read at export time, so build it once and export after the run. *)
@@ -114,20 +81,13 @@ let metrics m ~stats =
         ~name:(name "core.%d.walk_latency")
         (Core.walk_latency c))
     m.cores;
-  Array.iteri
-    (fun i l ->
-      Metrics.add_histogram reg
-        ~name:(Printf.sprintf "l1d.%d.miss_latency" i)
-        (L1.miss_latency l))
-    m.l1ds;
-  Array.iteri
-    (fun i l ->
-      Metrics.add_histogram reg
-        ~name:(Printf.sprintf "l1i.%d.miss_latency" i)
-        (L1.miss_latency l))
-    m.l1is;
+  for p = 0 to (2 * Array.length m.cores) - 1 do
+    let l = Hierarchy.l1 m.mem ~core:p in
+    Metrics.add_histogram reg ~name:(L1.name l ^ ".miss_latency")
+      (L1.miss_latency l)
+  done;
   Metrics.add_histogram reg ~name:"llc.mshr_occupancy"
-    (Llc.mshr_occupancy m.llc);
+    (Llc.mshr_occupancy (Hierarchy.llc m.mem));
   (* A silently overflowed trace ring invalidates timeline analyses
      (audits compare streams event-for-event), so the drop count rides
      along with every metrics export. *)
@@ -140,7 +100,7 @@ let metrics m ~stats =
   if Occupancy.enabled m.occupancy then Occupancy.register m.occupancy reg;
   reg
 
-let now t = t.clock
+let now t = Hierarchy.now t.mem
 let core t i = t.cores.(i)
 
 let sections t = t.sections
@@ -155,14 +115,11 @@ let committed t =
   Array.fold_left (fun n c -> n + Core.committed_instructions c) 0 t.cores
 
 let tick t =
-  let now = t.clock in
+  let cycle = now t in
   for i = 0 to Array.length t.cores - 1 do
-    Core.tick t.cores.(i) ~now;
-    L1.tick t.l1ds.(i) ~now ~complete:t.complete_d.(i);
-    L1.tick t.l1is.(i) ~now ~complete:t.complete_i.(i)
+    Core.tick t.cores.(i) ~now:cycle
   done;
-  Llc.tick t.llc ~now;
-  t.clock <- now + 1;
+  Hierarchy.tick t.mem;
   if Occupancy.enabled t.occupancy then begin
     let rob = ref 0 and iq = ref 0 and lq = ref 0 and sq = ref 0 and sb = ref 0 in
     Array.iter
@@ -174,24 +131,24 @@ let tick t =
         sb := !sb + Core.sb_occupancy c)
       t.cores;
     Occupancy.sample t.occupancy ~rob:!rob ~iq:!iq ~lq:!lq ~sq:!sq ~sb:!sb
-      ~mshr:(Llc.live_mshrs t.llc);
+      ~mshr:(Llc.live_mshrs (Hierarchy.llc t.mem));
     Occupancy.note_cycle t.occupancy ~signature:(structural_signature t)
       ~cause:(Core.last_cycle_cause t.cores.(0))
   end;
   if Telemetry.enabled t.telemetry then
-    Telemetry.maybe_emit t.telemetry ~cycle:t.clock ~instrs:(committed t)
+    Telemetry.maybe_emit t.telemetry ~cycle:(now t) ~instrs:(committed t)
       ~counters:(fun () -> Stats.to_assoc t.stats)
       ~occupancy:t.occupancy
 
 let finished t = Array.for_all Core.finished t.cores
 
 let run t ~max_cycles =
-  let start = t.clock in
-  while (not (finished t)) && t.clock - start < max_cycles do
+  let start = now t in
+  while (not (finished t)) && now t - start < max_cycles do
     tick t
   done;
   if not (finished t) then failwith "Tmachine.run: cycle budget exhausted";
-  t.clock - start
+  now t - start
 
 type result = {
   cycles : int;
@@ -215,26 +172,26 @@ let run_stream ?trace ?occupancy ?telemetry ~timing ~stream ~warmup () =
   let c = m.cores.(0) in
   let snap = ref None in
   let budget = 400_000_000 in
-  while (not (finished m)) && m.clock < budget do
+  while (not (finished m)) && now m < budget do
     tick m;
     if !snap = None && Core.committed_instructions c >= warmup then
-      snap := Some (m.clock, Core.committed_instructions c, Stats.copy stats)
+      snap := Some (now m, Core.committed_instructions c, Stats.copy stats)
   done;
   if not (finished m) then failwith "Tmachine.run_stream: cycle budget exhausted";
   let finish ~cycles ~instrs ~stats:window =
     let reg = metrics m ~stats:window in
     Metrics.set_int reg ~name:"run.cycles" cycles;
     Metrics.set_int reg ~name:"run.instrs" instrs;
-    { cycles; ticked = m.clock; instrs; stats = window; metrics = reg }
+    { cycles; ticked = now m; instrs; stats = window; metrics = reg }
   in
   match !snap with
   | None ->
     (* Warmup longer than the stream: measure everything. *)
-    finish ~cycles:m.clock
+    finish ~cycles:(now m)
       ~instrs:(Core.committed_instructions c)
       ~stats:(Stats.copy stats)
   | Some (cycle0, instrs0, base) ->
-    finish ~cycles:(m.clock - cycle0)
+    finish ~cycles:(now m - cycle0)
       ~instrs:(Core.committed_instructions c - instrs0)
       ~stats:(Stats.diff stats ~baseline:base)
 
@@ -264,27 +221,26 @@ let run_spec ?trace ?occupancy ?telemetry ?seed ~variant ~bench ~warmup
 (* Multiprogrammed run: one SPEC model per core, each confined to its own
    region block — the multiprocessor methodology the paper could not fit
    on its FPGA (Section 7.2). *)
-let run_multi ?trace ?occupancy ?telemetry ~timing ~benches ~warmup ~measure
-    () =
+let run_multi ?trace ~timing ~benches ~warmup ~measure () =
   let n = Array.length benches in
   let stats = Stats.create () in
   let streams =
     Array.init n (fun i ->
         spec_stream ~core:i ~bench:benches.(i) ~limit:(warmup + measure) ())
   in
-  let m = create ?trace ?occupancy ?telemetry timing ~streams ~stats in
+  let m = create ?trace timing ~streams ~stats in
   let snaps = Array.make n None in
   let fins = Array.make n None in
   let budget = 600_000_000 in
-  while (not (finished m)) && m.clock < budget do
+  while (not (finished m)) && now m < budget do
     tick m;
     Array.iteri
       (fun i core ->
         let c = Core.committed_instructions core in
         if snaps.(i) = None && c >= warmup then
-          snaps.(i) <- Some (m.clock, c);
+          snaps.(i) <- Some (now m, c);
         if fins.(i) = None && c >= warmup + measure then
-          fins.(i) <- Some (m.clock, c))
+          fins.(i) <- Some (now m, c))
       m.cores
   done;
   if not (finished m) then failwith "Tmachine.run_multi: budget exhausted";
@@ -293,7 +249,7 @@ let run_multi ?trace ?occupancy ?telemetry ~timing ~benches ~warmup ~measure
       let cycle0, instr0 = Option.value snaps.(i) ~default:(0, 0) in
       let cycle1, instr1 =
         Option.value fins.(i)
-          ~default:(m.clock, Core.committed_instructions m.cores.(i))
+          ~default:(now m, Core.committed_instructions m.cores.(i))
       in
-      { cycles = cycle1 - cycle0; ticked = m.clock; instrs = instr1 - instr0;
+      { cycles = cycle1 - cycle0; ticked = now m; instrs = instr1 - instr0;
         stats; metrics = reg })

@@ -1,7 +1,7 @@
-(** The timing machine: OoO cores (each with private L1 I/D, TLBs, and
-    walker) around the shared LLC and DRAM controller, advanced in
-    lock-step — plus the experiment runner used by the benchmark harness
-    to reproduce the paper's Figures 5-13.
+(** The timing machine: OoO cores (each with its TLBs and walker) on a
+    {!Hierarchy} (private L1 I/D per core, the shared LLC and DRAM
+    controller), advanced in lock-step — plus the experiment runner used
+    by the benchmark harness to reproduce the paper's Figures 5-13.
 
     The evaluation methodology mirrors the paper's: each SPEC model runs
     alone on one core of a variant machine (Section 7 approximated its
@@ -16,7 +16,9 @@ type t
 val max_cores : int
 
 (** [create ?trace timing ~streams ~stats] builds a machine with one core
-    per stream; core [i] pulls its µops straight from [streams.(i)].
+    per stream; core [i] pulls its µops straight from [streams.(i)] and
+    sits on ports [2i] (D) and [2i + 1] (I) of one {!Hierarchy} built
+    from [timing].
     Raises [Invalid_argument] with more than {!max_cores} streams.
     Nothing rewinds a machine: the simulator is deterministic, so a run
     is reproduced by building a fresh machine from the same inputs.
@@ -34,6 +36,7 @@ val create :
   stats:Stats.t ->
   t
 
+(** [tick t] advances one cycle: every core, then the hierarchy. *)
 val tick : t -> unit
 val now : t -> int
 val core : t -> int -> Core.t
@@ -140,8 +143,6 @@ val run_stream :
     machine-wide). *)
 val run_multi :
   ?trace:Trace.t ->
-  ?occupancy:Occupancy.t ->
-  ?telemetry:Telemetry.t ->
   timing:Config.timing ->
   benches:Mi6_workload.Spec.bench array ->
   warmup:int ->

@@ -667,17 +667,9 @@ let witness_machine w ~variant ~secret =
   let uops =
     Difftest.to_uops run ~func_code_base:w.Witness.base ~func_data_base:0x8000
   in
-  let remaining = ref uops in
-  let stream () =
-    match !remaining with
-    | [] -> None
-    | u :: tl ->
-      remaining := tl;
-      Some u
-  in
   Tmachine.create
     (Config.timing ~cores:1 variant)
-    ~streams:[| stream |]
+    ~streams:[| Seq.to_dispenser (List.to_seq uops) |]
     ~stats:(Mi6_util.Stats.create ())
 
 (* leaky-branch commits a secret-dependent path, so the secret pair must

@@ -9,23 +9,24 @@ open Mi6_llc
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let const_dram = Hierarchy.Const_dram { latency = 120; max_outstanding = 24 }
+module Config = Mi6_core.Config
+module Controller = Mi6_dram.Controller
+module Hierarchy = Mi6_core.Hierarchy
 
+(* A BASE-timing hierarchy with [cores] LLC ports and the given LLC. *)
 let make ?(cores = 2) ?(security = Llc.baseline_security) ?(llc_mshrs = 16)
     ?(mshr_banks = 1) ?(index = Index.flat ~set_bits:10) () =
   let stats = Stats.create () in
-  let llc_cfg =
+  let base = Config.timing ~cores:1 Config.Base in
+  let timing =
     {
-      (Llc.default_config ~cores) with
-      Llc.mshrs = llc_mshrs;
-      mshr_banks;
-      index;
+      base with
+      Config.llc =
+        { base.Config.llc with Llc.cores; mshrs = llc_mshrs; mshr_banks; index };
+      llc_security = security;
     }
   in
-  let h =
-    Hierarchy.create ~llc:llc_cfg ~security ~dram:const_dram ~stats ()
-  in
-  (h, stats)
+  (Hierarchy.create timing ~stats, stats)
 
 (* Issue a single request and run until it completes; returns latency. *)
 let timed_access h ~core ~line ~store ~id =
@@ -53,7 +54,7 @@ let test_cold_miss_then_hit () =
   let hit_lat = timed_access h ~core:0 ~line:100 ~store:false ~id:2 in
   check_bool (Printf.sprintf "hit latency %d is small" hit_lat) true (hit_lat <= 4);
   check_int "one llc miss" 1 (Stats.get stats "llc.misses");
-  check_int "one l1 hit" 1 (Stats.get stats "l1.0.hits")
+  check_int "one l1 hit" 1 (Stats.get stats "l1d.0.hits")
 
 let test_second_core_miss_hits_llc () =
   let h, _ = make () in
@@ -80,7 +81,7 @@ let test_read_downgrades_owner () =
   check_bool "a downgrade was sent" true
     (Stats.get stats "llc.downgrades_sent" >= 1);
   check_bool "dirty data written back to LLC" true
-    (Stats.get stats "l1.0.writebacks" >= 1)
+    (Stats.get stats "l1d.0.writebacks" >= 1)
 
 let test_write_invalidates_sharers () =
   let h, _ = make () in
@@ -99,7 +100,7 @@ let test_l1_eviction_keeps_llc () =
   for k = 0 to 8 do
     ignore (timed_access h ~core:0 ~line:(k * 64 * 1024) ~store:false ~id:k)
   done;
-  check_bool "l1 evicted something" true (Stats.get stats "l1.0.evictions" >= 1);
+  check_bool "l1 evicted something" true (Stats.get stats "l1d.0.evictions" >= 1);
   let llc = Hierarchy.llc h in
   for k = 0 to 8 do
     check_bool "llc still holds line" true (Llc.probe llc ~line:(k * 64 * 1024))
@@ -162,7 +163,7 @@ let test_mshr_merge () =
   Alcotest.(check (list int)) "both ids complete" [ 1; 2 ]
     (List.sort compare !done_ids);
   check_int "only one llc miss" 1 (Stats.get stats "llc.misses");
-  check_bool "merge counted" true (Stats.get stats "l1.0.mshr_merges" >= 1)
+  check_bool "merge counted" true (Stats.get stats "l1d.0.mshr_merges" >= 1)
 
 let test_llc_mshr_exhaustion_stalls () =
   (* Tiny LLC MSHR file: parallel misses from both cores must hit
@@ -257,6 +258,33 @@ let test_invalidate_region () =
   check_bool "region-0 line gone" false (Llc.probe llc ~line:5);
   check_bool "region-1 line kept" true (Llc.probe llc ~line:(region_lines + 5))
 
+(* Port 2i is core i's data L1 and port 2i + 1 its instruction L1.  A
+   connected port hands its sink what [take_completions] would have
+   returned, stamped with the same cycle, and leaves nothing to take. *)
+let test_ports_and_connect () =
+  let fresh () =
+    Hierarchy.create (Config.timing ~cores:2 Config.Base)
+      ~stats:(Stats.create ())
+  in
+  let h = fresh () and plain = fresh () in
+  Alcotest.(check (list string)) "L1 names in port order"
+    [ "l1d.0"; "l1i.0"; "l1d.1"; "l1i.1" ]
+    (List.init 4 (fun core -> L1.name (Hierarchy.l1 h ~core)));
+  let sunk = ref [] in
+  Hierarchy.connect h ~core:2 (fun id -> sunk := (id, Hierarchy.now h) :: !sunk);
+  List.iter
+    (fun h ->
+      Hierarchy.request h ~core:2 ~line:100 ~store:false ~id:7;
+      ignore (Hierarchy.run_until_quiescent h ~max_cycles:2000))
+    [ h; plain ];
+  let completions = Alcotest.(list (pair int int)) in
+  Alcotest.check completions "sink gets the unconnected port's completions"
+    (Hierarchy.take_completions plain ~core:2)
+    !sunk;
+  check_int "one completion" 1 (List.length !sunk);
+  Alcotest.check completions "nothing left to take" []
+    (Hierarchy.take_completions h ~core:2)
+
 (* Pending cores and sharers are int bitmasks, one bit per port: 62
    ports fit, 63 do not. *)
 let test_port_limit () =
@@ -264,7 +292,7 @@ let test_port_limit () =
     let stats = Stats.create () in
     let cfg = { (Llc.default_config ~cores) with Llc.mshrs = 2 * cores } in
     let links = Array.init cores (fun _ -> Link.create ~depth:4) in
-    let dram = Mi6_dram.Controller.constant ~latency:120 ~max_outstanding:24 ~stats () in
+    let dram = Controller.constant ~latency:120 ~max_outstanding:24 ~stats () in
     ignore (Llc.create cfg ~security:Llc.mi6_security ~links ~dram ~stats)
   in
   build Llc.max_ports;
@@ -464,31 +492,12 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 (* ------------------------------------------------------------------ *)
 
 (* An idle cycle must allocate nothing: no closures, options, lists or
-   strings built per tick.  The components are wired the way
-   [Tmachine.create] wires them, from the public constructors. *)
-module Config = Mi6_core.Config
-module Controller = Mi6_dram.Controller
-
-let idle_rig (timing : Config.timing) =
-  let stats = Stats.create () in
-  let links =
-    Array.init timing.Config.llc.Llc.cores (fun _ -> Link.create ~depth:4)
-  in
-  let dram =
-    Controller.constant ~latency:timing.Config.dram_latency
-      ~max_outstanding:timing.Config.dram_outstanding ~stats ()
-  in
-  let llc =
-    Llc.create timing.Config.llc ~security:timing.Config.llc_security ~links
-      ~dram ~stats
-  in
-  let l1 = L1.create timing.Config.l1 ~link:links.(0) ~stats ~name:"l1d.0" in
-  (llc, l1)
-
+   strings built per tick. *)
 let idle_ticks = 10_000
 
 let test_idle_ticks_allocate_nothing (name, timing) () =
-  let llc, l1 = idle_rig timing in
+  let h = Hierarchy.create timing ~stats:(Stats.create ()) in
+  let llc = Hierarchy.llc h and l1 = Hierarchy.l1 h ~core:0 in
   let w0 = Gc.minor_words () in
   for now = 0 to idle_ticks - 1 do
     Llc.tick llc ~now
@@ -650,6 +659,7 @@ let () =
           Alcotest.test_case "llc hit from second core" `Quick
             test_second_core_miss_hits_llc;
           Alcotest.test_case "store gives M" `Quick test_store_gives_m_state;
+          Alcotest.test_case "ports and connect" `Quick test_ports_and_connect;
         ] );
       ( "coherence",
         [

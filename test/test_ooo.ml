@@ -2,11 +2,11 @@
    memory path, purge, and the NONSPEC mode. *)
 
 open Mi6_util
-open Mi6_coherence
 open Mi6_cache
-open Mi6_dram
 open Mi6_llc
 open Mi6_ooo
+module Config = Mi6_core.Config
+module Hierarchy = Mi6_core.Hierarchy
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -81,34 +81,32 @@ let test_ras () =
 (* Core harness                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run_core ?(cfg = Core_config.default) ?(max_cycles = 2_000_000) uops =
+(* One core fed [uops], on ports 0 (D) and 1 (I) of a BASE memory
+   side. *)
+let core_rig ?(cfg = Core_config.default) uops =
   let stats = Stats.create () in
-  let links = [| Link.create ~depth:4; Link.create ~depth:4 |] in
-  let dram = Controller.constant ~latency:120 ~max_outstanding:24 ~stats () in
-  let llc =
-    Llc.create (Llc.default_config ~cores:2) ~security:Llc.baseline_security
-      ~links ~dram ~stats
-  in
-  let l1d = L1.create L1.default_config ~link:links.(0) ~stats ~name:"l1d" in
-  let l1i = L1.create L1.default_config ~link:links.(1) ~stats ~name:"l1i" in
-  let q = Queue.create () in
-  List.iter (fun u -> Queue.add u q) uops;
-  let stream () = Queue.take_opt q in
+  let h = Hierarchy.create (Config.timing ~cores:1 Config.Base) ~stats in
   let core =
-    Core.create cfg ~l1i ~l1d ~stream ~stats
-      ~pt_base_line:(16 * 1024 * 1024 / 64)
+    Core.create cfg ~l1i:(Hierarchy.l1 h ~core:1) ~l1d:(Hierarchy.l1 h ~core:0)
+      ~stream:(Seq.to_dispenser (List.to_seq uops))
+      ~stats ~pt_base_line:(16 * 1024 * 1024 / 64)
   in
-  let cycle = ref 0 in
-  while (not (Core.finished core)) && !cycle < max_cycles do
-    Core.tick core ~now:!cycle;
-    L1.tick l1d ~now:!cycle ~complete:(fun id ->
-        Core.mem_complete core ~now:!cycle ~id);
-    L1.tick l1i ~now:!cycle ~complete:(fun id -> Core.icache_complete core ~id);
-    Llc.tick llc ~now:!cycle;
-    incr cycle
+  Hierarchy.connect h ~core:0 (fun id ->
+      Core.mem_complete core ~now:(Hierarchy.now h) ~id);
+  Hierarchy.connect h ~core:1 (fun id -> Core.icache_complete core ~id);
+  (stats, h, core)
+
+let step h core =
+  Core.tick core ~now:(Hierarchy.now h);
+  Hierarchy.tick h
+
+let run_core ?cfg ?(max_cycles = 2_000_000) uops =
+  let stats, h, core = core_rig ?cfg uops in
+  while (not (Core.finished core)) && Hierarchy.now h < max_cycles do
+    step h core
   done;
   check_bool "core finished" true (Core.finished core);
-  (stats, !cycle, core)
+  (stats, Hierarchy.now h, core)
 
 (* n independent single-cycle ALU ops in a tight code loop footprint. *)
 let independent_alus n =
@@ -165,37 +163,27 @@ let test_latency_beyond_event_window () =
    still run, oldest first.  The finishing cycle is the one the model
    reached when it scanned every pending event each tick. *)
 let test_skipped_cycles_run_due_events () =
-  let stats = Stats.create () in
-  let links = [| Link.create ~depth:4; Link.create ~depth:4 |] in
-  let dram = Controller.constant ~latency:120 ~max_outstanding:24 ~stats () in
-  let llc =
-    Llc.create (Llc.default_config ~cores:2) ~security:Llc.baseline_security
-      ~links ~dram ~stats
-  in
-  let l1d = L1.create L1.default_config ~link:links.(0) ~stats ~name:"l1d" in
-  let l1i = L1.create L1.default_config ~link:links.(1) ~stats ~name:"l1i" in
   let n = 300 in
-  let q = Queue.create () in
-  List.iter
-    (fun u -> Queue.add u q)
-    (List.init n (fun i ->
-         if i mod 3 = 0 then
-           Uop.load ~pc:(0x1000 + (i mod 64 * 4)) ~addr:(0x20000 + (i * 64))
-             ~dst:3 ~srcs:[] ()
-         else
-           Uop.alu ~latency:(1 + (i mod 5)) ~pc:(0x1000 + (i mod 64 * 4))
-             ~dst:2 ~srcs:[ 2; 3 ] ()));
-  let core =
-    Core.create Core_config.default ~l1i ~l1d ~stream:(fun () -> Queue.take_opt q)
-      ~stats ~pt_base_line:(16 * 1024 * 1024 / 64)
+  let _, h, core =
+    core_rig
+      (List.init n (fun i ->
+           if i mod 3 = 0 then
+             Uop.load ~pc:(0x1000 + (i mod 64 * 4)) ~addr:(0x20000 + (i * 64))
+               ~dst:3 ~srcs:[] ()
+           else
+             Uop.alu ~latency:(1 + (i mod 5)) ~pc:(0x1000 + (i mod 64 * 4))
+               ~dst:2 ~srcs:[ 2; 3 ] ()))
   in
+  (* [Hierarchy.tick] advances one cycle at a time, so the memory side
+     is ticked component by component, every third cycle too. *)
+  let l1d = Hierarchy.l1 h ~core:0 and l1i = Hierarchy.l1 h ~core:1 in
   let cycle = ref 0 in
   while (not (Core.finished core)) && !cycle < 3_000_000 do
     Core.tick core ~now:!cycle;
     L1.tick l1d ~now:!cycle ~complete:(fun id ->
         Core.mem_complete core ~now:!cycle ~id);
     L1.tick l1i ~now:!cycle ~complete:(fun id -> Core.icache_complete core ~id);
-    Llc.tick llc ~now:!cycle;
+    Llc.tick (Hierarchy.llc h) ~now:!cycle;
     cycle := !cycle + 3
   done;
   check_bool "core finished" true (Core.finished core);
@@ -212,7 +200,7 @@ let test_load_hits_pipeline () =
   in
   let stats, cycles, _ = run_core uops in
   check_bool "l1d mostly hits" true
-    (Stats.get stats "l1d.hits" > (n * 9 / 10));
+    (Stats.get stats "l1d.0.hits" > (n * 9 / 10));
   (* One mem pipe: at most ~1 load per cycle. *)
   check_bool (Printf.sprintf "cycles %d >= loads" cycles) true (cycles >= n)
 
@@ -340,63 +328,35 @@ let test_flush_slower_than_base () =
     (flush_cycles > base_cycles)
 
 let test_purge_resets_predictor_state () =
-  let stats = Stats.create () in
-  let links = [| Link.create ~depth:4; Link.create ~depth:4 |] in
-  let dram = Controller.constant ~latency:120 ~max_outstanding:24 ~stats () in
-  let llc =
-    Llc.create (Llc.default_config ~cores:2) ~security:Llc.baseline_security
-      ~links ~dram ~stats
-  in
-  let l1d = L1.create L1.default_config ~link:links.(0) ~stats ~name:"l1d" in
-  let l1i = L1.create L1.default_config ~link:links.(1) ~stats ~name:"l1i" in
-  let q = Queue.create () in
   (* Train predictors with irregular branches, then purge. *)
   let rng = Rng.of_int 3 in
-  for i = 0 to 2_000 do
-    Queue.add
-      (Uop.branch
-         ~pc:(0x1000 + (i mod 512 * 4))
-         ~taken:(Rng.bool rng ~p:0.5) ~target:0x9000 ~srcs:[] ())
-      q
-  done;
-  let stream () = Queue.take_opt q in
   let cfg = { Core_config.default with Core_config.flush_on_trap = true } in
-  let core =
-    Core.create cfg ~l1i ~l1d ~stream ~stats ~pt_base_line:(16 * 1024 * 1024 / 64)
+  let _, h, core =
+    core_rig ~cfg
+      (List.init 2_001 (fun i ->
+           Uop.branch
+             ~pc:(0x1000 + (i mod 512 * 4))
+             ~taken:(Rng.bool rng ~p:0.5) ~target:0x9000 ~srcs:[] ()))
   in
   let fresh_sig =
-    let s2 = Stats.create () in
-    let links2 = [| Link.create ~depth:4; Link.create ~depth:4 |] in
-    let l1d2 = L1.create L1.default_config ~link:links2.(0) ~stats:s2 ~name:"x" in
-    let l1i2 = L1.create L1.default_config ~link:links2.(1) ~stats:s2 ~name:"y" in
-    Core.predictor_signature
-      (Core.create cfg ~l1i:l1i2 ~l1d:l1d2 ~stream:(fun () -> None) ~stats:s2
-         ~pt_base_line:0)
+    let _, _, fresh = core_rig ~cfg [] in
+    Core.predictor_signature fresh
   in
-  let cycle = ref 0 in
-  let step () =
-    Core.tick core ~now:!cycle;
-    L1.tick l1d ~now:!cycle ~complete:(fun id ->
-        Core.mem_complete core ~now:!cycle ~id);
-    L1.tick l1i ~now:!cycle ~complete:(fun id -> Core.icache_complete core ~id);
-    Llc.tick llc ~now:!cycle;
-    incr cycle
-  in
-  while (not (Core.finished core)) && !cycle < 500_000 do
-    step ()
+  while (not (Core.finished core)) && Hierarchy.now h < 500_000 do
+    step h core
   done;
   check_bool "trained state differs from fresh" true
     (Core.predictor_signature core <> fresh_sig);
   (* Externally requested purge (monitor descheduling). *)
   Core.request_purge core;
   while Core.purging core || not (Core.finished core) do
-    if !cycle > 600_000 then Alcotest.fail "purge never finished";
-    step ()
+    if Hierarchy.now h > 600_000 then Alcotest.fail "purge never finished";
+    step h core
   done;
   check_int "purged predictor equals fresh" fresh_sig
     (Core.predictor_signature core);
-  check_int "L1D empty" 0 (L1.valid_lines l1d);
-  check_int "L1I empty" 0 (L1.valid_lines l1i)
+  check_int "L1D empty" 0 (L1.valid_lines (Hierarchy.l1 h ~core:0));
+  check_int "L1I empty" 0 (L1.valid_lines (Hierarchy.l1 h ~core:1))
 
 let test_save_restore_reduces_flush_cost () =
   (* The Section 6 optional extension: restoring the user domain's own
@@ -444,7 +404,6 @@ let test_nonspec_serializes () =
 (* Rename bookkeeping invariants                                       *)
 (* ------------------------------------------------------------------ *)
 
-module Config = Mi6_core.Config
 module Tmachine = Mi6_core.Tmachine
 module Spec = Mi6_workload.Spec
 
