@@ -18,11 +18,12 @@ test:
 	QCHECK_SEED=$(QCHECK_SEED) dune runtest
 
 # Seed soak: every property of the suites that drive the memory
-# hierarchy must hold for QCHECK_SEED=1..20, not only the seed CI pins.
-# Each seed is echoed; the first failing suite stops the run with its
-# report (about three minutes on two cores).  test_analysis and
-# test_schedule are not soak-clean yet (ROADMAP, seed robustness).
-SOAK_SUITES = test_llc test_ooo test_core test_diff test_util
+# hierarchy or the µop streams must hold for QCHECK_SEED=1..20, not only
+# the seed CI pins.  Each seed is echoed; the first failing suite stops
+# the run with its report (about three minutes on two cores).
+# test_analysis and test_schedule are not soak-clean yet (ROADMAP, seed
+# robustness).
+SOAK_SUITES = test_llc test_ooo test_core test_diff test_util test_workload
 
 soak:
 	dune build $(SOAK_SUITES:%=test/%.exe)
@@ -145,9 +146,13 @@ top-smoke: telemetry-smoke
 # state.  Bisection speed is gated on two identical lockstep scans of a
 # 1,000-µop mcf stream (BASE vs BASE, clean, about 0.2 s each; the
 # witness runs last a few hundred microseconds, too short to time):
-# the rerun must not regress compare.exe's kips threshold.
+# the rerun must not regress compare.exe's kips threshold.  A
+# non-positive --max-cycles must exit 2 rather than report a clean scan
+# that never ran.
 bisect-smoke:
 	dune build bin/mi6_sim.exe bench/json_check.exe bench/compare.exe
+	sh -c 'dune exec bin/mi6_sim.exe -- bisect -b mcf --max-cycles=0 \
+		> /dev/null 2>&1; test $$? -eq 2'
 	dune exec bin/mi6_sim.exe -- audit --json audit.json > /dev/null
 	sh -c 'dune exec bin/mi6_sim.exe -- bisect --witness spectre-v1 \
 		--variant-a base --variant-b f+p+m+a --json bisect.json; \
@@ -172,9 +177,12 @@ bisect-smoke:
 #   - replaying the committed BASE counterexample must falsify (exit 1)
 #     and its report must validate too, which (via json_check --ni)
 #     requires the Audit localization to name a real leaking channel;
-#   - the replay verdicts must be byte-identical across --jobs.
+#   - the replay verdicts must be byte-identical across --jobs;
+#   - a non-positive --count must exit 2.
 ni-smoke:
 	dune build bin/mi6_sim.exe bench/json_check.exe
+	sh -c 'dune exec bin/mi6_sim.exe -- ni --count=-2 > /dev/null 2>&1; \
+		test $$? -eq 2'
 	dune exec bin/mi6_sim.exe -- ni --count 25 --seed 42 --json ni-fpma.json \
 		--save-falsified ni-falsified.sched
 	dune exec bench/json_check.exe -- --ni ni-fpma.json

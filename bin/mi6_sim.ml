@@ -50,24 +50,30 @@ let variant_conv =
   in
   Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (Config.variant_name v))
 
-(* Zero or a negative count is a usage error (exit 2), caught while the
-   arguments are parsed. *)
-let positive_int =
+(* A count below its floor is a usage error (exit 2), caught while the
+   arguments are parsed.  Only the [--count=-2] form reaches a converter:
+   cmdliner reads [--count -2] as an unknown option. *)
+let int_at_least floor what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n when n >= floor -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let positive_int = int_at_least 1 "positive"
+let non_negative_int = int_at_least 0 "non-negative"
+
 let warmup =
-  Arg.(value & opt int 200_000 & info [ "warmup" ] ~doc:"Warmup µops (untimed).")
+  Arg.(value & opt non_negative_int 200_000
+       & info [ "warmup" ] ~doc:"Warmup µops (untimed).")
 
 let measure =
-  Arg.(value & opt int 1_000_000 & info [ "measure" ] ~doc:"Measured µops.")
+  Arg.(value & opt non_negative_int 1_000_000
+       & info [ "measure" ] ~doc:"Measured µops.")
 
 let jobs =
-  Arg.(value & opt int 1
+  Arg.(value & opt positive_int 1
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Domains to run independent simulations on.  1 (the \
                  default) stays on the calling domain; results and any \
@@ -1060,7 +1066,7 @@ let bisect_cmd =
              ~doc:"Bisect a SPEC model stream instead of a witness.")
   in
   let uops =
-    Arg.(value & opt int 20_000
+    Arg.(value & opt positive_int 20_000
          & info [ "uops" ] ~docv:"N"
              ~doc:"Stream length in µops ($(b,--bench) mode).")
   in
@@ -1087,12 +1093,12 @@ let bisect_cmd =
          & info [ "secret-b" ] ~docv:"N" ~doc:"Side-B secret input.")
   in
   let window =
-    Arg.(value & opt int 16
+    Arg.(value & opt non_negative_int 16
          & info [ "window" ] ~docv:"T"
              ~doc:"Trace events per side in the slice report.")
   in
   let max_cycles =
-    Arg.(value & opt int 4_000_000
+    Arg.(value & opt positive_int 4_000_000
          & info [ "max-cycles" ] ~docv:"N" ~doc:"Lockstep scan budget.")
   in
   let json_file =
@@ -1246,7 +1252,7 @@ let bisect_cmd =
 
 let area_cmd =
   let cores =
-    Arg.(value & opt int 1 & info [ "cores" ] ~doc:"Number of cores.")
+    Arg.(value & opt positive_int 1 & info [ "cores" ] ~doc:"Number of cores.")
   in
   let run cores =
     List.iter
@@ -1399,7 +1405,7 @@ let lint_cmd =
              ~doc:"Treat memory bytes [LO,HI) as secret (repeatable).")
   in
   let window =
-    Arg.(value & opt int 0
+    Arg.(value & opt non_negative_int 0
          & info [ "speculative" ] ~docv:"N"
              ~doc:"Also follow the architecturally dead edge of statically \
                    resolved branches — and the stale predicted target of a \
@@ -1711,7 +1717,7 @@ let ni_cmd =
                    lines and $(b,#) comments are ignored.")
   in
   let count =
-    Arg.(value & opt int 200
+    Arg.(value & opt positive_int 200
          & info [ "count" ] ~docv:"N"
              ~doc:"Adversarial schedules to generate when none are given \
                    to replay.")

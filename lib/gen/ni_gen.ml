@@ -21,6 +21,8 @@ let gen ?(variant = Mi6_core.Config.Fpma) () =
     attacker
 
 let sample ?variant ~seed ~count () =
+  (* QCheck.Gen.generate never returns for a negative count. *)
+  if count < 0 then invalid_arg "Ni_gen.sample: negative count";
   (* A fresh Random.State keyed on the seed alone, so a printed seed
      pins the exact schedule list a run saw. *)
   let rand = Random.State.make [| 0x6e6967; seed |] in

@@ -12,7 +12,8 @@ val gen :
   ?variant:Mi6_core.Config.variant -> unit -> Mi6_core.Schedule.t QCheck.Gen.t
 
 (** [sample ~seed ~count ()] — the deterministic schedule list the seed
-    denotes; what [mi6_sim ni] fans out over its domain pool. *)
+    denotes; what [mi6_sim ni] fans out over its domain pool.  Raises
+    [Invalid_argument] if [count < 0]. *)
 val sample :
   ?variant:Mi6_core.Config.variant ->
   seed:int ->

@@ -19,6 +19,11 @@ type kind =
   | Enter_kernel
   | Exit_kernel
 
+(** µops are immutable, and a generator may share their parts: every
+    [Synth] µop takes its [srcs] list and its [dst] option from one table
+    per register, and an ALU µop its [kind] from one value per latency
+    class.  Structural equality cannot see the sharing; [Marshal] output
+    can, so digest a stream field by field, never through [Marshal]. *)
 type t = {
   pc : int;
   kind : kind;

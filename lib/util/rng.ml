@@ -1,6 +1,9 @@
-(* The 64-bit state lives unboxed in 8 bytes, so drawing an int or a
-   bool allocates nothing: the int64 values stay in registers once the
-   [@inline] helpers below are inlined into each draw. *)
+(* The 64-bit state lives unboxed in 8 bytes, so drawing an int, a bool
+   or a [pick] allocates nothing: the int64 and float values stay in
+   registers once the [@inline] helpers below are inlined into each draw.
+   A [float] returned to another module is boxed, though, because the dev
+   profile compiles with -opaque; comparisons against a draw belong in
+   here. *)
 type t = Bytes.t
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -41,6 +44,15 @@ let[@inline] float t =
   r /. 9007199254740992.0 (* 2^53 *)
 
 let bool t ~p = float t < p
+
+let pick t thresholds ~scale =
+  let x = float t *. scale in
+  let n = Array.length thresholds in
+  let i = ref 0 in
+  while !i < n && not (x < Array.unsafe_get thresholds !i) do
+    incr i
+  done;
+  !i
 
 let geometric t ~mean =
   if mean <= 0.0 then 0

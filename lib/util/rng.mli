@@ -1,11 +1,15 @@
 (** Deterministic, splittable pseudo-random number generator.
 
-    Every source of randomness in the simulator (workload generation,
-    pseudo-random cache replacement, property-test pre-states) flows from one
-    seed through explicit [t] values, so whole-machine runs are reproducible
-    bit-for-bit.  That determinism is what makes the non-interference tests
-    meaningful: two runs that differ only in the victim's secret must produce
-    identical attacker observation traces.
+    Workload generation draws from it: each [Synth] generator and the
+    property-test pre-states flow from one seed through explicit [t]
+    values.  The simulator's other sources of randomness are seeded
+    explicitly too, but do not use [t]: pseudo-random cache replacement
+    ([Replacement]) keeps its own xorshift state, and the interrupt-schedule
+    and enclave-body generators ([Ni_gen], [Body]) key a fresh
+    [Random.State] on their seed for qcheck.  So whole-machine runs are
+    reproducible bit-for-bit.  That determinism is what makes the
+    non-interference tests meaningful: two runs that differ only in the
+    victim's secret must produce identical attacker observation traces.
 
     The generator is SplitMix64 (Steele, Lea & Flood 2014). *)
 
@@ -33,6 +37,15 @@ val float : t -> float
 
 (** [bool t ~p] is [true] with probability [p]. *)
 val bool : t -> p:float -> bool
+
+(** [pick t thresholds ~scale] draws [x = float t *. scale] and returns
+    the first [i] with [x < thresholds.(i)], or [Array.length thresholds]
+    if there is none, allocating nothing.  With [~scale:1.0] it is the
+    chain [if x < th.(0) then 0 else if x < th.(1) then 1 ...] on one
+    [float] draw; with the running sums [w.(0)], [w.(0) +. w.(1)], ... of
+    all but the last weight, summed from [0.0] in order, and the weights'
+    total as [scale], it picks what [choose t w] picks. *)
+val pick : t -> float array -> scale:float -> int
 
 (** [geometric t ~mean] samples a geometric distribution with the given mean
     (>= 0); used for burst lengths and inter-event gaps. *)

@@ -25,8 +25,9 @@ type t = {
   mutable pos : int;
   mutable next_entry : int;
   mutable func_iters_left : int;
-  mutable call_stack : int list;
-  loop_state : (int, int) Hashtbl.t;
+  call_stack : int array; (* return blocks, [depth] of them *)
+  mutable depth : int;
+  loop_state : int array; (* per block: times its loop branch was taken *)
   (* Data state *)
   data_base : int;
   ws_bytes : int;
@@ -36,7 +37,13 @@ type t = {
   mutable chase_pos : int;
   (* Registers *)
   mutable next_dst : int;
-  mutable recent : int list;
+  recent : int array; (* recent destinations, newest first *)
+  mutable n_recent : int;
+  (* Draw thresholds, for [Rng.pick] *)
+  body_mix : float array; (* load, load + store *)
+  alu_mix : float array; (* fp, fp + longlat *)
+  addr_cum : float array; (* running sums of the address-class weights *)
+  addr_total : float;
   (* Kernel *)
   kernel_base : int;
   mutable emitted : int;
@@ -153,6 +160,9 @@ let build_cfg p ~code_base ~rng =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Calls nest at most this deep; a deeper call falls through. *)
+let max_depth = 12
+
 let create p ~seed ~data_base ~code_base ~kernel_base =
   let rng = Rng.of_int seed in
   let cfg_rng = Rng.split rng in
@@ -168,6 +178,20 @@ let create p ~seed ~data_base ~code_base ~kernel_base =
     chase_perm.(i) <- chase_perm.(j);
     chase_perm.(j) <- tmp
   done;
+  (* Summed from 0.0 in this order, so that [Rng.pick] compares each draw
+     against the floats [Rng.choose] computes from these weights. *)
+  let addr_total, addr_sums =
+    Array.fold_left_map
+      (fun acc w ->
+        let acc = acc +. w in
+        (acc, acc))
+      0.0
+      [| p.Spec.stream_frac; p.Spec.chase_frac; p.Spec.hot_frac;
+         p.Spec.stack_frac;
+         Float.max 0.0
+           (1.0 -. p.Spec.stream_frac -. p.Spec.chase_frac -. p.Spec.hot_frac
+           -. p.Spec.stack_frac) |]
+  in
   {
     p;
     rng;
@@ -177,8 +201,9 @@ let create p ~seed ~data_base ~code_base ~kernel_base =
     pos = 0;
     next_entry = 1;
     func_iters_left = 16;
-    call_stack = [];
-    loop_state = Hashtbl.create 64;
+    call_stack = Array.make max_depth 0;
+    depth = 0;
+    loop_state = Array.make (Array.length blocks) 0;
     data_base;
     ws_bytes;
     hot_bytes = min ws_bytes (p.Spec.hot_set_kb * 1024);
@@ -186,7 +211,12 @@ let create p ~seed ~data_base ~code_base ~kernel_base =
     chase_perm;
     chase_pos = 0;
     next_dst = 2;
-    recent = [];
+    recent = Array.make 4 0;
+    n_recent = 0;
+    body_mix = [| p.Spec.load_frac; p.Spec.load_frac +. p.Spec.store_frac |];
+    alu_mix = [| p.Spec.fp_frac; p.Spec.fp_frac +. p.Spec.longlat_frac |];
+    addr_cum = Array.sub addr_sums 0 4;
+    addr_total;
     kernel_base;
     emitted = 0;
     next_syscall = (if p.Spec.syscall_every > 0 then p.Spec.syscall_every else max_int);
@@ -202,16 +232,35 @@ let for_bench b ~data_base ~code_base ~kernel_base =
 (* Operand and address sampling                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* µops are immutable, so every µop shares its one-source list, its
+   store's source list and its destination option from these tables,
+   indexed by register, and its ALU kind from the four below. *)
+let src_of = Array.init 32 (fun r -> [ r ])
+let store_srcs_of = Array.init 32 (fun r -> [ 20; r ])
+let dst_of = Array.init 32 (fun r -> Some r)
+let alu_int = Uop.Alu { latency = 1; pipe = Uop.Pipe_alu }
+let alu_fp = Uop.Alu { latency = 4; pipe = Uop.Pipe_fp }
+let alu_fp_long = Uop.Alu { latency = 3; pipe = Uop.Pipe_fp }
+let alu_fp_longest = Uop.Alu { latency = 20; pipe = Uop.Pipe_fp }
+
 let fresh_dst t =
   let d = t.next_dst in
   t.next_dst <- (if t.next_dst >= 17 then 2 else t.next_dst + 1);
-  t.recent <- d :: (if List.length t.recent >= 4 then List.filteri (fun i _ -> i < 3) t.recent else t.recent);
+  let r = t.recent in
+  r.(3) <- r.(2);
+  r.(2) <- r.(1);
+  r.(1) <- r.(0);
+  r.(0) <- d;
+  if t.n_recent < 4 then t.n_recent <- t.n_recent + 1;
   d
 
-let sample_srcs t =
-  if Rng.bool t.rng ~p:t.p.Spec.dep_degree && t.recent <> [] then
-    [ List.nth t.recent (Rng.int t.rng (List.length t.recent)) ]
-  else [ 20 ]
+(* A µop's one source: a recent destination, or the constant register 20.
+   Callers sample it before [fresh_dst], which pushes the µop's own
+   destination onto [recent]; that order is part of every stream. *)
+let sample_src t =
+  if Rng.bool t.rng ~p:t.p.Spec.dep_degree && t.n_recent > 0 then
+    t.recent.(Rng.int t.rng t.n_recent)
+  else 20
 
 let chase_reg = 18
 
@@ -220,17 +269,7 @@ type addr_class = A_stream | A_chase | A_hot | A_stack | A_cold
 let stack_bytes = 4096
 
 let sample_addr_class t =
-  let p = t.p in
-  let cold =
-    Float.max 0.0
-      (1.0 -. p.Spec.stream_frac -. p.Spec.chase_frac -. p.Spec.hot_frac
-      -. p.Spec.stack_frac)
-  in
-  match
-    Rng.choose t.rng
-      [| p.Spec.stream_frac; p.Spec.chase_frac; p.Spec.hot_frac;
-         p.Spec.stack_frac; cold |]
-  with
+  match Rng.pick t.rng t.addr_cum ~scale:t.addr_total with
   | 0 -> A_stream
   | 1 -> A_chase
   | 2 -> A_hot
@@ -263,58 +302,64 @@ let sample_addr t cls =
 (* Body µops                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* A µop of [kind] with one sampled source and a fresh destination. *)
+let reg_uop t ~pc kind =
+  let s = sample_src t in
+  { Uop.pc; kind; dst = dst_of.(fresh_dst t); srcs = src_of.(s) }
+
 let body_uop t ~pc =
-  let r = Rng.float t.rng in
-  let p = t.p in
-  if r < p.Spec.load_frac then begin
+  match Rng.pick t.rng t.body_mix ~scale:1.0 with
+  | 0 -> (
     let cls = sample_addr_class t in
     let addr = sample_addr t cls in
     match cls with
     | A_chase ->
       (* Dependent load: address comes from the previous chase load. *)
-      { Uop.pc; kind = Uop.Load { addr }; dst = Some chase_reg;
-        srcs = [ chase_reg ] }
-    | A_stream | A_hot | A_stack | A_cold ->
-      Uop.load ~pc ~addr ~dst:(fresh_dst t) ~srcs:(sample_srcs t) ()
-  end
-  else if r < p.Spec.load_frac +. p.Spec.store_frac then begin
+      { Uop.pc; kind = Uop.Load { addr }; dst = dst_of.(chase_reg);
+        srcs = src_of.(chase_reg) }
+    | A_stream | A_hot | A_stack | A_cold -> reg_uop t ~pc (Uop.Load { addr }))
+  | 1 ->
     let cls = sample_addr_class t in
     let addr = sample_addr t cls in
-    Uop.store ~pc ~addr ~srcs:(20 :: sample_srcs t) ()
-  end
-  else begin
-    let x = Rng.float t.rng in
-    if x < p.Spec.fp_frac then
-      Uop.alu ~latency:4 ~pipe:Uop.Pipe_fp ~pc ~dst:(fresh_dst t)
-        ~srcs:(sample_srcs t) ()
-    else if x < p.Spec.fp_frac +. p.Spec.longlat_frac then
-      Uop.alu ~latency:(if Rng.bool t.rng ~p:0.15 then 20 else 3)
-        ~pipe:Uop.Pipe_fp ~pc ~dst:(fresh_dst t) ~srcs:(sample_srcs t) ()
-    else Uop.alu ~pc ~dst:(fresh_dst t) ~srcs:(sample_srcs t) ()
-  end
+    Uop.store ~pc ~addr ~srcs:store_srcs_of.(sample_src t) ()
+  | _ -> (
+    match Rng.pick t.rng t.alu_mix ~scale:1.0 with
+    | 0 -> reg_uop t ~pc alu_fp
+    | 1 ->
+      (* The latency coin comes after the source and the destination. *)
+      let s = sample_src t in
+      let d = fresh_dst t in
+      let kind =
+        if Rng.bool t.rng ~p:0.15 then alu_fp_longest else alu_fp_long
+      in
+      { Uop.pc; kind; dst = dst_of.(d); srcs = src_of.(s) }
+    | _ -> reg_uop t ~pc alu_int)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel µops                                                         *)
 (* ------------------------------------------------------------------ *)
+
+(* Kernel load, store and branch shares, as running sums. *)
+let kernel_mix = [| 0.22; 0.32; 0.40 |]
 
 let kernel_uop t =
   let pc = t.kernel_pc in
   t.kernel_pc <-
     (if t.kernel_pc >= t.kernel_base + 8192 then t.kernel_base
      else t.kernel_pc + 4);
-  let r = Rng.float t.rng in
-  if r < 0.22 then begin
+  match Rng.pick t.rng kernel_mix ~scale:1.0 with
+  | 0 ->
     t.kernel_cursor <- (t.kernel_cursor + 64) mod 65536;
     (* Kernel data sits above the user working set in the same domain. *)
-    Uop.load ~pc ~addr:(t.kernel_base + 65536 + t.kernel_cursor)
-      ~dst:(fresh_dst t) ~srcs:[ 20 ] ()
-  end
-  else if r < 0.32 then
+    { Uop.pc; kind = Uop.Load { addr = t.kernel_base + 65536 + t.kernel_cursor };
+      dst = dst_of.(fresh_dst t); srcs = src_of.(20) }
+  | 1 ->
     Uop.store ~pc ~addr:(t.kernel_base + 65536 + (Rng.int t.rng 65536 land lnot 7))
-      ~srcs:[ 20 ] ()
-  else if r < 0.40 then
+      ~srcs:src_of.(20) ()
+  | 2 ->
     Uop.branch ~pc ~taken:(Rng.bool t.rng ~p:0.85) ~target:(pc + 32) ~srcs:[] ()
-  else Uop.alu ~pc ~dst:(fresh_dst t) ~srcs:[ 20 ] ()
+  | _ ->
+    { Uop.pc; kind = alu_int; dst = dst_of.(fresh_dst t); srcs = src_of.(20) }
 
 (* ------------------------------------------------------------------ *)
 (* Control-flow walk                                                   *)
@@ -326,13 +371,13 @@ let branch_outcome t block_idx profile =
   | Bias_not -> Rng.bool t.rng ~p:0.03
   | Random_dir -> Rng.bool t.rng ~p:0.5
   | Loop n ->
-    let c = try Hashtbl.find t.loop_state block_idx with Not_found -> 0 in
+    let c = t.loop_state.(block_idx) in
     if c >= n - 1 then begin
-      Hashtbl.replace t.loop_state block_idx 0;
+      t.loop_state.(block_idx) <- 0;
       false
     end
     else begin
-      Hashtbl.replace t.loop_state block_idx (c + 1);
+      t.loop_state.(block_idx) <- c + 1;
       true
     end
 
@@ -345,13 +390,13 @@ let terminator_uop t =
   | T_fall ->
     t.cur <- next_block t;
     t.pos <- 0;
-    Uop.alu ~pc ~dst:(fresh_dst t) ~srcs:(sample_srcs t) ()
+    reg_uop t ~pc alu_int
   | T_jump target ->
     t.cur <- target;
     t.pos <- 0;
     Uop.jump ~pc ~target:t.blocks.(target).b_pc ~kind:`Plain ()
   | T_call callee ->
-    if List.length t.call_stack >= 12 then begin
+    if t.depth >= max_depth then begin
       (* Depth cap: real recursion terminates on data conditions the CFG
          does not carry; treat deep calls as inlined fallthrough. *)
       let nxt = next_block t in
@@ -360,19 +405,21 @@ let terminator_uop t =
       Uop.jump ~pc ~target:t.blocks.(nxt).b_pc ~kind:`Plain ()
     end
     else begin
-      t.call_stack <- next_block t :: t.call_stack;
+      t.call_stack.(t.depth) <- next_block t;
+      t.depth <- t.depth + 1;
       t.cur <- callee;
       t.pos <- 0;
       Uop.jump ~pc ~target:t.blocks.(callee).b_pc ~kind:`Call ()
     end
-  | T_ret -> (
-    match t.call_stack with
-    | ret :: rest ->
-      t.call_stack <- rest;
+  | T_ret ->
+    if t.depth > 0 then begin
+      t.depth <- t.depth - 1;
+      let ret = t.call_stack.(t.depth) in
       t.cur <- ret;
       t.pos <- 0;
       Uop.jump ~pc ~target:t.blocks.(ret).b_pc ~kind:`Return ()
-    | [] ->
+    end
+    else begin
       (* Each top-level function is a program phase: it re-executes many
          times (warming its branches and I-lines) before the driver moves
          on to the next function — the 90/10 locality of real code. *)
@@ -400,13 +447,14 @@ let terminator_uop t =
         t.cur <- entry;
         t.pos <- 0;
         Uop.jump ~pc ~target:t.blocks.(entry).b_pc ~kind:`Plain ()
-      end)
+      end
+    end
   | T_branch { profile; target } ->
     let taken = branch_outcome t t.cur profile in
     let target_pc = t.blocks.(target).b_pc in
     (* A data-dependent branch consumes a recent register. *)
     let srcs =
-      match profile with Random_dir -> sample_srcs t | _ -> []
+      match profile with Random_dir -> src_of.(sample_src t) | _ -> []
     in
     if taken then t.cur <- target else t.cur <- next_block t;
     t.pos <- 0;

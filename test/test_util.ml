@@ -251,18 +251,53 @@ let prop_ring_model =
           && match !model with [] -> Ring.is_empty r | (x, _) :: _ -> Ring.peek r 0 = x)
         ops)
 
-(* Integer and boolean draws allocate nothing: the state is unboxed. *)
+(* Integer, boolean and [pick] draws allocate nothing: the state is
+   unboxed and [pick] compares its float inside [Rng]. *)
 let test_rng_draws_allocate_nothing () =
   let r = Rng.of_int 9 in
+  let thresholds = [| 0.25; 0.5; 1.5 |] in
   let acc = ref 0 in
   let w0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
     acc := !acc + Rng.int r 100;
-    if Rng.bool r ~p:0.5 then incr acc
+    if Rng.bool r ~p:0.5 then incr acc;
+    acc := !acc + Rng.pick r thresholds ~scale:2.0
   done;
   let w1 = Gc.minor_words () in
   check_bool "draws ran" true (!acc > 0);
-  Alcotest.(check (float 0.)) "int/bool draw words" 0. (w1 -. w0)
+  Alcotest.(check (float 0.)) "int/bool/pick draw words" 0. (w1 -. w0)
+
+(* From a shared seed, [pick] returns the index the comparison chain on
+   one [Rng.float] draw gives, and, over the running sums of the weights
+   scaled by their total, the index [Rng.choose] gives. *)
+let prop_rng_pick_matches =
+  QCheck.Test.make ~name:"pick matches float and choose" ~count:200
+    QCheck.(
+      pair small_nat
+        (list_of_size Gen.(int_range 1 6) (float_bound_inclusive 1.0)))
+    (fun (seed, ws) ->
+      let w = Array.of_list ws in
+      let total = Array.fold_left ( +. ) 0.0 w in
+      QCheck.assume (total > 0.0);
+      let acc = ref 0.0 in
+      let sums =
+        Array.init (Array.length w - 1) (fun i ->
+            acc := !acc +. w.(i);
+            !acc)
+      in
+      let first_above x =
+        let rec go i =
+          if i = Array.length sums || x < sums.(i) then i else go (i + 1)
+        in
+        go 0
+      in
+      let a = Rng.of_int seed and b = Rng.of_int seed in
+      let c = Rng.of_int seed and d = Rng.of_int seed in
+      List.for_all
+        (fun _ ->
+          Rng.pick b sums ~scale:total = Rng.choose a w
+          && Rng.pick d sums ~scale:1.0 = first_above (Rng.float c))
+        (List.init 100 Fun.id))
 
 let test_rng_deterministic () =
   let a = Rng.of_int 42 and b = Rng.of_int 42 in
@@ -728,7 +763,8 @@ let () =
           Alcotest.test_case "geometric mean" `Quick test_rng_geometric_mean;
           Alcotest.test_case "draws allocate nothing" `Quick
             test_rng_draws_allocate_nothing;
-        ] );
+        ]
+        @ qsuite [ prop_rng_pick_matches ] );
       ("ring", qsuite [ prop_ring_model ]);
       ( "stats",
         [

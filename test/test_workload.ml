@@ -8,9 +8,15 @@ open Mi6_workload
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let make bench =
-  Synth.for_bench bench ~data_base:(64 * 1024 * 1024)
-    ~code_base:(32 * 1024 * 1024) ~kernel_base:(128 * 1024 * 1024)
+(* The generator [Tmachine.spec_stream ~seed] builds, on these bases. *)
+let make ?(seed = 0) bench =
+  let data_base = 64 * 1024 * 1024 and code_base = 32 * 1024 * 1024 in
+  let kernel_base = 128 * 1024 * 1024 in
+  if seed = 0 then Synth.for_bench bench ~data_base ~code_base ~kernel_base
+  else
+    Synth.create (Spec.params bench)
+      ~seed:(Spec.seed bench + (seed * 0x9e3779b9))
+      ~data_base ~code_base ~kernel_base
 
 let take gen n = List.init n (fun _ -> Synth.next gen)
 
@@ -41,6 +47,89 @@ let test_stream_limit () =
   drain ();
   check_int "limit respected" 100 !n;
   check_bool "stays exhausted" true (s () = None)
+
+(* Stream anchors: a digest of every field of every µop, for every model
+   at its canonical seed and at the one a sweep's seed 1 derives from it.
+   200,000 µops take each model through at least one kernel entry and
+   exit (hmmer traps every 185,000).  The fields are folded one by one,
+   never marshalled: µops share their source lists and destinations, and
+   Marshal output shows the sharing. *)
+let mix h x = (h lxor x) * 0x100000001b3
+
+let fold_uop h (u : Uop.t) =
+  let h = mix h u.Uop.pc in
+  let h =
+    match u.Uop.kind with
+    | Uop.Alu { latency; pipe } ->
+      mix (mix (mix h 1) latency)
+        (match pipe with Uop.Pipe_alu -> 0 | Uop.Pipe_mem -> 1 | Uop.Pipe_fp -> 2)
+    | Uop.Load { addr } -> mix (mix h 2) addr
+    | Uop.Store { addr } -> mix (mix h 3) addr
+    | Uop.Branch { taken; target } ->
+      mix (mix (mix h 4) (Bool.to_int taken)) target
+    | Uop.Jump { target; kind } ->
+      mix (mix (mix h 5) target)
+        (match kind with `Plain -> 0 | `Call -> 1 | `Return -> 2)
+    | Uop.Enter_kernel -> mix h 6
+    | Uop.Exit_kernel -> mix h 7
+  in
+  let h = mix h (match u.Uop.dst with None -> -1 | Some d -> d) in
+  List.fold_left mix (mix h (List.length u.Uop.srcs)) u.Uop.srcs
+
+let stream_anchors =
+  [
+    (Spec.Bzip2, "1f7b7e34f7c43918", "4cedb3633c15f663");
+    (Spec.Gcc, "58dd66a442c7971d", "404f29d70b28b26f");
+    (Spec.Mcf, "448128deac2e5076", "8ad6709730da264");
+    (Spec.Gobmk, "13c13d5648bbcfad", "1aa0814ba91c1cab");
+    (Spec.Hmmer, "70f292d789a9896a", "51fc2a638a3ff47e");
+    (Spec.Sjeng, "156e5899971c7804", "ac8b5004b403a08");
+    (Spec.Libquantum, "69a0341380566772", "285f670dd689aa54");
+    (Spec.H264ref, "7b85f4654ca1332f", "2ee7e6503d220c39");
+    (Spec.Omnetpp, "7eca5f8f2546e09f", "4a6e228d3e05a827");
+    (Spec.Astar, "5d9dc319cf77adc1", "5488a5245531d086");
+    (Spec.Xalancbmk, "57d5cd2858d27475", "47ab894914e25d0e");
+  ]
+
+let test_stream_anchors () =
+  check_int "every model anchored" (List.length Spec.all)
+    (List.length stream_anchors);
+  List.iter
+    (fun (b, want0, want1) ->
+      List.iter
+        (fun (label, seed, want) ->
+          let gen = make ~seed b in
+          let h = ref 0 and enters = ref 0 and exits = ref 0 in
+          for _ = 1 to 200_000 do
+            let u = Synth.next gen in
+            (match u.Uop.kind with
+            | Uop.Enter_kernel -> incr enters
+            | Uop.Exit_kernel -> incr exits
+            | _ -> ());
+            h := fold_uop !h u
+          done;
+          let name = Spec.name b ^ " " ^ label in
+          check_bool (name ^ " enters and leaves the kernel") true
+            (!enters > 0 && !exits > 0);
+          Alcotest.(check string) (name ^ " stream digest") want
+            (Printf.sprintf "%x" !h))
+        [ ("seed 0", 0, want0); ("seed 1", 1, want1) ])
+    stream_anchors
+
+(* A µop costs its record, its load/store/branch/jump payload and the
+   stream's [Some]: at most 10 minor words on average for every model. *)
+let test_stream_allocation () =
+  List.iter
+    (fun b ->
+      let s = Synth.stream (make b) ~limit:100_000 in
+      let w0 = Gc.minor_words () in
+      let rec drain () = match s () with Some _ -> drain () | None -> () in
+      drain ();
+      let words = (Gc.minor_words () -. w0) /. 100_000.0 in
+      check_bool
+        (Printf.sprintf "%s: %.2f minor words per µop" (Spec.name b) words)
+        true (words <= 10.0))
+    Spec.all
 
 (* Count µop classes over a long window and check the parameter targets
    are realized within tolerance. *)
@@ -174,6 +263,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_determinism;
           Alcotest.test_case "benchmarks differ" `Quick test_benchmarks_differ;
           Alcotest.test_case "limit" `Quick test_stream_limit;
+          Alcotest.test_case "anchors: every model" `Quick test_stream_anchors;
+          Alcotest.test_case "allocation per µop" `Quick
+            test_stream_allocation;
           Alcotest.test_case "control-flow consistency" `Quick
             test_control_flow_consistency;
         ] );
