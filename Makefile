@@ -177,7 +177,8 @@ bisect-smoke:
 #   - replaying the committed BASE counterexample must falsify (exit 1)
 #     and its report must validate too, which (via json_check --ni)
 #     requires the Audit localization to name a real leaking channel;
-#   - the replay verdicts must be byte-identical across --jobs;
+#   - the batch's and the replay's verdicts must be byte-identical
+#     across --jobs;
 #   - a non-positive --count must exit 2.
 ni-smoke:
 	dune build bin/mi6_sim.exe bench/json_check.exe
@@ -186,6 +187,9 @@ ni-smoke:
 	dune exec bin/mi6_sim.exe -- ni --count 25 --seed 42 --json ni-fpma.json \
 		--save-falsified ni-falsified.sched
 	dune exec bench/json_check.exe -- --ni ni-fpma.json
+	dune exec bin/mi6_sim.exe -- ni --count 25 --seed 42 --jobs 2 \
+		--json ni-fpma-j2.json > /dev/null
+	cmp ni-fpma.json ni-fpma-j2.json
 	sh -c 'dune exec bin/mi6_sim.exe -- ni \
 		--schedule-file examples/ni/base-counterexample.sched \
 		--json ni-base.json; test $$? -eq 1'
@@ -278,7 +282,8 @@ clean:
 		lint-channels.json lint-channels-2.json lint-channels-base.json \
 		lint-channels-mi6.json examples/lint/*-channels.json \
 		bisect.json bisect-secret.json BISECT_history.jsonl \
-		ni-fpma.json ni-base.json ni-base-j2.json ni-falsified.sched \
+		ni-fpma.json ni-fpma-j2.json ni-base.json ni-base-j2.json \
+		ni-falsified.sched \
 		telemetry.jsonl tel-serial\#* tel-parallel\#* SWEEP_history.jsonl \
 		sweep-serial.log sweep-parallel.log \
 		profile.json profile.folded profile-self.json profile-self.txt soak.log \

@@ -39,7 +39,7 @@ type counters = {
 type t = {
   cfg : config;
   array : Sram.t;
-  lstate : Msi.t array; (* per Sram slot: the state of a valid line *)
+  lstate : Bytes.t; (* per Sram slot: [Msi.to_int] of a valid line's state *)
   repl : Replacement.t;
   link : Link.t;
   ctr : counters;
@@ -59,7 +59,7 @@ let create ?(trace = Trace.null) cfg ~link ~stats ~name =
   {
     cfg;
     array = Sram.create ~sets:cfg.sets ~ways:cfg.ways;
-    lstate = Array.make (cfg.sets * cfg.ways) Msi.I;
+    lstate = Bytes.make (cfg.sets * cfg.ways) (Char.chr (Msi.to_int Msi.I));
     repl = Replacement.pseudo_random ~ways:cfg.ways ~sets:cfg.sets ~seed:cfg.seed;
     link;
     ctr =
@@ -104,8 +104,10 @@ let complete_at t id at =
 (* L1s always use the flat (low-bits) index; sets is a power of two. *)
 let set_of t line = line land (t.cfg.sets - 1)
 
-(* The state of the valid line in [way] of [set]. *)
-let line_state t ~set ~way = t.lstate.(Sram.slot t.array ~set ~way)
+(* The state of the valid line in slot [k], and in [way] of [set]. *)
+let state_at t k = Msi.of_int (Char.code (Bytes.get t.lstate k))
+let set_state t k s = Bytes.set t.lstate k (Char.unsafe_chr (Msi.to_int s))
+let line_state t ~set ~way = state_at t (Sram.slot t.array ~set ~way)
 
 (* Lowest free MSHR index, or -1. *)
 let free_mshr t =
@@ -196,7 +198,7 @@ let process_parent t ~now =
       assert (idx >= 0);
       let m = t.mshrs.(idx) in
       Sram.fill t.array ~set:m.m_set ~way:m.m_way ~tag:line;
-      t.lstate.(Sram.slot t.array ~set:m.m_set ~way:m.m_way) <- to_s;
+      set_state t (Sram.slot t.array ~set:m.m_set ~way:m.m_way) to_s;
       Replacement.touch t.repl ~set:m.m_set ~way:m.m_way;
       if m.m_nwaiters > 0 then Histogram.add t.miss_lat (now - m.m_born);
       if Trace.active t.trace Trace.L1 then
@@ -216,7 +218,7 @@ let process_parent t ~now =
         let dirty = state = Msi.M in
         if dirty then Stats.bump t.ctr.c_writebacks;
         if to_s = Msi.I then Sram.invalidate t.array ~set ~way
-        else t.lstate.(Sram.slot t.array ~set ~way) <- to_s;
+        else set_state t (Sram.slot t.array ~set ~way) to_s;
         Link.send_resp t.link ~line ~to_s ~dirty
       end
       else
@@ -369,27 +371,19 @@ let is_flushing t = t.flushing
 
 let flush_step t =
   if not t.flushing then invalid_arg "L1.flush_step: not flushing";
-  let ways = t.cfg.ways in
-  let total = t.cfg.sets * ways in
   (* Skip invalid slots without consuming cycles beyond this one step. *)
-  let cursor = ref t.flush_cursor in
-  while
-    !cursor < total
-    && not (Sram.valid t.array ~set:(!cursor / ways) ~way:(!cursor mod ways))
-  do
-    incr cursor
-  done;
-  if !cursor < total then begin
+  let k = Sram.next_valid t.array ~from:t.flush_cursor in
+  if k >= 0 then begin
     (* The coherence protocol requires notifying the LLC even for clean
        invalidations (Section 7.1), so each line costs one rs message. *)
     if Link.can_send t.link.Link.rs then begin
-      let set = !cursor / ways and way = !cursor mod ways in
-      let dirty = line_state t ~set ~way = Msi.M in
+      let set = k / t.cfg.ways and way = k mod t.cfg.ways in
+      let dirty = state_at t k = Msi.M in
       if dirty then Stats.bump t.ctr.c_writebacks;
       Link.send_resp t.link ~line:(Sram.tag t.array ~set ~way) ~to_s:Msi.I
         ~dirty;
       Sram.invalidate t.array ~set ~way;
-      t.flush_cursor <- !cursor + 1
+      t.flush_cursor <- k + 1
     end;
     (* else: rs backpressured; retry this slot next cycle. *)
     false

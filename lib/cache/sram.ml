@@ -35,6 +35,15 @@ let fill t ~set ~way ~tag =
   t.tags.(slot t ~set ~way) <- tag
 
 let invalidate t ~set ~way = t.tags.(slot t ~set ~way) <- -1
+let clear t = Array.fill t.tags 0 (Array.length t.tags) (-1)
+
+let next_valid t ~from =
+  let n = Array.length t.tags in
+  let k = ref from in
+  while !k < n && t.tags.(!k) < 0 do
+    incr k
+  done;
+  if !k < n then !k else -1
 
 let invalid_way t ~set =
   let base = slot t ~set ~way:0 in

@@ -3,9 +3,9 @@
     values), and neither is per-line metadata: the tags of every (set,
     way) sit in one flat int array at [slot = set * ways + way], and a
     cache keeps its line state (MSI state, directory owner, sharers,
-    dirty bit) in arrays of its own indexed by the same slot.  Tags are
-    non-negative (line numbers, virtual pages); no call allocates or
-    returns an option. *)
+    dirty bit) in arrays or byte strings of its own indexed by the same
+    slot.  Tags are non-negative (line numbers, virtual pages); no call
+    allocates or returns an option. *)
 
 type t
 
@@ -33,6 +33,14 @@ val tag : t -> set:int -> way:int -> int
 val fill : t -> set:int -> way:int -> tag:int -> unit
 
 val invalidate : t -> set:int -> way:int -> unit
+
+(** [clear t] invalidates every way at once (one [Array.fill]). *)
+val clear : t -> unit
+
+(** [next_valid t ~from] is the lowest slot at or after [from >= 0]
+    that holds a valid line, or [-1]: a scan in slot order,
+    [set * ways + way]. *)
+val next_valid : t -> from:int -> int
 
 (** [invalid_way t ~set] is the lowest invalid way, or [-1]. *)
 val invalid_way : t -> set:int -> int

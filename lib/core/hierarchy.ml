@@ -55,14 +55,23 @@ let tick t =
   Llc.tick t.llc ~now;
   t.clock <- now + 1
 
+let tick_idle t =
+  Llc.tick_idle t.llc ~now:t.clock;
+  t.clock <- t.clock + 1
+
 let take_completions t ~core =
   let out = List.rev !(t.completions.(core)) in
   t.completions.(core) := [];
   out
 
 let quiescent t =
-  (not (Llc.busy t.llc))
-  && Array.for_all (fun c -> L1.in_flight c = 0) t.l1s
+  let idle = ref (not (Llc.busy t.llc)) and p = ref 0 in
+  while !idle && !p < Array.length t.l1s do
+    let c = t.l1s.(!p) in
+    idle := L1.in_flight c = 0 && not (L1.is_flushing c);
+    incr p
+  done;
+  !idle
 
 let run_until_quiescent t ~max_cycles =
   let start = t.clock in

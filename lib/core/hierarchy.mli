@@ -43,11 +43,17 @@ val request : t -> core:int -> line:int -> store:bool -> id:int -> unit
 (** [tick t] advances one cycle: the L1s in port order, then LLC+DRAM. *)
 val tick : t -> unit
 
+(** [tick_idle t] is [tick t] for a {!quiescent} hierarchy, at the cost
+    of what such a tick does: the L1s and DRAM have nothing to do, and
+    the LLC only its per-cycle accounting ({!Llc.tick_idle}). *)
+val tick_idle : t -> unit
+
 (** [take_completions t ~core] drains the (id, completion_cycle) pairs an
     unconnected port delivered since the last call, oldest first. *)
 val take_completions : t -> core:int -> (int * int) list
 
-(** [quiescent t] — no request in flight anywhere. *)
+(** [quiescent t] — no request in flight anywhere, no message on any
+    link, and no L1 flushing. *)
 val quiescent : t -> bool
 
 (** [run_until_quiescent t ~max_cycles] ticks until quiescent; returns

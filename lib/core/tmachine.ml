@@ -6,6 +6,8 @@ type t = {
   occupancy : Occupancy.t;
   telemetry : Telemetry.t;
   sections : (string * (Statesig.acc -> unit)) list;
+  (* Ticks before this cycle only wait out purge floors (see [tick]). *)
+  mutable idle_until : int;
 }
 
 (* Per-core protection-domain region block: core i owns regions
@@ -61,7 +63,7 @@ let create ?(trace = Trace.null) ?(occupancy = Occupancy.null)
     @ List.map (fun l -> (L1.name l, L1.state l)) (l1s 0 @ l1s 1)
     @ [ ("llc", Llc.state (Hierarchy.llc mem)) ]
   in
-  { cores; mem; stats; trace; occupancy; telemetry; sections }
+  { cores; mem; stats; trace; occupancy; telemetry; sections; idle_until = 0 }
 
 (* Registry over every component's counters and distributions; values are
    read at export time, so build it once and export after the run. *)
@@ -112,14 +114,39 @@ let dump_state t =
   String.concat "\n" (List.map (fun (_, fold) -> Statesig.render fold) t.sections)
 
 let committed t =
-  Array.fold_left (fun n c -> n + Core.committed_instructions c) 0 t.cores
+  let n = ref 0 in
+  for i = 0 to Array.length t.cores - 1 do
+    n := !n + Core.committed_instructions t.cores.(i)
+  done;
+  !n
+
+(* The earliest floor end when every core is waiting out its purge floor
+   and the memory side is quiescent, else -1.  Until that cycle no core
+   issues a request, so the memory side stays quiescent, and every tick
+   only counts. *)
+let idle_span_end t =
+  let e = ref max_int in
+  for i = 0 to Array.length t.cores - 1 do
+    let f = Core.floor_end t.cores.(i) in
+    if f < !e then e := f
+  done;
+  if !e > now t && Hierarchy.quiescent t.mem then !e else -1
 
 let tick t =
   let cycle = now t in
-  for i = 0 to Array.length t.cores - 1 do
-    Core.tick t.cores.(i) ~now:cycle
-  done;
-  Hierarchy.tick t.mem;
+  if cycle < t.idle_until then begin
+    for i = 0 to Array.length t.cores - 1 do
+      Core.wait_floor t.cores.(i) ~now:cycle
+    done;
+    Hierarchy.tick_idle t.mem
+  end
+  else begin
+    for i = 0 to Array.length t.cores - 1 do
+      Core.tick t.cores.(i) ~now:cycle
+    done;
+    Hierarchy.tick t.mem;
+    t.idle_until <- idle_span_end t
+  end;
   if Occupancy.enabled t.occupancy then begin
     let rob = ref 0 and iq = ref 0 and lq = ref 0 and sq = ref 0 and sb = ref 0 in
     Array.iter
@@ -140,7 +167,12 @@ let tick t =
       ~counters:(fun () -> Stats.to_assoc t.stats)
       ~occupancy:t.occupancy
 
-let finished t = Array.for_all Core.finished t.cores
+let finished t =
+  let i = ref 0 in
+  while !i < Array.length t.cores && Core.finished t.cores.(!i) do
+    incr i
+  done;
+  !i = Array.length t.cores
 
 let run t ~max_cycles =
   let start = now t in

@@ -36,7 +36,14 @@ val create :
   stats:Stats.t ->
   t
 
-(** [tick t] advances one cycle: every core, then the hierarchy. *)
+(** [tick t] advances one cycle: every core, then the hierarchy.  A
+    cycle in which every core waits out its purge floor
+    ({!Core.floor_end}) and the hierarchy is {!Hierarchy.quiescent}
+    costs O(1) per core: after each full tick the machine records the
+    earliest floor end, and the ticks before it do only the accounting a
+    full tick would ({!Core.wait_floor}, {!Hierarchy.tick_idle}), so
+    every counter, histogram sample and trace event is the same.  Every
+    other cycle is a full tick. *)
 val tick : t -> unit
 val now : t -> int
 val core : t -> int -> Core.t

@@ -148,10 +148,11 @@ type t = {
   dram : Controller.t;
   ctr : counters;
   array : Sram.t;
-  (* Directory, per Sram slot of a valid line. *)
-  dirty : bool array;
-  owner : int array; (* -1: no owner *)
-  sharers : int array; (* bitmask of cores *)
+  (* Directory, per Sram slot of a valid line: the owner and dirty bit
+     in one byte, [(owner + 1) lsl 1 lor dirty] (owner -1: none; at
+     most [max_ports] - 1, so it fits), and the sharers' bitmask. *)
+  dir : Bytes.t;
+  sharers : int array;
   repl : Replacement.t;
   entries : entry array;
   (* Indices derived from [entries], kept in step with every phase change
@@ -264,8 +265,7 @@ let create ?(trace = Trace.null) cfg ~security ~links ~dram ~stats =
       dram;
       ctr = counters stats;
       array = Sram.create ~sets ~ways:cfg.ways;
-      dirty = Array.make (sets * cfg.ways) false;
-      owner = Array.make (sets * cfg.ways) (-1);
+      dir = Bytes.make (sets * cfg.ways) '\000' (* no owner, clean *);
       sharers = Array.make (sets * cfg.ways) 0;
       repl =
         Replacement.pseudo_random ~ways:cfg.ways ~sets ~seed:cfg.repl_seed;
@@ -297,6 +297,14 @@ let mshr_occupancy t = t.occ_hist
 let live_mshrs t = t.live
 let set_of t line = Index.index t.cfg.index ~line
 let slot t ~set ~way = Sram.slot t.array ~set ~way
+
+(* Slot [k]'s owner (-1: none) and dirty bit, from its directory
+   byte. *)
+let dir_owner t k = (Char.code (Bytes.get t.dir k) lsr 1) - 1
+let dir_dirty t k = Char.code (Bytes.get t.dir k) land 1 = 1
+
+let set_dir t k ~owner ~dirty =
+  Bytes.set t.dir k (Char.unsafe_chr (((owner + 1) lsl 1) lor Bool.to_int dirty))
 
 (* ------------------------------------------------------------------ *)
 (* MSHR allocation                                                     *)
@@ -417,7 +425,7 @@ let set_downgrade_targets t e k ~core ~to_s ~line =
   if e.e_ts_next < e.e_ts_end then t.sending <- t.sending - 1;
   e.e_ts_next <- 0;
   e.e_ts_end <- 0;
-  let owner = t.owner.(k) in
+  let owner = dir_owner t k in
   (match to_s with
   | Msi.M ->
     let sharers = t.sharers.(k) in
@@ -439,14 +447,13 @@ let apply_cresp_to_directory t core ~line ~to_s ~dirty =
   let way = Sram.find t.array ~set ~tag:line in
   if way >= 0 then begin
     let k = slot t ~set ~way in
-    if dirty then t.dirty.(k) <- true;
+    let owner = dir_owner t k in
+    (* A downgrade to S or I ends [core]'s ownership. *)
+    let owner = if to_s <> Msi.M && owner = core then -1 else owner in
+    set_dir t k ~owner ~dirty:(dirty || dir_dirty t k);
     match to_s with
-    | Msi.I ->
-      if t.owner.(k) = core then t.owner.(k) <- -1;
-      t.sharers.(k) <- t.sharers.(k) land lnot (1 lsl core)
-    | Msi.S ->
-      if t.owner.(k) = core then t.owner.(k) <- -1;
-      t.sharers.(k) <- t.sharers.(k) lor (1 lsl core)
+    | Msi.I -> t.sharers.(k) <- t.sharers.(k) land lnot (1 lsl core)
+    | Msi.S -> t.sharers.(k) <- t.sharers.(k) lor (1 lsl core)
     | Msi.M -> ()
   end
 
@@ -538,10 +545,10 @@ let request_miss t idx e ~set =
       e.e_wb_line <- victim_tag;
       if set_downgrade_targets t e k ~core:(-1) ~to_s:Msi.M ~line:victim_tag
       then begin
-        e.e_needs_wb <- t.dirty.(k);
+        e.e_needs_wb <- dir_dirty t k;
         e.e_phase <- p_wait_victim_downgrade
       end
-      else complete_replacement t idx ~victim_dirty:t.dirty.(k)
+      else complete_replacement t idx ~victim_dirty:(dir_dirty t k)
     end
   end
 
@@ -606,7 +613,7 @@ let process_cresp t core ~line ~to_s ~dirty =
           e.e_needs_wb
           ||
           let way = Sram.find t.array ~set:e.e_set ~tag:e.e_wb_line in
-          way >= 0 && t.dirty.(slot t ~set:e.e_set ~way)
+          way >= 0 && dir_dirty t (slot t ~set:e.e_set ~way)
         in
         complete_replacement t idx ~victim_dirty:vdirty
       end
@@ -617,8 +624,7 @@ let process_dram t idx =
   let e = t.entries.(idx) in
   Sram.fill t.array ~set:e.e_set ~way:e.e_way ~tag:e.e_line;
   let k = slot t ~set:e.e_set ~way:e.e_way in
-  t.dirty.(k) <- false;
-  t.owner.(k) <- -1;
+  set_dir t k ~owner:(-1) ~dirty:false;
   t.sharers.(k) <- 0;
   Replacement.touch t.repl ~set:e.e_set ~way:e.e_way;
   enqueue_uq t idx
@@ -723,20 +729,23 @@ let admit_class t ~now cls core =
   | 2 -> admit_retry t ~now core
   | _ -> admit_creq t ~now core
 
+(* The round-robin arbiter's slot owner: cycle T admits only core
+   T mod N, and an idle slot is wasted (Section 5.4.3). *)
+let slot_owner t now = now mod t.cfg.cores
+
+let waste_slot t ~now core =
+  Stats.bump t.ctr.c_arb_idle_slots;
+  if Trace.active t.trace Trace.Llc then
+    Trace.emit t.trace ~now (Trace.Arb_idle { core })
+
 let enter_pipeline t ~now =
   if t.sec.round_robin_arbiter then begin
-    (* Cycle T admits only core T mod N; an idle slot is wasted
-       (Section 5.4.3). *)
-    let core = now mod t.cfg.cores in
+    let core = slot_owner t now in
     if
       not
         (admit_dram t ~now core || admit_retry t ~now core
         || admit_cresp t ~now core || admit_creq t ~now core)
-    then begin
-      Stats.bump t.ctr.c_arb_idle_slots;
-      if Trace.active t.trace Trace.Llc then
-        Trace.emit t.trace ~now (Trace.Arb_idle { core })
-    end
+    then waste_slot t ~now core
   end
   else begin
     (* Baseline two-level mux: message-type priority, then core index. *)
@@ -808,7 +817,7 @@ let grant_directory t idx =
   let k = slot t ~set:e.e_set ~way:e.e_way in
   match e.e_to with
   | Msi.M ->
-    t.owner.(k) <- e.e_core;
+    set_dir t k ~owner:e.e_core ~dirty:(dir_dirty t k);
     t.sharers.(k) <- t.sharers.(k) land lnot (1 lsl e.e_core)
   | Msi.S -> t.sharers.(k) <- t.sharers.(k) lor (1 lsl e.e_core)
   | Msi.I -> ()
@@ -897,9 +906,14 @@ let dq_dequeue t ~now =
 (* Tick                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let tick t ~now =
+(* What every tick does first, busy or idle: the clock the probes deep
+   in the pipeline read, and one MSHR-occupancy sample. *)
+let open_cycle t ~now =
   t.tnow <- now;
-  Histogram.add t.occ_hist t.live;
+  Histogram.add t.occ_hist t.live
+
+let tick t ~now =
+  open_cycle t ~now;
   (* Downgrades, responses and the DQ all belong to allocated MSHRs;
      with none allocated there is nothing for them to do. *)
   if t.live > 0 then begin
@@ -911,13 +925,22 @@ let tick t ~now =
   if t.live > 0 then dq_dequeue t ~now;
   Controller.tick t.dram ~now ~respond:t.respond
 
+(* Idle, the arbiter admits nothing, so only the round-robin one does
+   anything: it wastes the cycle's slot. *)
+let tick_idle t ~now =
+  open_cycle t ~now;
+  if t.sec.round_robin_arbiter then waste_slot t ~now (slot_owner t now)
+
 let busy t =
-  t.live > 0
-  || (not (Ring.is_empty t.pipe))
+  let queued = ref false and p = ref 0 in
+  while (not !queued) && !p < Array.length t.links do
+    let l = t.links.(!p) in
+    queued :=
+      l.Link.rq.Ring.len > 0 || l.Link.rs.Ring.len > 0 || l.Link.p2c.Ring.len > 0;
+    incr p
+  done;
+  !queued || t.live > 0 || t.pipe.Ring.len > 0
   || Controller.outstanding t.dram > 0
-  || Array.exists
-       (fun l -> not (Ring.is_empty l.Link.rq && Ring.is_empty l.Link.rs))
-       t.links
 
 let probe t ~line = Sram.find t.array ~set:(set_of t line) ~tag:line >= 0
 
@@ -935,7 +958,7 @@ let invalidate_region t ~geometry ~region =
       let k = slot t ~set ~way in
       (* The monitor descheduled and purged the domain's cores first, so
          no L1 may still hold the line. *)
-      if in_region set way && (t.owner.(k) >= 0 || t.sharers.(k) <> 0) then
+      if in_region set way && (dir_owner t k >= 0 || t.sharers.(k) <> 0) then
         failwith "Llc.invalidate_region: line still shared by an L1"
     done
   done;

@@ -33,9 +33,10 @@
     per MSHR slot (int phase codes, an int bitmask of the cores still to
     answer a downgrade, fixed int arrays of downgrade targets and parked
     entries), int {!Ring}s for the pipeline and the retry, UQ and DQ
-    queues, and the directory (dirty bit, owner, sharer bitmask) in
-    arrays indexed by the line's {!Sram.slot}.  The only allocation on
-    the miss path is the {!Controller.req} each DRAM command passes. *)
+    queues, and the directory indexed by the line's {!Sram.slot}: the
+    owner and dirty bit in one byte per slot, the sharers in an int
+    bitmask array.  The only allocation on the miss path is the
+    {!Controller.req} each DRAM command passes. *)
 
 type security = {
   partitioned_mshrs : bool;
@@ -87,7 +88,14 @@ val create :
     Call after the L1s' ticks with the same [now]. *)
 val tick : t -> now:int -> unit
 
-(** [busy t] — any MSHR active or message queued (used to detect
+(** [tick_idle t ~now] is [tick t ~now] for an LLC that is not {!busy},
+    at the cost of what such a tick does: the occupancy sample and, on
+    the round-robin arbiter, the wasted slot ([llc.arb_idle_slots] and
+    its [Arb_idle] event).  The DRAM controller has nothing to do. *)
+val tick_idle : t -> now:int -> unit
+
+(** [busy t] — any MSHR active, message queued on the pipeline or a link
+    (either direction), or DRAM request outstanding (used to detect
     quiescence). *)
 val busy : t -> bool
 

@@ -306,7 +306,7 @@ let create ?(trace = Trace.null) ?(id = 0) cfg ~l1i ~l1d ~stream ~stats
 
 let committed_instructions t = t.committed
 let set_on_commit t f = t.on_commit <- f
-let purging t = t.purge <> Pp_none
+let purging t = match t.purge with Pp_none -> false | _ -> true
 let load_latency t = t.load_lat
 let purge_latency t = t.purge_lat
 let walk_latency t = Ptw.walk_latency t.ptw
@@ -999,10 +999,17 @@ let commit_stage t =
 (* Purge state machine (Section 6 / 7.1)                               *)
 (* ------------------------------------------------------------------ *)
 
+let count_busy a =
+  let n = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    if a.(i) then incr n
+  done;
+  !n
+
 let backend_quiescent t =
   rob_empty t
   && Ring.is_empty t.sb_pending
-  && Array.for_all not t.sb
+  && count_busy t.sb = 0
   && L1.in_flight t.l1d = 0
   && L1.in_flight t.l1i = 0
   && Ptw.active_walks t.ptw = 0
@@ -1121,14 +1128,21 @@ let last_cycle_cause t = t.last_cpi
 (* Tick and completions                                                *)
 (* ------------------------------------------------------------------ *)
 
-let tick t ~now =
+(* What every tick does first, busy or waiting out a purge floor: the
+   clock, the cycle counter, the periodic ROB sample and the due events
+   (none while a floor is waited out, so there it only advances the
+   wheel). *)
+let open_cycle t ~now =
   t.now <- now;
-  let committed_before = t.committed in
   Stats.bump t.ctr.c_cycles;
   if now land 255 = 0 && Trace.active t.trace Trace.Core then
     Trace.emit t.trace ~now
       (Trace.Counter { core = t.id; name = "rob"; value = t.rob_count });
-  run_events t;
+  run_events t
+
+let tick t ~now =
+  let committed_before = t.committed in
+  open_cycle t ~now;
   (match t.purge with
   | Pp_quiesce | Pp_flush _ ->
     (* The core idles while purging; only the drain machinery runs. *)
@@ -1151,6 +1165,24 @@ let tick t ~now =
       fetch_stage t
     end);
   attribute_cycle t ~committed_before
+
+(* A core in [Pp_flush] whose L1 flushes are done is waiting out the
+   floor: it reached [Pp_flush] with [backend_quiescent] (no ROB entry,
+   store-buffer slot, walk, D-TLB miss, event or L1 request left), the
+   purge branch of [tick] neither fetches, renames nor issues, and the
+   flushing L1s took no request, so until the floor ends each tick only
+   counts. *)
+let floor_end t =
+  match t.purge with
+  | Pp_flush started
+    when not (L1.is_flushing t.l1i || L1.is_flushing t.l1d) ->
+    started + t.cfg.Core_config.purge_floor
+  | _ -> -1
+
+let wait_floor t ~now =
+  open_cycle t ~now;
+  Stats.bump t.ctr.c_purge_stall_cycles;
+  attribute_cycle t ~committed_before:t.committed
 
 let mem_complete t ~now ~id =
   t.now <- max t.now now;
@@ -1186,7 +1218,6 @@ let rob_occupancy t = t.rob_count
 let iq_occupancy t =
   Array.fold_left (fun n q -> n + q.n) (t.iq_mem.n + t.iq_fp.n) t.iq_alu
 
-let count_busy a = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a
 let lq_occupancy t = count_busy t.lq
 let sq_occupancy t = t.sq_count
 let sb_occupancy t = count_busy t.sb

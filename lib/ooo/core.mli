@@ -38,6 +38,19 @@ val create :
     and the LLC. *)
 val tick : t -> now:int -> unit
 
+(** [floor_end t] is the cycle the purge floor ends when the core is
+    waiting one out, -1 otherwise.  A core waits from the cycle both its
+    L1 flushes are done: its backend was empty when the flush began and
+    nothing refills it, so until the floor ends it issues no memory
+    request and its ticks only count. *)
+val floor_end : t -> int
+
+(** [wait_floor t ~now] is [tick t ~now] for a cycle before
+    [floor_end t], at the cost of what such a tick does: the clock, the
+    [core.cycles], [core.purge_stall_cycles] and [core.cpi.purge] counts,
+    the periodic ROB trace sample and the event wheel's cursor. *)
+val wait_floor : t -> now:int -> unit
+
 (** [mem_complete t ~now ~id] — a D-side request (load, page-walk read, or
     store-buffer drain) finished. *)
 val mem_complete : t -> now:int -> id:int -> unit

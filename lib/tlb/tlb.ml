@@ -49,9 +49,7 @@ let flush_set t ~set =
   done
 
 let flush_all t =
-  for set = 0 to t.cfg.sets - 1 do
-    flush_set t ~set
-  done;
+  Sram.clear t.array;
   Replacement.scrub t.repl
 
 let occupancy t = Sram.count_valid t.array

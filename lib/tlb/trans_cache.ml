@@ -19,7 +19,10 @@ let insert t ~level ~prefix =
   check t level;
   Tlb.insert t.levels.(level) ~vpage:prefix
 
-let flush t = Array.iter Tlb.flush_all t.levels
+let flush t =
+  for l = 0 to Array.length t.levels - 1 do
+    Tlb.flush_all t.levels.(l)
+  done
 
 let occupancy t =
   Array.fold_left (fun n l -> n + Tlb.occupancy l) 0 t.levels

@@ -2,8 +2,8 @@
    or a [pick] allocates nothing: the int64 and float values stay in
    registers once the [@inline] helpers below are inlined into each draw.
    A [float] returned to another module is boxed, though, because the dev
-   profile compiles with -opaque; comparisons against a draw belong in
-   here. *)
+   profile compiles with -opaque; comparisons and arithmetic on a draw
+   belong in here. *)
 type t = Bytes.t
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -44,6 +44,11 @@ let[@inline] float t =
   r /. 9007199254740992.0 (* 2^53 *)
 
 let bool t ~p = float t < p
+
+let skewed t range =
+  let u = float t in
+  let u4 = u *. u *. u *. u in
+  int_of_float (u4 *. u4 *. float_of_int range)
 
 let pick t thresholds ~scale =
   let x = float t *. scale in

@@ -38,6 +38,12 @@ val float : t -> float
 (** [bool t ~p] is [true] with probability [p]. *)
 val bool : t -> p:float -> bool
 
+(** [skewed t range] is [int_of_float (u4 *. u4 *. float_of_int range)]
+    for [u4 = u *. u *. u *. u] of one [float t] draw [u]: for a
+    non-negative [range], an int in [\[0, range\]] concentrated near 0
+    (the eighth power of a uniform draw), drawn without allocating. *)
+val skewed : t -> int -> int
+
 (** [pick t thresholds ~scale] draws [x = float t *. scale] and returns
     the first [i] with [x < thresholds.(i)], or [Array.length thresholds]
     if there is none, allocating nothing.  With [~scale:1.0] it is the

@@ -289,9 +289,7 @@ let sample_addr t cls =
     (* Skewed reuse: a high power of the uniform sample concentrates most
        accesses in a Zipf-like head that fits the L1, with a tail that
        exercises the LLC. *)
-    let u = Rng.float t.rng in
-    let u4 = u *. u *. u *. u in
-    let off = int_of_float (u4 *. u4 *. float_of_int t.hot_bytes) in
+    let off = Rng.skewed t.rng t.hot_bytes in
     t.data_base + (min off (t.hot_bytes - 8) land lnot 7)
   | A_stack ->
     (* A tiny, very hot region just above the working set. *)

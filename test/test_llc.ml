@@ -536,6 +536,7 @@ let alloc_configs =
    does not. *)
 module Uop = Mi6_ooo.Uop
 module Tmachine = Mi6_core.Tmachine
+module Core = Mi6_ooo.Core
 
 let busy_loop =
   let code = 0x10000 and data = 0x200000 in
@@ -577,6 +578,61 @@ let test_busy_ticks_allocate_nothing variant () =
   let name = Config.variant_name variant in
   check_bool (name ^ ": loop commits") true (Tmachine.committed m - c0 > idle_ticks / 2);
   Alcotest.(check (float 0.)) (name ^ ": busy Tmachine.tick words") 0. (w1 -. w0)
+
+(* Waiting out a purge floor allocates nothing either.  A one-core
+   F+P+M+A machine runs a few ALU µops into a trap; once the core waits
+   out the floor, every tick until the floor ends is measured. *)
+let test_floor_wait_allocates_nothing () =
+  let code = 0x10000 in
+  let uops =
+    Array.map Option.some
+      (Array.append
+         (Array.init 8 (fun i -> Uop.alu ~pc:(code + (4 * i)) ~dst:5 ~srcs:[] ()))
+         [| { Uop.pc = code + 32; kind = Uop.Enter_kernel; dst = None; srcs = [] } |])
+  in
+  let next = ref 0 in
+  let stream () =
+    if !next = Array.length uops then None
+    else begin
+      let u = uops.(!next) in
+      incr next;
+      u
+    end
+  in
+  let m =
+    Tmachine.create
+      (Config.timing ~cores:1 Config.Fpma)
+      ~streams:[| stream |] ~stats:(Stats.create ())
+  in
+  let core = Tmachine.core m 0 in
+  while Core.floor_end core <= Tmachine.now m && Tmachine.now m < 10_000 do
+    Tmachine.tick m
+  done;
+  let floor_end = Core.floor_end core in
+  check_bool "the core waits out a floor" true
+    (floor_end - Tmachine.now m > 100);
+  let w0 = Gc.minor_words () in
+  while Tmachine.now m < floor_end do
+    Tmachine.tick m
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "floor-wait Tmachine.tick words" 0. (w1 -. w0)
+
+(* A machine is built twice per noninterference check, so its arrays
+   are a per-check cost: words allocated straight into the major heap
+   (allocated minus promoted) by a one-core F+P+M+A [Tmachine.create]. *)
+let test_create_major_words () =
+  let timing = Config.timing ~cores:1 Config.Fpma and stats = Stats.create () in
+  let _, p0, j0 = Gc.counters () in
+  let m =
+    Tmachine.create timing ~streams:[| (fun () -> None) |] ~stats
+  in
+  let _, p1, j1 = Gc.counters () in
+  ignore (Sys.opaque_identity m);
+  let words = j1 -. j0 -. (p1 -. p0) in
+  check_bool
+    (Printf.sprintf "%.0f direct major words (at most 48,000)" words)
+    true (words <= 48_000.)
 
 (* The miss path allocates only the request record each DRAM command
    passes to [Controller.accept].  A warmed one-core machine runs a loop
@@ -718,6 +774,10 @@ let () =
         @ [
             Alcotest.test_case "idle Hierarchy ticks allocate nothing" `Quick
               test_idle_hierarchy_allocates_nothing;
+            Alcotest.test_case "purge-floor wait allocates nothing" `Quick
+              test_floor_wait_allocates_nothing;
+            Alcotest.test_case "Tmachine.create major-heap words" `Quick
+              test_create_major_words;
           ]
         @ List.map
             (fun variant ->

@@ -251,8 +251,9 @@ let prop_ring_model =
           && match !model with [] -> Ring.is_empty r | (x, _) :: _ -> Ring.peek r 0 = x)
         ops)
 
-(* Integer, boolean and [pick] draws allocate nothing: the state is
-   unboxed and [pick] compares its float inside [Rng]. *)
+(* Integer, boolean, [pick] and [skewed] draws allocate nothing: the
+   state is unboxed and [pick] and [skewed] use their float inside
+   [Rng]. *)
 let test_rng_draws_allocate_nothing () =
   let r = Rng.of_int 9 in
   let thresholds = [| 0.25; 0.5; 1.5 |] in
@@ -261,11 +262,25 @@ let test_rng_draws_allocate_nothing () =
   for _ = 1 to 10_000 do
     acc := !acc + Rng.int r 100;
     if Rng.bool r ~p:0.5 then incr acc;
-    acc := !acc + Rng.pick r thresholds ~scale:2.0
+    acc := !acc + Rng.pick r thresholds ~scale:2.0;
+    acc := !acc + Rng.skewed r 4096
   done;
   let w1 = Gc.minor_words () in
   check_bool "draws ran" true (!acc > 0);
-  Alcotest.(check (float 0.)) "int/bool/pick draw words" 0. (w1 -. w0)
+  Alcotest.(check (float 0.)) "int/bool/pick/skewed draw words" 0. (w1 -. w0)
+
+(* From a shared seed, [skewed] returns the int its float expression
+   gives on one [Rng.float] draw. *)
+let test_rng_skewed_matches () =
+  let a = Rng.of_int 11 and b = Rng.of_int 11 in
+  for i = 1 to 10_000 do
+    let range = 1 + (i * 977 mod 1_000_000) in
+    let u = Rng.float b in
+    let u4 = u *. u *. u *. u in
+    Alcotest.(check int) "skewed draw"
+      (int_of_float (u4 *. u4 *. float_of_int range))
+      (Rng.skewed a range)
+  done
 
 (* From a shared seed, [pick] returns the index the comparison chain on
    one [Rng.float] draw gives, and, over the running sums of the weights
@@ -763,6 +778,8 @@ let () =
           Alcotest.test_case "geometric mean" `Quick test_rng_geometric_mean;
           Alcotest.test_case "draws allocate nothing" `Quick
             test_rng_draws_allocate_nothing;
+          Alcotest.test_case "skewed matches its float expression" `Quick
+            test_rng_skewed_matches;
         ]
         @ qsuite [ prop_rng_pick_matches ] );
       ("ring", qsuite [ prop_ring_model ]);
