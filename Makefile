@@ -1,7 +1,7 @@
 # Convenience wrapper around dune; `make ci` runs every gate of the CI
 # workflow, whose steps each call one of these targets.
 
-.PHONY: all build test soak bench-smoke perf-compare trace-smoke audit-smoke sweep-smoke sweep-speedup telemetry-smoke top-smoke bisect-smoke ni-smoke perf-smoke profile-smoke lint-channels ci clean
+.PHONY: all build test soak bench-smoke perf-compare trace-smoke audit-smoke sweep-smoke sweep-speedup telemetry-smoke top-smoke bisect-smoke ni-smoke perf-smoke perf-exact profile-smoke lint-channels ci clean
 
 all: build
 
@@ -209,6 +209,27 @@ ni-smoke:
 perf-smoke:
 	dune build @perfbench/perf-smoke
 
+# Bit-identity gate for speed-ups: each workload of the simulator
+# benchmark, run briefly at seed 0, must reproduce the deterministic
+# results over its fixed prefix of ops (the record's "exact" object:
+# window cycles, instructions, counter digests, CPI stacks, sweep-cell
+# and ni-verdict digests) exactly as test/perf-exact.expected pins them
+# (about 20 s).  A change that is meant to move simulated timing
+# regenerates that file from the same loop and says why.
+PERF_EXACT_WORKLOADS = spec-mem spec-ilp sweep-fig13 ni-fpma
+
+perf-exact:
+	dune build perfbench/perf.exe bench/json_check.exe
+	for w in $(PERF_EXACT_WORKLOADS); do \
+		dune exec perfbench/perf.exe -- --workload $$w --seconds 1 --trace 0 \
+			--out perf-exact-$$w.json > /dev/null || exit 1; \
+	done
+	for w in $(PERF_EXACT_WORKLOADS); do \
+		echo "# $$w"; \
+		dune exec bench/json_check.exe -- --exact perf-exact-$$w.json || exit 1; \
+	done > perf-exact.txt
+	diff test/perf-exact.expected perf-exact.txt
+
 # CPI-stack profile gate: the same profile with and without the host
 # sampler (--self) must write byte-identical JSON, so sampling moves no
 # simulated bit, and the --self run must state the sampler's overhead.
@@ -273,7 +294,7 @@ lint-channels:
 			|| exit 1; \
 	done
 
-ci: build test soak bench-smoke trace-smoke audit-smoke lint-channels profile-smoke telemetry-smoke top-smoke sweep-smoke sweep-speedup bisect-smoke ni-smoke perf-smoke perf-compare
+ci: build test soak bench-smoke trace-smoke audit-smoke lint-channels profile-smoke telemetry-smoke top-smoke sweep-smoke sweep-speedup bisect-smoke ni-smoke perf-smoke perf-exact perf-compare
 
 clean:
 	dune clean
@@ -287,4 +308,4 @@ clean:
 		telemetry.jsonl tel-serial\#* tel-parallel\#* SWEEP_history.jsonl \
 		sweep-serial.log sweep-parallel.log \
 		profile.json profile.folded profile-self.json profile-self.txt soak.log \
-		trace.json metrics.json
+		trace.json metrics.json perf-exact-*.json perf-exact.txt

@@ -4,7 +4,7 @@
                      [--history FILE]... [--telemetry FILE]...
                      [--min-snapshots N] [--bisect FILE]...
                      [--agrees-audit FILE] [--ni FILE]...
-                     [--lint FILE]... [FILE]...
+                     [--lint FILE]... [--exact FILE]... [FILE]...
 
    Plain FILE arguments must parse as JSON (and contain every --require
    KEY at the top level).  --chrome-trace files must additionally follow
@@ -27,6 +27,11 @@
    clean flags consistent with findings, and — when the report was
    produced with --channels — every speculative program finding naming
    at least one channel it can leak through.
+   --exact FILE prints the "exact" object of a perfbench record (the
+   deterministic results over its fixed prefix of ops) one leaf per
+   line, as "path value" with floats in all 17 digits, so that two
+   builds' blocks compare with diff; `make perf-exact` diffs them against
+   test/perf-exact.expected.
    Exit 0 iff everything passes. *)
 
 open Mi6_obs
@@ -432,6 +437,27 @@ let check_lint json =
   | _ -> bad "missing int \"total_findings\"");
   List.rev !problems
 
+(* The "exact" object of a perf record, one "path value" line per
+   leaf. *)
+let render_exact json =
+  match Json.member "exact" json with
+  | None -> Error "missing \"exact\""
+  | Some exact ->
+    let buf = Buffer.create 1024 in
+    let line path v = Buffer.add_string buf (Printf.sprintf "%s %s\n" path v) in
+    let rec leaf path = function
+      | Json.Obj kvs ->
+        List.iter
+          (fun (k, v) -> leaf (if path = "" then k else path ^ "." ^ k) v)
+          kvs
+      | Json.List vs ->
+        List.iteri (fun i v -> leaf (Printf.sprintf "%s[%d]" path i) v) vs
+      | Json.Float f -> line path (Printf.sprintf "%.17g" f)
+      | v -> line path (Json.to_string v)
+    in
+    leaf "" exact;
+    Ok (Buffer.contents buf)
+
 let check_telemetry ~min_snapshots file =
   match Telemetry.validate_file ~path:file with
   | Ok n when n < min_snapshots ->
@@ -445,8 +471,11 @@ let () =
   let plain = ref [] and chrome = ref [] and history = ref [] in
   let telemetry = ref [] and min_snapshots = ref 1 in
   let bisect = ref [] and agrees_audit = ref None in
-  let ni = ref [] and lint = ref [] in
+  let ni = ref [] and lint = ref [] and exact = ref [] in
   let rec parse = function
+    | "--exact" :: f :: rest ->
+      exact := f :: !exact;
+      parse rest
     | "--require" :: k :: rest ->
       require := k :: !require;
       parse rest
@@ -491,16 +520,17 @@ let () =
   and telemetry = List.rev !telemetry
   and bisect = List.rev !bisect
   and ni = List.rev !ni
-  and lint = List.rev !lint in
+  and lint = List.rev !lint
+  and exact = List.rev !exact in
   if plain = [] && chrome = [] && history = [] && telemetry = [] && bisect = []
-     && ni = [] && lint = []
+     && ni = [] && lint = [] && exact = []
   then begin
     prerr_endline
       "usage: json_check [--require KEY]... [--chrome-trace FILE]...\n\
       \                  [--history FILE]... [--telemetry FILE]...\n\
       \                  [--min-snapshots N] [--bisect FILE]...\n\
       \                  [--agrees-audit FILE] [--ni FILE]...\n\
-      \                  [--lint FILE]... [FILE]...";
+      \                  [--lint FILE]... [--exact FILE]... [FILE]...";
     exit 2
   end;
   let fail = ref false in
@@ -557,4 +587,15 @@ let () =
   List.iter (fun file -> with_json file (check_bisect ?audit)) bisect;
   List.iter (fun file -> with_json file check_ni) ni;
   List.iter (fun file -> with_json file check_lint) lint;
+  (* Rendered blocks go to stdout alone; problems, as above, to stderr. *)
+  List.iter
+    (fun file ->
+      match Json.of_string (read_file file) with
+      | exception Sys_error msg -> report file [ msg ]
+      | exception Failure msg -> report file [ "invalid JSON: " ^ msg ]
+      | json -> (
+        match render_exact json with
+        | Ok text -> print_string text
+        | Error msg -> report file [ msg ]))
+    exact;
   exit (if !fail then 1 else 0)

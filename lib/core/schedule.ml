@@ -348,7 +348,7 @@ let run ?(max_cycles = default_max_cycles) ?trace ~timing ~body t =
       | _ -> (
         match !open_w with
         | Some (_, start, commits) when u.Uop.pc >= attacker_code ->
-          if !start = None then start := Some (now, snap ());
+          (match !start with None -> start := Some (now, snap ()) | Some _ -> ());
           incr commits
         | _ -> ()));
   let budget = ref max_cycles in

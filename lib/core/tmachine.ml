@@ -5,6 +5,7 @@ type t = {
   trace : Trace.t;
   occupancy : Occupancy.t;
   telemetry : Telemetry.t;
+  observed : bool; (* either observer is enabled *)
   sections : (string * (Statesig.acc -> unit)) list;
   (* Ticks before this cycle only wait out purge floors (see [tick]). *)
   mutable idle_until : int;
@@ -63,7 +64,9 @@ let create ?(trace = Trace.null) ?(occupancy = Occupancy.null)
     @ List.map (fun l -> (L1.name l, L1.state l)) (l1s 0 @ l1s 1)
     @ [ ("llc", Llc.state (Hierarchy.llc mem)) ]
   in
-  { cores; mem; stats; trace; occupancy; telemetry; sections; idle_until = 0 }
+  let observed = Occupancy.enabled occupancy || Telemetry.enabled telemetry in
+  { cores; mem; stats; trace; occupancy; telemetry; observed; sections;
+    idle_until = 0 }
 
 (* Registry over every component's counters and distributions; values are
    read at export time, so build it once and export after the run. *)
@@ -125,28 +128,15 @@ let committed t =
    issues a request, so the memory side stays quiescent, and every tick
    only counts. *)
 let idle_span_end t =
-  let e = ref max_int in
-  for i = 0 to Array.length t.cores - 1 do
-    let f = Core.floor_end t.cores.(i) in
-    if f < !e then e := f
+  let e = ref max_int and i = ref 0 in
+  while !e >= 0 && !i < Array.length t.cores do
+    e := Int.min !e (Core.floor_end t.cores.(!i));
+    incr i
   done;
-  if !e > now t && Hierarchy.quiescent t.mem then !e else -1
+  if !e >= 0 && !e > now t && Hierarchy.quiescent t.mem then !e else -1
 
-let tick t =
-  let cycle = now t in
-  if cycle < t.idle_until then begin
-    for i = 0 to Array.length t.cores - 1 do
-      Core.wait_floor t.cores.(i) ~now:cycle
-    done;
-    Hierarchy.tick_idle t.mem
-  end
-  else begin
-    for i = 0 to Array.length t.cores - 1 do
-      Core.tick t.cores.(i) ~now:cycle
-    done;
-    Hierarchy.tick t.mem;
-    t.idle_until <- idle_span_end t
-  end;
+(* The Occupancy and Telemetry observers, after either kind of tick. *)
+let observe t =
   if Occupancy.enabled t.occupancy then begin
     let rob = ref 0 and iq = ref 0 and lq = ref 0 and sq = ref 0 and sb = ref 0 in
     Array.iter
@@ -166,6 +156,23 @@ let tick t =
     Telemetry.maybe_emit t.telemetry ~cycle:(now t) ~instrs:(committed t)
       ~counters:(fun () -> Stats.to_assoc t.stats)
       ~occupancy:t.occupancy
+
+let tick t =
+  let cycle = now t in
+  if cycle < t.idle_until then begin
+    for i = 0 to Array.length t.cores - 1 do
+      Core.wait_floor t.cores.(i) ~now:cycle
+    done;
+    Hierarchy.tick_idle t.mem
+  end
+  else begin
+    for i = 0 to Array.length t.cores - 1 do
+      Core.tick t.cores.(i) ~now:cycle
+    done;
+    Hierarchy.tick t.mem;
+    t.idle_until <- idle_span_end t
+  end;
+  if t.observed then observe t
 
 let finished t =
   let i = ref 0 in
@@ -206,8 +213,10 @@ let run_stream ?trace ?occupancy ?telemetry ~timing ~stream ~warmup () =
   let budget = 400_000_000 in
   while (not (finished m)) && now m < budget do
     tick m;
-    if !snap = None && Core.committed_instructions c >= warmup then
+    match !snap with
+    | None when Core.committed_instructions c >= warmup ->
       snap := Some (now m, Core.committed_instructions c, Stats.copy stats)
+    | _ -> ()
   done;
   if not (finished m) then failwith "Tmachine.run_stream: cycle budget exhausted";
   let finish ~cycles ~instrs ~stats:window =
@@ -269,10 +278,12 @@ let run_multi ?trace ~timing ~benches ~warmup ~measure () =
     Array.iteri
       (fun i core ->
         let c = Core.committed_instructions core in
-        if snaps.(i) = None && c >= warmup then
-          snaps.(i) <- Some (now m, c);
-        if fins.(i) = None && c >= warmup + measure then
-          fins.(i) <- Some (now m, c))
+        (match snaps.(i) with
+        | None when c >= warmup -> snaps.(i) <- Some (now m, c)
+        | _ -> ());
+        match fins.(i) with
+        | None when c >= warmup + measure -> fins.(i) <- Some (now m, c)
+        | _ -> ())
       m.cores
   done;
   if not (finished m) then failwith "Tmachine.run_multi: budget exhausted";

@@ -160,10 +160,18 @@ type t = {
   mutable live : int; (* allocated MSHR entries *)
   mutable sending : int; (* entries with downgrade requests still to send *)
   arrived : int array; (* per core: entries in p_dram_arrived *)
+  mutable arrived_all : int; (* every core's [arrived], summed *)
   free : int array; (* per (MSHR partition, bank): unallocated entries *)
-  respond : tag:int -> line:int -> unit; (* DRAM response sink *)
+  mutable respond : tag:int -> line:int -> unit; (* DRAM response sink *)
   pipe : Ring.t; (* see [k_creq] *)
+  mutable pipe_due : int; (* the oldest [pipe] record's exit cycle; max_int when empty *)
   retryq : Ring.t array; (* per core *)
+  mutable retries : int; (* every [retryq]'s length, summed *)
+  (* Each port's incoming request and downgrade-response rings, as
+     [links.(p).rq] and [links.(p).rs]: the arbiter reads their lengths
+     without going through the link. *)
+  rqs : Ring.t array;
+  rss : Ring.t array;
   uqs : Ring.t array; (* 1 (shared) or per core *)
   dq : Ring.t;
   mutable dq_pending_read : int; (* baseline 2-cycle wb+read dequeue; -1 none *)
@@ -211,6 +219,15 @@ let recount t =
     t.entries;
   (!live, !sending, arrived, free)
 
+let dram_response t ~tag ~line =
+  let e = t.entries.(tag) in
+  if not e.e_live then failwith "Llc: dangling MSHR index";
+  assert (e.e_line = line);
+  (* No backpressure on the DRAM response: buffered in the MSHR. *)
+  e.e_phase <- p_dram_arrived;
+  t.arrived.(e.e_core) <- t.arrived.(e.e_core) + 1;
+  t.arrived_all <- t.arrived_all + 1
+
 let create ?(trace = Trace.null) cfg ~security ~links ~dram ~stats =
   if cfg.cores > max_ports then
     invalid_arg
@@ -247,15 +264,6 @@ let create ?(trace = Trace.null) cfg ~security ~links ~dram ~stats =
           e_dq_wb = false;
         })
   in
-  let arrived = Array.make cfg.cores 0 in
-  let respond ~tag ~line =
-    let e = entries.(tag) in
-    if not e.e_live then failwith "Llc: dangling MSHR index";
-    assert (e.e_line = line);
-    (* No backpressure on the DRAM response: buffered in the MSHR. *)
-    e.e_phase <- p_dram_arrived;
-    arrived.(e.e_core) <- arrived.(e.e_core) + 1
-  in
   let partitions = if security.partitioned_mshrs then cfg.cores else 1 in
   let t =
     {
@@ -272,11 +280,16 @@ let create ?(trace = Trace.null) cfg ~security ~links ~dram ~stats =
       entries;
       live = 0;
       sending = 0;
-      arrived;
+      arrived = Array.make cfg.cores 0;
+      arrived_all = 0;
       free = Array.make (partitions * cfg.mshr_banks) 0;
-      respond;
+      respond = (fun ~tag:_ ~line:_ -> ()) (* set below *);
       pipe = Ring.create ~width:4 (cfg.pipeline_latency + 2);
+      pipe_due = max_int;
       retryq = Array.init cfg.cores (fun _ -> Ring.create cfg.mshrs);
+      retries = 0;
+      rqs = Array.map (fun l -> l.Link.rq) links;
+      rss = Array.map (fun l -> l.Link.rs) links;
       uqs =
         (if security.split_uq then
            Array.init cfg.cores (fun _ -> Ring.create (cfg.mshrs / cfg.cores))
@@ -289,6 +302,7 @@ let create ?(trace = Trace.null) cfg ~security ~links ~dram ~stats =
       occ_hist = Histogram.create ();
     }
   in
+  t.respond <- dram_response t;
   let _, _, _, free = recount t in
   Array.blit free 0 t.free 0 (Array.length free);
   t
@@ -381,7 +395,8 @@ let enqueue_uq t idx =
 let enqueue_retry t idx =
   let e = t.entries.(idx) in
   e.e_phase <- p_wait_retry;
-  Ring.push t.retryq.(e.e_core) idx
+  Ring.push t.retryq.(e.e_core) idx;
+  t.retries <- t.retries + 1
 
 let enqueue_dq t idx =
   t.entries.(idx).e_phase <- p_in_dq;
@@ -657,7 +672,8 @@ let kind_name kind =
 let admit t ~now ~core ~kind ~arg ~resp =
   if Trace.active t.trace Trace.Llc then
     Trace.emit t.trace ~now (Trace.Arb_grant { core; kind = kind_name kind });
-  Ring.push4 t.pipe (now + t.cfg.pipeline_latency) kind arg resp
+  Ring.push4 t.pipe (now + t.cfg.pipeline_latency) kind arg resp;
+  if t.pipe.Ring.len = 1 then t.pipe_due <- now + t.cfg.pipeline_latency
 
 (* One admission attempt per message class for [core]: each dequeues and
    admits its message and returns [true], or returns [false]. *)
@@ -667,6 +683,7 @@ let admit_dram t ~now core =
   && begin
     t.entries.(idx).e_phase <- p_pipe;
     t.arrived.(core) <- t.arrived.(core) - 1;
+    t.arrived_all <- t.arrived_all - 1;
     admit t ~now ~core ~kind:k_dram ~arg:idx ~resp:0;
     true
   end
@@ -675,13 +692,14 @@ let admit_retry t ~now core =
   t.retryq.(core).Ring.len > 0
   && begin
     let idx = Ring.pop t.retryq.(core) in
+    t.retries <- t.retries - 1;
     t.entries.(idx).e_phase <- p_pipe;
     admit t ~now ~core ~kind:k_retry ~arg:idx ~resp:0;
     true
   end
 
 let admit_cresp t ~now core =
-  let rs = t.links.(core).Link.rs in
+  let rs = t.rss.(core) in
   rs.Ring.len > 0
   && begin
     let resp =
@@ -696,7 +714,7 @@ let admit_cresp t ~now core =
 
 (* Upgrade requests need an MSHR. *)
 let admit_creq t ~now core =
-  let rq = t.links.(core).Link.rq in
+  let rq = t.rqs.(core) in
   rq.Ring.len > 0
   &&
   let idx = alloc_mshr t ~core ~line:(Link.line rq) ~to_s:(Link.to_s rq) in
@@ -714,13 +732,27 @@ let admit_creq t ~now core =
 (* Message classes in the baseline mux's priority order: DRAM responses,
    downgrade responses, retries, upgrade requests.  [waiting] reads
    fields only, so the mux calls an admission function only when there
-   is a message to admit. *)
+   is a message to admit; [class_waiting] skips a class no core has a
+   message in. *)
 let[@inline] waiting t cls core =
   match cls with
   | 0 -> t.arrived.(core) > 0
-  | 1 -> t.links.(core).Link.rs.Ring.len > 0
+  | 1 -> t.rss.(core).Ring.len > 0
   | 2 -> t.retryq.(core).Ring.len > 0
-  | _ -> t.links.(core).Link.rq.Ring.len > 0
+  | _ -> t.rqs.(core).Ring.len > 0
+
+let[@inline] class_waiting t cls =
+  match cls with 0 -> t.arrived_all > 0 | 2 -> t.retries > 0 | _ -> true
+
+(* Some port has a request or a downgrade response on its link. *)
+let link_waiting t =
+  let p = ref 0 in
+  while
+    !p < t.cfg.cores && t.rqs.(!p).Ring.len = 0 && t.rss.(!p).Ring.len = 0
+  do
+    incr p
+  done;
+  !p < t.cfg.cores
 
 let admit_class t ~now cls core =
   match cls with
@@ -747,25 +779,29 @@ let enter_pipeline t ~now =
         || admit_cresp t ~now core || admit_creq t ~now core)
     then waste_slot t ~now core
   end
-  else begin
-    (* Baseline two-level mux: message-type priority, then core index. *)
+  else if t.arrived_all > 0 || t.retries > 0 || link_waiting t then begin
+    (* Baseline two-level mux: message-type priority, then core index.
+       With no message waiting it admits nothing, so it is not run. *)
     let admitted = ref false and cls = ref 0 in
     while (not !admitted) && !cls < 4 do
-      let core = ref 0 in
-      while (not !admitted) && !core < t.cfg.cores do
-        admitted := waiting t !cls !core && admit_class t ~now !cls !core;
-        incr core
-      done;
+      if class_waiting t !cls then begin
+        let core = ref 0 in
+        while (not !admitted) && !core < t.cfg.cores do
+          admitted := waiting t !cls !core && admit_class t ~now !cls !core;
+          incr core
+        done
+      end;
       incr cls
     done
   end
 
 let advance_pipeline t ~now =
-  if t.pipe.Ring.len > 0 && Ring.peek t.pipe 0 <= now then begin
+  if t.pipe_due <= now then begin
     let kind = Ring.peek t.pipe 1
     and arg = Ring.peek t.pipe 2
     and resp = Ring.peek t.pipe 3 in
     Ring.drop t.pipe;
+    t.pipe_due <- (if t.pipe.Ring.len > 0 then Ring.peek t.pipe 0 else max_int);
     if kind = k_cresp then
       process_cresp t arg ~line:(resp lsr 3)
         ~to_s:(Msi.of_int ((resp lsr 1) land 3))
@@ -1081,6 +1117,13 @@ let check_invariants t =
   in
   let live, sending, arrived, free = recount t in
   if live <> t.live then fail "live %d, recount %d" t.live live;
+  let arrived_all = Array.fold_left ( + ) 0 arrived in
+  if arrived_all <> t.arrived_all then
+    fail "arrived_all %d, recount %d" t.arrived_all arrived_all;
+  let retries = Array.fold_left (fun n q -> n + Ring.length q) 0 t.retryq in
+  if retries <> t.retries then fail "retries %d, recount %d" t.retries retries;
+  let due = if Ring.length t.pipe > 0 then Ring.get t.pipe 0 0 else max_int in
+  if due <> t.pipe_due then fail "pipe_due %d, oldest record's %d" t.pipe_due due;
   if sending <> t.sending then fail "sending %d, recount %d" t.sending sending;
   Array.iteri
     (fun c n ->

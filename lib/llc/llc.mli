@@ -125,8 +125,9 @@ val invalidate_region : t -> geometry:Addr.regions -> region:int -> unit
 
 (** [check_invariants t] checks the bookkeeping the flat MSHR file keeps
     in step: every derived count (live entries, free entries per
-    partition and bank, DRAM-arrived entries per core, entries with
-    downgrades still to send) equals a recount of the slots; every index
+    partition and bank, DRAM-arrived entries per core and in all,
+    entries with downgrades still to send, queued retries) equals a
+    recount of the slots and queues; every index
     queued in the pipeline, a retry queue, a UQ, the DQ or the pending
     baseline read names a live entry in the phase that queue implies;
     and no (set, way) is locked by two live entries.  [Error] names the

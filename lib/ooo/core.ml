@@ -31,8 +31,18 @@ type predictor_ctx = {
   px_btb : Btb.snapshot;
 }
 
-(* An issue queue: ROB indices, oldest first, in [slots.(0 .. n - 1)]. *)
-type iq = { slots : int array; mutable n : int }
+(* An issue queue: ROB indices, oldest first, in [slots.(0 .. n - 1)].
+   A scan that finds no entry ready arms the queue: no entry can be
+   ready before [skip_until], so the scans before it are skipped.  A
+   pushed entry ready earlier lowers [skip_until]; the fall of a
+   [ready_at] one of its entries waits on sets it to 0.  [bit] is the
+   queue's bit in the core's [waiters] masks. *)
+type iq = {
+  slots : int array;
+  mutable n : int;
+  mutable skip_until : int;
+  bit : int;
+}
 
 (* Pending events on a timing wheel.  Bucket [c land mask] holds the
    events that run at cycle [c], in insertion order, for each [c] in
@@ -120,10 +130,19 @@ type t = {
   map_table : int array; (* logical -> phys *)
   free_list : Ring.t;
   ready_at : int array; (* per phys reg *)
+  (* Per ROB slot: the cycle its µop has every source, the latest of
+     their [ready_at]; [never] while one is unknown, and then recomputed
+     by each scan of its issue queue. *)
+  rdy : int array;
+  (* Per physical register, one byte: the [bit]s of the issue queues
+     holding an entry blocked on it, which its [ready_at]'s fall
+     disarms. *)
+  waiters : Bytes.t;
   iq_alu : iq array;
   iq_mem : iq;
   iq_fp : iq;
   lq : bool array; (* slot busy *)
+  mutable lq_free : int; (* slots not busy *)
   lq_rob : int array; (* per LQ slot: ROB index of its load, -1 when free *)
   (* SQ: a ring of [sq_count] stores from [sq_head]. *)
   sq_line : int array;
@@ -217,7 +236,7 @@ let wheel_create size =
     pending = 0;
   }
 
-let iq_create cap = { slots = Array.make cap 0; n = 0 }
+let iq_create cap i = { slots = Array.make cap 0; n = 0; skip_until = 0; bit = 1 lsl i }
 
 let fetch_queue_entries = 16
 
@@ -236,7 +255,10 @@ let create ?(trace = Trace.null) ?(id = 0) cfg ~l1i ~l1d ~stream ~stats
       true
     end
   in
-  let iq () = iq_create cfg.Core_config.iq_entries in
+  let alu_pipes = cfg.Core_config.alu_pipes in
+  (* One [waiters] bit per issue queue: the ALUs', FP, memory. *)
+  if alu_pipes + 2 > 8 then invalid_arg "Core.create: at most 6 ALU pipes";
+  let iq = iq_create cfg.Core_config.iq_entries in
   {
     cfg;
     l1i;
@@ -273,10 +295,13 @@ let create ?(trace = Trace.null) ?(id = 0) cfg ~l1i ~l1d ~stream ~stats
     map_table = Array.init 32 (fun i -> i);
     free_list;
     ready_at = Array.make phys_regs 0;
-    iq_alu = Array.init cfg.Core_config.alu_pipes (fun _ -> iq ());
-    iq_mem = iq ();
-    iq_fp = iq ();
+    rdy = Array.make cfg.Core_config.rob_entries never;
+    waiters = Bytes.make phys_regs '\000';
+    iq_alu = Array.init alu_pipes iq;
+    iq_fp = iq alu_pipes;
+    iq_mem = iq (alu_pipes + 1);
     lq = Array.make cfg.Core_config.lq_entries false;
+    lq_free = cfg.Core_config.lq_entries;
     lq_rob = Array.make cfg.Core_config.lq_entries (-1);
     sq_line = Array.make cfg.Core_config.sq_entries 0;
     sq_ready = Array.make cfg.Core_config.sq_entries false;
@@ -341,10 +366,10 @@ let request_purge t = t.purge_requested <- true
 (* File an event under the cycle it runs at.  The caller guarantees that
    cycle lies in the window. *)
 let wheel_file w ~at ~seq ~kind ~arg =
-  let b = max at (w.ran + 1) land w.mask in
+  let b = Int.max at (w.ran + 1) land w.mask in
   let n = w.counts.(b) in
   if 4 * n = Array.length w.buckets.(b) then begin
-    let bigger = Array.make (max 16 (8 * n)) 0 in
+    let bigger = Array.make (Int.max 16 (8 * n)) 0 in
     Array.blit w.buckets.(b) 0 bigger 0 (4 * n);
     w.buckets.(b) <- bigger
   end;
@@ -387,7 +412,7 @@ let after t delay kind arg =
   let w = t.wheel in
   let at = t.now + delay and seq = w.seq in
   w.seq <- w.seq + 1;
-  let span = max at (w.ran + 1) - w.ran in
+  let span = Int.max at (w.ran + 1) - w.ran in
   if span >= Array.length w.buckets then begin
     (* Beyond the window: double the wheel until it fits. *)
     let size = ref (Array.length w.buckets) in
@@ -410,18 +435,63 @@ let rob_live t idx =
   let n = Array.length t.rob in
   (idx - t.rob_head + n) mod n < t.rob_count
 
-let srcs_ready t e =
-  let ready = ref true and i = ref 0 in
-  while !ready && !i < e.nsrc do
-    if t.ready_at.(e.srcs.(!i)) > t.now then ready := false;
+(* The latest [ready_at] of [e]'s sources: [never] while one is
+   unknown, 0 for none. *)
+let srcs_ready_at t e =
+  let r = ref 0 and i = ref 0 in
+  while !r < never && !i < e.nsrc do
+    r := Int.max !r t.ready_at.(e.srcs.(!i));
     incr i
   done;
-  !ready
+  !r
+
+(* [e]'s first source whose [ready_at] is unknown, or -1. *)
+let first_unknown t e =
+  let p = ref (-1) and i = ref 0 in
+  while !p < 0 && !i < e.nsrc do
+    if t.ready_at.(e.srcs.(!i)) = never then p := e.srcs.(!i);
+    incr i
+  done;
+  !p
+
+(* Caches and returns the ready cycle of the µop at ROB slot [idx]
+   ([srcs_ready_at] in one pass), queued in [q]; blocked, it puts [q] on
+   its first unknown source's [waiters]. *)
+let cache_ready t q idx =
+  let e = t.rob.(idx) in
+  let r = ref 0 and i = ref 0 in
+  while !r < never && !i < e.nsrc do
+    let p = e.srcs.(!i) in
+    r := Int.max !r t.ready_at.(p);
+    if !r = never then
+      Bytes.set_uint8 t.waiters p (Bytes.get_uint8 t.waiters p lor q.bit);
+    incr i
+  done;
+  t.rdy.(idx) <- !r;
+  !r
+
+let disarm q waiters = if waiters land q.bit <> 0 then q.skip_until <- 0
+
+(* A physical register's [ready_at] falls from [never] exactly once per
+   allocation: at issue for an ALU, branch or jump µop, at completion or
+   forwarding for a load.  The fall disarms every queue holding an entry
+   blocked on it. *)
+let set_ready t p at =
+  t.ready_at.(p) <- at;
+  let m = Bytes.get_uint8 t.waiters p in
+  if m <> 0 then begin
+    Bytes.set_uint8 t.waiters p 0;
+    for i = 0 to Array.length t.iq_alu - 1 do
+      disarm t.iq_alu.(i) m
+    done;
+    disarm t.iq_fp m;
+    disarm t.iq_mem m
+  end
 
 let mark_done t idx =
   let e = t.rob.(idx) in
   e.state <- Rs_done;
-  if e.dst >= 0 then t.ready_at.(e.dst) <- min t.ready_at.(e.dst) t.now
+  if e.dst >= 0 then set_ready t e.dst (Int.min t.ready_at.(e.dst) t.now)
 
 let mem_addr e =
   match e.u.Uop.kind with
@@ -438,12 +508,19 @@ let mem_addr e =
    addresses do not block the load — RiscyOO issues loads
    speculatively.) *)
 let forwardable t line =
-  let found = ref false in
-  for i = 0 to Array.length t.sq_line - 1 do
-    if t.sq_ready.(i) && t.sq_line.(i) = line then found := true
+  (* Only in-flight stores have a ready address: scan the SQ's window. *)
+  let nsq = Array.length t.sq_line in
+  let found = ref false and k = ref 0 in
+  while (not !found) && !k < t.sq_count do
+    let i = t.sq_head + !k in
+    let i = if i >= nsq then i - nsq else i in
+    found := t.sq_ready.(i) && t.sq_line.(i) = line;
+    incr k
   done;
-  for i = 0 to Array.length t.sb - 1 do
-    if t.sb.(i) && t.sb_lines.(i) = line then found := true
+  let i = ref 0 in
+  while (not !found) && !i < Array.length t.sb do
+    found := t.sb.(!i) && t.sb_lines.(!i) = line;
+    incr i
   done;
   !found
 
@@ -655,12 +732,18 @@ let alloc_lq t =
   done;
   if !i < Array.length t.lq then !i else -1
 
-let iq_push q idx =
+(* The pushed entry's ready cycle is cached as a scan would cache it,
+   so an armed queue stays armed until the earlier of its cycle and the
+   entry's. *)
+let iq_push t q idx =
   q.slots.(q.n) <- idx;
-  q.n <- q.n + 1
+  q.n <- q.n + 1;
+  q.skip_until <- Int.min q.skip_until (cache_ready t q idx)
 
 let iq_remove_at q j =
-  Array.blit q.slots (j + 1) q.slots j (q.n - j - 1);
+  for k = j to q.n - 2 do
+    q.slots.(k) <- q.slots.(k + 1)
+  done;
   q.n <- q.n - 1
 
 (* The shorter ALU issue queue (the lowest-numbered among equals). *)
@@ -673,9 +756,9 @@ let shortest_alu_iq t =
 
 let dispatch_iq t idx (u : Uop.t) =
   match u.Uop.kind with
-  | Uop.Load _ | Uop.Store _ -> iq_push t.iq_mem idx
-  | Uop.Alu { pipe = Uop.Pipe_fp; _ } -> iq_push t.iq_fp idx
-  | Uop.Alu _ | Uop.Branch _ | Uop.Jump _ -> iq_push (shortest_alu_iq t) idx
+  | Uop.Load _ | Uop.Store _ -> iq_push t t.iq_mem idx
+  | Uop.Alu { pipe = Uop.Pipe_fp; _ } -> iq_push t t.iq_fp idx
+  | Uop.Alu _ | Uop.Branch _ | Uop.Jump _ -> iq_push t (shortest_alu_iq t) idx
   | Uop.Enter_kernel | Uop.Exit_kernel -> ()
 
 let iq_has_room t (u : Uop.t) =
@@ -702,27 +785,26 @@ let rec rename_srcs t e i = function
 let rename_stage t =
   let budget = ref t.cfg.Core_config.fetch_width in
   let stop = ref false in
-  while !budget > 0 && (not !stop) && t.fq_len > 0 do
+  while !budget > 0 && (not !stop) && t.fq_len > 0 && not (rob_full t) do
     let u = t.fq_uops.(t.fq_head) in
-    let is_mem = Uop.is_mem u in
     let is_marker =
       match u.Uop.kind with
       | Uop.Enter_kernel | Uop.Exit_kernel -> true
       | _ -> false
     in
     let nonspec_block =
-      t.cfg.Core_config.nonspec_mem && is_mem && not (rob_empty t)
+      t.cfg.Core_config.nonspec_mem && Uop.is_mem u && not (rob_empty t)
     in
     let marker_block = is_marker && not (rob_empty t) in
     let needs_dst = match u.Uop.dst with Some _ -> true | None -> false in
     let sq_needed = match u.Uop.kind with Uop.Store _ -> true | _ -> false in
     let lq_needed = match u.Uop.kind with Uop.Load _ -> true | _ -> false in
     if
-      rob_full t || nonspec_block || marker_block
-      || (needs_dst && Ring.is_empty t.free_list)
+      nonspec_block || marker_block
+      || (needs_dst && t.free_list.Ring.len = 0)
       || (not (iq_has_room t u))
       || (sq_needed && t.sq_count = Array.length t.sq_line)
-      || (lq_needed && alloc_lq t < 0)
+      || (lq_needed && t.lq_free = 0)
     then stop := true
     else begin
       let mispredict = t.fq_mispredict.(t.fq_head) in
@@ -740,7 +822,7 @@ let rename_stage t =
            flushing variants). *)
         t.fetch_blocked_on_trap <- false;
         t.fetch_stall_until <-
-          max t.fetch_stall_until (t.now + t.cfg.Core_config.redirect_penalty);
+          Int.max t.fetch_stall_until (t.now + t.cfg.Core_config.redirect_penalty);
         if t.cfg.Core_config.flush_on_trap then begin
           begin_purge t
             (match u.Uop.kind with
@@ -768,6 +850,7 @@ let rename_stage t =
         if lq_needed then begin
           let s = alloc_lq t in
           t.lq.(s) <- true;
+          t.lq_free <- t.lq_free - 1;
           t.lq_rob.(s) <- idx;
           e.lq <- s
         end
@@ -795,15 +878,25 @@ let rename_stage t =
 (* Issue / execute                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Position of the oldest issuable entry of [q], or -1. *)
+(* Position of the oldest issuable entry of [q], or -1.  Every queued
+   entry is waiting (issue removes it, or reverts it on a D-TLB stall),
+   so readiness is its sources' alone.  A scan that finds none arms the
+   queue at the earliest ready cycle it saw, each blocked entry waiting
+   on a source. *)
 let pick_ready t q =
-  let found = ref (-1) and j = ref 0 in
-  while !found < 0 && !j < q.n do
-    let e = t.rob.(q.slots.(!j)) in
-    if e.state = Rs_waiting && srcs_ready t e then found := !j;
-    incr j
-  done;
-  !found
+  if t.now < q.skip_until then -1
+  else begin
+    let found = ref (-1) and j = ref 0 and next = ref never in
+    while !found < 0 && !j < q.n do
+      let idx = q.slots.(!j) in
+      let r = t.rdy.(idx) in
+      let r = if r < never then r else cache_ready t q idx in
+      if r <= t.now then found := !j else next := Int.min !next r;
+      incr j
+    done;
+    if !found < 0 then q.skip_until <- !next;
+    !found
+  end
 
 let issue_alu_like t idx =
   let e = t.rob.(idx) in
@@ -814,7 +907,7 @@ let issue_alu_like t idx =
     | Uop.Branch _ | Uop.Jump _ -> 1
     | _ -> assert false
   in
-  if e.dst >= 0 then t.ready_at.(e.dst) <- t.now + latency;
+  if e.dst >= 0 then set_ready t e.dst (t.now + latency);
   after t latency ev_exec_done idx
 
 (* Address generation + translation.  A store "executes" when its
@@ -864,7 +957,7 @@ let run_event t kind arg =
         e.mispredict <- false;
         t.fetch_blocked_on_resolve <- false;
         t.fetch_stall_until <-
-          max t.fetch_stall_until (t.now + t.cfg.Core_config.redirect_penalty)
+          Int.max t.fetch_stall_until (t.now + t.cfg.Core_config.redirect_penalty)
       end
     | _ -> ()
   end
@@ -923,7 +1016,7 @@ let run_events t =
     let due, rest =
       List.partition (fun (at, _, _, _) -> at <= t.now) (pending_events w)
     in
-    w.ran <- max w.ran t.now;
+    w.ran <- Int.max w.ran t.now;
     wheel_rebuild w ~size:(Array.length w.buckets) (List.rev rest);
     List.iter (fun (_, _, kind, arg) -> run_event t kind arg) (List.rev due)
   end
@@ -941,7 +1034,7 @@ let alloc_sb t =
   if !i < Array.length t.sb then !i else -1
 
 let sb_stage t =
-  if (not (Ring.is_empty t.sb_pending)) && L1.can_accept t.l1d then begin
+  if t.sb_pending.Ring.len > 0 && L1.can_accept t.l1d then begin
     let slot = Ring.pop t.sb_pending in
     L1.request t.l1d ~line:t.sb_lines.(slot) ~store:true ~id:(sb_tag lor slot)
   end
@@ -979,6 +1072,7 @@ let commit_stage t =
         if e.old >= 0 then Ring.push t.free_list e.old;
         if e.lq >= 0 then begin
           t.lq.(e.lq) <- false;
+          t.lq_free <- t.lq_free + 1;
           t.lq_rob.(e.lq) <- -1
         end;
         if e.sq >= 0 then begin
@@ -1185,7 +1279,7 @@ let wait_floor t ~now =
   attribute_cycle t ~committed_before:t.committed
 
 let mem_complete t ~now ~id =
-  t.now <- max t.now now;
+  t.now <- Int.max t.now now;
   if id land Ptw.id_tag <> 0 then Ptw.mem_response ~now t.ptw ~id
   else if id land sb_tag <> 0 then t.sb.(id land lnot sb_tag) <- false
   else begin
@@ -1196,7 +1290,7 @@ let mem_complete t ~now ~id =
     let e = t.rob.(idx) in
     e.state <- Rs_done;
     Histogram.add t.load_lat (now - t.lq_issued_at.(id));
-    if e.dst >= 0 then t.ready_at.(e.dst) <- now
+    if e.dst >= 0 then set_ready t e.dst now
   end
 
 let icache_complete t ~id =
@@ -1206,7 +1300,8 @@ let icache_complete t ~id =
 
 let finished t =
   t.stream_done && rob_empty t && t.fq_len = 0
-  && backend_quiescent t && t.purge = Pp_none
+  && backend_quiescent t
+  && (not (purging t))
   && not t.purge_requested
 
 (* ------------------------------------------------------------------ *)
@@ -1218,7 +1313,7 @@ let rob_occupancy t = t.rob_count
 let iq_occupancy t =
   Array.fold_left (fun n q -> n + q.n) (t.iq_mem.n + t.iq_fp.n) t.iq_alu
 
-let lq_occupancy t = count_busy t.lq
+let lq_occupancy t = Array.length t.lq - t.lq_free
 let sq_occupancy t = t.sq_count
 let sb_occupancy t = count_busy t.sb
 
@@ -1276,6 +1371,45 @@ let check_invariants t =
       t.lq;
     if t.sq_count <> !stores then
       fail "SQ count %d, but %d stores in flight" t.sq_count !stores;
+    (* [forwardable] scans the SQ window alone. *)
+    let nsq = Array.length t.sq_line in
+    Array.iteri
+      (fun i ready ->
+        if ready && (i - t.sq_head + nsq) mod nsq >= t.sq_count then
+          fail "SQ slot %d is ready outside the window" i)
+      t.sq_ready;
+    let free = Array.length t.lq - count_busy t.lq in
+    if t.lq_free <> free then fail "LQ free count %d, recount %d" t.lq_free free;
+    (match Ptw.check_invariants t.ptw with Ok () -> () | Error m -> fail "%s" m);
+    (* Every queued entry is in flight and waiting, and a ready cycle
+       cached other than [never] is its sources' latest [ready_at].  In
+       a queue armed past this cycle none is ready before the cycle it
+       skips to, and a blocked one waits on its first unknown source,
+       whose fall will disarm the queue. *)
+    let iq name q =
+      for j = 0 to q.n - 1 do
+        let idx = q.slots.(j) in
+        if not (rob_live t idx) then fail "%s holds ROB %d, not in flight" name idx;
+        let e = t.rob.(idx) in
+        if e.state <> Rs_waiting then fail "%s holds ROB %d, not waiting" name idx;
+        let r = srcs_ready_at t e in
+        if t.rdy.(idx) < never && t.rdy.(idx) <> r then
+          fail "ROB %d caches ready cycle %d, sources ready at %d" idx
+            t.rdy.(idx) r;
+        if q.skip_until > t.now then begin
+          if r < q.skip_until then
+            fail "%s skips until %d, but ROB %d is ready at %d" name
+              q.skip_until idx r;
+          let p = first_unknown t e in
+          if p >= 0 && Bytes.get_uint8 t.waiters p land q.bit = 0 then
+            fail "%s skips until %d, but ROB %d's source p%d does not wake it"
+              name q.skip_until idx p
+        end
+      done
+    in
+    Array.iteri (fun i q -> iq (Printf.sprintf "ALU queue %d" i) q) t.iq_alu;
+    iq "FP queue" t.iq_fp;
+    iq "memory queue" t.iq_mem;
     Ok ()
   with Broken m -> Error m
 

@@ -112,7 +112,15 @@ val in_flight_uops : t -> (Uop.t * string) list
     physical register is in exactly one of the free list, the map table
     and the [old] mapping of an in-flight µop; every busy LQ slot names
     an in-flight load whose LQ slot points back (and a free one names
-    none); the SQ count equals the number of in-flight stores.  [Error]
+    none); the SQ count equals the number of in-flight stores, and no
+    SQ slot outside its window has a ready address.  It also checks the
+    state the per-cycle checks read instead of scanning: the free LQ
+    slots and the walker's live walks recount to their counts; every
+    issue-queue entry is an in-flight waiting µop whose cached ready
+    cycle, unless unknown, is its sources' latest [ready_at]; and in a
+    queue armed to skip its scans, no entry is ready before the cycle
+    it skips to, and each blocked one is registered to wake the queue
+    when its first unknown source's [ready_at] falls.  [Error]
     describes the first violation found. *)
 val check_invariants : t -> (unit, string) result
 

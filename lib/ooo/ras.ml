@@ -11,7 +11,7 @@ let create ?(entries = 8) () =
 let push t addr =
   t.stack.(t.top) <- addr;
   t.top <- (t.top + 1) mod t.entries;
-  t.depth <- min t.entries (t.depth + 1)
+  t.depth <- Int.min t.entries (t.depth + 1)
 
 let pop t =
   if t.depth = 0 then 0

@@ -15,6 +15,7 @@ type t = {
   pt_base_line : int;
   window : int;
   slots : walk option array;
+  mutable live : int; (* slots holding a walk *)
   trace : Trace.t;
   core : int; (* owning core, for trace attribution *)
   walk_lat : Histogram.t; (* walk start-to-finish latency *)
@@ -28,6 +29,7 @@ let create ?(trace = Trace.null) ?(core = 0) ~max_walks ~tcache ~pt_base_line
     pt_base_line;
     window = table_window_lines;
     slots = Array.make max_walks None;
+    live = 0;
     trace;
     core;
     walk_lat = Histogram.create ();
@@ -35,10 +37,8 @@ let create ?(trace = Trace.null) ?(core = 0) ~max_walks ~tcache ~pt_base_line
 
 let walk_latency t = t.walk_lat
 
-let active_walks t =
-  Array.fold_left (fun n s -> n + match s with Some _ -> 1 | None -> 0) 0 t.slots
-
-let can_start t = active_walks t < t.max_walks
+let active_walks t = t.live
+let can_start t = t.live < t.max_walks
 
 (* Sv39 structure: level 2 = root (vpn[26:18]), level 1 = mid
    (vpn[26:9]), level 0 = leaf (full vpn).  Each PTE is 8 bytes. *)
@@ -70,29 +70,31 @@ let start ?(now = 0) t ~vpage ~on_done =
   in
   let rec find i =
     if i >= t.max_walks then assert false
-    else if t.slots.(i) = None then i
-    else find (i + 1)
+    else match t.slots.(i) with None -> i | Some _ -> find (i + 1)
   in
   let slot = find 0 in
   t.slots.(slot) <-
     Some
       { vpage; started_at = now; levels_left; waiting_mem = false; reads = 0;
-        on_done }
+        on_done };
+  t.live <- t.live + 1
 
 let tick t ~issue =
   (* Issue at most one PTE read per cycle, lowest slot first. *)
-  let issued = ref false and i = ref 0 in
-  while (not !issued) && !i < Array.length t.slots do
-    (match t.slots.(!i) with
-    | Some ({ waiting_mem = false; levels_left = level :: _; _ } as w) ->
-      if issue ~line:(pte_line t ~level ~vpage:w.vpage) ~id:(id_tag lor !i)
-      then begin
-        w.waiting_mem <- true;
-        issued := true
-      end
-    | _ -> ());
-    incr i
-  done
+  if t.live > 0 then begin
+    let issued = ref false and i = ref 0 in
+    while (not !issued) && !i < Array.length t.slots do
+      (match t.slots.(!i) with
+      | Some ({ waiting_mem = false; levels_left = level :: _; _ } as w) ->
+        if issue ~line:(pte_line t ~level ~vpage:w.vpage) ~id:(id_tag lor !i)
+        then begin
+          w.waiting_mem <- true;
+          issued := true
+        end
+      | _ -> ());
+      incr i
+    done
+  end
 
 let mem_response ?(now = 0) t ~id =
   let slot = id land lnot id_tag in
@@ -104,21 +106,27 @@ let mem_response ?(now = 0) t ~id =
     w.reads <- w.reads + 1;
     match w.levels_left with
     | [] -> assert false
-    | _ :: rest ->
-      w.levels_left <- rest;
-      if rest = [] then begin
-        (* Walk complete: populate the translation cache. *)
-        Trans_cache.insert t.tcache ~level:0
-          ~prefix:(prefix ~level:2 ~vpage:w.vpage);
-        Trans_cache.insert t.tcache ~level:1
-          ~prefix:(prefix ~level:1 ~vpage:w.vpage);
-        Histogram.add t.walk_lat (now - w.started_at);
-        if Trace.active t.trace Trace.Ptw then
-          Trace.emit t.trace ~now
-            (Trace.Walk_end { core = t.core; vpage = w.vpage; reads = w.reads });
-        t.slots.(slot) <- None;
-        w.on_done ~reads:w.reads
-      end)
+    | _ :: (_ :: _ as rest) -> w.levels_left <- rest
+    | [ _ ] ->
+      (* Walk complete: populate the translation cache. *)
+      w.levels_left <- [];
+      Trans_cache.insert t.tcache ~level:0
+        ~prefix:(prefix ~level:2 ~vpage:w.vpage);
+      Trans_cache.insert t.tcache ~level:1
+        ~prefix:(prefix ~level:1 ~vpage:w.vpage);
+      Histogram.add t.walk_lat (now - w.started_at);
+      if Trace.active t.trace Trace.Ptw then
+        Trace.emit t.trace ~now
+          (Trace.Walk_end { core = t.core; vpage = w.vpage; reads = w.reads });
+      t.slots.(slot) <- None;
+      t.live <- t.live - 1;
+      w.on_done ~reads:w.reads)
+
+let check_invariants t =
+  let n = ref 0 in
+  Array.iter (function Some _ -> incr n | None -> ()) t.slots;
+  if !n = t.live then Ok ()
+  else Error (Printf.sprintf "ptw: live %d, recount %d" t.live !n)
 
 (* Structure state: the walk slots.  The translation cache and latency
    histogram are excluded — they only change when a walk also

@@ -28,7 +28,11 @@ val create :
   unit ->
   t
 
+(** [can_start t] and [active_walks t] read a count of live walks that
+    [start] and the completing {!mem_response} keep, so they, and a
+    [tick] with no walk live, cost O(1). *)
 val can_start : t -> bool
+
 val active_walks : t -> int
 
 (** [start ?now t ~vpage ~on_done] begins a walk; [on_done ~reads] fires
@@ -54,6 +58,10 @@ val pte_line : t -> level:int -> vpage:int -> int
 (** Ids issued by the walker are tagged with this bit to avoid colliding
     with core load/store ids. *)
 val id_tag : int
+
+(** [check_invariants t] recounts the live walk slots against the
+    count kept; [Error] describes a mismatch.  For tests. *)
+val check_invariants : t -> (unit, string) result
 
 (** [state t s] walks the in-flight walk slots through
     {!Mi6_util.Statesig}, for the quiet-cycle signature and the labelled

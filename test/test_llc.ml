@@ -631,8 +631,8 @@ let test_create_major_words () =
   ignore (Sys.opaque_identity m);
   let words = j1 -. j0 -. (p1 -. p0) in
   check_bool
-    (Printf.sprintf "%.0f direct major words (at most 48,000)" words)
-    true (words <= 48_000.)
+    (Printf.sprintf "%.0f direct major words (at most 38,157)" words)
+    true (words <= 38_157.)
 
 (* The miss path allocates only the request record each DRAM command
    passes to [Controller.accept].  A warmed one-core machine runs a loop
