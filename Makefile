@@ -18,12 +18,14 @@ test:
 	QCHECK_SEED=$(QCHECK_SEED) dune runtest
 
 # Seed soak: every property of the suites that drive the memory
-# hierarchy or the µop streams must hold for QCHECK_SEED=1..20, not only
-# the seed CI pins.  Each seed is echoed; the first failing suite stops
-# the run with its report (about three minutes on two cores).
+# hierarchy, the µop streams, the ISA and functional simulator, the
+# TLBs, the observers or the domain pool must hold for QCHECK_SEED=1..20,
+# not only the seed CI pins.  Each seed is echoed; the first failing
+# suite stops the run with its report (about four minutes on two cores).
 # test_analysis and test_schedule are not soak-clean yet (ROADMAP, seed
 # robustness).
-SOAK_SUITES = test_llc test_ooo test_core test_diff test_util test_workload
+SOAK_SUITES = test_llc test_ooo test_core test_diff test_util test_workload \
+	test_isa test_mem test_tlb test_obs test_exec
 
 soak:
 	dune build $(SOAK_SUITES:%=test/%.exe)
@@ -260,10 +262,12 @@ profile-smoke:
 #   - every committed hex example must get its expected verdict with
 #     channel lowering on (ct_* clean, everything else flagged); its
 #     examples/lint/*-channels.json report is kept for inspection;
-#   - a non-positive --cores must exit 2.
+#   - a non-positive --cores and an unknown --machine must exit 2.
 lint-channels:
 	dune build bin/mi6_sim.exe bench/json_check.exe
 	sh -c 'dune exec bin/mi6_sim.exe -- lint --machine mi6 --cores 0 \
+		> /dev/null 2>&1; test $$? -eq 2'
+	sh -c 'dune exec bin/mi6_sim.exe -- lint --machine nosuch \
 		> /dev/null 2>&1; test $$? -eq 2'
 	dune exec bin/mi6_sim.exe -- lint --machine mi6 --json lint-mi6.json
 	sh -c 'dune exec bin/mi6_sim.exe -- lint --machine base --json lint-base.json; test $$? -eq 1'

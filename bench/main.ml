@@ -467,15 +467,15 @@ let multicore () =
           .Tmachine.cycles
       in
       let s0 = solo b0 and s1 = solo b1 in
-      let slowdowns timing =
+      let slowdowns variant =
         let r =
-          Tmachine.run_multi ~timing ~benches:[| b0; b1 |] ~warmup:mw
+          Tmachine.run_multi ~variant ~benches:[| b0; b1 |] ~warmup:mw
             ~measure:mm ()
         in
         (pct ~base:s0 r.(0).Tmachine.cycles, pct ~base:s1 r.(1).Tmachine.cycles)
       in
-      let base0, base1 = slowdowns (Config.timing ~cores:2 Config.Base) in
-      let sec0, sec1 = slowdowns (Config.secure_multicore ~cores:2) in
+      let base0, base1 = slowdowns Config.Base in
+      let sec0, sec1 = slowdowns Config.Mi6 in
       Table.add_row t (bench_name b0)
         [ Table.cell_pct base0; Table.cell_pct sec0 ];
       Table.add_row t ("+ " ^ bench_name b1)

@@ -310,8 +310,8 @@ let multi_cmd =
   let secure =
     Arg.(value & flag
          & info [ "secure" ]
-             ~doc:"Use the MI6 secure machine (Figure 3 LLC + purge) instead \
-                   of BASE.")
+             ~doc:"Use the MI6 machine (variant MI6: Figure 3 LLC + purge) \
+                   instead of BASE.")
   in
   let run benches secure warmup measure trace_file trace_text_file
       trace_filter stats_json_file stats_csv_file =
@@ -326,18 +326,15 @@ let multi_cmd =
       2
     end
     else begin
-      let timing =
-        if secure then Config.secure_multicore ~cores
-        else Config.timing ~cores Config.Base
-      in
+      let variant = if secure then Config.Mi6 else Config.Base in
       let trace = make_trace ~trace_file ~trace_text_file ~trace_filter in
-      let rs = Tmachine.run_multi ~trace ~timing ~benches ~warmup ~measure () in
+      let rs = Tmachine.run_multi ~trace ~variant ~benches ~warmup ~measure () in
       Array.iteri
         (fun i r ->
           Printf.printf "core %d: %-11s cycles=%-10d ipc=%.3f (%s machine)\n" i
             (Mi6_workload.Spec.name benches.(i))
             r.Tmachine.cycles (Tmachine.ipc r)
-            (if secure then "MI6" else "BASE"))
+            (Config.variant_name variant))
         rs;
       if tracing_wanted ~trace_file ~trace_text_file then
         export_trace trace ~trace_file ~trace_text_file;
@@ -551,7 +548,7 @@ let audit_cmd =
           List.map (fun attacker -> (name, timing, attacker)) behaviours)
         [
           ("baseline", Config.timing ~cores:1 Config.Base);
-          ("mi6", Config.secure_multicore ~cores:1);
+          ("mi6", Config.timing ~cores:1 Config.Mi6);
         ]
     in
     let captures =
@@ -1272,27 +1269,6 @@ let area_cmd =
 (* lint                                                                *)
 (* ------------------------------------------------------------------ *)
 
-type lint_machine = M_mi6 | M_variant of Config.variant
-
-let machine_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "mi6" | "secure" -> Ok M_mi6
-    | _ -> (
-      match Config.variant_of_name s with
-      | Some v -> Ok (M_variant v)
-      | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown machine %S (mi6 or a variant name)" s)))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf m ->
-        Format.pp_print_string ppf
-          (match m with M_mi6 -> "mi6" | M_variant v -> Config.variant_name v)
-    )
-
 let reg_conv =
   let parse s =
     match Mi6_isa.Reg.of_name s with
@@ -1366,12 +1342,11 @@ let parse_hex_program path =
 
 let lint_cmd =
   let machine =
-    Arg.(value & opt (some machine_conv) None
+    Arg.(value & opt (some variant_conv) None
          & info [ "machine" ] ~docv:"NAME"
-             ~doc:"Lint a machine configuration: $(b,mi6) (the secure \
-                   multicore) or a processor variant name (BASE, FLUSH, \
-                   PART, ...).  When no program input and no machine is \
-                   given, mi6 is linted.")
+             ~doc:"Lint a machine configuration, named as a processor \
+                   variant (MI6, BASE, FLUSH, ...).  When no program input \
+                   and no machine is given, MI6 is linted.")
   in
   let cores =
     Arg.(value & opt positive_int 2
@@ -1471,10 +1446,7 @@ let lint_cmd =
          linted; with no --machine, the insecure BASE geometry (the one
          the dynamic Audit cross-check runs). *)
       let channel_timing =
-        match machine with
-        | Some M_mi6 -> Config.secure_multicore ~cores
-        | Some (M_variant v) -> Config.timing ~cores v
-        | None -> Config.timing ~cores Config.Base
+        Config.timing ~cores (Option.value machine ~default:Config.Base)
       in
       let open_here = Channel.open_channels ~timing:channel_timing in
       let channel_note f =
@@ -1543,35 +1515,25 @@ let lint_cmd =
         from_witnesses @ from_hex
       in
       let config_reports =
-        let lint_machine m =
-          let name =
-            match m with M_mi6 -> "mi6" | M_variant v -> Config.variant_name v
-          in
-          let timing =
-            match m with
-            | M_mi6 -> Config.secure_multicore ~cores
-            | M_variant v -> Config.timing ~cores v
-          in
-          let findings = Hwlint.lint_timing ~name timing in
+        let machine_report v =
+          let name = Config.variant_name v in
+          (* Exercise the Section 6.1 ownership checks on a populated
+             ledger: two enclaves carved out of OS memory, with a declared
+             read share between them — the Citadel relaxation the linter
+             must admit without a finding. *)
+          let ledger = Region.create Mi6_mem.Addr.default_regions in
+          ignore
+            (Region.transfer ledger ~regions:[ 1; 2 ] ~from_:Region.Os
+               ~to_:(Region.Enclave 0));
+          ignore
+            (Region.transfer ledger ~regions:[ 3 ] ~from_:Region.Os
+               ~to_:(Region.Enclave 1));
+          ignore
+            (Region.share ledger ~region:2 ~owner:(Region.Enclave 0)
+               ~reader:(Region.Enclave 1));
           let findings =
-            match m with
-            | M_variant _ -> findings
-            | M_mi6 ->
-              (* Exercise the Section 6.1 ownership checks on a populated
-                 ledger: two enclaves carved out of OS memory, with a
-                 declared read share between them — the Citadel relaxation
-                 the linter must admit without a finding. *)
-              let ledger = Region.create Mi6_mem.Addr.default_regions in
-              ignore
-                (Region.transfer ledger ~regions:[ 1; 2 ] ~from_:Region.Os
-                   ~to_:(Region.Enclave 0));
-              ignore
-                (Region.transfer ledger ~regions:[ 3 ] ~from_:Region.Os
-                   ~to_:(Region.Enclave 1));
-              ignore
-                (Region.share ledger ~region:2 ~owner:(Region.Enclave 0)
-                   ~reader:(Region.Enclave 1));
-              findings @ Hwlint.lint_ledger ledger
+            Hwlint.lint_timing ~name (Config.timing ~cores v)
+            @ Hwlint.lint_ledger ledger
           in
           let config_note (f : Hwlint.finding) =
             if not channels then ""
@@ -1598,8 +1560,8 @@ let lint_cmd =
           (name, findings)
         in
         match (machine, program_reports) with
-        | Some m, _ -> [ lint_machine m ]
-        | None, [] -> [ lint_machine M_mi6 ]
+        | Some m, _ -> [ machine_report m ]
+        | None, [] -> [ machine_report Config.Mi6 ]
         | None, _ -> []
       in
       let count reports =
@@ -1659,8 +1621,7 @@ let lint_cmd =
               ("channels", Json.Bool channels);
               ("machine", Json.String
                  (match machine with
-                 | Some M_mi6 -> "mi6"
-                 | Some (M_variant v) -> Config.variant_name v
+                 | Some v -> Config.variant_name v
                  | None -> "base"));
               ("programs", section program_finding_json program_reports);
               ("configs", section config_finding_json config_reports);
@@ -1698,7 +1659,7 @@ module Ni_gen = Mi6_progen.Ni_gen
 type ni_result = {
   ni_schedule : Schedule.t;
   ni_verdict : Schedule.verdict;
-  ni_shrunk : Schedule.t option;  (* falsified only *)
+  ni_shrunk : (Schedule.t * Schedule.verdict) option;  (* falsified only *)
   ni_channel : Mi6_obs.Audit.channel option;
 }
 
@@ -1784,7 +1745,6 @@ let ni_cmd =
         (List.length todo)
         (if List.length todo = 1 then "" else "s")
         jobs;
-    let falsifies s = (Body.check s).Schedule.v_falsified in
     let work s =
       let v = Body.check s in
       if not v.Schedule.v_falsified then
@@ -1792,12 +1752,20 @@ let ni_cmd =
       else begin
         (* Generated counterexamples shrink before they are reported;
            replayed witnesses are kept verbatim.  Either way the Audit
-           diff localizes which hardware channel the leak entered. *)
+           diff localizes which hardware channel the leak entered.  The
+           shrink returns the last candidate that falsified, so the last
+           falsifying verdict is the shrunk schedule's. *)
+        let last = ref v in
+        let falsifies c =
+          let v = Body.check c in
+          if v.Schedule.v_falsified then last := v;
+          v.Schedule.v_falsified
+        in
         let s' = if generated then Ni_gen.greedy_shrink ~falsifies s else s in
         {
           ni_schedule = s;
           ni_verdict = v;
-          ni_shrunk = Some s';
+          ni_shrunk = Some (s', !last);
           ni_channel = Mi6_obs.Audit.first_leaking_channel (Body.localize s');
         }
       end
@@ -1812,7 +1780,7 @@ let ni_cmd =
         | None ->
           if not generated then
             Printf.printf "ok        %s\n" (Schedule.to_string r.ni_schedule)
-        | Some s' ->
+        | Some (s', v) ->
           Printf.printf "FALSIFIED %s\n" (Schedule.to_string r.ni_schedule);
           if s' <> r.ni_schedule then
             Printf.printf "  shrunk  %s\n" (Schedule.to_string s');
@@ -1820,7 +1788,6 @@ let ni_cmd =
           | Some c ->
             Printf.printf "  channel %s\n" (Mi6_obs.Audit.channel_name c)
           | None -> ());
-          let v = (if generated then Body.check s' else r.ni_verdict) in
           Format.printf "  body:@.%a  reference:@.%a"
             Schedule.pp_observation v.Schedule.v_obs Schedule.pp_observation
             v.Schedule.v_ref_obs)
@@ -1833,7 +1800,7 @@ let ni_cmd =
         (String.concat ""
            (List.map
               (fun r ->
-                Schedule.to_string (Option.get r.ni_shrunk) ^ "\n")
+                Schedule.to_string (fst (Option.get r.ni_shrunk)) ^ "\n")
               falsified));
       Printf.printf "falsifying schedules -> %s\n%!" path
     | None -> ());
@@ -1851,7 +1818,8 @@ let ni_cmd =
            ]
           @ (match r.ni_shrunk with
             | None -> []
-            | Some s' -> [ ("shrunk", Json.String (Schedule.to_string s')) ])
+            | Some (s', _) ->
+              [ ("shrunk", Json.String (Schedule.to_string s')) ])
           @ [
               ( "channel",
                 match r.ni_channel with

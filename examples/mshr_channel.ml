@@ -38,7 +38,7 @@ let () =
   let base =
     run "[1] Baseline LLC (Figure 2)" (Config.timing ~cores:1 Config.Base)
   in
-  let mi6 = run "[2] MI6 LLC (Figure 3)" (Config.secure_multicore ~cores:1) in
+  let mi6 = run "[2] MI6 LLC (Figure 3)" (Config.timing ~cores:1 Config.Mi6) in
   print_endline "\n[3] DRAM controller comparison (Section 5.2)";
   let reorder =
     Noninterference.leaks

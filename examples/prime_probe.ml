@@ -45,7 +45,7 @@ let () =
   in
   let mi6_leaks =
     run "[2] MI6 LLC (set partitioning by DRAM region, Figure 3 structures)"
-      (Config.secure_multicore ~cores:1)
+      (Config.timing ~cores:1 Config.Mi6)
   in
   Printf.printf
     "\nSummary: baseline leaks = %b, MI6 leaks = %b  (paper: set \

@@ -15,7 +15,6 @@ open Mi6_mem
 open Mi6_func
 open Mi6_util
 open Mi6_cache
-open Mi6_llc
 open Mi6_ooo
 open Mi6_core
 
@@ -43,11 +42,8 @@ let () =
     "trivially added to any ISA as the paper argues";
 
   print_endline "\n[2] purge on the out-of-order core";
-  (* One core on the BASE memory side with MI6's LLC structures. *)
-  let timing =
-    { (Config.timing ~cores:1 Config.Base) with
-      Config.llc_security = Llc.mi6_security }
-  in
+  (* One core on the MI6 machine's memory side. *)
+  let timing = Config.timing ~cores:1 Config.Mi6 in
   let stats = Stats.create () in
   let mem = Hierarchy.create timing ~stats in
   let l1d = Hierarchy.l1 mem ~core:0 and l1i = Hierarchy.l1 mem ~core:1 in

@@ -77,7 +77,7 @@ let () =
       ]
   in
   let leak_base = receiver_works (Config.timing ~cores:1 Config.Base) in
-  let leak_mi6 = receiver_works (Config.secure_multicore ~cores:1) in
+  let leak_mi6 = receiver_works (Config.timing ~cores:1 Config.Mi6) in
   Printf.printf
     "  receiver (prime+probe) works on baseline: %b; on MI6: %b\n" leak_base
     leak_mi6;

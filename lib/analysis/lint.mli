@@ -46,8 +46,8 @@ val purge_list : core:Core_config.t -> l1:L1.config -> structure list
 val required_purge_floor : core:Core_config.t -> l1:L1.config -> int
 
 (** [lint_timing ~name t] checks a machine configuration that claims to
-    be secure.  [name] labels findings (e.g. ["mi6"] or a variant
-    name). *)
+    be secure.  [name] labels findings (a variant name such as
+    ["MI6"]). *)
 val lint_timing :
   ?geometry:Addr.regions -> name:string -> Config.timing -> finding list
 

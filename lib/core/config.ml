@@ -1,6 +1,6 @@
-type variant = Base | Flush | Part | Miss | Arb | Nonspec | Fpma
+type variant = Base | Flush | Part | Miss | Arb | Nonspec | Fpma | Mi6
 
-let all_variants = [ Base; Flush; Part; Miss; Arb; Nonspec; Fpma ]
+let all_variants = [ Base; Flush; Part; Miss; Arb; Nonspec; Fpma; Mi6 ]
 
 let variant_name = function
   | Base -> "BASE"
@@ -10,6 +10,7 @@ let variant_name = function
   | Arb -> "ARB"
   | Nonspec -> "NONSPEC"
   | Fpma -> "F+P+M+A"
+  | Mi6 -> "MI6"
 
 let variant_of_name s =
   List.find_opt (fun v -> variant_name v = String.uppercase_ascii s) all_variants
@@ -58,6 +59,18 @@ let with_arb t =
 let with_nonspec t =
   { t with core = { t.core with Core_config.nonspec_mem = true } }
 
+(* Real Figure 3 structures rather than the MISS and ARB approximations:
+   MSHRs statically partitioned at 3 per port, and the DRAM controller
+   sized so the paper's rule (#MSHR <= d_max / 2) holds. *)
+let with_figure3 t =
+  let ports = t.llc.Llc.cores in
+  {
+    t with
+    llc_security = Llc.mi6_security;
+    llc = { t.llc with Llc.mshrs = 3 * ports; mshr_banks = 1 };
+    dram_outstanding = 6 * ports;
+  }
+
 let timing ~cores variant =
   let b = base_timing ~cores in
   match variant with
@@ -68,17 +81,4 @@ let timing ~cores variant =
   | Arb -> with_arb b
   | Nonspec -> with_nonspec b
   | Fpma -> with_arb (with_miss (with_part (with_flush b)))
-
-let secure_multicore ~cores =
-  let b = base_timing ~cores in
-  let t = with_part (with_flush b) in
-  let ports = 2 * cores in
-  (* Real Figure 3 structures rather than the ARB latency approximation:
-     MSHRs statically partitioned at 3 per port, and the DRAM controller
-     sized so the paper's rule (#MSHR <= d_max / 2) holds. *)
-  {
-    t with
-    llc_security = Llc.mi6_security;
-    llc = { t.llc with Llc.mshrs = 3 * ports; mshr_banks = 1 };
-    dram_outstanding = 6 * ports;
-  }
+  | Mi6 -> with_figure3 (with_part (with_flush b))

@@ -1,5 +1,5 @@
-(** The seven processor variants of the paper's evaluation (Section 7) and
-    the full MI6 secure configuration.
+(** The machines the simulator builds: the seven processor variants of
+    the paper's evaluation (Section 7) and the Figure 3 machine.
 
     - [Base]: insecure RiscyOO baseline (Figure 4).
     - [Flush]: + purge of all per-core microarchitectural state on every
@@ -13,15 +13,24 @@
     - [Nonspec]: memory instructions rename only on an empty ROB
       (Section 7.5).
     - [Fpma]: Flush + Part + Miss + Arb (Section 7.6) — the enclave cost.
+    - [Mi6]: the machine the security claims are about (Figure 3), of
+      which [Fpma] is the single-core performance approximation: Flush +
+      Part with every Figure 3 LLC structure in place of MISS and ARB's
+      stand-ins — the round-robin arbiter, a split UQ, one-cycle DQ
+      retries, per-partition downgrade logic, and an unbanked MSHR file
+      statically partitioned at 3 per LLC port, with the DRAM controller
+      sized so the paper's rule (#MSHR <= d_max / 2) holds. *)
 
-    [secure_multicore] is the real MI6 machine configuration used by the
-    multicore isolation tests: every Figure 3 LLC structure enabled, plus
-    flush-on-trap cores. *)
+type variant = Base | Flush | Part | Miss | Arb | Nonspec | Fpma | Mi6
 
-type variant = Base | Flush | Part | Miss | Arb | Nonspec | Fpma
-
+(** Every variant, in the order above. *)
 val all_variants : variant list
+
+(** [variant_name v] — the paper's spelling ([BASE], [F+P+M+A], [MI6]). *)
 val variant_name : variant -> string
+
+(** [variant_of_name s] — the variant whose name is [s] in any letter
+    case. *)
 val variant_of_name : string -> variant option
 
 type timing = {
@@ -35,9 +44,5 @@ type timing = {
 
 (** [timing ~cores variant] — the single-core evaluation methodology uses
     [cores = 1] link pairs; the LLC sees [2 * cores] ports (I and D per
-    core). *)
+    core), so [Mi6]'s MSHR file and DRAM controller grow with [cores]. *)
 val timing : cores:int -> variant -> timing
-
-(** Full MI6 machine (Figure 3 structures + purge-on-trap cores), for
-    [cores] cores. *)
-val secure_multicore : cores:int -> timing

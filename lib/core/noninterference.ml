@@ -102,7 +102,7 @@ let mshr_channel timing ~victim_floods =
 let dram_bank_channel ~reordering ~victim_same_bank =
   let reorder = if reordering then Some Fr_fcfs.default_config else None in
   let h =
-    Hierarchy.create ?reorder (Config.secure_multicore ~cores:1)
+    Hierarchy.create ?reorder (Config.timing ~cores:1 Config.Mi6)
       ~stats:(Stats.create ())
   in
   let banks = Fr_fcfs.default_config.Fr_fcfs.banks in
@@ -242,7 +242,7 @@ type channel = { insecure : verdict; mi6 : verdict }
 
 let channels () =
   let base = Config.timing ~cores:1 Config.Base
-  and mi6 = Config.secure_multicore ~cores:1 in
+  and mi6 = Config.timing ~cores:1 Config.Mi6 in
   let row label run = { label; leaks = leaks [ run true; run false ] } in
   [
     {

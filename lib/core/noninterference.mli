@@ -7,8 +7,8 @@
     exactly the paper's: does the {e timing} the attacker observes
     depend on the victim?).  The insecure configuration is
     [Config.timing ~cores:1 Base]; the MI6 one is
-    [Config.secure_multicore ~cores:1], which gives each agent its
-    port's 3-MSHR partition.  The attacker's observation is the list of
+    [Config.timing ~cores:1 Mi6], which gives each agent its port's
+    3-MSHR partition.  The attacker's observation is the list of
     latencies of its own timed accesses.  A configuration provides strong
     timing independence for an experiment when the observation is
     bit-identical across victim behaviours.

@@ -262,8 +262,9 @@ let run_spec ?trace ?occupancy ?telemetry ?seed ~variant ~bench ~warmup
 (* Multiprogrammed run: one SPEC model per core, each confined to its own
    region block — the multiprocessor methodology the paper could not fit
    on its FPGA (Section 7.2). *)
-let run_multi ?trace ~timing ~benches ~warmup ~measure () =
+let run_multi ?trace ~variant ~benches ~warmup ~measure () =
   let n = Array.length benches in
+  let timing = Config.timing ~cores:n variant in
   let stats = Stats.create () in
   let streams =
     Array.init n (fun i ->

@@ -140,17 +140,18 @@ val run_stream :
   unit ->
   result
 
-(** [run_multi ~timing ~benches ~warmup ~measure] — a multiprogrammed
-    multiprocessor run: one SPEC model per core, each confined to its own
-    disjoint block of DRAM regions (code, data, kernel, and page tables
-    all private).  Per-core measured windows are cut when that core passes
-    its own warmup / measure instruction counts.  This is the evaluation
-    the paper calls ideal but could not fit on one FPGA (Section 7.2).
-    The shared [stats] table is returned in each result (counters are
-    machine-wide). *)
+(** [run_multi ~variant ~benches ~warmup ~measure] — a multiprogrammed
+    multiprocessor run on [Config.timing ~cores variant], where [cores]
+    is the number of [benches]: one SPEC model per core, each confined to
+    its own disjoint block of DRAM regions (code, data, kernel, and page
+    tables all private).  Per-core measured windows are cut when that
+    core passes its own warmup / measure instruction counts.  This is the
+    evaluation the paper calls ideal but could not fit on one FPGA
+    (Section 7.2).  The shared [stats] table is returned in each result
+    (counters are machine-wide). *)
 val run_multi :
   ?trace:Trace.t ->
-  timing:Config.timing ->
+  variant:Config.variant ->
   benches:Mi6_workload.Spec.bench array ->
   warmup:int ->
   measure:int ->

@@ -5,7 +5,6 @@ type t = {
   phys_regs : int;
   iq_entries : int;
   alu_pipes : int;
-  fp_pipes : int;
   lq_entries : int;
   sq_entries : int;
   sb_entries : int;
@@ -28,7 +27,6 @@ let default =
     phys_regs = 128;
     iq_entries = 16;
     alu_pipes = 2;
-    fp_pipes = 1;
     lq_entries = 24;
     sq_entries = 14;
     sb_entries = 4;

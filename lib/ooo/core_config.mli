@@ -8,7 +8,6 @@ type t = {
   phys_regs : int;  (** rename registers beyond the 32 architectural *)
   iq_entries : int;  (** per-pipeline issue queue: 16 *)
   alu_pipes : int;  (** 2 *)
-  fp_pipes : int;  (** 1 (FP/MUL/DIV) *)
   lq_entries : int;  (** 24 *)
   sq_entries : int;  (** 14 *)
   sb_entries : int;  (** 4-entry store buffer *)

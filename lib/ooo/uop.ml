@@ -18,9 +18,6 @@ type t = {
 
 let is_mem u = match u.kind with Load _ | Store _ -> true | _ -> false
 
-let is_control u =
-  match u.kind with Branch _ | Jump _ -> true | _ -> false
-
 let next_pc u =
   match u.kind with
   | Branch { taken = true; target; _ } -> target

@@ -32,7 +32,6 @@ type t = {
 }
 
 val is_mem : t -> bool
-val is_control : t -> bool
 
 (** [next_pc u] is the address of the next committed instruction. *)
 val next_pc : t -> int

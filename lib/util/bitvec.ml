@@ -27,8 +27,6 @@ let clear v i =
   let w = i / bits_per_word in
   v.words.(w) <- v.words.(w) land lnot (1 lsl (i mod bits_per_word))
 
-let assign v i b = if b then set v i else clear v i
-
 let set_all v =
   for i = 0 to v.n - 1 do
     set v i

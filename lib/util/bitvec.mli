@@ -16,7 +16,6 @@ val length : t -> int
 val get : t -> int -> bool
 val set : t -> int -> unit
 val clear : t -> int -> unit
-val assign : t -> int -> bool -> unit
 
 (** [set_all v] / [clear_all v] set or clear every bit. *)
 val set_all : t -> unit

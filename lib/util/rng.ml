@@ -59,15 +59,6 @@ let pick t thresholds ~scale =
   done;
   !i
 
-let geometric t ~mean =
-  if mean <= 0.0 then 0
-  else begin
-    let p = 1.0 /. (mean +. 1.0) in
-    let u = float t in
-    (* Inverse-CDF sampling; support {0, 1, 2, ...} with E[X] = mean. *)
-    int_of_float (Float.log1p (-.u) /. Float.log (1.0 -. p))
-  end
-
 let choose t weights =
   let total = Array.fold_left ( +. ) 0.0 weights in
   if Array.length weights = 0 || total <= 0.0 then

@@ -53,10 +53,6 @@ val skewed : t -> int -> int
     total as [scale], it picks what [choose t w] picks. *)
 val pick : t -> float array -> scale:float -> int
 
-(** [geometric t ~mean] samples a geometric distribution with the given mean
-    (>= 0); used for burst lengths and inter-event gaps. *)
-val geometric : t -> mean:float -> int
-
 (** [choose t weights] picks index [i] with probability proportional to
     [weights.(i)].  Raises [Invalid_argument] on an empty or all-zero
     array. *)

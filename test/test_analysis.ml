@@ -464,7 +464,7 @@ let has_check fs name = List.exists (fun f -> f.Lint.check = name) fs
 let test_lint_secure_clean () =
   List.iter
     (fun cores ->
-      let fs = Lint.lint_timing ~name:"mi6" (Config.secure_multicore ~cores) in
+      let fs = Lint.lint_timing ~name:"mi6" (Config.timing ~cores Config.Mi6) in
       Alcotest.(check int)
         (Printf.sprintf "%d-core secure machine lints clean" cores)
         0 (List.length fs))
@@ -490,7 +490,7 @@ let test_lint_purge_floor () =
          | Lint.Flushed { entries = 4096; rate = 8 } -> true
          | _ -> false)
        (Lint.purge_list ~core:Core_config.default ~l1:L1.default_config));
-  let t = Config.secure_multicore ~cores:2 in
+  let t = Config.timing ~cores:2 Config.Mi6 in
   let t =
     { t with
       Config.core = { t.Config.core with Core_config.purge_floor = 100 } }
@@ -499,7 +499,7 @@ let test_lint_purge_floor () =
     (has_check (Lint.lint_timing ~name:"mi6" t) "purge-floor")
 
 let test_lint_mshr_sizing () =
-  let t = Config.secure_multicore ~cores:2 in
+  let t = Config.timing ~cores:2 Config.Mi6 in
   let clean = Lint.lint_timing ~name:"mi6" t in
   Alcotest.(check bool) "exactly d_max/2 MSHRs pass" false
     (has_check clean "mshr-vs-dram");
@@ -603,11 +603,11 @@ let test_lint_ledger_sharing () =
     (Region.readers ledger 2 = [])
 
 (* [Channel.closes] never calls a channel closed that one of the
-   linter's findings leaves open, on every variant, the MI6 machine, and
-   three single-field breaks of the MI6 machine that only the linter's
-   checks see. *)
+   linter's findings leaves open, on every variant and on three
+   single-field breaks of the MI6 machine that only the linter's checks
+   see. *)
 let test_closes_agrees_with_lint () =
-  let mi6 = Config.secure_multicore ~cores:1 in
+  let mi6 = Config.timing ~cores:1 Config.Mi6 in
   let breaks =
     [
       ( "mi6 with a shared downgrade scanner", "llc-shared-downgrade",
@@ -632,7 +632,6 @@ let test_closes_agrees_with_lint () =
     List.map
       (fun v -> (Config.variant_name v, Config.timing ~cores:1 v))
       Config.all_variants
-    @ [ ("mi6", mi6) ]
     @ List.map (fun (name, _, timing) -> (name, timing)) breaks
   in
   List.iter

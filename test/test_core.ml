@@ -557,13 +557,49 @@ let test_enclave_cannot_use_os_sm_calls () =
     (Monitor.enclave_state_name monitor id)
 
 (* ------------------------------------------------------------------ *)
+(* Machine vocabulary                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One name per machine, read back in any letter case: every command
+   that parses a variant reaches all eight. *)
+let test_variant_names_roundtrip () =
+  check_int "eight machines" 8 (List.length Config.all_variants);
+  List.iter
+    (fun v ->
+      let name = Config.variant_name v in
+      List.iter
+        (fun spelling ->
+          check_bool (Printf.sprintf "%S names %s" spelling name) true
+            (Config.variant_of_name spelling = Some v))
+        [ name; String.lowercase_ascii name;
+          String.capitalize_ascii (String.lowercase_ascii name) ])
+    Config.all_variants;
+  check_bool "unknown name" true (Config.variant_of_name "nosuch" = None)
+
+(* The MI6 variant is the Figure 3 machine, not F+P+M+A's stand-ins. *)
+let test_mi6_is_figure3 () =
+  let open Mi6_llc in
+  let t = Config.timing ~cores:2 Config.Mi6 in
+  let llc = t.Config.llc in
+  check_bool "Figure 3 LLC structures" true
+    (t.Config.llc_security = Llc.mi6_security);
+  check_int "12 MSHRs" 12 llc.Llc.mshrs;
+  check_int "unbanked" 1 llc.Llc.mshr_banks;
+  check_int "3 MSHRs per port" 3 (llc.Llc.mshrs / llc.Llc.cores);
+  check_int "DRAM sinks twice the MSHRs" 24 t.Config.dram_outstanding;
+  check_bool "purge on trap" true
+    t.Config.core.Mi6_ooo.Core_config.flush_on_trap;
+  check_bool "partitioned index" true
+    (llc.Llc.index
+    = Mi6_cache.Index.partitioned ~set_bits:10 ~region_bits:2 ~geometry)
+
+(* ------------------------------------------------------------------ *)
 (* Multicore                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let test_run_multi_completes () =
-  let timing = Config.secure_multicore ~cores:2 in
   let rs =
-    Tmachine.run_multi ~timing
+    Tmachine.run_multi ~variant:Config.Mi6
       ~benches:[| Mi6_workload.Spec.Hmmer; Mi6_workload.Spec.Gobmk |]
       ~warmup:20_000 ~measure:50_000 ()
   in
@@ -582,8 +618,7 @@ let test_multi_slower_than_solo () =
       ~warmup:20_000 ~measure:60_000 ()
   in
   let multi =
-    Tmachine.run_multi
-      ~timing:(Config.timing ~cores:2 Config.Base)
+    Tmachine.run_multi ~variant:Config.Base
       ~benches:[| Mi6_workload.Spec.Gcc; Mi6_workload.Spec.Libquantum |]
       ~warmup:20_000 ~measure:60_000 ()
   in
@@ -961,6 +996,13 @@ let () =
             test_enclave_fault_hidden_from_os;
           Alcotest.test_case "enclave cannot use OS calls" `Quick
             test_enclave_cannot_use_os_sm_calls;
+        ] );
+      ( "config",
+        [
+          Alcotest.test_case "variant names round-trip" `Quick
+            test_variant_names_roundtrip;
+          Alcotest.test_case "MI6 is the Figure 3 machine" `Quick
+            test_mi6_is_figure3;
         ] );
       ( "multicore",
         [

@@ -49,7 +49,7 @@ let spec_case (bench, variant, cycles, instrs, md5) =
 let multi_case =
   Alcotest.test_case "secure 2-core gcc+mcf" `Quick (fun () ->
       let rs =
-        Tmachine.run_multi ~timing:(Config.secure_multicore ~cores:2)
+        Tmachine.run_multi ~variant:Config.Mi6
           ~benches:[| Spec.Gcc; Spec.Mcf |] ~warmup ~measure ()
       in
       let md5 = "69b7fb163f659714460231cbf1e68b99" in
@@ -99,7 +99,7 @@ let dump_anchors =
       ~benches:[| Spec.Mcf |] ~md5:"ca1ba82f40684b36c887ae0ff9ba3908"
       ~quiet:10603;
     dump_case "secure 2-core gcc+mcf"
-      ~timing:(Config.secure_multicore ~cores:2)
+      ~timing:(Config.timing ~cores:2 Config.Mi6)
       ~benches:[| Spec.Gcc; Spec.Mcf |] ~md5:"8c7c7fd3fbb69a71078b3519a2737b3e"
       ~quiet:5698;
   ]
@@ -134,7 +134,7 @@ let trace_digest tr =
 let schedule_configs =
   [
     ("F+P+M+A", Config.timing ~cores:1 Config.Fpma);
-    ("secure 1-core", Config.secure_multicore ~cores:1);
+    ("secure 1-core", Config.timing ~cores:1 Config.Mi6);
   ]
 
 (* config, schedule, observation+bounds MD5, events, events MD5 *)
@@ -243,7 +243,7 @@ let trap_multi_case ~cycles ~instrs ~counters ~dumps ~quiet =
           [| Spec.Gcc; Spec.Mcf |]
       in
       let m =
-        Tmachine.create ~occupancy (Config.secure_multicore ~cores:2) ~streams
+        Tmachine.create ~occupancy (Config.timing ~cores:2 Config.Mi6) ~streams
           ~stats
       in
       let b = Buffer.create (1 lsl 20) in

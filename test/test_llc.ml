@@ -525,7 +525,7 @@ let alloc_configs =
   [
     ("F+P+M+A", Config.timing ~cores:1 Config.Fpma);
     ("BASE", Config.timing ~cores:1 Config.Base);
-    ("secure 2-core", Config.secure_multicore ~cores:2);
+    ("secure 2-core", Config.timing ~cores:2 Config.Mi6);
   ]
 
 (* A busy cycle allocates nothing either.  A one-core machine runs an

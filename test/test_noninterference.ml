@@ -11,7 +11,7 @@ let check_bool = Alcotest.(check bool)
 
 (* The insecure and the MI6 configuration of every experiment below. *)
 let base = Config.timing ~cores:1 Config.Base
-let mi6 = Config.secure_multicore ~cores:1
+let mi6 = Config.timing ~cores:1 Config.Mi6
 
 (* ------------------------------------------------------------------ *)
 (* Prime + probe (LLC set contention, Section 5.2)                      *)

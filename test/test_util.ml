@@ -348,16 +348,6 @@ let test_rng_choose_weights () =
   check_int "zero-weight bucket never chosen" 0 counts.(1);
   check_bool "heavier bucket dominates" true (counts.(2) > counts.(0))
 
-let test_rng_geometric_mean () =
-  let r = Rng.of_int 9 in
-  let n = 20_000 in
-  let sum = ref 0 in
-  for _ = 1 to n do
-    sum := !sum + Rng.geometric r ~mean:5.0
-  done;
-  let mean = float_of_int !sum /. float_of_int n in
-  check_bool "geometric mean near 5" true (mean > 4.5 && mean < 5.5)
-
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -775,7 +765,6 @@ let () =
           Alcotest.test_case "split decorrelated" `Quick test_rng_split_decorrelated;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "weighted choice" `Quick test_rng_choose_weights;
-          Alcotest.test_case "geometric mean" `Quick test_rng_geometric_mean;
           Alcotest.test_case "draws allocate nothing" `Quick
             test_rng_draws_allocate_nothing;
           Alcotest.test_case "skewed matches its float expression" `Quick
